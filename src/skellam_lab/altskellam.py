@@ -4,6 +4,11 @@ Here the process is sum_j j * N_j(t_j) with independent one-parameter Poisson
 processes N_j, indexed by a time vector keyed by the jump set itself.  Time
 maps are keyed by jump value rather than by position, so callers cannot
 scramble the axis order.
+
+This is a GMSP with one time axis per jump: its law at t depends only on the
+per-jump means mu_j = lam_j t_j.  This module validates the jump-keyed time
+maps, forms those means and delegates sampling and evaluation to the law
+core in :mod:`skellam_lab.gmsp`.
 """
 
 from __future__ import annotations
@@ -14,9 +19,17 @@ from typing import Callable
 
 import numpy as np
 
-from .gmsp import grouped_threepoint_sums, scaled_poisson_convolution, skellam_bessel_pmf
-from .records import SampleBatch, LatticePMF, make_rng
-from .special import poisson_pmf
+from .gmsp import (
+    array_sums,
+    poisson_sum_cf,
+    poisson_sum_lattice_pmf,
+    poisson_sum_moments,
+    poisson_sum_pgf,
+    poisson_sum_sample,
+    skellam_pmf,
+    sorted_jumps,
+)
+from .records import SampleBatch, LatticePMF
 
 __all__ = [
     "AltSpec",
@@ -54,6 +67,10 @@ class AltSpec:
     def jump_values(self) -> np.ndarray:
         return np.array(list(self.rates), dtype=float)
 
+    @property
+    def rate_values(self) -> np.ndarray:
+        return np.array(list(self.rates.values()))
+
 
 def _time_map(spec: AltSpec, t: dict, name: str = "t") -> np.ndarray:
     if set(map(float, t)) != set(spec.rates):
@@ -67,12 +84,7 @@ def _time_map(spec: AltSpec, t: dict, name: str = "t") -> np.ndarray:
 def alt_sample(spec: AltSpec, t: dict, n_draws: int, seed: int) -> SampleBatch:
     """Draw sum_j j * Poisson(lam_j t_j) with independent counts."""
     tt = _time_map(spec, t)
-    rng = make_rng(seed)
-    values = np.zeros(n_draws, dtype=float)
-    for (j, lam), tj in zip(spec.rates.items(), tt):
-        values += j * rng.poisson(lam * tj, n_draws)
-    if all(j == int(j) for j in spec.rates):
-        values = values.astype(np.int64)
+    values = poisson_sum_sample(spec.jump_values, spec.rate_values * tt, n_draws, seed)
     meta = {"process": "alt-skellam", "rates": dict(spec.rates),
             "t": {j: float(tj) for j, tj in zip(spec.rates, tt)}, "n": int(n_draws)}
     return SampleBatch(values=values, seed=int(seed), meta=meta)
@@ -86,12 +98,8 @@ def alt_moments(spec: AltSpec, s: dict, t: dict):
     """
     ss = _time_map(spec, s, "s")
     tt = _time_map(spec, t)
-    jumps = spec.jump_values
-    lam = np.array(list(spec.rates.values()))
-    mean = float(np.sum(jumps * lam * tt))
-    var = float(np.sum(jumps**2 * lam * tt))
-    cov = float(np.sum(jumps**2 * lam * np.minimum(ss, tt)))
-    return mean, var, cov
+    lam = spec.rate_values
+    return poisson_sum_moments(spec.jump_values, lam * tt, lam * np.minimum(ss, tt))
 
 
 def alt_increment_cf(spec: AltSpec, s: dict, t: dict, z: float) -> complex:
@@ -100,28 +108,18 @@ def alt_increment_cf(spec: AltSpec, s: dict, t: dict, z: float) -> complex:
     tt = _time_map(spec, t)
     if np.any(ss > tt):
         raise ValueError("increment requires s <= t in every coordinate")
-    jumps = spec.jump_values
-    lam = np.array(list(spec.rates.values()))
-    return complex(np.exp(np.sum(lam * (tt - ss) * (np.exp(1j * z * jumps) - 1.0))))
+    return poisson_sum_cf(spec.jump_values, spec.rate_values * (tt - ss), z)
 
 
 def alt_pgf(spec: AltSpec, t: dict, u: float) -> float:
     """E[u^S(t)] = exp(sum_j lam_j t_j (u^j - 1)) for 0 < u <= 1."""
-    if not 0.0 < u <= 1.0:
-        raise ValueError("the pgf argument must lie in (0, 1]")
-    tt = _time_map(spec, t)
-    jumps = spec.jump_values
-    lam = np.array(list(spec.rates.values()))
-    return float(np.exp(np.sum(lam * tt * (u**jumps - 1.0))))
+    return poisson_sum_pgf(spec.jump_values, spec.rate_values * _time_map(spec, t), u)
 
 
 def alt_lattice_pmf(spec: AltSpec, t: dict, tail_mass: float = 1e-12) -> LatticePMF:
     """Exact lattice pmf at t for integer jump sets (convolution oracle)."""
-    tt = _time_map(spec, t)
-    if not all(j == int(j) for j in spec.rates):
-        raise ValueError("the lattice pmf is only defined for integer jump sets")
-    mus = {int(j): lam * tj for (j, lam), tj in zip(spec.rates.items(), tt)}
-    return scaled_poisson_convolution(mus, tail_mass)
+    mus = spec.rate_values * _time_map(spec, t)
+    return poisson_sum_lattice_pmf(spec.jump_values, mus, tail_mass)
 
 
 def alt_array_sample(
@@ -137,26 +135,14 @@ def alt_array_sample(
     ``probs(l, j_axis, j)`` gives the probability that the l-th summand on the
     axis labelled j_axis equals jump j; with the residual mass it is 0.
     """
-    jump_vals = np.array(sorted(float(j) for j in jumps))
-    if np.any(jump_vals == 0.0):
-        raise ValueError("jumps must be nonzero")
+    jump_vals = sorted_jumps(jumps)
     if set(map(float, t)) != set(jump_vals.tolist()):
         raise ValueError("t must be keyed exactly by the jump set")
     if scale <= 0:
         raise ValueError("scale must be positive")
-    rng = make_rng(seed)
-    values = np.zeros(n_draws, dtype=float)
-    for j_axis in jump_vals:
-        n_summands = int(math.floor(scale * float(t[j_axis])))
-        if n_summands == 0:
-            continue
-        rows = np.array([[probs(l, j_axis, j) for j in jump_vals]
-                         for l in range(1, n_summands + 1)])
-        values += grouped_threepoint_sums(rng, rows, jump_vals, n_draws)
-    if all(j == int(j) for j in jump_vals):
-        values = values.astype(np.int64)
-    meta = {"process": "alt-array", "scale": float(scale),
-            "t": {float(j): float(t[j]) for j in jump_vals}, "n": int(n_draws)}
+    t_axes = {float(j): float(t[j]) for j in jump_vals}
+    values = array_sums(scale, t_axes, probs, jump_vals, n_draws, seed)
+    meta = {"process": "alt-array", "scale": float(scale), "t": t_axes, "n": int(n_draws)}
     return SampleBatch(values=values, seed=int(seed), meta=meta)
 
 
@@ -173,11 +159,4 @@ def twoparam_skellam_pmf(n: int, lam1: float, lam2: float, t1: float, t2: float)
         raise ValueError("rates must be strictly positive")
     if t1 < 0 or t2 < 0:
         raise ValueError("times must be nonnegative")
-    a = lam1 * t1
-    b = lam2 * t2
-    n = int(n)
-    if b == 0.0:
-        return poisson_pmf(n, a)
-    if a == 0.0:
-        return poisson_pmf(-n, b)
-    return skellam_bessel_pmf(n, a, b)
+    return skellam_pmf(n, lam1 * t1, lam2 * t2)

@@ -3,9 +3,7 @@
 Every command writes CSV (with a leading `# meta:` comment carrying the full
 parameter set) or JSON.  Output bytes are a pure function of (argv, seed):
 floats are rendered with 17 significant digits, metadata key order is fixed,
-and all samplers run off explicit seeds.  The environment variable
-SKELLAM_LAB_THREADS (a positive integer) caps worker parallelism; generation
-currently runs on a single thread, which respects any cap.
+and all samplers run off explicit seeds.
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -172,6 +169,14 @@ def _parse_single_rate_jumps(text: str) -> dict[float, float]:
     return out
 
 
+def _jump_times(rates: dict, text: str, name: str) -> dict:
+    """Alt time map from one time per jump group, in the order the groups are written."""
+    times = _parse_floats(text, name)
+    if len(times) != len(rates):
+        raise ValueError(f"--{name} must list one time per jump group, in order")
+    return dict(zip(rates, times))
+
+
 def _parse_ugrid(text: str) -> list[float]:
     if ":" in text:
         parts = text.split(":")
@@ -213,11 +218,7 @@ def _cmd_simulate(args) -> None:
     elif args.process == "alt":
         _require(args, "jumps", "t")
         rates = _parse_single_rate_jumps(args.jumps)
-        times = _parse_floats(args.t, "t")
-        if len(times) != len(rates):
-            raise ValueError("--t must list one time per jump group, in order")
-        t_map = dict(zip(rates, times))
-        batch = alt_sample(AltSpec(rates), t_map, n, seed)
+        batch = alt_sample(AltSpec(rates), _jump_times(rates, args.t, "t"), n, seed)
     elif args.process == "frac-skellam":
         _require(args, "l1", "l2", "alpha", "beta", "t1", "t2")
         spec = FracSkellamSpec(float(args.l1), float(args.l2), args.alpha, args.beta)
@@ -317,21 +318,12 @@ def _cmd_cf(args) -> None:
     elif args.process == "alt-increment":
         _require(args, "jumps", "t")
         rates = _parse_single_rate_jumps(args.jumps)
-        times = _parse_floats(args.t, "t")
-        if len(times) != len(rates):
-            raise ValueError("--t must list one time per jump group, in order")
+        t_map = _jump_times(rates, args.t, "t")
         spec = AltSpec(rates)
-        t_map = dict(zip(rates, times))
-        if args.s is not None:
-            s_times = _parse_floats(args.s, "s")
-            if len(s_times) != len(rates):
-                raise ValueError("--s must list one time per jump group, in order")
-            s_map = dict(zip(rates, s_times))
-        else:
-            s_map = {j: 0.0 for j in rates}
+        s_map = {j: 0.0 for j in rates} if args.s is None else _jump_times(rates, args.s, "s")
         values = [alt_increment_cf(spec, s_map, t_map, u) for u in grid]
         meta = {"process": "alt-increment", "jumps": args.jumps,
-                "s": [s_map[j] for j in rates], "t": times}
+                "s": list(s_map.values()), "t": list(t_map.values())}
     elif args.process == "integral-mpp":
         _require(args, "rates", "t")
         lam = _parse_floats(args.rates, "rates")
@@ -417,32 +409,27 @@ def _cmd_integral(args) -> None:
 
 def _cmd_converge(args) -> None:
     scales = [int(s) for s in _parse_floats(args.scales, "scales")]
+    _require(args, "jumps", "t")
     rates = _parse_single_rate_jumps(args.jumps)
     jumps = sorted(rates)
-    rows = []
     if args.scheme == "gmsp-array":
-        _require(args, "t")
         t = _parse_floats(args.t, "t")
-        target = JumpSpec({j: [rates[j]] * len(t) for j in jumps})
-        pmf = gmsp_lattice_pmf(target, t)
-        for i, scale in enumerate(scales):
+        pmf = gmsp_lattice_pmf(JumpSpec({j: [rates[j]] * len(t) for j in jumps}), t)
+
+        def draw(scale, seed):
             arr = TriangularArraySpec(n=scale, probs=lambda l, j, sc: rates[j] / sc)
-            batch = gmsp_array_sample(arr, jumps, t, args.n, seed=args.seed + 7 * i)
-            rows.append((scale, tv_distance(batch, pmf)))
+            return gmsp_array_sample(arr, jumps, t, args.n, seed=seed)
     elif args.scheme == "alt-array":
-        _require(args, "t")
-        times = _parse_floats(args.t, "t")
-        if len(times) != len(jumps):
-            raise ValueError("--t must list one time per jump group, in order")
-        t_map = dict(zip(rates, times))
-        spec = AltSpec(rates)
-        pmf = alt_lattice_pmf(spec, t_map)
-        for i, scale in enumerate(scales):
-            rule = lambda l, ja, j, sc=scale: (rates[ja] / sc) if ja == j else 0.0
-            batch = alt_array_sample(scale, rule, jumps, t_map, args.n, seed=args.seed + 7 * i)
-            rows.append((scale, tv_distance(batch, pmf)))
+        t_map = _jump_times(rates, args.t, "t")
+        pmf = alt_lattice_pmf(AltSpec(rates), t_map)
+
+        def draw(scale, seed):
+            rule = lambda l, ja, j: (rates[ja] / scale) if ja == j else 0.0
+            return alt_array_sample(scale, rule, jumps, t_map, args.n, seed=seed)
     else:
         raise ValueError(f"unknown scheme {args.scheme!r}")
+    rows = [(scale, tv_distance(draw(scale, args.seed + 7 * i), pmf))
+            for i, scale in enumerate(scales)]
     meta = {"scheme": args.scheme, "jumps": args.jumps, "t": args.t,
             "scales": scales, "n": args.n, "seed": args.seed}
     if args.format == "json":
@@ -542,24 +529,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _thread_cap() -> int | None:
-    raw = os.environ.get("SKELLAM_LAB_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"SKELLAM_LAB_THREADS must be a positive integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValueError(f"SKELLAM_LAB_THREADS must be a positive integer, got {raw!r}")
-    return cap
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _thread_cap()  # validate the documented env interface up front
         args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .records import SampleBatch, make_rng
-from .special import SeriesControl, DEFAULT_CONTROL, TruncationError, frac_poisson_pmf, wright_psi23
+from .special import (_CONSECUTIVE_SMALL, DEFAULT_CONTROL, SeriesControl, TruncationError,
+                      frac_poisson_pmf, wright_psi23)
 
 __all__ = [
     "FracSkellamSpec",
@@ -26,8 +27,6 @@ __all__ = [
     "frac_skellam_pmf_wright",
     "frac_skellam_moments",
 ]
-
-_CONSECUTIVE_SMALL = 3
 
 
 def _check_index(alpha: float) -> float:
@@ -199,7 +198,7 @@ def _wright_nonneg(n, x1, alpha, x2, beta, ctl):
 
 
 def frac_skellam_moments(spec: FracSkellamSpec, t1: float, t2: float,
-                         variance_form: str = "printed"):
+                         variance_form: str = "quadratic"):
     """(mean, variance) of the fractional Skellam difference.
 
     mean = lam1 t1^a / Gamma(a+1) - lam2 t2^b / Gamma(b+1).
@@ -207,7 +206,9 @@ def frac_skellam_moments(spec: FracSkellamSpec, t1: float, t2: float,
     The variance carries a second-order term per side whose leading factor is
     lam t^a / a in the "printed" form and (lam t^a)^2 / a in the "quadratic"
     form; the two coincide at lam t^a = 1 and the second-order term vanishes
-    entirely at a = 1.  Both are exposed so the simulation can arbitrate.
+    entirely at a = 1.  The default is the quadratic form, which the
+    frac-variance-quadratic identity supports and frac-variance-printed
+    rejects; the printed form stays available behind the flag.
     """
     if t1 < 0 or t2 < 0:
         raise ValueError("times must be nonnegative")

@@ -6,7 +6,9 @@ samplers, the probability generating / characteristic functions, moments, the
 two-sided Bessel pmf of the jumps-{1,-1} case, both compound representations,
 the triangular-array approximation, and a dynamic-programming lattice pmf used
 as ground truth by the statistical tests (there is no closed-form pmf for a
-general jump set).
+general jump set).  The law core and the array-sum kernel are keyed by jumps
+and per-jump means or axis times, so the alternate process in
+:mod:`skellam_lab.altskellam` runs through them too.
 """
 
 from __future__ import annotations
@@ -78,10 +80,6 @@ class JumpSpec:
         """Rates as a (n_jumps, M) array, rows in sorted-jump order."""
         return np.vstack(list(self.jumps.values()))
 
-    @property
-    def integer_jumps(self) -> bool:
-        return all(j == int(j) for j in self.jumps)
-
 
 @dataclass(frozen=True)
 class TriangularArraySpec:
@@ -104,16 +102,59 @@ def _jump_means(spec: JumpSpec, t) -> np.ndarray:
     return spec.rate_matrix @ tt
 
 
-def gmsp_sample(spec: JumpSpec, t, n_draws: int, seed: int) -> SampleBatch:
-    """Draw sum_j j * Poisson(rates_j . t) with independent counts per jump."""
-    mus = _jump_means(spec, t)
+def _integer_jumps(jumps) -> bool:
+    return all(j == int(j) for j in jumps)
+
+
+def _as_lattice(values: np.ndarray, jumps) -> np.ndarray:
+    """Integer draws when every jump is an integer, float draws otherwise."""
+    return values.astype(np.int64) if _integer_jumps(jumps) else values
+
+
+# The law of sum_j j * Poisson(mu_j) over sorted nonzero jumps j depends only on
+# the per-jump means mu_j.  The functions below are keyed by (jumps, means) so
+# that every process of that form (one rate vector per jump here, one time
+# axis per jump in altskellam) samples and evaluates through them.
+
+def poisson_sum_sample(jumps: np.ndarray, mus, n_draws: int, seed: int) -> np.ndarray:
+    """Draws of sum_j j * Poisson(mu_j): one rng.poisson per jump, in jump order."""
     rng = make_rng(seed)
-    jumps = spec.jump_values
     values = np.zeros(n_draws, dtype=float)
     for j, mu in zip(jumps, mus):
         values += j * rng.poisson(mu, n_draws)
-    if spec.integer_jumps:
-        values = values.astype(np.int64)
+    return _as_lattice(values, jumps)
+
+
+def poisson_sum_pgf(jumps: np.ndarray, mus: np.ndarray, u: float) -> float:
+    """E[u^S] = exp(sum_j mu_j (u^j - 1)) for 0 < u <= 1."""
+    if not 0.0 < u <= 1.0:
+        raise ValueError("the pgf argument must lie in (0, 1]")
+    return float(np.exp(np.sum(mus * (u ** jumps - 1.0))))
+
+
+def poisson_sum_cf(jumps: np.ndarray, mus: np.ndarray, u: float) -> complex:
+    """E[exp(iuS)] = exp(sum_j mu_j (e^{iuj} - 1)); modulus <= 1."""
+    return complex(np.exp(np.sum(mus * (np.exp(1j * u * jumps) - 1.0))))
+
+
+def poisson_sum_moments(jumps: np.ndarray, mus_t: np.ndarray, mus_min: np.ndarray):
+    """(mean, variance) at means mus_t, and the covariance whose shared means are mus_min."""
+    return (float(np.sum(jumps * mus_t)), float(np.sum(jumps**2 * mus_t)),
+            float(np.sum(jumps**2 * mus_min)))
+
+
+def poisson_sum_lattice_pmf(jumps: np.ndarray, mus, tail_mass: float) -> LatticePMF:
+    """Exact lattice pmf (integer jump sets only), by scaled_poisson_convolution."""
+    if not _integer_jumps(jumps):
+        raise ValueError("the lattice pmf is only defined for integer jump sets")
+    return scaled_poisson_convolution(
+        {int(j): float(mu) for j, mu in zip(jumps, mus)}, tail_mass
+    )
+
+
+def gmsp_sample(spec: JumpSpec, t, n_draws: int, seed: int) -> SampleBatch:
+    """Draw sum_j j * Poisson(rates_j . t) with independent counts per jump."""
+    values = poisson_sum_sample(spec.jump_values, _jump_means(spec, t), n_draws, seed)
     meta = {"process": "gmsp", "jumps": {j: list(map(float, r)) for j, r in spec.jumps.items()},
             "t": [float(x) for x in as_times(t, spec.dim)], "n": int(n_draws)}
     return SampleBatch(values=values, seed=int(seed), meta=meta)
@@ -121,41 +162,38 @@ def gmsp_sample(spec: JumpSpec, t, n_draws: int, seed: int) -> SampleBatch:
 
 def gmsp_pgf(spec: JumpSpec, t, u: float) -> float:
     """E[u^S(t)] = exp(sum_j (rates_j . t)(u^j - 1)) for 0 < u <= 1."""
-    if not 0.0 < u <= 1.0:
-        raise ValueError("the pgf argument must lie in (0, 1]")
-    mus = _jump_means(spec, t)
-    return float(np.exp(np.sum(mus * (u ** spec.jump_values - 1.0))))
+    return poisson_sum_pgf(spec.jump_values, _jump_means(spec, t), u)
 
 
 def gmsp_cf(spec: JumpSpec, t, u: float) -> complex:
     """E[exp(iuS(t))] = exp(sum_j (rates_j . t)(e^{iuj} - 1)); modulus <= 1."""
-    mus = _jump_means(spec, t)
-    return complex(np.exp(np.sum(mus * (np.exp(1j * u * spec.jump_values) - 1.0))))
+    return poisson_sum_cf(spec.jump_values, _jump_means(spec, t), u)
 
 
 def gmsp_moments(spec: JumpSpec, s, t):
     """(mean at t, variance at t, covariance between s and t)."""
     ss = as_times(s, spec.dim)
     tt = as_times(t, spec.dim)
-    jumps = spec.jump_values
     rates = spec.rate_matrix
-    mus_t = rates @ tt
-    mean = float(np.sum(jumps * mus_t))
-    var = float(np.sum(jumps**2 * mus_t))
-    cov = float(np.sum(jumps**2 * (rates @ np.minimum(ss, tt))))
-    return mean, var, cov
+    return poisson_sum_moments(spec.jump_values, rates @ tt, rates @ np.minimum(ss, tt))
 
 
-def skellam_bessel_pmf(n: int, a: float, b: float) -> float:
-    """e^{-(a+b)} (a/b)^{n/2} I_{|n|}(2 sqrt(ab)) for Poisson means a, b > 0.
+def skellam_pmf(n: int, a: float, b: float) -> float:
+    """Pmf at n of Poisson(a) - Poisson(b) for means a, b >= 0.
 
-    The power is evaluated as exp((n/2)(ln a - ln b)) so that n and -n are
-    treated symmetrically.  The prefactor can dwarf a tiny Bessel value, so
-    the series tolerance is tightened by the prefactor scale: the default
-    absolute rule alone would leave an error far above the 1e-14 target after
+    For a, b > 0 this is e^{-(a+b)} (a/b)^{n/2} I_{|n|}(2 sqrt(ab)); if either
+    mean vanishes the law degenerates to a (possibly negated) Poisson.  The
+    power is evaluated as exp((n/2)(ln a - ln b)) so that n and -n are treated
+    symmetrically.  The prefactor can dwarf a tiny Bessel value, so the series
+    tolerance is tightened by the prefactor scale: the default absolute rule
+    alone would leave an error far above the 1e-14 target after
     multiplication.
     """
     n = int(n)
+    if b == 0.0:
+        return poisson_pmf(n, a)
+    if a == 0.0:
+        return poisson_pmf(-n, b)
     x = 2.0 * math.sqrt(a * b)
     log_pref = -(a + b) + 0.5 * n * (math.log(a) - math.log(b))
     # log of prefactor * e^x bounds the product of prefactor and Bessel scale
@@ -168,23 +206,15 @@ def skellam_bessel_pmf(n: int, a: float, b: float) -> float:
 def msp_pmf(n: int, rates1, rates2, t) -> float:
     """Two-sided pmf of N_1(t) - N_2(t) for independent processes.
 
-    With a = rates1 . t and b = rates2 . t this is the Bessel form
-    e^{-(a+b)} (a/b)^{n/2} I_{|n|}(2 sqrt(ab)); if either mean vanishes the law
-    degenerates to a (possibly negated) Poisson.
+    With a = rates1 . t and b = rates2 . t this is the Skellam pmf of
+    Poisson(a) - Poisson(b) (see :func:`skellam_pmf`).
     """
     lam1 = as_rates(rates1)
     lam2 = as_rates(rates2)
     tt = as_times(t, lam1.size)
     if lam2.size != lam1.size:
         raise ValueError("rate vectors must share one dimension")
-    a = float(lam1 @ tt)
-    b = float(lam2 @ tt)
-    n = int(n)
-    if b == 0.0:
-        return poisson_pmf(n, a)
-    if a == 0.0:
-        return poisson_pmf(-n, b)
-    return skellam_bessel_pmf(n, a, b)
+    return skellam_pmf(n, float(lam1 @ tt), float(lam2 @ tt))
 
 
 def _poisson_table(mu: float, tail: float) -> np.ndarray:
@@ -234,12 +264,7 @@ def scaled_poisson_convolution(jump_mus: dict, tail_mass: float = 1e-12) -> Latt
 
 def gmsp_lattice_pmf(spec: JumpSpec, t, tail_mass: float = 1e-12) -> LatticePMF:
     """Lattice pmf of the process at time t (integer jump sets only)."""
-    if not spec.integer_jumps:
-        raise ValueError("the lattice pmf is only defined for integer jump sets")
-    mus = _jump_means(spec, t)
-    return scaled_poisson_convolution(
-        {int(j): float(mu) for j, mu in zip(spec.jump_values, mus)}, tail_mass
-    )
+    return poisson_sum_lattice_pmf(spec.jump_values, _jump_means(spec, t), tail_mass)
 
 
 def _compound_values(rng, counts: np.ndarray, jumps: np.ndarray, pvals: np.ndarray) -> np.ndarray:
@@ -263,8 +288,7 @@ def gmsp_compound_peraxis_sample(spec: JumpSpec, t, n_draws: int, seed: int) -> 
         axis_rate = float(rates[:, k].sum())
         counts = rng.poisson(axis_rate * tt[k], n_draws)
         values += _compound_values(rng, counts, jumps, rates[:, k] / axis_rate)
-    if spec.integer_jumps:
-        values = values.astype(np.int64)
+    values = _as_lattice(values, jumps)
     meta = {"process": "gmsp-compound-peraxis", "t": [float(x) for x in tt], "n": int(n_draws)}
     return SampleBatch(values=values, seed=int(seed), meta=meta)
 
@@ -284,9 +308,7 @@ def gmsp_compound_equalrate_sample(jump_rates: dict, m: int, t, n_draws: int, se
     total = float(lam.sum())
     rng = make_rng(seed)
     counts = rng.poisson(total * float(tt.sum()), n_draws)
-    values = _compound_values(rng, counts, jumps, lam / total)
-    if all(j == int(j) for j in jumps):
-        values = values.astype(np.int64)
+    values = _as_lattice(_compound_values(rng, counts, jumps, lam / total), jumps)
     meta = {"process": "gmsp-compound-equalrate",
             "jump_rates": {float(j): float(jump_rates[j]) for j in sorted(jump_rates)},
             "m": int(m), "t": [float(x) for x in tt], "n": int(n_draws)}
@@ -315,6 +337,35 @@ def grouped_threepoint_sums(rng, prob_rows: np.ndarray, jumps: np.ndarray, n_dra
     return values
 
 
+def sorted_jumps(jumps) -> np.ndarray:
+    """Jump values as a sorted float array; zero is rejected."""
+    jump_vals = np.array(sorted(float(j) for j in jumps))
+    if np.any(jump_vals == 0.0):
+        raise ValueError("jumps must be nonzero")
+    return jump_vals
+
+
+def array_sums(scale, axis_times: dict, rule, jump_vals: np.ndarray,
+               n_draws: int, seed: int) -> np.ndarray:
+    """Triangular-array sums: sum over axes of sum_{l<=[scale t_axis]} X_l.
+
+    ``axis_times`` maps each axis label to its time, in drawing order;
+    ``rule(l, axis, j)`` is the probability that the l-th summand on that
+    axis equals jump j, with the residual mass it is 0.  All axes draw from
+    one make_rng(seed).
+    """
+    rng = make_rng(seed)
+    values = np.zeros(n_draws, dtype=float)
+    for axis, t_axis in axis_times.items():
+        n_summands = int(math.floor(scale * t_axis))
+        if n_summands == 0:
+            continue
+        rows = np.array([[rule(l, axis, j) for j in jump_vals]
+                         for l in range(1, n_summands + 1)])
+        values += grouped_threepoint_sums(rng, rows, jump_vals, n_draws)
+    return _as_lattice(values, jump_vals)
+
+
 def gmsp_array_sample(spec: TriangularArraySpec, jumps, t, n_draws: int, seed: int) -> SampleBatch:
     """Triangular-array partial sums S^(n)(t) = sum_k sum_{l<=[n t_k]} X^(n)_l.
 
@@ -323,20 +374,8 @@ def gmsp_array_sample(spec: TriangularArraySpec, jumps, t, n_draws: int, seed: i
     jump means the rule accumulates.
     """
     tt = as_times(t)
-    jump_vals = np.array(sorted(float(j) for j in jumps))
-    if np.any(jump_vals == 0.0):
-        raise ValueError("jumps must be nonzero")
-    rng = make_rng(seed)
-    values = np.zeros(n_draws, dtype=float)
-    for tk in tt:
-        n_summands = int(math.floor(spec.n * tk))
-        if n_summands == 0:
-            continue
-        rows = np.array([[spec.probs(l, j, spec.n) for j in jump_vals]
-                         for l in range(1, n_summands + 1)])
-        values += grouped_threepoint_sums(rng, rows, jump_vals, n_draws)
-    if all(j == int(j) for j in jump_vals):
-        values = values.astype(np.int64)
+    values = array_sums(spec.n, dict(enumerate(tt)), lambda l, k, j: spec.probs(l, j, spec.n),
+                        sorted_jumps(jumps), n_draws, seed)
     meta = {"process": "gmsp-array", "scale": int(spec.n),
             "t": [float(x) for x in tt], "n": int(n_draws)}
     return SampleBatch(values=values, seed=int(seed), meta=meta)

@@ -272,18 +272,14 @@ def uniform_compound_sample(kind: str, params: dict, n_draws: int, seed: int) ->
 
     kind "compound-mpp":   params rates, values, probs, t
         (prod t_k) * sum_{r<=N(t)} X_r U_r with N(t) ~ Poisson(rates . t).
-    kind "gmsp-peraxis":   params spec (JumpSpec), t, optional form
-        per-axis Poisson counts with axis jump laws; form "peraxis" applies
-        (prod_{k'!=k} t_k') t_k per axis, form "printed" applies prod t once
-        to the double sum (the two are the same product regrouped).
+    kind "gmsp-peraxis":   params spec (JumpSpec), t
+        per-axis Poisson counts with axis jump laws, each axis sum scaled by
+        (prod_{k'!=k} t_k') t_k.
     kind "gmsp-equalrate": params jump_rates, m, t
         one Poisson((sum lam)(sum t)) count with the global jump law.
     """
     rng = make_rng(seed)
     params = dict(params)
-    form = params.pop("form", "peraxis")
-    if form not in ("peraxis", "printed"):
-        raise ValueError(f"unknown form {form!r}")
 
     def take(key):
         if key not in params:
@@ -311,12 +307,7 @@ def uniform_compound_sample(kind: str, params: dict, n_draws: int, seed: int) ->
             axis_rate = float(rates[:, k].sum())
             counts = rng.poisson(axis_rate * tt[k], n_draws)
             sums = _segment_sums(rng, counts, jumps, rates[:, k] / axis_rate)
-            if form == "peraxis":
-                values += float(np.prod(np.delete(tt, k))) * tt[k] * sums
-            else:
-                values += sums
-        if form == "printed":
-            values *= float(np.prod(tt))
+            values += float(np.prod(np.delete(tt, k))) * tt[k] * sums
     elif kind == "gmsp-equalrate":
         jump_rates = take("jump_rates")
         m = int(take("m"))
@@ -332,6 +323,6 @@ def uniform_compound_sample(kind: str, params: dict, n_draws: int, seed: int) ->
     else:
         raise ValueError(f"unknown uniform-compound kind {kind!r}")
 
-    meta = {"process": f"uniform-compound-{kind}", "form": form,
+    meta = {"process": f"uniform-compound-{kind}",
             "t": [float(x) for x in tt], "n": int(n_draws)}
     return SampleBatch(values=values, seed=int(seed), meta=meta)

@@ -7,14 +7,21 @@ import pytest
 
 from skellam_lab import (
     AltSpec,
+    JumpSpec,
+    TriangularArraySpec,
     alt_array_sample,
     alt_increment_cf,
     alt_lattice_pmf,
     alt_moments,
     alt_pgf,
     alt_sample,
+    gmsp_array_sample,
+    gmsp_lattice_pmf,
+    gmsp_sample,
+    msp_pmf,
     twoparam_skellam_pmf,
 )
+from skellam_lab.identities import run_identity
 from skellam_lab.records import LatticePMF
 from skellam_lab.special import poisson_pmf
 from skellam_lab.stats import lattice_chi2
@@ -50,6 +57,44 @@ def test_constant_time_matches_lattice_oracle():
     batch = alt_sample(spec, t, 100_000, seed=7)
     report = lattice_chi2(batch, alt_lattice_pmf(spec, t))
     assert report.verdict, f"p={report.p_value}"
+
+
+def test_equal_times_alt_is_a_one_axis_gmsp():
+    # with t_j = t for every jump the process is the GMSP with rates_j = (lam_j,):
+    # the same seed gives the same draws and the same lattice pmf
+    rates = {1: 0.8, -1: 0.5, 2: 0.3, -3: 0.1}
+    spec = AltSpec(rates)
+    gspec = JumpSpec({j: (lam,) for j, lam in rates.items()})
+    t = {j: 1.7 for j in rates}
+    assert np.array_equal(alt_sample(spec, t, 5000, seed=3).values,
+                          gmsp_sample(gspec, (1.7,), 5000, seed=3).values)
+    alt_pmf = alt_lattice_pmf(spec, t)
+    gmsp_pmf = gmsp_lattice_pmf(gspec, (1.7,))
+    assert alt_pmf.start == gmsp_pmf.start
+    assert np.array_equal(alt_pmf.probs, gmsp_pmf.probs)
+    assert alt_pmf.tail_mass == gmsp_pmf.tail_mass
+
+
+def test_equal_times_alt_array_is_a_gmsp_array():
+    # diagonal rule on a single jump axis: the same rows as the GMSP array
+    lam, scale = 1.5, 50
+    diag = alt_array_sample(scale, lambda l, ja, j: lam / scale if ja == j else 0.0, [2],
+                            {2: 1.3}, 4000, seed=17)
+    arr = TriangularArraySpec(n=scale, probs=lambda l, j, n: lam / n)
+    assert np.array_equal(diag.values, gmsp_array_sample(arr, [2], (1.3,), 4000, seed=17).values)
+    # an axis-free rule over two jumps is the GMSP array with one axis per jump
+    rates = {1: 2.0, -1: 1.5}
+    free = alt_array_sample(scale, lambda l, ja, j: rates[j] / scale, [1, -1],
+                            {1: 0.8, -1: 0.8}, 4000, seed=5)
+    arr = TriangularArraySpec(n=scale, probs=lambda l, j, n: rates[j] / n)
+    assert np.array_equal(free.values,
+                          gmsp_array_sample(arr, [1, -1], (0.8, 0.8), 4000, seed=5).values)
+
+
+def test_equal_times_twoparam_pmf_is_msp_pmf():
+    for l1, l2, t in ((1.0, 2.0, 0.7), (3.0, 0.5, 1.9), (0.4, 1.1, 0.0)):
+        for n in range(-15, 16):
+            assert twoparam_skellam_pmf(n, l1, l2, t, t) == msp_pmf(n, (l1,), (l2,), (t,))
 
 
 def test_two_jump_case_matches_twoparam_pmf_chi2():
@@ -138,6 +183,18 @@ def test_array_kronecker_rule_single_axis_poisson_binomial():
             start -= axis.size - 1
     report = lattice_chi2(batch, LatticePMF(start, dist))
     assert report.verdict, f"p={report.p_value}"
+
+
+def test_array_identity_fails_cleanly_when_tvs_do_not_decrease():
+    # at this point the scale-1000 TV is below 0.02 but the TVs do not
+    # decrease: the report fails (it used to raise) with a finite statistic
+    report = run_identity("array-alt", seed=2, n=20_000)
+    assert not report.verdict
+    assert math.isfinite(report.statistic) and report.statistic < 0.02
+    assert report.to_json_dict()["verdict"] == "fail"
+    passing = run_identity("array-alt", seed=0, n=20_000)
+    assert passing.verdict and passing.critical == 0.02
+    assert passing.statistic <= passing.critical
 
 
 def test_array_rejects_invalid_rule():

@@ -188,17 +188,9 @@ def test_bad_params_exit_nonzero(tmp_path, capsys):
     assert "decimal point" in capsys.readouterr().err
     assert main(["simulate", "--process", "gmsp", "--t", "1.0"]) == 1
     assert main(["pmf", "--process", "msp", "--l1", "1", "--l2", "1", "--t", "bogus"]) == 1
-
-
-def test_thread_cap_env_validation(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("SKELLAM_LAB_THREADS", "4")
-    assert main(["cf", "--process", "gmsp", "--jumps", "1:1.0", "--t", "1.0", "--u", "0",
-                 "--out", str(tmp_path / "ok.csv")]) == 0
-    monkeypatch.setenv("SKELLAM_LAB_THREADS", "zero")
-    assert main(["cf", "--process", "gmsp", "--jumps", "1:1.0", "--t", "1.0", "--u", "0"]) == 1
-    assert "SKELLAM_LAB_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("SKELLAM_LAB_THREADS", "0")
-    assert main(["cf", "--process", "gmsp", "--jumps", "1:1.0", "--t", "1.0", "--u", "0"]) == 1
+    capsys.readouterr()
+    assert main(["converge", "--scheme", "alt-array", "--t", "1.0"]) == 1
+    assert "--jumps is required" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -161,6 +161,15 @@ def test_moment_forms_coincide_at_unit_scale():
         frac_skellam_moments(spec, 1.0, 1.0, "bogus")
 
 
+def test_moments_default_to_quadratic_form():
+    # away from lam t^alpha = 1 the two forms differ; the default is the one
+    # the library's own frac-variance identities support
+    spec = FracSkellamSpec(1.3, 0.6, 0.6, 0.6)
+    quadratic = frac_skellam_moments(spec, 1.5, 1.5, "quadratic")
+    assert frac_skellam_moments(spec, 1.5, 1.5) == quadratic
+    assert quadratic[1] != frac_skellam_moments(spec, 1.5, 1.5, "printed")[1]
+
+
 def test_single_sided_mean_monte_carlo():
     # lam2 -> 0 limit checked against the one-sided fractional mean
     spec = FracSkellamSpec(1.0, 1e-12, 0.5, 0.5)

@@ -201,15 +201,6 @@ def test_uniform_compound_matches_compound_integral_ks():
 GMSP_EQ = JumpSpec({1: (0.7, 0.7), -1: (0.5, 0.5), 2: (0.2, 0.2)})
 
 
-def test_peraxis_and_printed_forms_coincide():
-    t = [1.2, 1.0]
-    a = uniform_compound_sample("gmsp-peraxis", {"spec": GMSP_EQ, "t": t}, 5000, seed=14)
-    b = uniform_compound_sample(
-        "gmsp-peraxis", {"spec": GMSP_EQ, "t": t, "form": "printed"}, 5000, seed=14
-    )
-    assert np.allclose(a.values, b.values, rtol=0, atol=1e-12)
-
-
 def test_gmsp_integral_matches_uniform_forms_ks():
     t = [1.2, 1.0]
     dom = RectDomain(t=t, resolution=512)
