@@ -9,14 +9,15 @@ L(t) =d (t / D)^alpha.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .records import SampleBatch, make_rng
-from .special import (_CONSECUTIVE_SMALL, DEFAULT_CONTROL, SeriesControl, TruncationError,
-                      frac_poisson_pmf, wright_psi23)
+from .special import (DEFAULT_CONTROL, SeriesControl, TruncationError, frac_poisson_pmf,
+                      sum_series, wright_psi23)
 
 __all__ = [
     "FracSkellamSpec",
@@ -59,6 +60,15 @@ def _stable_draws(rng, alpha: float, n: int) -> np.ndarray:
             * (np.sin((1.0 - alpha) * theta) / w) ** ((1.0 - alpha) / alpha))
 
 
+def _inv_stable_clock(rng, alpha: float, t: float, n: int) -> np.ndarray:
+    """``n`` draws of L(t) =d (t / D(1))^alpha; no draw is taken at t = 0 or alpha = 1."""
+    if t == 0.0:
+        return np.zeros(n)
+    if alpha == 1.0:
+        return np.full(n, float(t))
+    return (t / _stable_draws(rng, alpha, n)) ** alpha
+
+
 def stable_subordinator_sample(alpha: float, t: float, n_draws: int, seed: int) -> SampleBatch:
     """Draws of D(t) with E[e^{-uD(t)}] = e^{-t u^alpha}; alpha = 1 is drift t."""
     alpha = _check_index(alpha)
@@ -80,12 +90,7 @@ def inv_stable_marginal_sample(alpha: float, t: float, n_draws: int, seed: int) 
     if t < 0:
         raise ValueError("t must be nonnegative")
     meta = {"process": "inverse-stable", "alpha": alpha, "t": float(t), "n": int(n_draws)}
-    if t == 0.0:
-        return SampleBatch(values=np.zeros(n_draws), seed=int(seed), meta=meta)
-    if alpha == 1.0:
-        return SampleBatch(values=np.full(n_draws, float(t)), seed=int(seed), meta=meta)
-    rng = make_rng(seed)
-    values = (t / _stable_draws(rng, alpha, n_draws)) ** alpha
+    values = _inv_stable_clock(make_rng(seed), alpha, t, n_draws)
     return SampleBatch(values=values, seed=int(seed), meta=meta)
 
 
@@ -102,14 +107,7 @@ def frac_skellam_sample(spec: FracSkellamSpec, t1: float, t2: float,
     sides = []
     for rng, lam, alpha, t in ((np.random.default_rng(seqs[0]), spec.lam1, spec.alpha, t1),
                                (np.random.default_rng(seqs[1]), spec.lam2, spec.beta, t2)):
-        if t == 0.0:
-            sides.append(np.zeros(n_draws, dtype=np.int64))
-            continue
-        if alpha == 1.0:
-            clock = np.full(n_draws, float(t))
-        else:
-            clock = (t / _stable_draws(rng, alpha, n_draws)) ** alpha
-        sides.append(rng.poisson(lam * clock))
+        sides.append(rng.poisson(lam * _inv_stable_clock(rng, alpha, t, n_draws)))
     values = sides[0].astype(np.int64) - sides[1].astype(np.int64)
     meta = {"process": "frac-skellam", "lam1": spec.lam1, "lam2": spec.lam2,
             "alpha": spec.alpha, "beta": spec.beta, "t1": float(t1), "t2": float(t2),
@@ -128,19 +126,13 @@ def frac_skellam_pmf(spec: FracSkellamSpec, t1: float, t2: float, n: int,
     """
     n = int(n)
     n_plus, n_minus = max(n, 0), max(-n, 0)
-    total = 0.0
-    small = 0
-    for l in range(ctl.max_terms):
-        term = (frac_poisson_pmf(n_plus + l, spec.lam1, t1, spec.alpha, ctl)
-                * frac_poisson_pmf(n_minus + l, spec.lam2, t2, spec.beta, ctl))
-        total += term
-        if term < ctl.abs_tol * (1.0 + total):
-            small += 1
-            if small >= _CONSECUTIVE_SMALL:
-                return total
-        else:
-            small = 0
-    raise TruncationError(f"frac_skellam_pmf convolution did not converge at n={n}", total)
+    total, converged = sum_series(
+        (frac_poisson_pmf(n_plus + l, spec.lam1, t1, spec.alpha, ctl)
+         * frac_poisson_pmf(n_minus + l, spec.lam2, t2, spec.beta, ctl)
+         for l in itertools.count()), ctl)
+    if not converged:
+        raise TruncationError(f"frac_skellam_pmf convolution did not converge at n={n}", total)
+    return total
 
 
 def frac_skellam_pmf_wright(spec: FracSkellamSpec, t1: float, t2: float, n: int,
@@ -169,11 +161,9 @@ def frac_skellam_pmf_wright(spec: FracSkellamSpec, t1: float, t2: float, n: int,
 def _wright_nonneg(n, x1, alpha, x2, beta, ctl):
     log_x1, log_x2 = math.log(x1), math.log(x2)
     z = x1 * x2
-    total = 0.0
-    small = 0
-    converged = False
-    for deg in range(ctl.max_terms):
-        layer = 0.0
+
+    def layer(deg):
+        acc = 0.0
         for r1 in range(deg + 1):
             r2 = deg - r1
             coeff = math.exp(r1 * log_x1 - math.lgamma(r1 + 1.0)
@@ -182,15 +172,10 @@ def _wright_nonneg(n, x1, alpha, x2, beta, ctl):
                 (n + r1 + 1.0, 1.0), (r2 + 1.0, 1.0),
                 (alpha * (n + r1) + 1.0, alpha), (beta * r2 + 1.0, beta), (n + 1.0, 1.0),
                 z, ctl)
-            layer += (-1.0) ** deg * coeff * psi
-        total += layer
-        if abs(layer) < ctl.abs_tol * (1.0 + abs(total)):
-            small += 1
-            if small >= _CONSECUTIVE_SMALL:
-                converged = True
-                break
-        else:
-            small = 0
+            acc += (-1.0) ** deg * coeff * psi
+        return acc
+
+    total, converged = sum_series(map(layer, itertools.count()), ctl)
     value = math.exp(n * log_x1) * total
     if not converged:
         raise TruncationError("Wright double series did not converge", value)

@@ -194,12 +194,16 @@ def uniform_compound_equalrate(seed=0, n=20_000):
 
 
 _FRAC = FracSkellamSpec(1.0, 1.0, 0.5, 0.5)
+# lattice_chi2 expects all untabulated mass in the top cell, so the table must
+# leave a negligible tail on both sides: |k| <= 40 leaves under 1e-13.
+_FRAC_KMAX = 40
 
 
 def frac_pmf(seed=0, n=100_000):
     batch = frac_skellam_sample(_FRAC, 1.0, 1.0, n, seed=seed)
-    probs = np.array([frac_skellam_pmf(_FRAC, 1.0, 1.0, k) for k in range(-10, 11)])
-    pmf = LatticePMF(-10, probs, tail_mass=max(0.0, 1.0 - float(probs.sum())))
+    probs = np.array([frac_skellam_pmf(_FRAC, 1.0, 1.0, k)
+                      for k in range(-_FRAC_KMAX, _FRAC_KMAX + 1)])
+    pmf = LatticePMF(-_FRAC_KMAX, probs, tail_mass=max(0.0, 1.0 - float(probs.sum())))
     return lattice_chi2(batch, pmf, level=LEVEL, identity="frac-pmf")
 
 

@@ -2,13 +2,15 @@
 
 All series are summed in log space with explicit sign bookkeeping: the gamma
 factors overflow double precision long before the series converge, and the
-fractional-Poisson series alternates.  Truncation is governed by a
-:class:`SeriesControl`; the stop rule requires three consecutive small terms
-because an alternating series can have a single accidentally tiny term.
+fractional-Poisson series alternates.  Every series is summed by
+:func:`sum_series` under a :class:`SeriesControl`; it holds the one stop rule,
+three consecutive small terms, because an alternating series can have a
+single accidentally tiny term.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -16,12 +18,11 @@ __all__ = [
     "SeriesControl",
     "DEFAULT_CONTROL",
     "TruncationError",
+    "sum_series",
     "bessel_i",
     "wright_psi23",
     "frac_poisson_pmf",
 ]
-
-_CONSECUTIVE_SMALL = 3
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,27 @@ class TruncationError(RuntimeError):
         self.partial = partial
 
 
+def sum_series(terms, ctl: SeriesControl) -> tuple[float, bool]:
+    """Sum ``terms`` in order until the stop rule holds; return (partial, converged).
+
+    The sum stops, converged, after three consecutive terms with
+    ``|term| < abs_tol * (1 + |partial|)``.  It stops unconverged after
+    ``ctl.max_terms`` terms or when ``terms`` runs out first.  An exception
+    raised while producing a term propagates unchanged.
+    """
+    total = 0.0
+    small = 0
+    for term in itertools.islice(terms, ctl.max_terms):
+        total += term
+        if abs(term) < ctl.abs_tol * (1.0 + abs(total)):
+            small += 1
+            if small == 3:
+                return total, True
+        else:
+            small = 0
+    return total, False
+
+
 def _check_finite(name, x):
     if not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {x!r}")
@@ -85,18 +107,12 @@ def bessel_i(n: int, x: float, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
         return 1.0 if n == 0 else 0.0
     sign = -1.0 if (x < 0 and n % 2 == 1) else 1.0
     log_half = math.log(half)
-    total = 0.0
-    small = 0
-    for m in range(ctl.max_terms):
-        term = math.exp((2 * m + n) * log_half - math.lgamma(m + n + 1.0) - math.lgamma(m + 1.0))
-        total += term
-        if term < ctl.abs_tol * (1.0 + abs(total)):
-            small += 1
-            if small >= _CONSECUTIVE_SMALL:
-                return sign * total
-        else:
-            small = 0
-    raise TruncationError(f"bessel_i({n}, {x}) did not converge in {ctl.max_terms} terms", sign * total)
+    total, converged = sum_series(
+        (math.exp((2 * m + n) * log_half - math.lgamma(m + n + 1.0) - math.lgamma(m + 1.0))
+         for m in itertools.count()), ctl)
+    if not converged:
+        raise TruncationError(f"bessel_i({n}, {x}) did not converge in {ctl.max_terms} terms", sign * total)
+    return sign * total
 
 
 def wright_psi23(
@@ -118,9 +134,9 @@ def wright_psi23(
     gamma kills that term (the reciprocal gamma is zero there).
     """
     _check_finite("z", z)
-    total = 0.0
-    small = 0
-    for m in range(ctl.max_terms):
+    log_abs_z = math.log(abs(z)) if z != 0.0 else None
+
+    def term(m):
         try:
             ln1, s1 = _signed_lgamma(a1[0] + a1[1] * m)
             ln2, s2 = _signed_lgamma(a2[0] + a2[1] * m)
@@ -128,32 +144,23 @@ def wright_psi23(
             raise ValueError(f"numerator gamma pole in wright_psi23 at term {m}") from None
         log_num = ln1 + ln2
         sign = s1 * s2
-        skip = False
         log_den = 0.0
         for b in (b1, b2, b3):
-            arg = b[0] + b[1] * m
             try:
-                lnb, sb = _signed_lgamma(arg)
+                lnb, sb = _signed_lgamma(b[0] + b[1] * m)
             except ValueError:
-                skip = True  # 1/Gamma vanishes at the pole
-                break
+                return 0.0  # 1/Gamma vanishes at the pole
             log_den += lnb
             sign *= sb
-        if not skip:
-            if z < 0 and m % 2 == 1:
-                sign = -sign
-            log_z = m * math.log(abs(z)) if z != 0.0 else (0.0 if m == 0 else -math.inf)
-            term = sign * math.exp(log_num - log_den + log_z - math.lgamma(m + 1.0))
-        else:
-            term = 0.0
-        total += term
-        if abs(term) < ctl.abs_tol * (1.0 + abs(total)):
-            small += 1
-            if small >= _CONSECUTIVE_SMALL:
-                return total
-        else:
-            small = 0
-    raise TruncationError(f"wright_psi23 did not converge in {ctl.max_terms} terms", total)
+        if z < 0 and m % 2 == 1:
+            sign = -sign
+        log_z = m * log_abs_z if log_abs_z is not None else (0.0 if m == 0 else -math.inf)
+        return sign * math.exp(log_num - log_den + log_z - math.lgamma(m + 1.0))
+
+    total, converged = sum_series(map(term, itertools.count()), ctl)
+    if not converged:
+        raise TruncationError(f"wright_psi23 did not converge in {ctl.max_terms} terms", total)
+    return total
 
 
 def poisson_pmf(n: int, mu: float) -> float:
@@ -204,25 +211,18 @@ def frac_poisson_pmf(
     # pair r=2p with r=2p+1: signs alternate, so the pair is
     # exp(lc(2p)) - exp(lc(2p+1)) = -exp(lc(2p)) * expm1(lc(2p+1) - lc(2p))
     parts = []
-    partial = 0.0
-    small = 0
-    converged = False
-    for r in range(0, ctl.max_terms, 2):
-        lc0 = log_coeff(r)
-        if lc0 > 690.0:  # the alternating sum cannot recover past float range
-            raise TruncationError(
-                f"frac_poisson_pmf(n={n}, lam={lam}, t={t}, alpha={alpha}) "
-                "diverged numerically", math.fsum(parts) if parts else 0.0)
-        pair = -math.exp(lc0) * math.expm1(log_coeff(r + 1) - lc0)
-        parts.append(pair)
-        partial += pair
-        if abs(pair) < ctl.abs_tol * (1.0 + abs(partial)):
-            small += 1
-            if small >= _CONSECUTIVE_SMALL:
-                converged = True
-                break
-        else:
-            small = 0
+
+    def pairs():  # max_terms counts series terms, so it ends the pairs here
+        for r in range(0, ctl.max_terms, 2):
+            lc0 = log_coeff(r)
+            if lc0 > 690.0:  # the alternating sum cannot recover past float range
+                raise TruncationError(
+                    f"frac_poisson_pmf(n={n}, lam={lam}, t={t}, alpha={alpha}) "
+                    "diverged numerically", math.fsum(parts))
+            parts.append(-math.exp(lc0) * math.expm1(log_coeff(r + 1) - lc0))
+            yield parts[-1]
+
+    _, converged = sum_series(pairs(), ctl)
     series = math.fsum(parts)
     value = math.exp(n * log_x - math.lgamma(n + 1.0)) * series
     if not converged:

@@ -114,7 +114,13 @@ def _bin_counts(values: np.ndarray, support_start: int, n_cells: int,
 
 def lattice_chi2(batch: SampleBatch, pmf: LatticePMF, level: float = 1e-3,
                  min_expected: float = 5.0, identity: str = "lattice-chi2") -> TestReport:
-    """Pearson chi-square of an integer batch against a closed-form lattice pmf."""
+    """Pearson chi-square of an integer batch against a closed-form lattice pmf.
+
+    Tail convention: ``pmf.tail_mass`` is expected in the top cell, while draws
+    outside the table are clipped into the nearer end cell.  Mass below the
+    table is thus expected at the top and observed at the bottom, so the table
+    must leave a negligible tail on both sides.
+    """
     values = _integer_values(batch)
     n = values.size
     probs = pmf.probs.copy()

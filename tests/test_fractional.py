@@ -15,6 +15,7 @@ from skellam_lab import (
     stable_subordinator_sample,
     twoparam_skellam_pmf,
 )
+from skellam_lab.identities import run_identity
 from skellam_lab.records import LatticePMF
 from skellam_lab.stats import lattice_chi2
 
@@ -112,6 +113,13 @@ def test_frac_pmf_matches_sampler_chi2():
     batch = frac_skellam_sample(spec, 1.0, 1.0, 100_000, seed=59)
     probs = np.array([frac_skellam_pmf(spec, 1.0, 1.0, n) for n in range(-10, 11)])
     report = lattice_chi2(batch, LatticePMF(-10, probs, tail_mass=max(0.0, 1 - probs.sum())))
+    assert report.verdict, f"p={report.p_value}"
+
+
+def test_frac_pmf_identity_holds_at_two_million_draws():
+    # a table of |k| <= 10 charged its 7.1e-5 two-sided tail to the top cell;
+    # this sample size then rejected the correct sampler (p = 1.5e-6)
+    report = run_identity("frac-pmf", seed=0, n=2_000_000)
     assert report.verdict, f"p={report.p_value}"
 
 

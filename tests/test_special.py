@@ -1,5 +1,6 @@
 """Series evaluations against brute-force and library oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,13 +10,70 @@ from hypothesis import given, settings, strategies as st
 
 from skellam_lab import (
     SeriesControl,
+    FracSkellamSpec,
     TruncationError,
     bessel_i,
     frac_poisson_pmf,
+    frac_skellam_pmf,
+    frac_skellam_pmf_wright,
     inv_stable_marginal_sample,
     wright_psi23,
 )
-from skellam_lab.special import poisson_pmf
+from skellam_lab.special import poisson_pmf, sum_series
+
+_CTL = SeriesControl()
+
+
+def test_sum_series_stops_after_three_consecutive_small_terms():
+    terms = iter([1.0, 0.5, 0.0, 1e-20, 0.0, 99.0])
+    assert sum_series(terms, _CTL) == (1.5, True)
+    assert next(terms) == 99.0  # the term after the stop is never drawn
+
+
+def test_sum_series_does_not_stop_at_a_single_small_term():
+    assert sum_series([1.0, 0.0, 2.0, 0.0, 0.0, 4.0, 0.0, 0.0, 0.0], _CTL) == (7.0, True)
+
+
+def test_sum_series_cap_returns_the_partial_sum_unconverged():
+    terms = itertools.count(1.0)
+    assert sum_series(terms, SeriesControl(max_terms=4)) == (10.0, False)
+    assert next(terms) == 5.0  # the cap draws no term past max_terms
+
+
+def test_sum_series_exhausted_iterable_is_unconverged():
+    assert sum_series([1.0, 0.0, 0.0], _CTL) == (1.0, False)
+    assert sum_series([], _CTL) == (0.0, False)
+
+
+# Values of the five series taken before they shared sum_series; the engine
+# must reproduce them bit for bit.
+_PSI_PARAMS = ((1.0, 1.0), (2.0, 1.0), (1.0, 0.5), (1.0, 0.5), (1.0, 1.0))
+_GOLDEN = [
+    (lambda: bessel_i(0, 1.0), 1.2660658777520082),
+    (lambda: bessel_i(3, -2.5), -0.4743704087780355),
+    (lambda: bessel_i(5, 40.0), 1.085831833762423e+16),
+    (lambda: wright_psi23(*_PSI_PARAMS, -0.5), 0.25759764238321387),
+    (lambda: wright_psi23(*_PSI_PARAMS, 2.0), 100.69442310662781),
+    (lambda: frac_poisson_pmf(3, 2.0, 1.0, 0.5), 0.12368510211909943),
+    (lambda: frac_poisson_pmf(0, 0.5, 1.0, 0.8), 0.6030237158628036),
+    (lambda: frac_poisson_pmf(7, 4.0, 1.0, 0.8), 0.07547909264704195),
+    (lambda: frac_skellam_pmf(FracSkellamSpec(1.0, 1.0, 0.7, 0.9), 1.0, 1.0, -3),
+     0.035485113845014994),
+    (lambda: frac_skellam_pmf(FracSkellamSpec(1.0, 1.0, 0.7, 0.9), 1.0, 1.0, 0),
+     0.29097403531341515),
+    (lambda: frac_skellam_pmf(FracSkellamSpec(1.0, 1.0, 0.7, 0.9), 1.0, 1.0, 5),
+     0.0057171465005316485),
+    (lambda: frac_skellam_pmf_wright(FracSkellamSpec(1.0, 1.0, 0.5, 0.5), 1.07, 1.0, -2),
+     0.09372040848970485),
+    (lambda: frac_skellam_pmf_wright(FracSkellamSpec(1.0, 1.0, 0.5, 0.5), 1.07, 1.0, 1),
+     0.17575815906471162),
+]
+
+
+@pytest.mark.parametrize("index", range(len(_GOLDEN)))
+def test_series_golden_values(index):
+    value, expected = _GOLDEN[index]
+    assert value() == expected
 
 
 def brute_bessel(n, x, terms=200):
