@@ -22,6 +22,7 @@ from .integrals import (
     CompoundSpec,
     integral_sample,
     riemann_sum,
+    integral_cf_gmsp,
     integral_cf_mpp,
     integral_cf_levy,
     uniform_compound_sample,

@@ -42,7 +42,8 @@ from .gmsp import (
     msp_pmf,
 )
 from .identities import IDENTITIES, run_identity
-from .integrals import CompoundSpec, RectDomain, integral_cf_levy, integral_cf_mpp, integral_sample
+from .integrals import (CompoundSpec, RectDomain, integral_cf_gmsp, integral_cf_levy,
+                        integral_cf_mpp, integral_sample)
 from .mpp import as_rates, as_times
 from .records import SampleBatch, make_rng
 from .special import SeriesControl, frac_poisson_pmf
@@ -342,8 +343,7 @@ def _cmd_cf(args) -> None:
         _require(args, "jumps", "t")
         spec = JumpSpec(_parse_jumps(args.jumps))
         t = _parse_floats(args.t, "t")
-        psis = [_gsp_log_cf(spec, k) for k in range(spec.dim)]
-        values = [integral_cf_levy(psis, t, u) for u in grid]
+        values = [integral_cf_gmsp(spec, t, u) for u in grid]
         meta = {"process": "integral-gmsp", "jumps": args.jumps, "t": t}
     else:
         raise ValueError(f"unknown cf process {args.process!r}")
@@ -351,17 +351,8 @@ def _cmd_cf(args) -> None:
     _cf_artifact(meta, grid, values, radius, args.format, args.out)
 
 
-def _gsp_log_cf(spec: JumpSpec, axis: int):
-    jumps = spec.jump_values
-    lams = spec.rate_matrix[:, axis]
-
-    def psi(v):
-        return complex(np.sum(lams * (np.exp(1j * v * jumps) - 1.0)))
-
-    return psi
-
-
 def _cmd_integral(args) -> None:
+    _require(args, "t")
     t = _parse_floats(args.t, "t")
     dom = RectDomain(t=t, resolution=args.r)
     grid = _parse_ugrid(args.u)
@@ -375,8 +366,7 @@ def _cmd_integral(args) -> None:
         _require(args, "jumps")
         spec = JumpSpec(_parse_jumps(args.jumps))
         batch = integral_sample(spec, dom, args.n, args.seed)
-        psis = [_gsp_log_cf(spec, k) for k in range(spec.dim)]
-        cf_values = [integral_cf_levy(psis, t, u) for u in grid]
+        cf_values = [integral_cf_gmsp(spec, t, u) for u in grid]
         meta = {"process": "integral-gmsp", "jumps": args.jumps}
     elif args.process == "compound":
         _require(args, "rates", "xvalues", "xprobs")

@@ -167,7 +167,8 @@ def integral_cf(seed=0, n=20_000):
 
 
 def uniform_compound_mpp(seed=0, n=20_000):
-    rates, t = [0.8, 0.5], [1.2, 1.0]
+    """Compound integral vs t * sum X_r U_r, on one axis: at M >= 2 the laws differ."""
+    rates, t = [1.3], [1.2]
     vals, probs = [1.0, -1.0, 2.0], [0.5, 0.3, 0.2]
     dom = RectDomain(t=t, resolution=512)
     a = integral_sample(CompoundSpec(rates, vals, probs), dom, n, seed=seed)

@@ -4,10 +4,12 @@ The integral of a path over [0, t_1] x ... x [0, t_M] is approximated by the
 lattice sum (prod_k t_k/r_k) * sum_{l_1..l_M} path(t_1 l_1/r_1, ..., t_M l_M/r_M)
 with l_k running 1..r_k, the construction whose limit defines the integral.
 
-For additive paths (MPP, GMSP) the sum over the product lattice factorizes
-into per-axis sums, so a draw at resolution 512^M costs O(sum_k r_k) instead
-of O(prod_k r_k); the factorized value is identical to the full lattice sum,
-not an approximation of it.  Compound paths reuse the prefix-sum structure
+For additive paths (MPP, GMSP) the lattice sum is a compound Poisson sum: on
+axis k an event in cell c is counted at the r_k - c + 1 lattice points above
+it, so axis k adds (prod_{k'!=k} t_k') t_k sum_e X_e V_e / r_k over
+Poisson(t_k sum_j lam_jk) events with jumps X_e and V_e uniform on {1..r_k}.
+A draw costs O(events) at any resolution; U(0,1) weights in place of V_e / r_k
+give the uniform-compound form.  Compound paths reuse the prefix-sum structure
 S_X(N(g)) through a per-draw histogram of lattice counts.
 """
 
@@ -22,13 +24,14 @@ from scipy import integrate
 
 from .gmsp import JumpSpec
 from .mpp import as_rates, as_times
-from .records import SampleBatch, make_rng
+from .records import SampleBatch, make_rng, spawn_rngs
 
 __all__ = [
     "RectDomain",
     "CompoundSpec",
     "integral_sample",
     "riemann_sum",
+    "integral_cf_gmsp",
     "integral_cf_mpp",
     "integral_cf_levy",
     "uniform_compound_sample",
@@ -85,41 +88,11 @@ class CompoundSpec:
         object.__setattr__(self, "probs", pr)
 
 
-def _axis_path_sums(rng, lam: float, t_k: float, r_k: int, n: int):
-    """(sum over lattice of a 1-d Poisson path, terminal count) for n draws."""
-    incs = rng.poisson(lam * t_k / r_k, size=(n, r_k))
-    path = np.cumsum(incs, axis=1)
-    return path.sum(axis=1) * (t_k / r_k), path
-
-
 def _chunks(n):
     done = 0
     while done < n:
         yield min(_CHUNK, n - done)
         done += min(_CHUNK, n - done)
-
-
-def _mpp_like_integral(rate_rows, weights, dom: RectDomain, n_draws, seed):
-    """Integral draws of sum_i weights[i] * MPP(rate_rows[i]) on the domain.
-
-    Streams are spawned one per (process row, axis) in row-major order.
-    """
-    t, res = dom.t, dom.resolution
-    others = np.array([np.prod(np.delete(t, k)) for k in range(dom.dim)])
-    seqs = np.random.SeedSequence(int(seed)).spawn(len(rate_rows) * dom.dim)
-    rngs = [np.random.default_rng(s) for s in seqs]
-    out = np.empty(n_draws)
-    done = 0
-    for n in _chunks(n_draws):
-        acc = np.zeros(n)
-        for i, (row, w) in enumerate(zip(rate_rows, weights)):
-            for k in range(dom.dim):
-                rng = rngs[i * dom.dim + k]
-                axis_sum, _ = _axis_path_sums(rng, row[k], t[k], int(res[k]), n)
-                acc += w * others[k] * axis_sum
-        out[done:done + n] = acc
-        done += n
-    return out
 
 
 def _compound_integral(spec: CompoundSpec, dom: RectDomain, n_draws, seed):
@@ -139,7 +112,9 @@ def _compound_integral(spec: CompoundSpec, dom: RectDomain, n_draws, seed):
     for n in _chunks(n_draws):
         hists = []
         for k in range(dom.dim):
-            _, path = _axis_path_sums(path_rngs[k], spec.rates[k], t[k], int(res[k]), n)
+            r_k = int(res[k])
+            incs = path_rngs[k].poisson(spec.rates[k] * t[k] / r_k, size=(n, r_k))
+            path = np.cumsum(incs, axis=1)
             k_max = int(path.max(initial=0))
             h = np.zeros((n, k_max + 1))
             np.add.at(h, (np.repeat(np.arange(n), path.shape[1]), path.ravel()), 1.0)
@@ -169,22 +144,17 @@ def integral_sample(process, dom: RectDomain, n_draws: int, seed: int) -> Sample
             "resolution": [int(r) for r in dom.resolution], "n": int(n_draws)}
     if np.any(dom.t == 0.0):
         return SampleBatch(values=np.zeros(n_draws), seed=int(seed), meta=meta)
-    if isinstance(process, JumpSpec):
-        if process.dim != dom.dim:
-            raise ValueError("jump spec dimension must match the domain")
-        values = _mpp_like_integral(process.rate_matrix, process.jump_values, dom, n_draws, seed)
-        meta["kind"] = "gmsp"
-    elif isinstance(process, CompoundSpec):
+    if isinstance(process, CompoundSpec):
         if process.rates.size != dom.dim:
             raise ValueError("compound rates must match the domain dimension")
         values = _compound_integral(process, dom, n_draws, seed)
         meta["kind"] = "compound"
     else:
-        lam = as_rates(process)
-        if lam.size != dom.dim:
-            raise ValueError("rate dimension must match the domain")
-        values = _mpp_like_integral([lam], [1.0], dom, n_draws, seed)
-        meta["kind"] = "mpp"
+        meta["kind"] = "gmsp" if isinstance(process, JumpSpec) else "mpp"
+        spec = process if isinstance(process, JumpSpec) else JumpSpec({1.0: process})
+        if spec.dim != dom.dim:
+            raise ValueError("process dimension must match the domain")
+        values = _peraxis_sums(spec, dom.t, n_draws, spawn_rngs(seed, 3 * dom.dim), dom.resolution)
     return SampleBatch(values=values, seed=int(seed), meta=meta)
 
 
@@ -193,7 +163,8 @@ def riemann_sum(path, upper=None) -> float:
 
     The path axes must be uniform lattices 0, t_k/r_k, ..., t_k (as produced
     for integration); the sum runs over lattice points with every index >= 1.
-    Used to cross-check the factorized samplers on small grids.
+    This is the literal reference the compound-Poisson integral sampler is
+    checked against in law on small grids.
     """
     axes = path.axes
     for ax in axes:
@@ -219,17 +190,22 @@ def _unit_interval_cf_factor(c: float) -> complex:
     return (np.exp(1j * c) - 1.0) / (1j * c) - 1.0
 
 
-def integral_cf_mpp(rates, t, u: float) -> complex:
-    """Characteristic function of the rectangle integral of an MPP.
+def integral_cf_gmsp(spec: JumpSpec, t, u: float) -> complex:
+    """Characteristic function of the rectangle integral of a GMSP.
 
-    exp(sum_k t_k lam_k integral_0^1 (e^{iu (prod_k t_k) x} - 1) dx), with the
-    inner integral in closed form.
+    exp(sum_j (lam_j . t) integral_0^1 (e^{iu (prod_k t_k) j x} - 1) dx), with
+    the inner integral in closed form.
     """
-    lam = as_rates(rates)
-    tt = as_times(t, lam.size)
+    tt = as_times(t, spec.dim)
     c = float(u) * float(np.prod(tt))
-    inner = _unit_interval_cf_factor(c)
-    return complex(np.exp(np.sum(lam * tt) * inner))
+    total = sum(np.sum(lam * tt) * _unit_interval_cf_factor(c * j)
+                for j, lam in spec.jumps.items())
+    return complex(np.exp(total))
+
+
+def integral_cf_mpp(rates, t, u: float) -> complex:
+    """Characteristic function of the rectangle integral of an MPP: the GMSP with one jump, 1."""
+    return integral_cf_gmsp(JumpSpec({1.0: rates}), t, u)
 
 
 def integral_cf_levy(psis, t, u: float) -> complex:
@@ -258,20 +234,47 @@ def integral_cf_levy(psis, t, u: float) -> complex:
     return complex(np.exp(total))
 
 
-def _segment_sums(rng, counts: np.ndarray, values: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Per-draw sums of count_i iid jump*Uniform(0,1) products."""
+def _segment_sums(jump_rng, weight_rng, counts, values, probs, resolution=None) -> np.ndarray:
+    """Per-draw sums of count_i iid jump * weight products.
+
+    Weights are U(0,1), or uniform on {1/r, 2/r, ..., 1} at a lattice resolution r.
+    """
     total = int(counts.sum())
-    x = rng.choice(values, size=total, p=probs)
-    u = rng.random(total)
+    x = jump_rng.choice(values, size=total, p=probs)
+    if resolution is None:
+        w = weight_rng.random(total)
+    else:
+        w = weight_rng.integers(1, resolution + 1, total) / resolution
     idx = np.repeat(np.arange(counts.size), counts)
-    return np.bincount(idx, weights=x * u, minlength=counts.size)
+    return np.bincount(idx, weights=x * w, minlength=counts.size)
+
+
+def _peraxis_sums(spec: JumpSpec, tt: np.ndarray, n_draws: int, rngs, resolution) -> np.ndarray:
+    """Draws of sum_k (prod_{k'!=k} t_k') t_k * (compound sum on axis k).
+
+    Axis k has Poisson(t_k sum_j lam_jk) events with jump j at probability
+    lam_jk / sum_j lam_jk, drawn from the count, jump and weight generators
+    ``rngs[3k:3k+3]``, and weights at lattice resolution ``resolution[k]``.
+    """
+    rates = spec.rate_matrix
+    values = np.zeros(n_draws)
+    for k in range(spec.dim):
+        count_rng, jump_rng, weight_rng = rngs[3 * k:3 * k + 3]
+        axis_rate = float(rates[:, k].sum())
+        counts = count_rng.poisson(axis_rate * tt[k], n_draws)
+        sums = _segment_sums(jump_rng, weight_rng, counts, spec.jump_values,
+                             rates[:, k] / axis_rate, resolution[k])
+        values += float(np.prod(np.delete(tt, k))) * tt[k] * sums
+    return values
 
 
 def uniform_compound_sample(kind: str, params: dict, n_draws: int, seed: int) -> SampleBatch:
     """Uniform-weighted compound forms that match rectangle integrals in law.
 
-    kind "compound-mpp":   params rates, values, probs, t
-        (prod t_k) * sum_{r<=N(t)} X_r U_r with N(t) ~ Poisson(rates . t).
+    kind "compound-mpp":   params rates (one rate), values, probs, t
+        t * sum_{r<=N(t)} X_r U_r with N(t) ~ Poisson(rate * t).  Only the
+        one-parameter integral has this law: at M >= 2 the integral of
+        S_X(N_1(s_1) + ... + N_M(s_M)) has a larger variance.
     kind "gmsp-peraxis":   params spec (JumpSpec), t
         per-axis Poisson counts with axis jump laws, each axis sum scaled by
         (prod_{k'!=k} t_k') t_k.
@@ -288,11 +291,13 @@ def uniform_compound_sample(kind: str, params: dict, n_draws: int, seed: int) ->
 
     if kind == "compound-mpp":
         spec = CompoundSpec(take("rates"), take("values"), take("probs"))
+        if spec.rates.size != 1:
+            raise ValueError("compound-mpp matches the integral for one rate only")
         tt = as_times(take("t"), spec.rates.size)
         if params:
             raise ValueError(f"unexpected parameters for {kind}: {sorted(params)}")
         counts = rng.poisson(float(spec.rates @ tt), n_draws)
-        values = float(np.prod(tt)) * _segment_sums(rng, counts, spec.values, spec.probs)
+        values = float(np.prod(tt)) * _segment_sums(rng, rng, counts, spec.values, spec.probs)
     elif kind == "gmsp-peraxis":
         spec = take("spec")
         if not isinstance(spec, JumpSpec):
@@ -300,14 +305,7 @@ def uniform_compound_sample(kind: str, params: dict, n_draws: int, seed: int) ->
         tt = as_times(take("t"), spec.dim)
         if params:
             raise ValueError(f"unexpected parameters for {kind}: {sorted(params)}")
-        jumps = spec.jump_values
-        rates = spec.rate_matrix
-        values = np.zeros(n_draws)
-        for k in range(spec.dim):
-            axis_rate = float(rates[:, k].sum())
-            counts = rng.poisson(axis_rate * tt[k], n_draws)
-            sums = _segment_sums(rng, counts, jumps, rates[:, k] / axis_rate)
-            values += float(np.prod(np.delete(tt, k))) * tt[k] * sums
+        values = _peraxis_sums(spec, tt, n_draws, [rng] * (3 * spec.dim), [None] * spec.dim)
     elif kind == "gmsp-equalrate":
         jump_rates = take("jump_rates")
         m = int(take("m"))
@@ -319,7 +317,7 @@ def uniform_compound_sample(kind: str, params: dict, n_draws: int, seed: int) ->
         if np.any(lam <= 0):
             raise ValueError("jump rates must be positive")
         counts = rng.poisson(float(lam.sum() * tt.sum()), n_draws)
-        values = float(np.prod(tt)) * _segment_sums(rng, counts, jumps, lam / lam.sum())
+        values = float(np.prod(tt)) * _segment_sums(rng, rng, counts, jumps, lam / lam.sum())
     else:
         raise ValueError(f"unknown uniform-compound kind {kind!r}")
 

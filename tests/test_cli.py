@@ -191,6 +191,8 @@ def test_bad_params_exit_nonzero(tmp_path, capsys):
     capsys.readouterr()
     assert main(["converge", "--scheme", "alt-array", "--t", "1.0"]) == 1
     assert "--jumps is required" in capsys.readouterr().err
+    assert main(["integral", "--process", "mpp", "--rates", "1.0"]) == 1
+    assert "--t is required" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

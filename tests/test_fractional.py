@@ -111,8 +111,10 @@ def test_frac_pmf_normalizes():
 def test_frac_pmf_matches_sampler_chi2():
     spec = FracSkellamSpec(1.0, 1.0, 0.5, 0.5)
     batch = frac_skellam_sample(spec, 1.0, 1.0, 100_000, seed=59)
-    probs = np.array([frac_skellam_pmf(spec, 1.0, 1.0, n) for n in range(-10, 11)])
-    report = lattice_chi2(batch, LatticePMF(-10, probs, tail_mass=max(0.0, 1 - probs.sum())))
+    # lattice_chi2 charges all untabulated mass to the top cell; |k| <= 40
+    # leaves a two-sided tail under 1e-13
+    probs = np.array([frac_skellam_pmf(spec, 1.0, 1.0, n) for n in range(-40, 41)])
+    report = lattice_chi2(batch, LatticePMF(-40, probs, tail_mass=max(0.0, 1 - probs.sum())))
     assert report.verdict, f"p={report.p_value}"
 
 

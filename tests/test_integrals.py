@@ -7,13 +7,16 @@ import pytest
 
 from skellam_lab import (
     CompoundSpec,
+    GridPath,
     JumpSpec,
     RectDomain,
     empirical_cf,
+    integral_cf_gmsp,
     integral_cf_levy,
     integral_cf_mpp,
     integral_sample,
     ks_two_sample,
+    lattice_chi2_two_sample,
     mpp_sample_grid,
     riemann_sum,
     uniform_compound_sample,
@@ -74,6 +77,26 @@ def test_riemann_sum_decomposes_over_axes():
         ]
         factorized = t[1] * edge_sums[0] + t[0] * edge_sums[1]
         assert literal == pytest.approx(factorized, rel=1e-12)
+
+
+GMSP_NEG = JumpSpec({1: (0.7, 0.4), -1: (0.5, 0.6)})
+
+
+@pytest.mark.parametrize("r", [4, 16])
+def test_integral_sample_matches_literal_riemann_sum_in_law(r):
+    # compound-Poisson kernel vs the literal lattice sum of sum_j j * MPP_j paths
+    t, n = [1.2, 1.0], 5000
+    dom = RectDomain(t=t, resolution=r)
+    kernel = np.round(integral_sample(GMSP_NEG, dom, n, seed=31).values / dom.cell_volume)
+    axes = [np.linspace(0.0, tk, r + 1) for tk in t]
+    literal = np.empty(n)
+    for i in range(n):
+        values = sum(j * mpp_sample_grid(lam, axes, seed=1000 + 2 * i + m).values
+                     for m, (j, lam) in enumerate(GMSP_NEG.jumps.items()))
+        literal[i] = riemann_sum(GridPath(axes=tuple(axes), values=values, seed=0), upper=t)
+    literal = np.round(literal / dom.cell_volume)
+    report = lattice_chi2_two_sample(SampleBatch(kernel, seed=31), SampleBatch(literal, seed=0))
+    assert report.verdict, f"chi2 p={report.p_value}"
 
 
 def test_riemann_sum_validates_axes():
@@ -152,6 +175,14 @@ def test_levy_route_rejects_nonvanishing_logcf():
         integral_cf_levy([lambda v: 1.0 + 0j], [1.0], 1.0)
 
 
+def test_gmsp_cf_closed_form_matches_levy_quadrature():
+    t = [1.2, 1.0]
+    psis = [lambda v, k=k: sum(lam[k] * (np.exp(1j * v * j) - 1.0)
+                               for j, lam in GMSP_NEG.jumps.items()) for k in range(2)]
+    for u in (0.0, 0.3, -1.0, 2.5):
+        assert abs(integral_cf_gmsp(GMSP_NEG, t, u) - integral_cf_levy(psis, t, u)) < 1e-9
+
+
 def test_empirical_cf_of_integral_matches_closed_form():
     dom = RectDomain(t=[2.0], resolution=512)
     batch = integral_sample([1.0], dom, 20_000, seed=7)
@@ -187,7 +218,7 @@ def test_uniform_compound_rejects_mismatched_params():
 
 
 def test_uniform_compound_matches_compound_integral_ks():
-    rates, t = [0.8, 0.5], [1.2, 1.0]
+    rates, t = [1.3], [1.2]
     vals, probs = [1.0, -1.0, 2.0], [0.5, 0.3, 0.2]
     dom = RectDomain(t=t, resolution=512)
     a = integral_sample(CompoundSpec(rates, vals, probs), dom, 20_000, seed=11)
@@ -196,6 +227,14 @@ def test_uniform_compound_matches_compound_integral_ks():
     )
     report = ks_two_sample(a, b)
     assert report.verdict, f"KS p={report.p_value}"
+
+
+def test_uniform_compound_mpp_rejects_two_rates():
+    # at M = 2 the integral of S_X(N_1(s_1) + N_2(s_2)) has a larger variance
+    # than (t_1 t_2) sum X_r U_r, so the form is offered for one rate only
+    params = {"rates": [0.8, 0.5], "values": [1.0, -1.0], "probs": [0.5, 0.5], "t": [1.2, 1.0]}
+    with pytest.raises(ValueError, match="one rate"):
+        uniform_compound_sample("compound-mpp", params, 10, seed=0)
 
 
 GMSP_EQ = JumpSpec({1: (0.7, 0.7), -1: (0.5, 0.5), 2: (0.2, 0.2)})
