@@ -43,6 +43,7 @@ from .fractional import (
     inv_stable_marginal_sample,
     frac_skellam_sample,
     frac_skellam_pmf,
+    frac_skellam_pmf_table,
     frac_skellam_pmf_wright,
     frac_skellam_moments,
 )

@@ -25,7 +25,7 @@ from .altskellam import (
 )
 from .fractional import (
     FracSkellamSpec,
-    frac_skellam_pmf,
+    frac_skellam_pmf_table,
     frac_skellam_sample,
     inv_stable_marginal_sample,
     stable_subordinator_sample,
@@ -282,7 +282,7 @@ def _cmd_pmf(args) -> None:
         spec = FracSkellamSpec(float(args.l1), float(args.l2), args.alpha, args.beta)
         ctl = _series_control(args)
         ns = list(range(-nmax, nmax + 1))
-        probs = [frac_skellam_pmf(spec, args.t1, args.t2, k, ctl) for k in ns]
+        probs = frac_skellam_pmf_table(spec, args.t1, args.t2, ns, ctl)
         meta = {"process": "frac-skellam", "l1": float(args.l1), "l2": float(args.l2),
                 "alpha": args.alpha, "beta": args.beta, "t1": args.t1, "t2": args.t2,
                 "nmax": nmax, "abs_tol": ctl.abs_tol, "max_terms": ctl.max_terms}

@@ -25,6 +25,7 @@ __all__ = [
     "inv_stable_marginal_sample",
     "frac_skellam_sample",
     "frac_skellam_pmf",
+    "frac_skellam_pmf_table",
     "frac_skellam_pmf_wright",
     "frac_skellam_moments",
 ]
@@ -115,24 +116,42 @@ def frac_skellam_sample(spec: FracSkellamSpec, t1: float, t2: float,
     return SampleBatch(values=values, seed=int(seed), meta=meta)
 
 
-def frac_skellam_pmf(spec: FracSkellamSpec, t1: float, t2: float, n: int,
-                     ctl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """Pmf of the fractional Skellam difference at n, by Poisson-mixture convolution.
+def frac_skellam_pmf_table(spec: FracSkellamSpec, t1: float, t2: float, ns,
+                           ctl: SeriesControl = DEFAULT_CONTROL) -> list[float]:
+    """Pmf of the fractional Skellam difference at each n of ``ns``, in order.
 
     P{S = n} = sum_l P{N_1(L_1(t1)) = n+ + l} P{N_2(L_2(t2)) = n- + l} where
     n+ = max(n, 0) and n- = max(-n, 0).  Each factor is the fractional Poisson
-    pmf; this is the default evaluation path (the Wright double series is the
-    cross-check, see :func:`frac_skellam_pmf_wright`).
+    pmf of its side, evaluated once per index, when an entry first needs it,
+    and shared by every entry after it; so the first factor that raises is
+    the one a separate evaluation of each entry would raise at.  This is the
+    default evaluation path (the Wright double series is the cross-check, see
+    :func:`frac_skellam_pmf_wright`).
     """
-    n = int(n)
-    n_plus, n_minus = max(n, 0), max(-n, 0)
-    total, converged = sum_series(
-        (frac_poisson_pmf(n_plus + l, spec.lam1, t1, spec.alpha, ctl)
-         * frac_poisson_pmf(n_minus + l, spec.lam2, t2, spec.beta, ctl)
-         for l in itertools.count()), ctl)
-    if not converged:
-        raise TruncationError(f"frac_skellam_pmf convolution did not converge at n={n}", total)
-    return total
+    sides = ((spec.lam1, t1, spec.alpha, {}), (spec.lam2, t2, spec.beta, {}))
+
+    def factor(side, k):
+        lam, t, alpha, values = side
+        if k not in values:
+            values[k] = frac_poisson_pmf(k, lam, t, alpha, ctl)
+        return values[k]
+
+    table = []
+    for n in map(int, ns):
+        n_plus, n_minus = max(n, 0), max(-n, 0)
+        total, converged = sum_series(
+            (factor(sides[0], n_plus + l) * factor(sides[1], n_minus + l)
+             for l in itertools.count()), ctl)
+        if not converged:
+            raise TruncationError(f"frac_skellam_pmf convolution did not converge at n={n}", total)
+        table.append(total)
+    return table
+
+
+def frac_skellam_pmf(spec: FracSkellamSpec, t1: float, t2: float, n: int,
+                     ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+    """Pmf of the fractional Skellam difference at n: the one-entry table."""
+    return frac_skellam_pmf_table(spec, t1, t2, [n], ctl)[0]
 
 
 def frac_skellam_pmf_wright(spec: FracSkellamSpec, t1: float, t2: float, n: int,

@@ -17,6 +17,7 @@ from .fractional import (
     FracSkellamSpec,
     frac_skellam_moments,
     frac_skellam_pmf,
+    frac_skellam_pmf_table,
     frac_skellam_pmf_wright,
     frac_skellam_sample,
     inv_stable_marginal_sample,
@@ -49,8 +50,20 @@ _T2 = (1.0, 1.0)
 
 
 def _skellam_conv(n, a, b, terms=400):
+    """sum_l Pois(n+ + l; a) Pois(n- + l; b) over l < ``terms``, by brute force.
+
+    Past both Poisson modes every product is smaller than the one before, so
+    the sum stops at the first product there that underflows to 0.0: the
+    zeros it skips leave the fsum unchanged.
+    """
     n_plus, n_minus = max(n, 0), max(-n, 0)
-    return math.fsum(poisson_pmf(n_plus + l, a) * poisson_pmf(n_minus + l, b) for l in range(terms))
+    products = []
+    for l in range(terms):
+        p = poisson_pmf(n_plus + l, a) * poisson_pmf(n_minus + l, b)
+        if p == 0.0 and n_plus + l > a and n_minus + l > b:
+            break
+        products.append(p)
+    return math.fsum(products)
 
 
 def _exact_report(identity, seed, n, gap, critical):
@@ -202,8 +215,8 @@ _FRAC_KMAX = 40
 
 def frac_pmf(seed=0, n=100_000):
     batch = frac_skellam_sample(_FRAC, 1.0, 1.0, n, seed=seed)
-    probs = np.array([frac_skellam_pmf(_FRAC, 1.0, 1.0, k)
-                      for k in range(-_FRAC_KMAX, _FRAC_KMAX + 1)])
+    probs = np.array(frac_skellam_pmf_table(_FRAC, 1.0, 1.0,
+                                            range(-_FRAC_KMAX, _FRAC_KMAX + 1)))
     pmf = LatticePMF(-_FRAC_KMAX, probs, tail_mass=max(0.0, 1.0 - float(probs.sum())))
     return lattice_chi2(batch, pmf, level=LEVEL, identity="frac-pmf")
 

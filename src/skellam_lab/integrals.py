@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .gmsp import JumpSpec
 from .mpp import as_rates, as_times
@@ -138,22 +137,24 @@ def integral_sample(process, dom: RectDomain, n_draws: int, seed: int) -> Sample
 
     ``process`` is a rate vector (MPP), a :class:`JumpSpec` (GMSP), or a
     :class:`CompoundSpec`.  A domain with any zero side has zero volume and
-    yields exact zeros.
+    yields exact zeros, once the process has been checked against it.
     """
     meta = {"process": "integral", "t": [float(x) for x in dom.t],
             "resolution": [int(r) for r in dom.resolution], "n": int(n_draws)}
-    if np.any(dom.t == 0.0):
-        return SampleBatch(values=np.zeros(n_draws), seed=int(seed), meta=meta)
     if isinstance(process, CompoundSpec):
         if process.rates.size != dom.dim:
             raise ValueError("compound rates must match the domain dimension")
-        values = _compound_integral(process, dom, n_draws, seed)
         meta["kind"] = "compound"
     else:
-        meta["kind"] = "gmsp" if isinstance(process, JumpSpec) else "mpp"
         spec = process if isinstance(process, JumpSpec) else JumpSpec({1.0: process})
         if spec.dim != dom.dim:
             raise ValueError("process dimension must match the domain")
+        meta["kind"] = "gmsp" if isinstance(process, JumpSpec) else "mpp"
+    if np.any(dom.t == 0.0):
+        values = np.zeros(n_draws)
+    elif isinstance(process, CompoundSpec):
+        values = _compound_integral(process, dom, n_draws, seed)
+    else:
         values = _peraxis_sums(spec, dom.t, n_draws, spawn_rngs(seed, 3 * dom.dim), dom.resolution)
     return SampleBatch(values=values, seed=int(seed), meta=meta)
 
@@ -215,6 +216,8 @@ def integral_cf_levy(psis, t, u: float) -> complex:
     time, with psi_k(0) = 0.  Evaluates
     exp(sum_k t_k integral_0^1 psi_k(u (prod t) x) dx) by adaptive quadrature.
     """
+    from scipy import integrate  # imported here: no closed-form path needs scipy
+
     tt = as_times(t, len(psis))
     c = float(u) * float(np.prod(tt))
     total = 0.0 + 0.0j

@@ -9,6 +9,7 @@ from skellam_lab import (
     FracSkellamSpec,
     frac_skellam_moments,
     frac_skellam_pmf,
+    frac_skellam_pmf_table,
     frac_skellam_pmf_wright,
     frac_skellam_sample,
     inv_stable_marginal_sample,
@@ -16,7 +17,9 @@ from skellam_lab import (
     twoparam_skellam_pmf,
 )
 from skellam_lab.identities import run_identity
+from skellam_lab import fractional
 from skellam_lab.records import LatticePMF
+from skellam_lab.special import SeriesControl, TruncationError
 from skellam_lab.stats import lattice_chi2
 
 
@@ -100,6 +103,48 @@ def test_frac_pmf_classical_branch_matches_closed_form():
         assert frac_skellam_pmf(spec, 1.0, 2.0, n) == pytest.approx(
             twoparam_skellam_pmf(n, 1.5, 0.8, 1.0, 2.0), abs=1e-9
         )
+
+
+_TABLE_CASES = [
+    (FracSkellamSpec(1.0, 1.0, 0.5, 0.5), 1.0, 1.0),
+    (FracSkellamSpec(2.0, 0.5, 0.3, 0.9), 1.5, 0.7),
+    (FracSkellamSpec(4.0, 3.0, 0.5, 1.0), 1.0, 2.0),
+    (FracSkellamSpec(0.5, 0.2, 0.7, 0.4), 0.0, 3.0),
+]
+
+
+def _entry_by_entry(spec, t1, t2, ns, ctl):
+    try:
+        return [frac_skellam_pmf(spec, t1, t2, k, ctl) for k in ns]
+    except TruncationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("spec,t1,t2", _TABLE_CASES)
+@pytest.mark.parametrize("ctl", [SeriesControl(), SeriesControl(max_terms=5),
+                                 SeriesControl(abs_tol=1e-10, max_terms=40)])
+def test_frac_pmf_table_equals_its_entries(spec, t1, t2, ctl):
+    # the shared per-side vectors change neither a value nor which factor
+    # raises first, so the error text under a term cap is the same too
+    ns = range(-20, 21)
+    try:
+        table = frac_skellam_pmf_table(spec, t1, t2, ns, ctl)
+    except TruncationError as exc:
+        table = str(exc)
+    assert table == _entry_by_entry(spec, t1, t2, ns, ctl)
+
+
+def test_frac_pmf_table_evaluates_each_factor_once(monkeypatch):
+    calls = []
+    original = fractional.frac_poisson_pmf
+
+    def counted(n, lam, t, alpha, ctl):
+        calls.append((n, lam, t, alpha))
+        return original(n, lam, t, alpha, ctl)
+
+    monkeypatch.setattr(fractional, "frac_poisson_pmf", counted)
+    frac_skellam_pmf_table(FracSkellamSpec(1.0, 2.0, 0.5, 0.7), 1.0, 1.0, range(-20, 21))
+    assert len(calls) == len(set(calls))
 
 
 def test_frac_pmf_normalizes():

@@ -147,6 +147,17 @@ def test_msp_pmf_convolution_oracle():
                     )
 
 
+def test_identity_oracle_stops_early_at_the_same_sum():
+    # the msp-bessel-oracle convolution stops at the first product that
+    # underflows past both modes; the full 400-term sum is the reference
+    from skellam_lab.identities import _skellam_conv
+
+    for a in (0.5, 1.2, 3.0, 6.0, 40.0):
+        for b in (0.01, 1.0, 6.0, 50.0):
+            for n in range(-25, 26):
+                assert _skellam_conv(n, a, b) == skellam_conv(n, a, b)
+
+
 def test_msp_pmf_degenerate_branches():
     # zero time on one component reduces to a plain (negated) Poisson
     assert msp_pmf(3, (1.0, 1.0), (2.0, 2.0), (0.0, 0.0)) == poisson_pmf(3, 0.0)

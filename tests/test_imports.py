@@ -1,0 +1,74 @@
+"""Import cost: the package loads numpy only; scipy is imported where it is used.
+
+Each test runs in a fresh interpreter, since the test session itself has
+scipy loaded already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+_SPEC3 = "1:0.7,0.4;-1:0.5,0.6;2:0.2,0.3"
+
+# one fixed argv per command the cold-start benchmark runs, plus a chi-square identity
+_COLD_COMMANDS = [
+    ["simulate", "--process", "gmsp", "--jumps", _SPEC3, "--t", "1.0,1.0", "--n", "20"],
+    ["simulate", "--process", "frac-skellam", "--l1", "1.0", "--l2", "1.0", "--alpha", "0.5",
+     "--beta", "0.5", "--t1", "1.0", "--t2", "1.0", "--n", "20", "--format", "json"],
+    ["pmf", "--process", "msp", "--l1", "1.0", "--l2", "0.5", "--t", "1.0,2.0", "--nmax", "20"],
+    ["pmf", "--process", "frac-skellam", "--l1", "1.0", "--l2", "1.0", "--alpha", "0.7",
+     "--beta", "0.9", "--t1", "1.0", "--t2", "1.0", "--nmax", "20"],
+    ["cf", "--process", "gmsp", "--jumps", _SPEC3, "--t", "1.0,1.0", "--u", "0:3:0.25"],
+    ["cf", "--process", "integral-gmsp", "--jumps", "1:0.7,0.4;-1:0.5,0.6", "--t", "1.2,1.0",
+     "--u", "0.25,0.5,1.0"],
+    ["integral", "--process", "mpp", "--rates", "1.0,0.5", "--t", "1.5,1.0", "--r", "64",
+     "--n", "20"],
+    ["converge", "--scheme", "gmsp-array", "--jumps", "1:4.0;-1:2.5", "--t", "1.0,1.0",
+     "--scales", "10,100", "--n", "100"],
+    ["verify", "--identity", "cf-product"],
+    ["verify", "--identity", "compound-peraxis", "--n", "2000"],
+]
+
+
+def _run_fresh(code, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cold_commands_never_load_scipy(tmp_path):
+    code = (
+        "import json, os, sys\n"
+        "import skellam_lab, skellam_lab.cli\n"
+        "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
+        "    assert skellam_lab.cli.main(argv + ['--out', os.path.join(sys.argv[2], str(i))]) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    )
+    out = _run_fresh(code, json.dumps(_COLD_COMMANDS), str(tmp_path))
+    assert json.loads(out) == []
+    assert len(list(tmp_path.iterdir())) >= len(_COLD_COMMANDS)
+
+
+def test_scipy_backed_functions_work_first_in_a_fresh_process():
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from skellam_lab import integral_cf_levy, integral_cf_mpp, ks_two_sample\n"
+        "from skellam_lab.records import SampleBatch\n"
+        "assert 'scipy' not in sys.modules\n"
+        "a = SampleBatch(np.arange(200.0), seed=0)\n"
+        "report = ks_two_sample(a, SampleBatch(np.arange(200.0) + 0.5, seed=1))\n"
+        "assert abs(report.statistic - 0.005) < 1e-12 and report.verdict, report\n"
+        "psi = lambda v: complex(1.3 * (np.exp(1j * v) - 1.0))\n"
+        "gap = abs(integral_cf_levy([psi], [1.2], 0.7) - integral_cf_mpp([1.3], [1.2], 0.7))\n"
+        "assert gap < 1e-9, gap\n"
+        "print('ok')\n"
+    )
+    assert _run_fresh(code).strip() == "ok"

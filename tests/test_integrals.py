@@ -39,6 +39,14 @@ def test_zero_volume_gives_exact_zeros():
     assert np.all(batch.values == 0.0)
 
 
+@pytest.mark.parametrize("process", [[1.0, 2.0, 3.0], JumpSpec({1: (1.0, 2.0, 3.0)}),
+                                     CompoundSpec([1.0, 2.0, 3.0], [1.0], [1.0])])
+@pytest.mark.parametrize("t", [[1.0, 0.0], [1.0, 1.0]])
+def test_process_dimension_is_checked_before_the_zero_volume_shortcut(process, t):
+    with pytest.raises(ValueError, match="must match the domain"):
+        integral_sample(process, RectDomain(t=t, resolution=4), 3, seed=0)
+
+
 def test_integral_mean_one_dimensional():
     dom = RectDomain(t=[2.0], resolution=256)
     batch = integral_sample([1.0], dom, 20_000, seed=5)

@@ -11,7 +11,7 @@ import pytest
 from skellam_lab import empirical_cf, ks_two_sample, lattice_chi2, tv_distance
 from skellam_lab.records import CFTable, LatticePMF, SampleBatch
 from skellam_lab.special import poisson_pmf
-from skellam_lab.stats import TestReport, lattice_chi2_two_sample
+from skellam_lab.stats import TestReport, _chi2_sf, lattice_chi2_two_sample
 
 
 def poisson_table(mu, n_max):
@@ -62,6 +62,27 @@ def test_chi2_size_calibration():
         report = lattice_chi2(SampleBatch(draws, seed=seed), pmf)
         good += report.p_value > 0.01
     assert good >= 90
+
+
+def test_chi2_sf_matches_scipy():
+    from scipy import stats
+
+    for dof in [*range(1, 61), 80, 100, 150, 200, 300, 500]:
+        x = np.concatenate([np.geomspace(1e-8, 10 * dof + 200, 300),
+                            np.linspace(0.0, 10 * dof + 200, 301)[1:]])
+        ref = stats.chi2.sf(x, dof)
+        got = np.array([_chi2_sf(float(v), dof) for v in x])
+        keep = ref > 1e-300
+        rel = np.abs(got[keep] - ref[keep]) / ref[keep]
+        assert rel.max() <= 1e-12, f"dof={dof}: worst relative error {rel.max():.3g}"
+
+
+def test_chi2_sf_edges():
+    for dof in (1, 2, 7, 500):
+        assert _chi2_sf(0.0, dof) == 1.0
+        assert _chi2_sf(-3.0, dof) == 1.0
+        assert _chi2_sf(1e6, dof) == 0.0  # underflows, never overflows
+        assert 0.0 <= _chi2_sf(1e-12, dof) <= 1.0
 
 
 def test_chi2_power():
