@@ -42,8 +42,7 @@ from .gmsp import (
     msp_pmf,
 )
 from .identities import IDENTITIES, run_identity
-from .integrals import (CompoundSpec, RectDomain, integral_cf_gmsp, integral_cf_levy,
-                        integral_cf_mpp, integral_sample)
+from .integrals import CompoundSpec, RectDomain, integral_cf_gmsp, integral_cf_mpp, integral_sample
 from .mpp import as_rates, as_times
 from .records import SampleBatch, make_rng
 from .special import SeriesControl, frac_poisson_pmf
@@ -373,15 +372,22 @@ def _cmd_integral(args) -> None:
         lam = _parse_floats(args.rates, "rates")
         xv = _parse_floats(args.xvalues, "xvalues")
         xp = _parse_floats(args.xprobs, "xprobs")
-        spec = CompoundSpec(lam, xv, xp)
-        batch = integral_sample(spec, dom, args.n, args.seed)
-
-        def make_psi(l, values, probs):
-            return lambda v: complex(l * (np.sum(probs * np.exp(1j * v * values)) - 1.0))
-
-        psis = [make_psi(l, np.asarray(xv), np.asarray(xp)) for l in lam]
-        cf_values = [integral_cf_levy(psis, t, u) for u in grid]
+        batch = integral_sample(CompoundSpec(lam, xv, xp), dom, args.n, args.seed)
         meta = {"process": "integral-compound", "rates": lam, "xvalues": xv, "xprobs": xp}
+        if len(lam) == 1:
+            # one axis: a GMSP whose jumps are the nonzero values x at rates lam * P(X = x)
+            jumps = {}
+            for x, p in zip(xv, xp):
+                if x != 0.0 and p > 0.0:
+                    jumps[x] = jumps.get(x, 0.0) + lam[0] * p
+            if jumps:
+                spec = JumpSpec({x: (rate,) for x, rate in jumps.items()})
+                cf_values = [integral_cf_gmsp(spec, t, u) for u in grid]
+            else:  # X = 0 almost surely
+                cf_values = [1.0 + 0.0j for _ in grid]
+        else:
+            grid, cf_values = [], []
+            meta["cf"] = "none: the compound integral law at M >= 2 has no closed form here"
     else:
         raise ValueError(f"unknown integral process {args.process!r}")
     meta.update({"t": t, "resolution": args.r, "n": args.n, "seed": args.seed})

@@ -9,8 +9,11 @@ axis k an event in cell c is counted at the r_k - c + 1 lattice points above
 it, so axis k adds (prod_{k'!=k} t_k') t_k sum_e X_e V_e / r_k over
 Poisson(t_k sum_j lam_jk) events with jumps X_e and V_e uniform on {1..r_k}.
 A draw costs O(events) at any resolution; U(0,1) weights in place of V_e / r_k
-give the uniform-compound form.  Compound paths reuse the prefix-sum structure
-S_X(N(g)) through a per-draw histogram of lattice counts.
+give the uniform-compound form.  A compound path S_X(N_1(s_1) + ... + N_M(s_M))
+costs what its events cost, not its lattice: each axis places its Poisson
+events in uniform cells, the sorted cells give the histogram of lattice counts
+on that axis, and the summed count's histogram is their convolution, batched
+over draws.
 """
 
 from __future__ import annotations
@@ -87,48 +90,45 @@ class CompoundSpec:
         object.__setattr__(self, "probs", pr)
 
 
-def _chunks(n):
-    done = 0
-    while done < n:
-        yield min(_CHUNK, n - done)
-        done += min(_CHUNK, n - done)
+def _convolve_rows(a, b):
+    """Row-wise full convolution of two (n, *) arrays, looping over the width of ``b``."""
+    out = np.zeros((a.shape[0], a.shape[1] + b.shape[1] - 1), dtype=a.dtype)
+    for m in range(b.shape[1]):
+        out[:, m:m + a.shape[1]] += a * b[:, m:m + 1]
+    return out
 
 
 def _compound_integral(spec: CompoundSpec, dom: RectDomain, n_draws, seed):
-    """Integral draws of S_X(N(g)) summed over the lattice.
+    """Integral draws of S_X(N_1(s_1) + ... + N_M(s_M)) summed over the lattice.
 
-    Per draw, the lattice sum is sum_m c[m] * S_X[m] where c[m] counts lattice
-    points whose Poisson count is m (a convolution of per-axis histograms) and
-    S_X are prefix sums of the jump sequence.
+    Axis k has Poisson(lam_k t_k) events in cells uniform on {1..r_k}; with the
+    cells sorted, c_(0) = 1 and c_(N+1) = r_k + 1, the count is m at
+    h_k[m] = c_(m+1) - c_(m) lattice points.  The lattice points where the
+    summed count is m number counts[m] = (h_1 * ... * h_M)[m], and a draw is
+    cellvol * sum_m counts[m] S_X[m] = cellvol * sum_i X_i * sum_{m>=i} counts[m].
+    Counts, cells (per axis) and jumps come from their own streams, flat in
+    draw order, so draws are prefix-stable in ``n_draws``.
     """
-    t, res = dom.t, dom.resolution
-    cellvol = dom.cell_volume
-    root = np.random.SeedSequence(int(seed))
-    path_rngs = [np.random.default_rng(s) for s in root.spawn(dom.dim)]
-    jump_rng = np.random.default_rng(root.spawn(1)[0])
+    rngs = spawn_rngs(seed, 2 * dom.dim + 1)
     out = np.empty(n_draws)
-    done = 0
-    for n in _chunks(n_draws):
-        hists = []
+    for start in range(0, n_draws, _CHUNK):
+        n = min(_CHUNK, n_draws - start)
+        counts = np.ones((n, 1), dtype=np.int64)
         for k in range(dom.dim):
-            r_k = int(res[k])
-            incs = path_rngs[k].poisson(spec.rates[k] * t[k] / r_k, size=(n, r_k))
-            path = np.cumsum(incs, axis=1)
-            k_max = int(path.max(initial=0))
-            h = np.zeros((n, k_max + 1))
-            np.add.at(h, (np.repeat(np.arange(n), path.shape[1]), path.ravel()), 1.0)
-            hists.append(h)
-        count_dim = sum(h.shape[1] - 1 for h in hists) + 1
-        counts = np.zeros((n, count_dim))
-        for d in range(n):
-            c = hists[0][d]
-            for h in hists[1:]:
-                c = np.convolve(c, h[d])
-            counts[d, :c.size] = c
-        x = jump_rng.choice(spec.values, size=(n, count_dim - 1), p=spec.probs)
-        prefix = np.hstack([np.zeros((n, 1)), np.cumsum(x, axis=1)])
-        out[done:done + n] = cellvol * np.sum(counts * prefix, axis=1)
-        done += n
+            r_k = int(dom.resolution[k])
+            events = rngs[2 * k].poisson(spec.rates[k] * dom.t[k], n)
+            # offset by draw so that one flat sort orders the cells within each draw
+            shift = np.repeat(np.arange(n) * (r_k + 1), events)
+            cells = np.sort(rngs[2 * k + 1].integers(1, r_k + 1, shift.size) + shift) - shift
+            edges = np.full((n, int(events.max()) + 1), r_k + 1)
+            edges[np.arange(edges.shape[1]) < events[:, None]] = cells
+            counts = _convolve_rows(counts, np.diff(edges, axis=1, prepend=1))
+        # tails[:, i - 1] counts the lattice points where jump i has happened:
+        # positive exactly for i up to the draw's total events
+        tails = np.cumsum(counts[:, :0:-1], axis=1)[:, ::-1]
+        x = np.zeros(tails.shape)
+        x[tails > 0] = rngs[-1].choice(spec.values, size=np.count_nonzero(tails), p=spec.probs)
+        out[start:start + n] = dom.cell_volume * np.sum(x * tails, axis=1)
     return out
 
 

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from skellam_lab.cli import main
@@ -159,6 +160,36 @@ def test_integral_json_bundles_cf(tmp_path):
     doc = json.loads(data)
     assert set(doc) == {"meta", "values", "cf"}
     assert len(doc["values"]) == 5
+
+
+def test_integral_compound_cf_on_one_axis_matches_levy_route(tmp_path):
+    # a zero value and a repeated value exercise the jump-law cleanup
+    xv, xp = [1.0, -1.0, 0.0, 2.0, 1.0], [0.3, 0.3, 0.1, 0.2, 0.1]
+    code, data = run_cli(
+        ["integral", "--process", "compound", "--rates", "1.3", "--xvalues", "1.0,-1.0,0.0,2.0,1.0",
+         "--xprobs", "0.3,0.3,0.1,0.2,0.1", "--t", "1.2", "--r", "16", "--n", "5",
+         "--u", "0.25,1.0,-2.0", "--format", "json"],
+        tmp_path,
+    )
+    assert code == 0
+    cf = json.loads(data)["cf"]
+    from skellam_lab import integral_cf_levy
+    psi = lambda v: complex(1.3 * (np.dot(xp, np.exp(1j * v * np.array(xv))) - 1.0))
+    for u, re_, im in zip(cf["u"], cf["re"], cf["im"]):
+        assert abs(complex(re_, im) - integral_cf_levy([psi], [1.2], u)) < 1e-9
+
+
+def test_integral_compound_cf_on_two_axes_is_header_only(tmp_path):
+    argv = ["integral", "--process", "compound", "--rates", "0.8,0.5", "--xvalues", "1.0,-1.0",
+            "--xprobs", "0.5,0.5", "--t", "1.2,1.0", "--r", "16", "--n", "5"]
+    code, _ = run_cli(argv, tmp_path, out_name="batch.csv")
+    assert code == 0
+    cf_lines = (tmp_path / "batch.csv.cf.csv").read_text().splitlines()
+    assert cf_lines[0].startswith("# meta: ") and cf_lines[1:] == ["u,re,im"]
+    assert "no closed form" in json.loads(cf_lines[0][len("# meta: "):])["cf"]
+    code, data = run_cli(argv + ["--format", "json"], tmp_path)
+    assert code == 0
+    assert json.loads(data)["cf"] == {"u": [], "re": [], "im": []}
 
 
 def test_converge_rows(tmp_path):

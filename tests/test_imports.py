@@ -27,6 +27,10 @@ _COLD_COMMANDS = [
      "--u", "0.25,0.5,1.0"],
     ["integral", "--process", "mpp", "--rates", "1.0,0.5", "--t", "1.5,1.0", "--r", "64",
      "--n", "20"],
+    ["integral", "--process", "compound", "--rates", "1.3", "--xvalues", "1.0,-1.0,2.0",
+     "--xprobs", "0.5,0.3,0.2", "--t", "1.2", "--r", "64", "--n", "20"],
+    ["integral", "--process", "compound", "--rates", "0.8,0.5", "--xvalues", "1.0,-1.0,2.0",
+     "--xprobs", "0.5,0.3,0.2", "--t", "1.2,1.0", "--r", "64", "--n", "20"],
     ["converge", "--scheme", "gmsp-array", "--jumps", "1:4.0;-1:2.5", "--t", "1.0,1.0",
      "--scales", "10,100", "--n", "100"],
     ["verify", "--identity", "cf-product"],

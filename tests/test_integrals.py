@@ -107,6 +107,39 @@ def test_integral_sample_matches_literal_riemann_sum_in_law(r):
     assert report.verdict, f"chi2 p={report.p_value}"
 
 
+COMPOUND_VALS, COMPOUND_PROBS = [1.0, -1.0, 2.0], [0.5, 0.3, 0.2]
+
+
+@pytest.mark.parametrize("rates, t, r", [([1.3], [1.2], 8), ([0.8, 0.5], [1.2, 1.0], 4)])
+def test_compound_integral_matches_literal_riemann_sum_in_law(rates, t, r):
+    # sorted-cell kernel vs the literal lattice sum of S_X(N(g)) on an MPP grid path
+    n = 5000
+    dom = RectDomain(t=t, resolution=r)
+    spec = CompoundSpec(rates, COMPOUND_VALS, COMPOUND_PROBS)
+    kernel = np.round(integral_sample(spec, dom, n, seed=41).values / dom.cell_volume)
+    axes = [np.linspace(0.0, tk, r + 1) for tk in t]
+    # 40 jumps per draw is far past any count these rates reach on the grid
+    jumps = np.random.default_rng(7).choice(COMPOUND_VALS, size=(n, 40), p=COMPOUND_PROBS)
+    s_x = np.hstack([np.zeros((n, 1)), np.cumsum(jumps, axis=1)])
+    literal = np.empty(n)
+    for i in range(n):
+        path = mpp_sample_grid(rates, axes, seed=2000 + i)
+        values = s_x[i][path.values]
+        literal[i] = riemann_sum(GridPath(axes=path.axes, values=values, seed=0))
+    literal = np.round(literal / dom.cell_volume)
+    report = lattice_chi2_two_sample(SampleBatch(kernel, seed=41), SampleBatch(literal, seed=0))
+    assert report.verdict, f"chi2 p={report.p_value}"
+
+
+@pytest.mark.parametrize("rates, t", [([1.3], [1.2]), ([0.8, 0.5], [1.2, 1.0])])
+def test_compound_integral_is_prefix_stable_across_chunks(rates, t):
+    spec = CompoundSpec(rates, COMPOUND_VALS, COMPOUND_PROBS)
+    dom = RectDomain(t=t, resolution=64)
+    long = integral_sample(spec, dom, 5000, seed=9)
+    longer = integral_sample(spec, dom, 8192, seed=9)
+    assert np.array_equal(long.values, longer.values[:5000])
+
+
 def test_riemann_sum_validates_axes():
     path = mpp_sample_grid((1.0,), [np.array([0.5, 1.0])], seed=0)
     with pytest.raises(ValueError):
