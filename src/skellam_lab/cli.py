@@ -200,6 +200,24 @@ def _require(args, *names):
             raise ValueError(f"--{name} is required for this process")
 
 
+def _jump_spec(args):
+    """(JumpSpec from --jumps, time list from --t)."""
+    _require(args, "jumps", "t")
+    return JumpSpec(_parse_jumps(args.jumps)), _parse_floats(args.t, "t")
+
+
+def _alt_jumps(args):
+    """(single-rate jump map from --jumps, its time map from --t)."""
+    _require(args, "jumps", "t")
+    rates = _parse_single_rate_jumps(args.jumps)
+    return rates, _jump_times(rates, args.t, "t")
+
+
+def _frac_spec(args) -> FracSkellamSpec:
+    _require(args, "l1", "l2", "alpha", "beta", "t1", "t2")
+    return FracSkellamSpec(float(args.l1), float(args.l2), args.alpha, args.beta)
+
+
 # ---------------------------------------------------------------- subcommands
 
 def _cmd_simulate(args) -> None:
@@ -212,21 +230,14 @@ def _cmd_simulate(args) -> None:
         batch = SampleBatch(values, seed=seed, meta={
             "process": "mpp", "rates": list(map(float, lam)), "t": list(map(float, t)), "n": n})
     elif args.process == "gmsp":
-        _require(args, "jumps", "t")
-        spec = JumpSpec(_parse_jumps(args.jumps))
-        batch = gmsp_sample(spec, _parse_floats(args.t, "t"), n, seed)
+        batch = gmsp_sample(*_jump_spec(args), n, seed)
     elif args.process == "alt":
-        _require(args, "jumps", "t")
-        rates = _parse_single_rate_jumps(args.jumps)
-        batch = alt_sample(AltSpec(rates), _jump_times(rates, args.t, "t"), n, seed)
+        rates, t_map = _alt_jumps(args)
+        batch = alt_sample(AltSpec(rates), t_map, n, seed)
     elif args.process == "frac-skellam":
-        _require(args, "l1", "l2", "alpha", "beta", "t1", "t2")
-        spec = FracSkellamSpec(float(args.l1), float(args.l2), args.alpha, args.beta)
-        batch = frac_skellam_sample(spec, args.t1, args.t2, n, seed)
+        batch = frac_skellam_sample(_frac_spec(args), args.t1, args.t2, n, seed)
     elif args.process == "compound-peraxis":
-        _require(args, "jumps", "t")
-        spec = JumpSpec(_parse_jumps(args.jumps))
-        batch = gmsp_compound_peraxis_sample(spec, _parse_floats(args.t, "t"), n, seed)
+        batch = gmsp_compound_peraxis_sample(*_jump_spec(args), n, seed)
     elif args.process == "compound-equalrate":
         _require(args, "jumps", "t")
         rates = _parse_single_rate_jumps(args.jumps)
@@ -238,8 +249,6 @@ def _cmd_simulate(args) -> None:
     elif args.process == "inv-stable":
         _require(args, "alpha", "t1")
         batch = inv_stable_marginal_sample(args.alpha, args.t1, n, seed)
-    else:
-        raise ValueError(f"unknown process {args.process!r}")
     _batch_artifact(batch, args.format, args.out)
 
 
@@ -249,6 +258,7 @@ def _series_control(args) -> SeriesControl:
 
 def _cmd_pmf(args) -> None:
     nmax = args.nmax
+    ns = list(range(0 if args.process == "frac-poisson" else -nmax, nmax + 1))
     if args.process == "msp":
         _require(args, "l1", "l2", "t")
         t = _parse_floats(args.t, "t")
@@ -258,29 +268,22 @@ def _cmd_pmf(args) -> None:
             l1 = l1 * len(t)
         if len(l2) == 1:
             l2 = l2 * len(t)
-        ns = list(range(-nmax, nmax + 1))
         probs = [msp_pmf(k, l1, l2, t) for k in ns]
         meta = {"process": "msp", "l1": l1, "l2": l2, "t": t, "nmax": nmax}
     elif args.process == "skellam2":
         _require(args, "l1", "l2", "t1", "t2")
-        ns = list(range(-nmax, nmax + 1))
         probs = [twoparam_skellam_pmf(k, float(args.l1), float(args.l2), args.t1, args.t2)
                  for k in ns]
         meta = {"process": "skellam2", "l1": float(args.l1), "l2": float(args.l2),
                 "t1": args.t1, "t2": args.t2, "nmax": nmax}
     elif args.process == "gmsp":
-        _require(args, "jumps", "t")
-        spec = JumpSpec(_parse_jumps(args.jumps))
-        t = _parse_floats(args.t, "t")
+        spec, t = _jump_spec(args)
         table = gmsp_lattice_pmf(spec, t)
-        ns = list(range(-nmax, nmax + 1))
         probs = [table.prob(k) for k in ns]
         meta = {"process": "gmsp", "jumps": args.jumps, "t": t, "nmax": nmax}
     elif args.process == "frac-skellam":
-        _require(args, "l1", "l2", "alpha", "beta", "t1", "t2")
-        spec = FracSkellamSpec(float(args.l1), float(args.l2), args.alpha, args.beta)
+        spec = _frac_spec(args)
         ctl = _series_control(args)
-        ns = list(range(-nmax, nmax + 1))
         probs = frac_skellam_pmf_table(spec, args.t1, args.t2, ns, ctl)
         meta = {"process": "frac-skellam", "l1": float(args.l1), "l2": float(args.l2),
                 "alpha": args.alpha, "beta": args.beta, "t1": args.t1, "t2": args.t2,
@@ -288,13 +291,10 @@ def _cmd_pmf(args) -> None:
     elif args.process == "frac-poisson":
         _require(args, "l1", "alpha", "t1")
         ctl = _series_control(args)
-        ns = list(range(0, nmax + 1))
         probs = [frac_poisson_pmf(k, float(args.l1), args.t1, args.alpha, ctl) for k in ns]
         meta = {"process": "frac-poisson", "lam": float(args.l1), "t": args.t1,
                 "alpha": args.alpha, "nmax": nmax, "abs_tol": ctl.abs_tol,
                 "max_terms": ctl.max_terms}
-    else:
-        raise ValueError(f"unknown pmf process {args.process!r}")
     tail = max(0.0, 1.0 - math.fsum(probs))
     meta["seed"] = args.seed
     _pmf_artifact(meta, ns, probs, tail, args.format, args.out)
@@ -302,26 +302,17 @@ def _cmd_pmf(args) -> None:
 
 def _cmd_cf(args) -> None:
     grid = _parse_ugrid(args.u)
-    radius = None
+    radius = draw = None
     if args.process == "gmsp":
-        _require(args, "jumps", "t")
-        spec = JumpSpec(_parse_jumps(args.jumps))
-        t = _parse_floats(args.t, "t")
+        spec, t = _jump_spec(args)
         meta = {"process": "gmsp", "jumps": args.jumps, "t": t}
-        if args.empirical:
-            batch = gmsp_sample(spec, t, args.n, args.seed)
-            table = empirical_cf(batch, grid)
-            values, radius = table.values, table.radius
-            meta["n"] = args.n
-        else:
-            values = [gmsp_cf(spec, t, u) for u in grid]
+        exact = lambda u: gmsp_cf(spec, t, u)
+        draw = lambda: gmsp_sample(spec, t, args.n, args.seed)
     elif args.process == "alt-increment":
-        _require(args, "jumps", "t")
-        rates = _parse_single_rate_jumps(args.jumps)
-        t_map = _jump_times(rates, args.t, "t")
+        rates, t_map = _alt_jumps(args)
         spec = AltSpec(rates)
         s_map = {j: 0.0 for j in rates} if args.s is None else _jump_times(rates, args.s, "s")
-        values = [alt_increment_cf(spec, s_map, t_map, u) for u in grid]
+        exact = lambda u: alt_increment_cf(spec, s_map, t_map, u)
         meta = {"process": "alt-increment", "jumps": args.jumps,
                 "s": list(s_map.values()), "t": list(t_map.values())}
     elif args.process == "integral-mpp":
@@ -329,23 +320,21 @@ def _cmd_cf(args) -> None:
         lam = _parse_floats(args.rates, "rates")
         t = _parse_floats(args.t, "t")
         meta = {"process": "integral-mpp", "rates": lam, "t": t}
+        exact = lambda u: integral_cf_mpp(lam, t, u)
         if args.empirical:
+            meta.update(n=args.n, resolution=args.r)  # the artifact lists n before resolution
             dom = RectDomain(t=t, resolution=args.r)
-            batch = integral_sample(lam, dom, args.n, args.seed)
-            table = empirical_cf(batch, grid)
-            values, radius = table.values, table.radius
-            meta["n"] = args.n
-            meta["resolution"] = args.r
-        else:
-            values = [integral_cf_mpp(lam, t, u) for u in grid]
+            draw = lambda: integral_sample(lam, dom, args.n, args.seed)
     elif args.process == "integral-gmsp":
-        _require(args, "jumps", "t")
-        spec = JumpSpec(_parse_jumps(args.jumps))
-        t = _parse_floats(args.t, "t")
-        values = [integral_cf_gmsp(spec, t, u) for u in grid]
+        spec, t = _jump_spec(args)
+        exact = lambda u: integral_cf_gmsp(spec, t, u)
         meta = {"process": "integral-gmsp", "jumps": args.jumps, "t": t}
+    if args.empirical and draw is not None:
+        table = empirical_cf(draw(), grid)
+        values, radius = table.values, table.radius
+        meta["n"] = args.n
     else:
-        raise ValueError(f"unknown cf process {args.process!r}")
+        values = [exact(u) for u in grid]
     meta["seed"] = args.seed
     _cf_artifact(meta, grid, values, radius, args.format, args.out)
 
@@ -362,8 +351,7 @@ def _cmd_integral(args) -> None:
         cf_values = [integral_cf_mpp(lam, t, u) for u in grid]
         meta = {"process": "integral-mpp", "rates": lam}
     elif args.process == "gmsp":
-        _require(args, "jumps")
-        spec = JumpSpec(_parse_jumps(args.jumps))
+        spec, _ = _jump_spec(args)
         batch = integral_sample(spec, dom, args.n, args.seed)
         cf_values = [integral_cf_gmsp(spec, t, u) for u in grid]
         meta = {"process": "integral-gmsp", "jumps": args.jumps}
@@ -388,8 +376,6 @@ def _cmd_integral(args) -> None:
         else:
             grid, cf_values = [], []
             meta["cf"] = "none: the compound integral law at M >= 2 has no closed form here"
-    else:
-        raise ValueError(f"unknown integral process {args.process!r}")
     meta.update({"t": t, "resolution": args.r, "n": args.n, "seed": args.seed})
     if args.format == "json":
         doc = {"meta": meta, "values": batch.values,
@@ -399,31 +385,27 @@ def _cmd_integral(args) -> None:
     else:
         _emit(_csv(meta, ["value"], ((v,) for v in batch.values)), args.out)
         cf_out = None if args.out is None else args.out + ".cf.csv"
-        _emit(_csv(meta, ["u", "re", "im"],
-                   zip(grid, (v.real for v in cf_values), (v.imag for v in cf_values))), cf_out)
+        _cf_artifact(meta, grid, cf_values, None, "csv", cf_out)
 
 
 def _cmd_converge(args) -> None:
     scales = [int(s) for s in _parse_floats(args.scales, "scales")]
-    _require(args, "jumps", "t")
-    rates = _parse_single_rate_jumps(args.jumps)
-    jumps = sorted(rates)
     if args.scheme == "gmsp-array":
+        _require(args, "jumps", "t")
+        rates = _parse_single_rate_jumps(args.jumps)
         t = _parse_floats(args.t, "t")
-        pmf = gmsp_lattice_pmf(JumpSpec({j: [rates[j]] * len(t) for j in jumps}), t)
+        pmf = gmsp_lattice_pmf(JumpSpec({j: [rate] * len(t) for j, rate in rates.items()}), t)
 
         def draw(scale, seed):
             arr = TriangularArraySpec(n=scale, probs=lambda l, j, sc: rates[j] / sc)
-            return gmsp_array_sample(arr, jumps, t, args.n, seed=seed)
+            return gmsp_array_sample(arr, sorted(rates), t, args.n, seed=seed)
     elif args.scheme == "alt-array":
-        t_map = _jump_times(rates, args.t, "t")
+        rates, t_map = _alt_jumps(args)
         pmf = alt_lattice_pmf(AltSpec(rates), t_map)
 
         def draw(scale, seed):
             rule = lambda l, ja, j: (rates[ja] / scale) if ja == j else 0.0
-            return alt_array_sample(scale, rule, jumps, t_map, args.n, seed=seed)
-    else:
-        raise ValueError(f"unknown scheme {args.scheme!r}")
+            return alt_array_sample(scale, rule, sorted(rates), t_map, args.n, seed=seed)
     rows = [(scale, tv_distance(draw(scale, args.seed + 7 * i), pmf))
             for i, scale in enumerate(scales)]
     meta = {"scheme": args.scheme, "jumps": args.jumps, "t": args.t,

@@ -267,10 +267,45 @@ def gmsp_lattice_pmf(spec: JumpSpec, t, tail_mass: float = 1e-12) -> LatticePMF:
     return poisson_sum_lattice_pmf(spec.jump_values, _jump_means(spec, t), tail_mass)
 
 
-def _compound_values(rng, counts: np.ndarray, jumps: np.ndarray, pvals: np.ndarray) -> np.ndarray:
-    """sum of `counts[i]` iid jumps per draw, realized through multinomial counts."""
-    cats = rng.multinomial(counts, pvals)
-    return cats @ jumps
+def compound_sums(count_rng, jump_rng, mean: float, n_draws: int, jumps: np.ndarray,
+                  probs: np.ndarray, weights=None) -> np.ndarray:
+    """Draws of sum_{e<=N} X_e W_e with N ~ Poisson(mean) and iid jumps X_e ~ probs.
+
+    The counts come from ``count_rng`` and the jumps, flat in draw order, from
+    ``jump_rng.choice``; ``weights(size)``, when given, draws the W_e (else W = 1).
+    """
+    counts = count_rng.poisson(mean, n_draws)
+    x = jump_rng.choice(jumps, size=int(counts.sum()), p=probs)
+    if weights is not None:
+        x = x * weights(x.size)
+    return np.bincount(np.repeat(np.arange(n_draws), counts), weights=x, minlength=n_draws)
+
+
+def peraxis_compound_sums(spec: JumpSpec, tt: np.ndarray, n_draws: int, axis_draws,
+                          scale: float = 1.0) -> np.ndarray:
+    """sum_k scale * (compound sum on axis k), drawn by :func:`compound_sums`.
+
+    Axis k has Poisson(t_k sum_j lam_jk) jumps, j at probability
+    lam_jk / sum_j lam_jk; ``axis_draws[k]`` is its (count_rng, jump_rng, weights).
+    """
+    rates = spec.rate_matrix
+    values = np.zeros(n_draws)
+    for k, (count_rng, jump_rng, weights) in enumerate(axis_draws):
+        axis_rate = float(rates[:, k].sum())
+        values += scale * compound_sums(count_rng, jump_rng, axis_rate * tt[k], n_draws,
+                                        spec.jump_values, rates[:, k] / axis_rate, weights)
+    return values
+
+
+def equalrate_sums(rng, jump_rates: dict, time: float, n_draws: int, weights=None) -> np.ndarray:
+    """:func:`compound_sums` on one Poisson((sum_j lam^(j)) time) clock, jump j at
+    probability lam^(j) / sum_j lam^(j): the equal-rate jump law."""
+    jumps = np.array(sorted(jump_rates), dtype=float)
+    lam = np.array([float(jump_rates[j]) for j in sorted(jump_rates)])
+    if np.any(lam <= 0) or np.any(jumps == 0.0):
+        raise ValueError("jump rates must be positive and jumps nonzero")
+    total = float(lam.sum())
+    return compound_sums(rng, rng, total * time, n_draws, jumps, lam / total, weights)
 
 
 def gmsp_compound_peraxis_sample(spec: JumpSpec, t, n_draws: int, seed: int) -> SampleBatch:
@@ -281,14 +316,8 @@ def gmsp_compound_peraxis_sample(spec: JumpSpec, t, n_draws: int, seed: int) -> 
     """
     tt = as_times(t, spec.dim)
     rng = make_rng(seed)
-    jumps = spec.jump_values
-    rates = spec.rate_matrix
-    values = np.zeros(n_draws, dtype=float)
-    for k in range(spec.dim):
-        axis_rate = float(rates[:, k].sum())
-        counts = rng.poisson(axis_rate * tt[k], n_draws)
-        values += _compound_values(rng, counts, jumps, rates[:, k] / axis_rate)
-    values = _as_lattice(values, jumps)
+    values = peraxis_compound_sums(spec, tt, n_draws, [(rng, rng, None)] * spec.dim)
+    values = _as_lattice(values, spec.jump_values)
     meta = {"process": "gmsp-compound-peraxis", "t": [float(x) for x in tt], "n": int(n_draws)}
     return SampleBatch(values=values, seed=int(seed), meta=meta)
 
@@ -301,14 +330,8 @@ def gmsp_compound_equalrate_sample(jump_rates: dict, m: int, t, n_draws: int, se
     iid jump with mass lam^(j) / sum lam^(j).
     """
     tt = as_times(t, int(m))
-    jumps = np.array(sorted(jump_rates), dtype=float)
-    lam = np.array([float(jump_rates[j]) for j in sorted(jump_rates)])
-    if np.any(lam <= 0) or np.any(jumps == 0.0):
-        raise ValueError("jump rates must be positive and jumps nonzero")
-    total = float(lam.sum())
-    rng = make_rng(seed)
-    counts = rng.poisson(total * float(tt.sum()), n_draws)
-    values = _as_lattice(_compound_values(rng, counts, jumps, lam / total), jumps)
+    values = equalrate_sums(make_rng(seed), jump_rates, float(tt.sum()), n_draws)
+    values = _as_lattice(values, jump_rates)
     meta = {"process": "gmsp-compound-equalrate",
             "jump_rates": {float(j): float(jump_rates[j]) for j in sorted(jump_rates)},
             "m": int(m), "t": [float(x) for x in tt], "n": int(n_draws)}

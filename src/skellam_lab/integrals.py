@@ -6,14 +6,17 @@ with l_k running 1..r_k, the construction whose limit defines the integral.
 
 For additive paths (MPP, GMSP) the lattice sum is a compound Poisson sum: on
 axis k an event in cell c is counted at the r_k - c + 1 lattice points above
-it, so axis k adds (prod_{k'!=k} t_k') t_k sum_e X_e V_e / r_k over
-Poisson(t_k sum_j lam_jk) events with jumps X_e and V_e uniform on {1..r_k}.
-A draw costs O(events) at any resolution; U(0,1) weights in place of V_e / r_k
-give the uniform-compound form.  A compound path S_X(N_1(s_1) + ... + N_M(s_M))
-costs what its events cost, not its lattice: each axis places its Poisson
-events in uniform cells, the sorted cells give the histogram of lattice counts
-on that axis, and the summed count's histogram is their convolution, batched
-over draws.
+it, so axis k adds (prod_{k'!=k} t_k') t_k / r_k = (prod_k t_k) / r_k times
+sum_e X_e V_e over Poisson(t_k sum_j lam_jk) events with jumps X_e and V_e
+uniform on {1..r_k}.  Every such sum is drawn by the one compound-Poisson
+kernel :func:`skellam_lab.gmsp.compound_sums`, sum_{e<=N} X_e W_e, with one of
+three weight laws: W = V_e / r_k for the lattice integral, W ~ U(0,1) for the
+uniform-compound forms, and W = 1 for the GMSP compound representations.  A
+draw costs O(events) at any resolution.  A compound path
+S_X(N_1(s_1) + ... + N_M(s_M)) costs what its events cost, not its lattice:
+each axis places its Poisson events in uniform cells, the sorted cells give
+the histogram of lattice counts on that axis, and the summed count's
+histogram is their convolution, batched over draws.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gmsp import JumpSpec
+from .gmsp import JumpSpec, compound_sums, equalrate_sums, peraxis_compound_sums
 from .mpp import as_rates, as_times
 from .records import SampleBatch, make_rng, spawn_rngs
 
@@ -132,6 +135,11 @@ def _compound_integral(spec: CompoundSpec, dom: RectDomain, n_draws, seed):
     return out
 
 
+def _lattice_weights(rng, r):
+    """Weight draw uniform on {1/r, 2/r, ..., 1}: lattice resolution r."""
+    return lambda size: rng.integers(1, r + 1, size) / r
+
+
 def integral_sample(process, dom: RectDomain, n_draws: int, seed: int) -> SampleBatch:
     """Draws of the rectangle integral of an MPP, GMSP, or compound path.
 
@@ -155,7 +163,10 @@ def integral_sample(process, dom: RectDomain, n_draws: int, seed: int) -> Sample
     elif isinstance(process, CompoundSpec):
         values = _compound_integral(process, dom, n_draws, seed)
     else:
-        values = _peraxis_sums(spec, dom.t, n_draws, spawn_rngs(seed, 3 * dom.dim), dom.resolution)
+        rngs = spawn_rngs(seed, 3 * dom.dim)
+        axis_draws = [(rngs[3 * k], rngs[3 * k + 1], _lattice_weights(rngs[3 * k + 2], r))
+                      for k, r in enumerate(dom.resolution)]
+        values = peraxis_compound_sums(spec, dom.t, n_draws, axis_draws, float(np.prod(dom.t)))
     return SampleBatch(values=values, seed=int(seed), meta=meta)
 
 
@@ -237,42 +248,12 @@ def integral_cf_levy(psis, t, u: float) -> complex:
     return complex(np.exp(total))
 
 
-def _segment_sums(jump_rng, weight_rng, counts, values, probs, resolution=None) -> np.ndarray:
-    """Per-draw sums of count_i iid jump * weight products.
-
-    Weights are U(0,1), or uniform on {1/r, 2/r, ..., 1} at a lattice resolution r.
-    """
-    total = int(counts.sum())
-    x = jump_rng.choice(values, size=total, p=probs)
-    if resolution is None:
-        w = weight_rng.random(total)
-    else:
-        w = weight_rng.integers(1, resolution + 1, total) / resolution
-    idx = np.repeat(np.arange(counts.size), counts)
-    return np.bincount(idx, weights=x * w, minlength=counts.size)
-
-
-def _peraxis_sums(spec: JumpSpec, tt: np.ndarray, n_draws: int, rngs, resolution) -> np.ndarray:
-    """Draws of sum_k (prod_{k'!=k} t_k') t_k * (compound sum on axis k).
-
-    Axis k has Poisson(t_k sum_j lam_jk) events with jump j at probability
-    lam_jk / sum_j lam_jk, drawn from the count, jump and weight generators
-    ``rngs[3k:3k+3]``, and weights at lattice resolution ``resolution[k]``.
-    """
-    rates = spec.rate_matrix
-    values = np.zeros(n_draws)
-    for k in range(spec.dim):
-        count_rng, jump_rng, weight_rng = rngs[3 * k:3 * k + 3]
-        axis_rate = float(rates[:, k].sum())
-        counts = count_rng.poisson(axis_rate * tt[k], n_draws)
-        sums = _segment_sums(jump_rng, weight_rng, counts, spec.jump_values,
-                             rates[:, k] / axis_rate, resolution[k])
-        values += float(np.prod(np.delete(tt, k))) * tt[k] * sums
-    return values
-
-
 def uniform_compound_sample(kind: str, params: dict, n_draws: int, seed: int) -> SampleBatch:
     """Uniform-weighted compound forms that match rectangle integrals in law.
+
+    Each form is (prod_k t_k) times draws of the compound-Poisson kernel
+    :func:`skellam_lab.gmsp.compound_sums` with U(0,1) weights U_r, all from
+    one make_rng(seed).
 
     kind "compound-mpp":   params rates (one rate), values, probs, t
         t * sum_{r<=N(t)} X_r U_r with N(t) ~ Poisson(rate * t).  Only the
@@ -280,9 +261,10 @@ def uniform_compound_sample(kind: str, params: dict, n_draws: int, seed: int) ->
         S_X(N_1(s_1) + ... + N_M(s_M)) has a larger variance.
     kind "gmsp-peraxis":   params spec (JumpSpec), t
         per-axis Poisson counts with axis jump laws, each axis sum scaled by
-        (prod_{k'!=k} t_k') t_k.
+        (prod_{k'!=k} t_k') t_k = prod_k t_k.
     kind "gmsp-equalrate": params jump_rates, m, t
-        one Poisson((sum lam)(sum t)) count with the global jump law.
+        one Poisson((sum lam)(sum t)) count with the global jump law; rates
+        must be positive and jumps nonzero.
     """
     rng = make_rng(seed)
     params = dict(params)
@@ -299,8 +281,8 @@ def uniform_compound_sample(kind: str, params: dict, n_draws: int, seed: int) ->
         tt = as_times(take("t"), spec.rates.size)
         if params:
             raise ValueError(f"unexpected parameters for {kind}: {sorted(params)}")
-        counts = rng.poisson(float(spec.rates @ tt), n_draws)
-        values = float(np.prod(tt)) * _segment_sums(rng, rng, counts, spec.values, spec.probs)
+        values = float(np.prod(tt)) * compound_sums(rng, rng, float(spec.rates @ tt), n_draws,
+                                                    spec.values, spec.probs, rng.random)
     elif kind == "gmsp-peraxis":
         spec = take("spec")
         if not isinstance(spec, JumpSpec):
@@ -308,19 +290,16 @@ def uniform_compound_sample(kind: str, params: dict, n_draws: int, seed: int) ->
         tt = as_times(take("t"), spec.dim)
         if params:
             raise ValueError(f"unexpected parameters for {kind}: {sorted(params)}")
-        values = _peraxis_sums(spec, tt, n_draws, [rng] * (3 * spec.dim), [None] * spec.dim)
+        values = peraxis_compound_sums(spec, tt, n_draws, [(rng, rng, rng.random)] * spec.dim,
+                                       float(np.prod(tt)))
     elif kind == "gmsp-equalrate":
         jump_rates = take("jump_rates")
         m = int(take("m"))
         tt = as_times(take("t"), m)
         if params:
             raise ValueError(f"unexpected parameters for {kind}: {sorted(params)}")
-        jumps = np.array(sorted(jump_rates), dtype=float)
-        lam = np.array([float(jump_rates[j]) for j in sorted(jump_rates)])
-        if np.any(lam <= 0):
-            raise ValueError("jump rates must be positive")
-        counts = rng.poisson(float(lam.sum() * tt.sum()), n_draws)
-        values = float(np.prod(tt)) * _segment_sums(rng, rng, counts, jumps, lam / lam.sum())
+        values = float(np.prod(tt)) * equalrate_sums(rng, jump_rates, float(tt.sum()), n_draws,
+                                                     rng.random)
     else:
         raise ValueError(f"unknown uniform-compound kind {kind!r}")
 

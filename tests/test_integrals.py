@@ -64,6 +64,26 @@ def test_integral_mean_two_dimensional():
     assert abs(batch.values.mean() - exact) < 5 * se + 0.05
 
 
+@pytest.mark.parametrize("process", [[0.9, 0.4, 1.7],
+                                     JumpSpec({1: (0.7, 0.4, 0.5), -1: (0.5, 0.6, 0.3),
+                                               2.5: (0.2, 0.1, 0.4)})])
+def test_three_axis_integral_matches_exact_lattice_moments(process):
+    # axis k adds prod(t) * sum_e X_e V_e / r_k over Poisson(t_k sum_j lam_jk) events
+    # with V_e uniform on {1..r_k}: E[V/r] = (r+1)/(2r), E[(V/r)^2] = (r+1)(2r+1)/(6r^2)
+    spec = process if isinstance(process, JumpSpec) else JumpSpec({1: process})
+    t, r = np.array([1.1, 0.7, 1.3]), np.array([8, 5, 11])
+    batch = integral_sample(process, RectDomain(t=t, resolution=r), 100_000, seed=21)
+    jumps, rates = spec.jump_values[:, None], spec.rate_matrix
+    mean = np.prod(t) * np.sum(t * np.sum(rates * jumps, axis=0) * (r + 1) / (2 * r))
+    var = np.prod(t) ** 2 * np.sum(
+        t * np.sum(rates * jumps**2, axis=0) * (r + 1) * (2 * r + 1) / (6 * r**2))
+    x = batch.values
+    assert abs(x.mean() - mean) < 5 * x.std() / math.sqrt(x.size)
+    s2 = x.var(ddof=1)
+    se_var = math.sqrt(np.mean((x - x.mean()) ** 4) - s2**2) / math.sqrt(x.size)
+    assert abs(s2 - var) < 5 * se_var
+
+
 def test_integral_sample_chunking_is_stream_stable():
     dom = RectDomain(t=[1.0, 1.0], resolution=32)
     long = integral_sample([1.0, 0.5], dom, 5000, seed=9)
@@ -255,6 +275,10 @@ def test_uniform_compound_rejects_mismatched_params():
             {"spec": JumpSpec({1: (1.0,)}), "t": [1.0], "extra": 3},
             5,
             seed=0,
+        )
+    with pytest.raises(ValueError, match="nonzero"):
+        uniform_compound_sample(
+            "gmsp-equalrate", {"jump_rates": {0: 1.0, 1: 0.5}, "m": 1, "t": [1.0]}, 5, seed=0
         )
 
 
