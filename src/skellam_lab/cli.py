@@ -17,9 +17,7 @@ import numpy as np
 
 from .altskellam import (
     AltSpec,
-    alt_array_sample,
     alt_increment_cf,
-    alt_lattice_pmf,
     alt_sample,
     twoparam_skellam_pmf,
 )
@@ -32,8 +30,6 @@ from .fractional import (
 )
 from .gmsp import (
     JumpSpec,
-    TriangularArraySpec,
-    gmsp_array_sample,
     gmsp_cf,
     gmsp_compound_equalrate_sample,
     gmsp_compound_peraxis_sample,
@@ -41,12 +37,12 @@ from .gmsp import (
     gmsp_sample,
     msp_pmf,
 )
-from .identities import IDENTITIES, run_identity
+from .identities import IDENTITIES, array_tvs, run_identity
 from .integrals import CompoundSpec, RectDomain, integral_cf_gmsp, integral_cf_mpp, integral_sample
 from .mpp import as_rates, as_times
 from .records import SampleBatch, make_rng
 from .special import SeriesControl, frac_poisson_pmf
-from .stats import empirical_cf, tv_distance
+from .stats import empirical_cf
 
 __all__ = ["main"]
 
@@ -302,7 +298,7 @@ def _cmd_pmf(args) -> None:
 
 def _cmd_cf(args) -> None:
     grid = _parse_ugrid(args.u)
-    radius = draw = None
+    radius = None
     if args.process == "gmsp":
         spec, t = _jump_spec(args)
         meta = {"process": "gmsp", "jumps": args.jumps, "t": t}
@@ -313,6 +309,8 @@ def _cmd_cf(args) -> None:
         spec = AltSpec(rates)
         s_map = {j: 0.0 for j in rates} if args.s is None else _jump_times(rates, args.s, "s")
         exact = lambda u: alt_increment_cf(spec, s_map, t_map, u)
+        # independent increments: the increment has the law of the process at t - s
+        draw = lambda: alt_sample(spec, {j: t_map[j] - s_map[j] for j in rates}, args.n, args.seed)
         meta = {"process": "alt-increment", "jumps": args.jumps,
                 "s": list(s_map.values()), "t": list(t_map.values())}
     elif args.process == "integral-mpp":
@@ -321,18 +319,18 @@ def _cmd_cf(args) -> None:
         t = _parse_floats(args.t, "t")
         meta = {"process": "integral-mpp", "rates": lam, "t": t}
         exact = lambda u: integral_cf_mpp(lam, t, u)
-        if args.empirical:
-            meta.update(n=args.n, resolution=args.r)  # the artifact lists n before resolution
-            dom = RectDomain(t=t, resolution=args.r)
-            draw = lambda: integral_sample(lam, dom, args.n, args.seed)
+        draw = lambda: integral_sample(lam, RectDomain(t=t, resolution=args.r), args.n, args.seed)
     elif args.process == "integral-gmsp":
         spec, t = _jump_spec(args)
         exact = lambda u: integral_cf_gmsp(spec, t, u)
+        draw = lambda: integral_sample(spec, RectDomain(t=t, resolution=args.r), args.n, args.seed)
         meta = {"process": "integral-gmsp", "jumps": args.jumps, "t": t}
-    if args.empirical and draw is not None:
+    if args.empirical:
+        meta["n"] = args.n
+        if args.process.startswith("integral-"):
+            meta["resolution"] = args.r
         table = empirical_cf(draw(), grid)
         values, radius = table.values, table.radius
-        meta["n"] = args.n
     else:
         values = [exact(u) for u in grid]
     meta["seed"] = args.seed
@@ -394,27 +392,16 @@ def _cmd_converge(args) -> None:
         _require(args, "jumps", "t")
         rates = _parse_single_rate_jumps(args.jumps)
         t = _parse_floats(args.t, "t")
-        pmf = gmsp_lattice_pmf(JumpSpec({j: [rate] * len(t) for j, rate in rates.items()}), t)
-
-        def draw(scale, seed):
-            arr = TriangularArraySpec(n=scale, probs=lambda l, j, sc: rates[j] / sc)
-            return gmsp_array_sample(arr, sorted(rates), t, args.n, seed=seed)
-    elif args.scheme == "alt-array":
-        rates, t_map = _alt_jumps(args)
-        pmf = alt_lattice_pmf(AltSpec(rates), t_map)
-
-        def draw(scale, seed):
-            rule = lambda l, ja, j: (rates[ja] / scale) if ja == j else 0.0
-            return alt_array_sample(scale, rule, sorted(rates), t_map, args.n, seed=seed)
-    rows = [(scale, tv_distance(draw(scale, args.seed + 7 * i), pmf))
-            for i, scale in enumerate(scales)]
+    else:
+        rates, t = _alt_jumps(args)
+    tvs = array_tvs(args.scheme, rates, t, scales, args.n, args.seed)
     meta = {"scheme": args.scheme, "jumps": args.jumps, "t": args.t,
             "scales": scales, "n": args.n, "seed": args.seed}
     if args.format == "json":
-        doc = {"meta": meta, "scale": [r[0] for r in rows], "tv_distance": [r[1] for r in rows]}
+        doc = {"meta": meta, "scale": scales, "tv_distance": tvs}
         _emit(_json(doc) + "\n", args.out)
     else:
-        _emit(_csv(meta, ["scale", "tv_distance"], rows), args.out)
+        _emit(_csv(meta, ["scale", "tv_distance"], zip(scales, tvs)), args.out)
 
 
 def _cmd_verify(args) -> None:

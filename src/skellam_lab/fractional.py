@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import SampleBatch, make_rng
+from .records import SampleBatch, make_rng, spawn_rngs
 from .special import (DEFAULT_CONTROL, SeriesControl, TruncationError, frac_poisson_pmf,
                       sum_series, wright_psi23)
 
@@ -104,10 +104,9 @@ def frac_skellam_sample(spec: FracSkellamSpec, t1: float, t2: float,
     """
     if t1 < 0 or t2 < 0:
         raise ValueError("times must be nonnegative")
-    seqs = np.random.SeedSequence(int(seed)).spawn(2)
+    rng1, rng2 = spawn_rngs(seed, 2)
     sides = []
-    for rng, lam, alpha, t in ((np.random.default_rng(seqs[0]), spec.lam1, spec.alpha, t1),
-                               (np.random.default_rng(seqs[1]), spec.lam2, spec.beta, t2)):
+    for rng, lam, alpha, t in ((rng1, spec.lam1, spec.alpha, t1), (rng2, spec.lam2, spec.beta, t2)):
         sides.append(rng.poisson(lam * _inv_stable_clock(rng, alpha, t, n_draws)))
     values = sides[0].astype(np.int64) - sides[1].astype(np.int64)
     meta = {"process": "frac-skellam", "lam1": spec.lam1, "lam2": spec.lam2,

@@ -338,28 +338,6 @@ def gmsp_compound_equalrate_sample(jump_rates: dict, m: int, t, n_draws: int, se
     return SampleBatch(values=values, seed=int(seed), meta=meta)
 
 
-def grouped_threepoint_sums(rng, prob_rows: np.ndarray, jumps: np.ndarray, n_draws: int) -> np.ndarray:
-    """Sum of independent three-point variables with per-row jump probabilities.
-
-    Row l of ``prob_rows`` gives P{X_l = jumps[c]}; the remaining mass puts
-    X_l at 0.  Rows with identical probabilities are grouped and realized as
-    one multinomial (the sum of identically distributed summands only depends
-    on their category counts), which keeps scale-10^3 arrays cheap.
-    """
-    if np.any(prob_rows < 0.0) or np.any(prob_rows >= 1.0):
-        raise ValueError("three-point probabilities must lie in [0, 1)")
-    row_sums = prob_rows.sum(axis=1)
-    if np.any(row_sums >= 1.0):
-        raise ValueError("jump probabilities must sum below 1 for every summand")
-    values = np.zeros(n_draws, dtype=float)
-    rows, counts = np.unique(prob_rows, axis=0, return_counts=True)
-    for row, mult in zip(rows, counts):
-        pvals = np.append(row, 1.0 - row.sum())
-        cats = rng.multinomial(int(mult), pvals, size=n_draws)
-        values += cats[:, :-1] @ jumps
-    return values
-
-
 def sorted_jumps(jumps) -> np.ndarray:
     """Jump values as a sorted float array; zero is rejected."""
     jump_vals = np.array(sorted(float(j) for j in jumps))
@@ -374,18 +352,26 @@ def array_sums(scale, axis_times: dict, rule, jump_vals: np.ndarray,
 
     ``axis_times`` maps each axis label to its time, in drawing order;
     ``rule(l, axis, j)`` is the probability that the l-th summand on that
-    axis equals jump j, with the residual mass it is 0.  All axes draw from
-    one make_rng(seed).
+    axis equals jump j, with the residual mass it is 0.  The probability rows
+    of every axis are built in one pass and identical rows, on any axes, are
+    grouped: the sum of identically distributed summands depends only on
+    their category counts, so each distinct row is one multinomial, drawn in
+    sorted-row order from one make_rng(seed).  This keeps scale-10^3 arrays
+    cheap.
     """
+    rows = np.array([[rule(l, axis, j) for j in jump_vals]
+                     for axis, t_axis in axis_times.items()
+                     for l in range(1, int(math.floor(scale * t_axis)) + 1)],
+                    dtype=float).reshape(-1, jump_vals.size)
+    if np.any(rows < 0.0) or np.any(rows >= 1.0):
+        raise ValueError("three-point probabilities must lie in [0, 1)")
+    if np.any(rows.sum(axis=1) >= 1.0):
+        raise ValueError("jump probabilities must sum below 1 for every summand")
     rng = make_rng(seed)
     values = np.zeros(n_draws, dtype=float)
-    for axis, t_axis in axis_times.items():
-        n_summands = int(math.floor(scale * t_axis))
-        if n_summands == 0:
-            continue
-        rows = np.array([[rule(l, axis, j) for j in jump_vals]
-                         for l in range(1, n_summands + 1)])
-        values += grouped_threepoint_sums(rng, rows, jump_vals, n_draws)
+    for row, mult in zip(*np.unique(rows, axis=0, return_counts=True)):
+        cats = rng.multinomial(int(mult), np.append(row, 1.0 - row.sum()), size=n_draws)
+        values += cats[:, :-1] @ jump_vals
     return _as_lattice(values, jump_vals)
 
 

@@ -38,7 +38,7 @@ from .records import LatticePMF
 from .special import poisson_pmf
 from .stats import TestReport, empirical_cf, ks_two_sample, lattice_chi2, lattice_chi2_two_sample, tv_distance
 
-__all__ = ["IDENTITIES", "run_identity"]
+__all__ = ["IDENTITIES", "array_tvs", "run_identity"]
 
 LEVEL = 1e-3
 
@@ -122,15 +122,39 @@ def compound_equalrate(seed=0, n=100_000):
     return lattice_chi2_two_sample(direct, compound, level=LEVEL, identity="compound-equalrate")
 
 
-def _array_report(identity, seed, n, pmf, draw):
-    """TV to the limit law at scales 10, 100, 1000, drawn by ``draw(scale, seed)``.
+def array_tvs(scheme: str, rates: dict, t, scales, n: int, seed: int) -> list[float]:
+    """TV to the limit law of ``n`` triangular-array draws at each of ``scales``.
 
-    Passes when the three distances decrease and the last is at most 0.02.
+    Scale i draws at seed + 7 i.  ``gmsp-array``: rule rates[j] / scale on
+    every axis of the time list t; the limit is the GMSP with rates
+    (rates[j], ..., rates[j]).  ``alt-array``: the Kronecker rule,
+    rates[j] / scale for jump j on axis j only, over the jump-keyed time map
+    t; the limit is the alternate process.
+    """
+    if scheme == "gmsp-array":
+        pmf = gmsp_lattice_pmf(JumpSpec({j: [rate] * len(t) for j, rate in rates.items()}), t)
+
+        def draw(scale, s):
+            arr = TriangularArraySpec(n=scale, probs=lambda l, j, sc: rates[j] / sc)
+            return gmsp_array_sample(arr, sorted(rates), t, n, seed=s)
+    elif scheme == "alt-array":
+        pmf = alt_lattice_pmf(AltSpec(rates), t)
+
+        def draw(scale, s):
+            rule = lambda l, ja, j: (rates[ja] / scale) if ja == j else 0.0
+            return alt_array_sample(scale, rule, sorted(rates), t, n, seed=s)
+    else:
+        raise ValueError(f"unknown array scheme {scheme!r}")
+    return [tv_distance(draw(scale, seed + 7 * i), pmf) for i, scale in enumerate(scales)]
+
+
+def _array_report(identity, seed, n, tvs):
+    """Passes when the TVs at scales 10, 100, 1000 decrease and the last is at most 0.02.
+
     When they do not decrease the report fails with no critical value: the
     statistic (the scale-1000 TV) can then be small, and it did not decide the
     verdict.
     """
-    tvs = [tv_distance(draw(scale, seed + 7 * i), pmf) for i, scale in enumerate((10, 100, 1000))]
     decreasing = tvs[0] > tvs[1] > tvs[2]
     return TestReport(identity=identity, statistic=float(tvs[2]), p_value=None,
                       n_samples=int(n), seed=int(seed), verdict=decreasing and tvs[2] <= 0.02,
@@ -144,26 +168,14 @@ def array_gmsp(seed=0, n=4_000_000):
     count keeps the TV estimator's noise floor (~ sqrt(atoms / n) / 2) below
     the scale-100 vs scale-1000 gap.
     """
-    lam = {1: 4.0, -1: 2.5}
-    pmf = gmsp_lattice_pmf(JumpSpec({j: (l, l) for j, l in lam.items()}), _T2)
-
-    def draw(scale, s):
-        arr = TriangularArraySpec(n=scale, probs=lambda l, j, sc: lam[j] / sc)
-        return gmsp_array_sample(arr, sorted(lam), _T2, n, seed=s)
-
-    return _array_report("array-gmsp", seed, n, pmf, draw)
+    tvs = array_tvs("gmsp-array", {1: 4.0, -1: 2.5}, _T2, (10, 100, 1000), n, seed)
+    return _array_report("array-gmsp", seed, n, tvs)
 
 
 def array_alt(seed=0, n=1_000_000):
     """Kronecker-rule triangular array approaches the alternate Skellam law."""
-    spec = AltSpec({1: 2.0, -1: 1.5})
-    t = {1: 1.0, -1: 1.0}
-
-    def draw(scale, s):
-        rule = lambda l, ja, j: (spec.rates[ja] / scale) if ja == j else 0.0
-        return alt_array_sample(scale, rule, sorted(spec.rates), t, n, seed=s)
-
-    return _array_report("array-alt", seed, n, alt_lattice_pmf(spec, t), draw)
+    tvs = array_tvs("alt-array", {1: 2.0, -1: 1.5}, {1: 1.0, -1: 1.0}, (10, 100, 1000), n, seed)
+    return _array_report("array-alt", seed, n, tvs)
 
 
 def integral_cf(seed=0, n=20_000):

@@ -121,6 +121,30 @@ def test_cf_grid_grammar_and_empirical_radius(tmp_path):
     assert len(lines) == 2 + 5  # grid -1,-0.5,0,0.5,1
 
 
+@pytest.mark.parametrize("argv, meta_tail", [
+    (["cf", "--process", "integral-gmsp", "--jumps", "1:0.7,0.4;-1:0.5,0.6", "--t", "1.0,1.5",
+      "--r", "64"], ["n", "resolution", "seed"]),
+    (["cf", "--process", "alt-increment", "--jumps", "1:1.0;-1:0.5", "--s", "0.2,0.5",
+      "--t", "1.0,2.0"], ["n", "seed"]),
+])
+def test_cf_empirical_draws_for_every_process(tmp_path, argv, meta_tail):
+    argv = argv + ["--u", "0.5,1.0", "--n", "4000", "--seed", "3"]
+    code, data = run_cli(argv + ["--empirical"], tmp_path, out_name="emp.csv")
+    assert code == 0
+    lines = data.decode().splitlines()
+    meta = json.loads(lines[0][len("# meta: "):])
+    assert list(meta)[-len(meta_tail):] == meta_tail and meta["n"] == 4000
+    assert lines[1] == "u,re,im,radius"
+    code, exact_data = run_cli(argv, tmp_path, out_name="exact.csv")
+    assert code == 0
+    exact = exact_data.decode().splitlines()[2:]
+    for row, exact_row in zip(lines[2:], exact):
+        u, re_, im, radius = map(float, row.split(","))
+        _, ex_re, ex_im = map(float, exact_row.split(","))
+        assert radius == pytest.approx(4.0 / 4000**0.5)
+        assert 0.0 < abs(complex(re_ - ex_re, im - ex_im)) <= radius
+
+
 def test_cf_integral_gmsp_levy_route(tmp_path):
     code, data = run_cli(
         ["cf", "--process", "integral-gmsp", "--jumps", "1:1.0", "--t", "1.0",
@@ -204,6 +228,19 @@ def test_converge_rows(tmp_path):
     assert float(rows[0][1]) > float(rows[1][1])
 
 
+def test_converge_last_row_is_the_array_identity_statistic(tmp_path):
+    from skellam_lab.identities import run_identity
+    code, data = run_cli(
+        ["converge", "--scheme", "gmsp-array", "--jumps", "1:4.0;-1:2.5",
+         "--t", "1.0,1.0", "--scales", "10,100,1000", "--n", "20000", "--seed", "4"],
+        tmp_path,
+    )
+    assert code == 0
+    last = data.decode().splitlines()[-1].split(",")
+    assert last[0] == "1000"
+    assert float(last[1]) == run_identity("array-gmsp", seed=4, n=20_000).statistic
+
+
 def test_verify_report_schema(tmp_path):
     code, data = run_cli(["verify", "--identity", "compound-equalrate", "--seed", "3"], tmp_path)
     assert code == 0
@@ -222,6 +259,9 @@ def test_bad_params_exit_nonzero(tmp_path, capsys):
     capsys.readouterr()
     assert main(["converge", "--scheme", "alt-array", "--t", "1.0"]) == 1
     assert "--jumps is required" in capsys.readouterr().err
+    assert main(["cf", "--process", "alt-increment", "--jumps", "1:1.0", "--s", "2.0",
+                 "--t", "1.0", "--u", "1", "--empirical"]) == 1
+    assert "nonnegative" in capsys.readouterr().err
     assert main(["integral", "--process", "mpp", "--rates", "1.0"]) == 1
     assert "--t is required" in capsys.readouterr().err
 

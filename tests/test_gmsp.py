@@ -297,6 +297,25 @@ def test_array_single_jump_poisson_binomial_oracle():
     assert report.verdict, f"p={report.p_value}"
 
 
+def test_array_two_axis_law_is_the_convolution_power():
+    # array-gmsp's rule at scale 100: 2 axes x 100 iid three-point summands,
+    # all grouped into one multinomial; the exact law is the 200-fold power
+    lam, scale = {1: 4.0, -1: 2.5}, 100
+    step = np.array([lam[-1] / scale, 1.0 - (lam[1] + lam[-1]) / scale, lam[1] / scale])
+    law, power = np.array([1.0]), 2 * scale
+    while power:  # binary powering with np.convolve
+        if power & 1:
+            law = np.convolve(law, step)
+        step = np.convolve(step, step)
+        power >>= 1
+    assert law.sum() == pytest.approx(1.0, abs=1e-12)
+    spec = TriangularArraySpec(n=scale, probs=lambda l, j, n: lam[j] / n)
+    # 1e6 draws reject a kernel that drops one of the 200 summands
+    batch = gmsp_array_sample(spec, [1, -1], (1.0, 1.0), 1_000_000, seed=61)
+    report = lattice_chi2(batch, LatticePMF(-2 * scale, law))
+    assert report.verdict, f"p={report.p_value}"
+
+
 @given(st.floats(-5.0, 5.0))
 @settings(max_examples=60, deadline=None)
 def test_cf_modulus_bounded(u):
