@@ -9,6 +9,7 @@ and all samplers run off explicit seeds.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -75,9 +76,12 @@ def _json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _csv(meta: dict, header: list[str], rows) -> str:
+def _csv(meta: dict, fields: dict) -> str:
+    header = ["value" if name == "values" else name for name in fields]
+    columns = [f if isinstance(f, (list, np.ndarray)) else itertools.repeat(f)
+               for f in fields.values()]
     lines = [f"# meta: {_json(meta)}", ",".join(header)]
-    for row in rows:
+    for row in zip(*columns):
         lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
 
@@ -90,38 +94,26 @@ def _emit(text: str, out: str | None):
             fh.write(text)
 
 
-def _batch_artifact(batch: SampleBatch, fmt: str, out: str | None):
-    meta = dict(batch.meta)
-    meta["seed"] = batch.seed
-    if fmt == "json":
-        _emit(_json({"meta": meta, "values": batch.values}) + "\n", out)
-    else:
-        _emit(_csv(meta, ["value"], ((v,) for v in batch.values)), out)
+def _write(meta: dict, fields: dict, args) -> None:
+    """Write one artifact: ``meta`` with the seed as its last key, then ``fields``.
+
+    JSON is ``{"meta": ..., **fields}``.  CSV makes each list field a column
+    (``values`` is headed ``value``) and repeats each scalar field on every
+    row; a dict field is a table of its own, written to ``OUT.<name>.csv``, or
+    to stdout after the main table when there is no ``--out``.
+    """
+    meta = {**meta, "seed": args.seed}
+    if args.format == "json":
+        _emit(_json({"meta": meta, **fields}) + "\n", args.out)
+        return
+    _emit(_csv(meta, {k: f for k, f in fields.items() if not isinstance(f, dict)}), args.out)
+    for name, table in fields.items():
+        if isinstance(table, dict):
+            _emit(_csv(meta, table), None if args.out is None else f"{args.out}.{name}.csv")
 
 
-def _pmf_artifact(meta, ns, probs, tail, fmt, out):
-    if fmt == "json":
-        doc = {"meta": meta, "n": list(ns), "probability": list(probs), "truncation_mass": tail}
-        _emit(_json(doc) + "\n", out)
-    else:
-        _emit(_csv(meta, ["n", "probability", "truncation_mass"],
-                   ((n, p, tail) for n, p in zip(ns, probs))), out)
-
-
-def _cf_artifact(meta, u, values, radius, fmt, out):
-    re_, im = [v.real for v in values], [v.imag for v in values]
-    if fmt == "json":
-        doc = {"meta": meta, "u": list(u), "re": re_, "im": im}
-        if radius is not None:
-            doc["radius"] = list(radius)
-        _emit(_json(doc) + "\n", out)
-    else:
-        if radius is None:
-            rows = zip(u, re_, im)
-            _emit(_csv(meta, ["u", "re", "im"], rows), out)
-        else:
-            rows = zip(u, re_, im, radius)
-            _emit(_csv(meta, ["u", "re", "im", "radius"], rows), out)
+def _cf_fields(u, values) -> dict:
+    return {"u": list(u), "re": [v.real for v in values], "im": [v.imag for v in values]}
 
 
 # ---------------------------------------------------------------- parsing
@@ -245,7 +237,7 @@ def _cmd_simulate(args) -> None:
     elif args.process == "inv-stable":
         _require(args, "alpha", "t1")
         batch = inv_stable_marginal_sample(args.alpha, args.t1, n, seed)
-    _batch_artifact(batch, args.format, args.out)
+    _write(batch.meta, {"values": batch.values}, args)
 
 
 def _series_control(args) -> SeriesControl:
@@ -292,13 +284,11 @@ def _cmd_pmf(args) -> None:
                 "alpha": args.alpha, "nmax": nmax, "abs_tol": ctl.abs_tol,
                 "max_terms": ctl.max_terms}
     tail = max(0.0, 1.0 - math.fsum(probs))
-    meta["seed"] = args.seed
-    _pmf_artifact(meta, ns, probs, tail, args.format, args.out)
+    _write(meta, {"n": ns, "probability": probs, "truncation_mass": tail}, args)
 
 
 def _cmd_cf(args) -> None:
     grid = _parse_ugrid(args.u)
-    radius = None
     if args.process == "gmsp":
         spec, t = _jump_spec(args)
         meta = {"process": "gmsp", "jumps": args.jumps, "t": t}
@@ -330,11 +320,10 @@ def _cmd_cf(args) -> None:
         if args.process.startswith("integral-"):
             meta["resolution"] = args.r
         table = empirical_cf(draw(), grid)
-        values, radius = table.values, table.radius
+        fields = {**_cf_fields(grid, table.values), "radius": table.radius}
     else:
-        values = [exact(u) for u in grid]
-    meta["seed"] = args.seed
-    _cf_artifact(meta, grid, values, radius, args.format, args.out)
+        fields = _cf_fields(grid, [exact(u) for u in grid])
+    _write(meta, fields, args)
 
 
 def _cmd_integral(args) -> None:
@@ -374,20 +363,15 @@ def _cmd_integral(args) -> None:
         else:
             grid, cf_values = [], []
             meta["cf"] = "none: the compound integral law at M >= 2 has no closed form here"
-    meta.update({"t": t, "resolution": args.r, "n": args.n, "seed": args.seed})
-    if args.format == "json":
-        doc = {"meta": meta, "values": batch.values,
-               "cf": {"u": grid, "re": [v.real for v in cf_values],
-                      "im": [v.imag for v in cf_values]}}
-        _emit(_json(doc) + "\n", args.out)
-    else:
-        _emit(_csv(meta, ["value"], ((v,) for v in batch.values)), args.out)
-        cf_out = None if args.out is None else args.out + ".cf.csv"
-        _cf_artifact(meta, grid, cf_values, None, "csv", cf_out)
+    meta.update({"t": t, "resolution": args.r, "n": args.n})
+    _write(meta, {"values": batch.values, "cf": _cf_fields(grid, cf_values)}, args)
 
 
 def _cmd_converge(args) -> None:
-    scales = [int(s) for s in _parse_floats(args.scales, "scales")]
+    scales = _parse_floats(args.scales, "scales")
+    if not all(s.is_integer() and s >= 1 for s in scales):
+        raise ValueError(f"--scales must list positive integers, got {args.scales!r}")
+    scales = [int(s) for s in scales]
     if args.scheme == "gmsp-array":
         _require(args, "jumps", "t")
         rates = _parse_single_rate_jumps(args.jumps)
@@ -396,12 +380,8 @@ def _cmd_converge(args) -> None:
         rates, t = _alt_jumps(args)
     tvs = array_tvs(args.scheme, rates, t, scales, args.n, args.seed)
     meta = {"scheme": args.scheme, "jumps": args.jumps, "t": args.t,
-            "scales": scales, "n": args.n, "seed": args.seed}
-    if args.format == "json":
-        doc = {"meta": meta, "scale": scales, "tv_distance": tvs}
-        _emit(_json(doc) + "\n", args.out)
-    else:
-        _emit(_csv(meta, ["scale", "tv_distance"], zip(scales, tvs)), args.out)
+            "scales": scales, "n": args.n}
+    _write(meta, {"scale": scales, "tv_distance": tvs}, args)
 
 
 def _cmd_verify(args) -> None:

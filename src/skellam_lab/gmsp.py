@@ -14,6 +14,7 @@ and per-jump means or axis times, so the alternate process in
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .mpp import as_rates, as_times
 from .records import SampleBatch, LatticePMF, make_rng
-from .special import DEFAULT_CONTROL, SeriesControl, bessel_i, poisson_pmf
+from .special import DEFAULT_CONTROL, SeriesControl, TruncationError, bessel_i, poisson_pmf
 
 __all__ = [
     "JumpSpec",
@@ -218,13 +219,24 @@ def msp_pmf(n: int, rates1, rates2, t) -> float:
 
 
 def _poisson_table(mu: float, tail: float) -> np.ndarray:
-    """Pmf table p_0..p_K with P{X > K} <= tail, by the pmf recurrence."""
+    """Pmf table p_0..p_K with P{X > K} <= tail, by the pmf recurrence.
+
+    Raises :class:`TruncationError` when p_0 = e^{-mu} is below the normal
+    float range (the recurrence would carry its lost digits into every entry)
+    or when the table would pass ``DEFAULT_CONTROL.max_terms`` entries.
+    """
     if mu == 0.0:
         return np.array([1.0])
     probs = [math.exp(-mu)]
+    if probs[0] < sys.float_info.min:
+        raise TruncationError(f"Poisson table for mean {mu!r} starts below the float range", 0.0)
     cum = probs[0]
     k = 0
     while 1.0 - cum > tail:
+        if len(probs) == DEFAULT_CONTROL.max_terms:
+            raise TruncationError(
+                f"Poisson table for mean {mu!r} passed {len(probs)} entries above tail {tail!r}",
+                cum)
         k += 1
         probs.append(probs[-1] * mu / k)
         cum += probs[-1]

@@ -48,7 +48,7 @@ DEFAULT_CONTROL = SeriesControl()
 
 
 class TruncationError(RuntimeError):
-    """A series hit its term cap before converging.
+    """A series or table hit its term cap, or left the float range, before converging.
 
     The partial sum accumulated so far is available as ``partial``.
     """
@@ -98,7 +98,8 @@ def bessel_i(n: int, x: float, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Modified Bessel function of integer order by direct series summation.
 
     Evaluates sum_m (x/2)^(2m+n) / (Gamma(m+n+1) m!) for n = |n|.  Negative x
-    is handled through the parity I_n(-x) = (-1)^n I_n(x).
+    is handled through the parity I_n(-x) = (-1)^n I_n(x).  A term above the
+    float range raises :class:`TruncationError`.
     """
     _check_finite("x", x)
     n = abs(int(n))
@@ -107,9 +108,13 @@ def bessel_i(n: int, x: float, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
         return 1.0 if n == 0 else 0.0
     sign = -1.0 if (x < 0 and n % 2 == 1) else 1.0
     log_half = math.log(half)
-    total, converged = sum_series(
-        (math.exp((2 * m + n) * log_half - math.lgamma(m + n + 1.0) - math.lgamma(m + 1.0))
-         for m in itertools.count()), ctl)
+    try:
+        total, converged = sum_series(
+            (math.exp((2 * m + n) * log_half - math.lgamma(m + n + 1.0) - math.lgamma(m + 1.0))
+             for m in itertools.count()), ctl)
+    except OverflowError:
+        raise TruncationError(f"bessel_i({n}, {x}) has a term above the float range",
+                              sign * math.inf) from None
     if not converged:
         raise TruncationError(f"bessel_i({n}, {x}) did not converge in {ctl.max_terms} terms", sign * total)
     return sign * total

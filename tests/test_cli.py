@@ -88,6 +88,17 @@ def test_pmf_msp_rows_normalize(tmp_path):
     assert float(rows[0][2]) == pytest.approx(1.0 - total, abs=1e-12)
 
 
+def test_pmf_truncation_mass_is_one_scalar_repeated_per_csv_row(tmp_path):
+    argv = ["pmf", "--process", "msp", "--l1", "1", "--l2", "1", "--t", "1,1", "--nmax", "3"]
+    _, data = run_cli(argv + ["--format", "json"], tmp_path)
+    tail = json.loads(data)["truncation_mass"]
+    assert isinstance(tail, float) and tail > 0.0
+    _, data = run_cli(argv, tmp_path)
+    lines = data.decode().splitlines()
+    assert lines[1] == "n,probability,truncation_mass"
+    assert [float(line.split(",")[2]) for line in lines[2:]] == [tail] * 7
+
+
 def test_pmf_seventeen_digit_floats(tmp_path):
     code, data = run_cli(
         ["pmf", "--process", "skellam2", "--l1", "1.0", "--l2", "1.0",
@@ -264,6 +275,10 @@ def test_bad_params_exit_nonzero(tmp_path, capsys):
     assert "nonnegative" in capsys.readouterr().err
     assert main(["integral", "--process", "mpp", "--rates", "1.0"]) == 1
     assert "--t is required" in capsys.readouterr().err
+    for scheme in ("gmsp-array", "alt-array"):
+        assert main(["converge", "--scheme", scheme, "--jumps", "1:2.0;-1:1.5", "--t", "1.0,1.0",
+                     "--scales", "10.7,100", "--n", "2000"]) == 1
+        assert "positive integers" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -280,8 +295,10 @@ def test_bad_params_exit_nonzero(tmp_path, capsys):
     ["converge", "--scheme", "alt-array", "--jumps", "1:2.0;-1:1.5", "--t", "1.0,1.0",
      "--scales", "10,100", "--n", "10000", "--seed", "3"],
     ["verify", "--identity", "frac-wright", "--seed", "5"],
+    ["integral", "--process", "compound", "--rates", "1.3", "--xvalues", "1.0,-1.0",
+     "--xprobs", "0.5,0.5", "--t", "1.2", "--r", "16", "--n", "20", "--format", "json"],
 ])
-def test_byte_identical_reruns(tmp_path, argv):
+def test_byte_identical_reruns(tmp_path, capsys, argv):
     _, first = run_cli(argv, tmp_path, out_name="first.out")
     _, second = run_cli(argv, tmp_path, out_name="second.out")
     assert first == second
@@ -289,6 +306,10 @@ def test_byte_identical_reruns(tmp_path, argv):
         a = (tmp_path / "first.out.cf.csv").read_bytes()
         b = (tmp_path / "second.out.cf.csv").read_bytes()
         assert a == b
+        first += a  # without --out the CF table follows the draws on stdout
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == first
 
 
 def test_console_entry_point_subprocess(tmp_path):

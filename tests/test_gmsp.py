@@ -1,6 +1,8 @@
 """GMSP samplers and closed forms against convolution / DP oracles."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from skellam_lab import (
     msp_pmf,
 )
 from skellam_lab.records import LatticePMF
-from skellam_lab.special import poisson_pmf
+from skellam_lab.special import TruncationError, poisson_pmf
 from skellam_lab.stats import lattice_chi2, lattice_chi2_two_sample
 
 
@@ -184,6 +186,31 @@ def test_lattice_pmf_matches_closed_forms():
         assert table.prob(n) == pytest.approx(
             msp_pmf(n, (1.0, 0.5), (0.5, 0.5), (1.0, 1.0)), abs=1e-10
         )
+
+
+def test_lattice_pmf_at_the_edge_of_the_float_range():
+    table = gmsp_lattice_pmf(JumpSpec({1: (700.0,)}), (1.0,))
+    assert abs(math.fsum(table.probs) + table.tail_mass - 1.0) <= 1e-12
+    assert table.prob(700) == pytest.approx(poisson_pmf(700, 700.0), rel=1e-9)
+    # e^-709 is subnormal: the recurrence would start from a value with lost digits
+    with pytest.raises(TruncationError):
+        gmsp_lattice_pmf(JumpSpec({1: (709.0,)}), (1.0,))
+
+
+@pytest.mark.parametrize("mean, tail_mass", [(746.0, 1e-12), (10.0, 1e-18)])
+def test_lattice_pmf_refuses_instead_of_hanging(mean, tail_mass):
+    # e^-746 is 0 and a tail of 1e-18 is below the rounding of 1 - sum: without
+    # its guards the table loop never ends, so run it where a timeout can stop it
+    code = ("import sys; from skellam_lab import JumpSpec, TruncationError, gmsp_lattice_pmf\n"
+            f"try: gmsp_lattice_pmf(JumpSpec({{1: ({mean},)}}), (1.0,), tail_mass={tail_mass})\n"
+            "except TruncationError: sys.exit(0)\n"
+            "sys.exit(1)")
+    subprocess.run([sys.executable, "-c", code], timeout=30, check=True)
+
+
+def test_msp_pmf_term_overflow_raises_truncation():
+    with pytest.raises(TruncationError):
+        msp_pmf(0, (400.0,), (400.0,), (1.0,))
 
 
 def test_lattice_pmf_requires_integer_jumps():
