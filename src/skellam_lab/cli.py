@@ -42,7 +42,7 @@ from .identities import IDENTITIES, array_tvs, run_identity
 from .integrals import CompoundSpec, RectDomain, integral_cf_gmsp, integral_cf_mpp, integral_sample
 from .mpp import as_rates, as_times
 from .records import SampleBatch, make_rng
-from .special import SeriesControl, frac_poisson_pmf
+from .special import TruncationError, frac_poisson_table
 from .stats import empirical_cf
 
 __all__ = ["main"]
@@ -240,12 +240,10 @@ def _cmd_simulate(args) -> None:
     _write(batch.meta, {"values": batch.values}, args)
 
 
-def _series_control(args) -> SeriesControl:
-    return SeriesControl(abs_tol=args.abs_tol, max_terms=args.max_terms)
-
-
 def _cmd_pmf(args) -> None:
     nmax = args.nmax
+    if nmax < 0:
+        raise ValueError(f"--nmax must be nonnegative, got {nmax}")
     ns = list(range(0 if args.process == "frac-poisson" else -nmax, nmax + 1))
     if args.process == "msp":
         _require(args, "l1", "l2", "t")
@@ -270,19 +268,15 @@ def _cmd_pmf(args) -> None:
         probs = [table.prob(k) for k in ns]
         meta = {"process": "gmsp", "jumps": args.jumps, "t": t, "nmax": nmax}
     elif args.process == "frac-skellam":
-        spec = _frac_spec(args)
-        ctl = _series_control(args)
-        probs = frac_skellam_pmf_table(spec, args.t1, args.t2, ns, ctl)
+        probs = frac_skellam_pmf_table(_frac_spec(args), args.t1, args.t2, ns)
         meta = {"process": "frac-skellam", "l1": float(args.l1), "l2": float(args.l2),
                 "alpha": args.alpha, "beta": args.beta, "t1": args.t1, "t2": args.t2,
-                "nmax": nmax, "abs_tol": ctl.abs_tol, "max_terms": ctl.max_terms}
+                "nmax": nmax}
     elif args.process == "frac-poisson":
         _require(args, "l1", "alpha", "t1")
-        ctl = _series_control(args)
-        probs = [frac_poisson_pmf(k, float(args.l1), args.t1, args.alpha, ctl) for k in ns]
+        probs = frac_poisson_table(nmax, float(args.l1), args.t1, args.alpha)
         meta = {"process": "frac-poisson", "lam": float(args.l1), "t": args.t1,
-                "alpha": args.alpha, "nmax": nmax, "abs_tol": ctl.abs_tol,
-                "max_terms": ctl.max_terms}
+                "alpha": args.alpha, "nmax": nmax}
     tail = max(0.0, 1.0 - math.fsum(probs))
     _write(meta, {"n": ns, "probability": probs, "truncation_mass": tail}, args)
 
@@ -430,8 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--process", required=True,
                    choices=("msp", "skellam2", "gmsp", "frac-skellam", "frac-poisson"))
     p.add_argument("--nmax", type=int, default=20, help="tabulate n in [-nmax, nmax]")
-    p.add_argument("--abs-tol", type=float, default=1e-14, help="series truncation tolerance")
-    p.add_argument("--max-terms", type=int, default=10_000, help="series term cap")
     _add_process_params(p)
     _add_common(p)
     p.set_defaults(func=_cmd_pmf)
@@ -479,7 +471,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except ValueError as exc:
+    except (ValueError, TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .records import SampleBatch, make_rng, spawn_rngs
-from .special import (DEFAULT_CONTROL, SeriesControl, TruncationError, frac_poisson_pmf,
+from .special import (DEFAULT_CONTROL, SeriesControl, TruncationError, frac_poisson_entries,
                       sum_series, wright_psi23)
 
 __all__ = [
@@ -29,6 +29,9 @@ __all__ = [
     "frac_skellam_pmf_wright",
     "frac_skellam_moments",
 ]
+
+
+_TABLE_FLOOR = 1e-20  # a side table's tail starts below this
 
 
 def _check_index(alpha: float) -> float:
@@ -115,42 +118,56 @@ def frac_skellam_sample(spec: FracSkellamSpec, t1: float, t2: float,
     return SampleBatch(values=values, seed=int(seed), meta=meta)
 
 
-def frac_skellam_pmf_table(spec: FracSkellamSpec, t1: float, t2: float, ns,
-                           ctl: SeriesControl = DEFAULT_CONTROL) -> list[float]:
-    """Pmf of the fractional Skellam difference at each n of ``ns``, in order.
+def _grow(table: list, entries, length: int | None = None) -> list:
+    """Extend ``table`` from ``entries`` to ``length`` entries, or else into its tail.
 
-    P{S = n} = sum_l P{N_1(L_1(t1)) = n+ + l} P{N_2(L_2(t2)) = n- + l} where
-    n+ = max(n, 0) and n- = max(-n, 0).  Each factor is the fractional Poisson
-    pmf of its side, evaluated once per index, when an entry first needs it,
-    and shared by every entry after it; so the first factor that raises is
-    the one a separate evaluation of each entry would raise at.  This is the
-    default evaluation path (the Wright double series is the cross-check, see
-    :func:`frac_skellam_pmf_wright`).
+    The tail starts at the first entry below _TABLE_FLOOR that is smaller
+    than the one before it: the law is unimodal, so it only falls from there.
+    Underflowed zeros before a far mode are not smaller, so they run on.
     """
-    sides = ((spec.lam1, t1, spec.alpha, {}), (spec.lam2, t2, spec.beta, {}))
+    def done():
+        if length is not None:
+            return len(table) >= length
+        return len(table) > 1 and table[-1] < _TABLE_FLOOR and table[-1] < table[-2]
 
-    def factor(side, k):
-        lam, t, alpha, values = side
-        if k not in values:
-            values[k] = frac_poisson_pmf(k, lam, t, alpha, ctl)
-        return values[k]
-
-    table = []
-    for n in map(int, ns):
-        n_plus, n_minus = max(n, 0), max(-n, 0)
-        total, converged = sum_series(
-            (factor(sides[0], n_plus + l) * factor(sides[1], n_minus + l)
-             for l in itertools.count()), ctl)
-        if not converged:
-            raise TruncationError(f"frac_skellam_pmf convolution did not converge at n={n}", total)
-        table.append(total)
+    while not done():
+        if len(table) == DEFAULT_CONTROL.max_terms:
+            raise TruncationError(
+                f"a frac_skellam_pmf side table would pass {DEFAULT_CONTROL.max_terms} entries",
+                math.fsum(table))
+        table.append(next(entries))
     return table
 
 
-def frac_skellam_pmf(spec: FracSkellamSpec, t1: float, t2: float, n: int,
-                     ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def frac_skellam_pmf_table(spec: FracSkellamSpec, t1: float, t2: float, ns) -> list[float]:
+    """Pmf of the fractional Skellam difference at each n of ``ns``, in order.
+
+    P{S = n} = sum_l P{N_1(L_1(t1)) = n+ + l} P{N_2(L_2(t2)) = n- + l} where
+    n+ = max(n, 0) and n- = max(-n, 0).  Each side is one quadrature table,
+    run into its tail (K_1, K_2 entries) and on as far as ``ns`` reaches.  An
+    entry sums l < K_2 for n >= 0 and l < K_1 for n < 0, exactly rounded, so
+    it does not depend on the other entries asked for.  The Wright double
+    series is the cross-check (:func:`frac_skellam_pmf_wright`).
+    """
+    ns = [int(n) for n in ns]
+    entries1 = frac_poisson_entries(spec.lam1, t1, spec.alpha)
+    entries2 = frac_poisson_entries(spec.lam2, t2, spec.beta)
+    p1, p2 = _grow([], entries1), _grow([], entries2)
+    k1, k2 = len(p1), len(p2)
+    p1 = np.array(_grow(p1, entries1, max([0, *ns]) + k2))
+    p2 = np.array(_grow(p2, entries2, max([0, *(-n for n in ns)]) + k1))
+    table = []
+    for n in ns:
+        if n >= 0:
+            table.append(math.fsum(p1[n:n + k2] * p2[:k2]))
+        else:
+            table.append(math.fsum(p1[:k1] * p2[-n:k1 - n]))
+    return table
+
+
+def frac_skellam_pmf(spec: FracSkellamSpec, t1: float, t2: float, n: int) -> float:
     """Pmf of the fractional Skellam difference at n: the one-entry table."""
-    return frac_skellam_pmf_table(spec, t1, t2, [n], ctl)[0]
+    return frac_skellam_pmf_table(spec, t1, t2, [n])[0]
 
 
 def frac_skellam_pmf_wright(spec: FracSkellamSpec, t1: float, t2: float, n: int,

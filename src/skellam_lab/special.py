@@ -1,11 +1,13 @@
-"""Scalar series evaluations behind the closed-form distributions.
+"""Series and quadrature evaluations behind the closed-form distributions.
 
 All series are summed in log space with explicit sign bookkeeping: the gamma
-factors overflow double precision long before the series converge, and the
-fractional-Poisson series alternates.  Every series is summed by
-:func:`sum_series` under a :class:`SeriesControl`; it holds the one stop rule,
-three consecutive small terms, because an alternating series can have a
-single accidentally tiny term.
+factors overflow double precision long before the series converge.  Every
+series is summed by :func:`sum_series` under a :class:`SeriesControl`; it
+holds the one stop rule, three consecutive small terms, because an
+alternating series can have a single accidentally tiny term.  The fractional
+Poisson law is no series here: it is a double integral over the Kanter
+representation of the stable clock, taken on one fixed double-exponential
+node grid.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "SeriesControl",
     "DEFAULT_CONTROL",
@@ -21,6 +25,8 @@ __all__ = [
     "sum_series",
     "bessel_i",
     "wright_psi23",
+    "frac_poisson_entries",
+    "frac_poisson_table",
     "frac_poisson_pmf",
 ]
 
@@ -31,7 +37,7 @@ class SeriesControl:
 
     ``abs_tol`` is the absolute tolerance in the stop rule
     ``|term| < abs_tol * (1 + |partial|)``; ``max_terms`` is a hard cap per
-    series index.
+    series index, and ``DEFAULT_CONTROL.max_terms`` caps table lengths too.
     """
 
     abs_tol: float = 1e-14
@@ -177,24 +183,68 @@ def poisson_pmf(n: int, mu: float) -> float:
     return math.exp(-mu + n * math.log(mu) - math.lgamma(n + 1.0))
 
 
-def frac_poisson_pmf(
-    n: int,
-    lam: float,
-    t: float,
-    alpha: float,
-    ctl: SeriesControl = DEFAULT_CONTROL,
-) -> float:
-    """Pmf of a Poisson process run on an inverse alpha-stable clock.
+# p_n = E Pois(n; lam t^alpha B(theta) w^(1-alpha)) over the Kanter
+# representation of the stable clock, integrated on one fixed double-exponential
+# grid (Takahasi & Mori 1974); the integrand is positive, so nothing cancels.
+_STEP = 1.0 / 16  # node spacing of both rules
+_NEGLIGIBLE = 1e-20  # nodes of smaller weight are dropped
+_RESTART = 16  # ratio-recurrence steps between exact log-space restarts
+_DROPPED = 1e-30  # a node past its mean whose pmf is below this is dropped
 
-    For alpha < 1 this is the alternating series
-    ((lam t^alpha)^n / n!) * sum_r ((n+r)!/r!) (-lam t^alpha)^r / Gamma(alpha(n+r)+1),
-    summed pairwise (term 2p combined with term 2p+1) so that the cancellation
-    between neighbours happens in one expm1 instead of a subtraction of two
-    large exponentials.  alpha = 1 is the ordinary Poisson branch.
+
+def _kanter_nodes(alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """(B(theta) w^(1-alpha), weight) at the nodes; the weights sum to 1.
+
+    For theta ~ U(0, pi) and w ~ Exp(1), D^(-alpha) = B(theta) w^(1-alpha) with
+    B(theta) = sin(theta) / (sin(alpha theta)^alpha sin((1-alpha) theta)^(1-alpha)),
+    where D is the stable draw of fractional._stable_draws (Kanter 1975).
+    theta takes tanh-sinh nodes; w takes the nodes w = exp(v - e^(-v)), which
+    grow only like e^v, so the narrow Poisson peaks of large n stay resolved.
     """
-    if n < 0 or n != int(n):
-        raise ValueError("n must be a nonnegative integer")
-    n = int(n)
+    if alpha == 1.0:  # the clock is the identity
+        return np.ones(1), np.ones(1)
+    u = np.arange(-4.0, 4.0 + _STEP / 2, _STEP)  # past +-4 every node weighs under 1e-20
+    s = np.pi * np.sinh(u)
+    theta = np.pi / (1.0 + np.exp(-s))
+    # sin(theta) from the nearer end of (0, pi), and a floor on sin(alpha theta):
+    # its alpha-th power tends to 1, but a subnormal alpha would give 0^alpha = 0
+    b = (np.sin(np.pi / (1.0 + np.exp(np.abs(s))))
+         / (np.maximum(np.sin(alpha * theta), np.finfo(float).tiny) ** alpha
+            * np.sin((1.0 - alpha) * theta) ** (1.0 - alpha)))
+    theta_weight = _STEP * np.pi / 2 * np.cosh(u) / (1.0 + np.cosh(s))
+    w = np.exp(u - np.exp(-u))
+    w_weight = _STEP * (1.0 + np.exp(-u)) * w * np.exp(-w)
+    factor = np.outer(b, w ** (1.0 - alpha)).ravel()
+    weight = np.outer(theta_weight, w_weight).ravel()
+    keep = weight > _NEGLIGIBLE
+    return factor[keep], weight[keep]
+
+
+def _mixture_pmfs(mean: np.ndarray, weight: np.ndarray):
+    """Yield sum_i weight_i Pois(n; mean_i) for n = 0, 1, ...
+
+    The ratio recurrence restarts from the exact log pmf every _RESTART
+    steps, so a node whose e^(-mean) underflows joins once its pmf is back in
+    the float range.  A restart drops the nodes whose pmf only falls from
+    there, before it sinks into slow subnormal arithmetic.
+    """
+    log_mean = np.log(np.maximum(mean, np.finfo(float).tiny))  # a mean of 0 stays at n = 0
+    for n in itertools.count():
+        if n % _RESTART == 0:
+            p = np.exp(n * log_mean - mean - math.lgamma(n + 1.0))
+            live = (p >= _DROPPED) | (mean > n)
+            mean, log_mean, weight, p = mean[live], log_mean[live], weight[live], p[live]
+        else:
+            p *= mean / n
+        yield float(weight @ p)
+
+
+def frac_poisson_entries(lam: float, t: float, alpha: float):
+    """Iterator over p_n = P{N(L(t)) = n}, n = 0, 1, ..., without end.
+
+    N is a Poisson process of rate lam and L the inverse alpha-stable clock;
+    alpha = 1 is the ordinary Poisson law.
+    """
     if lam <= 0:
         raise ValueError("lam must be positive")
     if t < 0:
@@ -202,42 +252,18 @@ def frac_poisson_pmf(
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
     if t == 0.0:
-        return 1.0 if n == 0 else 0.0
-    if alpha == 1.0:
-        return poisson_pmf(n, lam * t)
+        return itertools.chain([1.0], itertools.repeat(0.0))
+    factor, weight = _kanter_nodes(float(alpha))
+    return _mixture_pmfs(lam * t**alpha * factor, weight)
 
-    x = lam * t**alpha
-    log_x = math.log(x)
 
-    def log_coeff(r):
-        return (math.lgamma(n + r + 1.0) - math.lgamma(r + 1.0)
-                + r * log_x - math.lgamma(alpha * (n + r) + 1.0))
+def frac_poisson_table(nmax: int, lam: float, t: float, alpha: float) -> list[float]:
+    """Pmf of a Poisson process run on an inverse alpha-stable clock, at n = 0..nmax."""
+    if nmax < 0 or nmax != int(nmax):
+        raise ValueError("n must be a nonnegative integer")
+    return list(itertools.islice(frac_poisson_entries(lam, t, alpha), int(nmax) + 1))
 
-    # pair r=2p with r=2p+1: signs alternate, so the pair is
-    # exp(lc(2p)) - exp(lc(2p+1)) = -exp(lc(2p)) * expm1(lc(2p+1) - lc(2p))
-    parts = []
 
-    def pairs():  # max_terms counts series terms, so it ends the pairs here
-        for r in range(0, ctl.max_terms, 2):
-            lc0 = log_coeff(r)
-            if lc0 > 690.0:  # the alternating sum cannot recover past float range
-                raise TruncationError(
-                    f"frac_poisson_pmf(n={n}, lam={lam}, t={t}, alpha={alpha}) "
-                    "diverged numerically", math.fsum(parts))
-            parts.append(-math.exp(lc0) * math.expm1(log_coeff(r + 1) - lc0))
-            yield parts[-1]
-
-    _, converged = sum_series(pairs(), ctl)
-    series = math.fsum(parts)
-    value = math.exp(n * log_x - math.lgamma(n + 1.0)) * series
-    if not converged:
-        raise TruncationError(
-            f"frac_poisson_pmf(n={n}, lam={lam}, t={t}, alpha={alpha}) hit the term cap", value
-        )
-    if abs(value) > 1.0 + 1e-6:
-        raise TruncationError("frac_poisson_pmf series diverged past probability range", value)
-    if value < 0.0:
-        value = 0.0 if value > -1e-9 else value
-        if value < 0.0:
-            raise TruncationError("frac_poisson_pmf series produced a negative mass", value)
-    return min(value, 1.0)
+def frac_poisson_pmf(n: int, lam: float, t: float, alpha: float) -> float:
+    """Pmf at n: the last entry of :func:`frac_poisson_table` to n."""
+    return frac_poisson_table(n, lam, t, alpha)[-1]

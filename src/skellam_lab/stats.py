@@ -213,6 +213,8 @@ def tv_distance(batch: SampleBatch, pmf: LatticePMF) -> float:
     table and the table's own tail mass are added in full (they cannot
     overlap less than that).
     """
+    if batch.n == 0:
+        raise ValueError("empty batch")
     values = _integer_values(batch)
     n = values.size
     idx = values - pmf.start

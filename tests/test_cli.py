@@ -279,6 +279,24 @@ def test_bad_params_exit_nonzero(tmp_path, capsys):
         assert main(["converge", "--scheme", scheme, "--jumps", "1:2.0;-1:1.5", "--t", "1.0,1.0",
                      "--scales", "10.7,100", "--n", "2000"]) == 1
         assert "positive integers" in capsys.readouterr().err
+    assert main(["converge", "--scheme", "gmsp-array", "--jumps", "1:2.0", "--t", "1.0",
+                 "--scales", "10", "--n", "0"]) == 1
+    assert "empty batch" in capsys.readouterr().err
+    assert main(["pmf", "--process", "gmsp", "--jumps", "1:1.0", "--t", "1.0", "--nmax", "-2"]) == 1
+    assert "--nmax must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["pmf", "--process", "msp", "--l1", "400", "--l2", "400", "--t", "1,1"],
+    ["pmf", "--process", "gmsp", "--jumps", "1:372.0,374.0", "--t", "1.0,1.0"],
+    ["pmf", "--process", "frac-skellam", "--l1", "1e5", "--l2", "1.0", "--alpha", "0.5",
+     "--beta", "0.5", "--t1", "1.0", "--t2", "1.0", "--nmax", "0"],
+])
+def test_truncation_is_an_error_exit(capsys, argv):
+    # a TruncationError is a refusal, reported like a bad parameter
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

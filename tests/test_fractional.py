@@ -1,9 +1,11 @@
 """Stable clocks and the fractional two-parameter Skellam process."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from skellam_lab import (
     FracSkellamSpec,
@@ -19,7 +21,7 @@ from skellam_lab import (
 from skellam_lab.identities import run_identity
 from skellam_lab import fractional
 from skellam_lab.records import LatticePMF
-from skellam_lab.special import SeriesControl, TruncationError
+from skellam_lab.special import DEFAULT_CONTROL, SeriesControl, TruncationError
 from skellam_lab.stats import lattice_chi2
 
 
@@ -105,6 +107,14 @@ def test_frac_pmf_classical_branch_matches_closed_form():
         )
 
 
+def test_frac_pmf_classical_branch_at_large_means():
+    # e^(-1000) underflows, so the side tables start with zeros that must not
+    # read as their tail; the old convolution returned 0.0 here
+    ns = [-20, 0, 10, 50]
+    table = frac_skellam_pmf_table(FracSkellamSpec(1000.0, 990.0, 1.0, 1.0), 1.0, 1.0, ns)
+    assert table == pytest.approx(scipy.stats.skellam.pmf(ns, 1000.0, 990.0), rel=1e-11)
+
+
 _TABLE_CASES = [
     (FracSkellamSpec(1.0, 1.0, 0.5, 0.5), 1.0, 1.0),
     (FracSkellamSpec(2.0, 0.5, 0.3, 0.9), 1.5, 0.7),
@@ -113,38 +123,50 @@ _TABLE_CASES = [
 ]
 
 
-def _entry_by_entry(spec, t1, t2, ns, ctl):
+def _entry_by_entry(spec, t1, t2, ns):
     try:
-        return [frac_skellam_pmf(spec, t1, t2, k, ctl) for k in ns]
+        return [frac_skellam_pmf(spec, t1, t2, k) for k in ns]
     except TruncationError as exc:
         return str(exc)
 
 
 @pytest.mark.parametrize("spec,t1,t2", _TABLE_CASES)
 @pytest.mark.parametrize("ctl", [SeriesControl(), SeriesControl(max_terms=5),
-                                 SeriesControl(abs_tol=1e-10, max_terms=40)])
-def test_frac_pmf_table_equals_its_entries(spec, t1, t2, ctl):
-    # the shared per-side vectors change neither a value nor which factor
-    # raises first, so the error text under a term cap is the same too
+                                 SeriesControl(max_terms=40)])
+def test_frac_pmf_table_equals_its_entries(monkeypatch, spec, t1, t2, ctl):
+    # a one-entry table runs its side tables less far; each entry is an
+    # exactly rounded sum, so that changes no bit.  Under a side-table cap
+    # that some requests pass, both raise at a full table: the same text.
+    monkeypatch.setattr(fractional, "DEFAULT_CONTROL", ctl)
     ns = range(-20, 21)
     try:
-        table = frac_skellam_pmf_table(spec, t1, t2, ns, ctl)
+        table = frac_skellam_pmf_table(spec, t1, t2, ns)
     except TruncationError as exc:
         table = str(exc)
-    assert table == _entry_by_entry(spec, t1, t2, ns, ctl)
+    assert table == _entry_by_entry(spec, t1, t2, ns)
 
 
 def test_frac_pmf_table_evaluates_each_factor_once(monkeypatch):
     calls = []
-    original = fractional.frac_poisson_pmf
+    original = fractional.frac_poisson_entries
 
-    def counted(n, lam, t, alpha, ctl):
-        calls.append((n, lam, t, alpha))
-        return original(n, lam, t, alpha, ctl)
+    def counted(lam, t, alpha):
+        calls.append((lam, t, alpha))
+        return original(lam, t, alpha)
 
-    monkeypatch.setattr(fractional, "frac_poisson_pmf", counted)
+    monkeypatch.setattr(fractional, "frac_poisson_entries", counted)
     frac_skellam_pmf_table(FracSkellamSpec(1.0, 2.0, 0.5, 0.7), 1.0, 1.0, range(-20, 21))
-    assert len(calls) == len(set(calls))
+    assert calls == [(1.0, 1.0, 0.5), (2.0, 1.0, 0.7)]
+
+
+def test_frac_pmf_side_table_cap():
+    # lam t^alpha = 1e5 needs side tables far past max_terms entries; the
+    # cap raises after max_terms quadrature steps (0.2 s on 2 vCPUs)
+    spec = FracSkellamSpec(1e5, 1.0, 0.5, 0.5)
+    start = time.perf_counter()
+    with pytest.raises(TruncationError, match=str(DEFAULT_CONTROL.max_terms)):
+        frac_skellam_pmf(spec, 1.0, 1.0, 0)
+    assert time.perf_counter() - start < 10.0
 
 
 def test_frac_pmf_normalizes():
@@ -160,6 +182,16 @@ def test_frac_pmf_matches_sampler_chi2():
     # leaves a two-sided tail under 1e-13
     probs = np.array([frac_skellam_pmf(spec, 1.0, 1.0, n) for n in range(-40, 41)])
     report = lattice_chi2(batch, LatticePMF(-40, probs, tail_mass=max(0.0, 1 - probs.sum())))
+    assert report.verdict, f"p={report.p_value}"
+
+
+def test_frac_pmf_matches_sampler_chi2_at_larger_means():
+    # lam t^alpha = 4 on both sides, where the alternating series raised;
+    # |k| <= 150 leaves a two-sided tail under 1e-13
+    spec = FracSkellamSpec(4.0, 4.0, 0.5, 0.5)
+    batch = frac_skellam_sample(spec, 1.0, 1.0, 100_000, seed=61)
+    probs = np.array(frac_skellam_pmf_table(spec, 1.0, 1.0, range(-150, 151)))
+    report = lattice_chi2(batch, LatticePMF(-150, probs, tail_mass=max(0.0, 1 - probs.sum())))
     assert report.verdict, f"p={report.p_value}"
 
 

@@ -1,7 +1,9 @@
-"""Series evaluations against brute-force and library oracles."""
+"""Series and quadrature evaluations against brute-force and library oracles."""
 
 import itertools
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from skellam_lab import (
     TruncationError,
     bessel_i,
     frac_poisson_pmf,
+    frac_poisson_table,
     frac_skellam_pmf,
     frac_skellam_pmf_wright,
     inv_stable_marginal_sample,
@@ -45,35 +48,34 @@ def test_sum_series_exhausted_iterable_is_unconverged():
     assert sum_series([], _CTL) == (0.0, False)
 
 
-# Values of the five series taken before they shared sum_series; the engine
-# must reproduce them bit for bit.
+# Values of the series taken before they shared sum_series; the engine must
+# reproduce them bit for bit (0 ulps).  The fractional pmfs are quadratures:
+# their rows hold mpmath values, to be met within four ulps.
 _PSI_PARAMS = ((1.0, 1.0), (2.0, 1.0), (1.0, 0.5), (1.0, 0.5), (1.0, 1.0))
+_FRAC_SPEC = FracSkellamSpec(1.0, 1.0, 0.7, 0.9)
 _GOLDEN = [
-    (lambda: bessel_i(0, 1.0), 1.2660658777520082),
-    (lambda: bessel_i(3, -2.5), -0.4743704087780355),
-    (lambda: bessel_i(5, 40.0), 1.085831833762423e+16),
-    (lambda: wright_psi23(*_PSI_PARAMS, -0.5), 0.25759764238321387),
-    (lambda: wright_psi23(*_PSI_PARAMS, 2.0), 100.69442310662781),
-    (lambda: frac_poisson_pmf(3, 2.0, 1.0, 0.5), 0.12368510211909943),
-    (lambda: frac_poisson_pmf(0, 0.5, 1.0, 0.8), 0.6030237158628036),
-    (lambda: frac_poisson_pmf(7, 4.0, 1.0, 0.8), 0.07547909264704195),
-    (lambda: frac_skellam_pmf(FracSkellamSpec(1.0, 1.0, 0.7, 0.9), 1.0, 1.0, -3),
-     0.035485113845014994),
-    (lambda: frac_skellam_pmf(FracSkellamSpec(1.0, 1.0, 0.7, 0.9), 1.0, 1.0, 0),
-     0.29097403531341515),
-    (lambda: frac_skellam_pmf(FracSkellamSpec(1.0, 1.0, 0.7, 0.9), 1.0, 1.0, 5),
-     0.0057171465005316485),
+    (lambda: bessel_i(0, 1.0), 1.2660658777520082, 0),
+    (lambda: bessel_i(3, -2.5), -0.4743704087780355, 0),
+    (lambda: bessel_i(5, 40.0), 1.085831833762423e+16, 0),
+    (lambda: wright_psi23(*_PSI_PARAMS, -0.5), 0.25759764238321387, 0),
+    (lambda: wright_psi23(*_PSI_PARAMS, 2.0), 100.69442310662781, 0),
+    (lambda: frac_poisson_pmf(3, 2.0, 1.0, 0.5), 0.12368510211432802, 4),
+    (lambda: frac_poisson_pmf(0, 0.5, 1.0, 0.8), 0.6030237158628037, 4),
+    (lambda: frac_poisson_pmf(7, 4.0, 1.0, 0.8), 0.0754790926109585, 4),
+    (lambda: frac_skellam_pmf(_FRAC_SPEC, 1.0, 1.0, -3), 0.03548511384501484, 4),
+    (lambda: frac_skellam_pmf(_FRAC_SPEC, 1.0, 1.0, 0), 0.2909740353134137, 4),
+    (lambda: frac_skellam_pmf(_FRAC_SPEC, 1.0, 1.0, 5), 0.005717146500531716, 4),
     (lambda: frac_skellam_pmf_wright(FracSkellamSpec(1.0, 1.0, 0.5, 0.5), 1.07, 1.0, -2),
-     0.09372040848970485),
+     0.09372040848970485, 0),
     (lambda: frac_skellam_pmf_wright(FracSkellamSpec(1.0, 1.0, 0.5, 0.5), 1.07, 1.0, 1),
-     0.17575815906471162),
+     0.17575815906471162, 0),
 ]
 
 
 @pytest.mark.parametrize("index", range(len(_GOLDEN)))
 def test_series_golden_values(index):
-    value, expected = _GOLDEN[index]
-    assert value() == expected
+    value, expected, ulps = _GOLDEN[index]
+    assert abs(value() - expected) <= ulps * math.ulp(expected)
 
 
 def brute_bessel(n, x, terms=200):
@@ -230,17 +232,50 @@ def test_frac_poisson_rejects_bad_arguments():
         frac_poisson_pmf(0, 1.0, 1.0, 1.2)
 
 
-@given(st.integers(0, 15), st.floats(0.1, 2.5), st.floats(0.1, 1.5), st.floats(0.5, 1.0))
+@given(st.integers(0, 60), st.floats(0.0, 100.0, exclude_min=True), st.floats(0.1, 1.5),
+       st.floats(0.0, 1.0, exclude_min=True))
 @settings(max_examples=80, deadline=None)
 def test_frac_poisson_is_a_probability(n, lam, t, alpha):
-    # restricted to the range where float64 can resolve the alternating series
     p = frac_poisson_pmf(n, lam, t, alpha)
     assert 0.0 <= p <= 1.0
 
 
-def test_frac_poisson_flags_numerical_divergence():
-    with pytest.raises(TruncationError):
-        frac_poisson_pmf(0, 4.0, 2.0, 0.2)
+def test_frac_poisson_zero_count_where_the_series_diverged():
+    # p_0 = E_alpha(-lam t^alpha); the alternating series for it has terms
+    # near 1e887 here.  Mittag-Leffler value from mpmath at 967 digits.
+    assert frac_poisson_pmf(0, 4.0, 2.0, 0.2) == pytest.approx(0.1593023375113451, abs=1e-15)
+
+
+def _golden_cells():
+    path = os.path.join(os.path.dirname(__file__), "frac_poisson_golden.json")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)["cells"]
+
+
+@pytest.mark.parametrize("cell", _golden_cells(), ids=lambda c: f"a{c['alpha']}-x{c['x']}")
+def test_frac_poisson_table_matches_mpmath(cell):
+    # the grid spans alpha 0.1..0.99 and lam t^alpha 0.5..10, n <= 40,
+    # including (0.3, 10), where the series needs about 1,100 digits
+    # (make_frac_poisson_golden.py)
+    table = frac_poisson_table(len(cell["p"]) - 1, cell["x"], 1.0, cell["alpha"])
+    assert np.max(np.abs(np.array(table) - cell["p"])) <= 1e-13
+
+
+@pytest.mark.parametrize("x", [100.0, 300.0, 1000.0])
+def test_frac_poisson_table_mass_and_mean_at_large_means(x):
+    # e^(-mean) underflows at many nodes here; a recurrence started from it
+    # in linear space loses 8 % of the mass at 300 and 60 % at 1000
+    table = np.array(frac_poisson_table(int(12 * x), x, 1.0, 0.5))
+    assert abs(math.fsum(table) - 1.0) <= 1e-12
+    mean = math.fsum(np.arange(table.size) * table)
+    assert mean == pytest.approx(x / math.gamma(1.5), rel=1e-12)
+
+
+def test_frac_poisson_table_is_its_entries():
+    table = frac_poisson_table(12, 3.0, 1.3, 0.6)
+    assert table == [frac_poisson_pmf(n, 3.0, 1.3, 0.6) for n in range(13)]
+    with pytest.raises(ValueError):
+        frac_poisson_table(-1, 3.0, 1.3, 0.6)
 
 
 def test_series_control_validation():
