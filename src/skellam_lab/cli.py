@@ -60,6 +60,17 @@ def _fmt(x) -> str:
     raise TypeError(f"cannot format {type(x)!r}")
 
 
+# _fmt of every entry of a flat array, by dtype kind
+_KIND_FORMATS = {"i": str, "u": str, "f": "{:.17g}".format}
+
+
+def _column(values, each=_fmt) -> list[str]:
+    """``each`` of every entry; a flat numeric array is formatted whole, as ``_fmt`` would."""
+    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in _KIND_FORMATS:
+        return list(map(_KIND_FORMATS[values.dtype.kind], values.tolist()))
+    return list(map(each, values))
+
+
 def _json(obj) -> str:
     """JSON with floats at 17 significant digits (round-trip exact)."""
     if obj is None:
@@ -69,7 +80,7 @@ def _json(obj) -> str:
     if isinstance(obj, (bool, int, float, np.integer, np.floating)):
         return _fmt(obj)
     if isinstance(obj, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(_json(v) for v in obj) + "]"
+        return "[" + ", ".join(_column(obj, _json)) + "]"
     if isinstance(obj, dict):
         items = (f"{json.dumps(str(k))}: {_json(v)}" for k, v in obj.items())
         return "{" + ", ".join(items) + "}"
@@ -78,11 +89,9 @@ def _json(obj) -> str:
 
 def _csv(meta: dict, fields: dict) -> str:
     header = ["value" if name == "values" else name for name in fields]
-    columns = [f if isinstance(f, (list, np.ndarray)) else itertools.repeat(f)
+    columns = [_column(f) if isinstance(f, (list, np.ndarray)) else itertools.repeat(_fmt(f))
                for f in fields.values()]
-    lines = [f"# meta: {_json(meta)}", ",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [f"# meta: {_json(meta)}", ",".join(header), *map(",".join, zip(*columns))]
     return "\n".join(lines) + "\n"
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,10 @@ __all__ = [
 
 
 _TABLE_FLOOR = 1e-20  # a side table's tail starts below this
+# The Wright double series alternates in its layer degree, and its layers grow
+# far above the sum as lam t^alpha grows.  A layer L carries a rounding error of
+# about 16 eps |L| x1^n; past this absolute error the value is refused.
+_WRIGHT_TOL = 1e-9
 
 
 def _check_index(alpha: float) -> float:
@@ -181,7 +186,10 @@ def frac_skellam_pmf_wright(spec: FracSkellamSpec, t1: float, t2: float, n: int,
                      (alpha(n+r1)+1, alpha), (beta r2+1, beta), (n+1, 1) | z]
 
     Negative n mirrors the formula with the two components swapped.  Requires
-    t1, t2 > 0 (at a degenerate time use the convolution form).
+    t1, t2 > 0 (at a degenerate time use the convolution form).  Where a layer
+    is large enough for its rounding error to pass _WRIGHT_TOL (at alpha =
+    beta = 1/2, t = (1, 1), from lam near 1.5), or a Wright term leaves the
+    float range, it raises :class:`TruncationError`.
     """
     n = int(n)
     if t1 <= 0 or t2 <= 0:
@@ -196,8 +204,11 @@ def frac_skellam_pmf_wright(spec: FracSkellamSpec, t1: float, t2: float, n: int,
 def _wright_nonneg(n, x1, alpha, x2, beta, ctl):
     log_x1, log_x2 = math.log(x1), math.log(x2)
     z = x1 * x2
+    scale = math.exp(n * log_x1)
+    partial = 0.0
 
     def layer(deg):
+        nonlocal partial
         acc = 0.0
         for r1 in range(deg + 1):
             r2 = deg - r1
@@ -208,10 +219,14 @@ def _wright_nonneg(n, x1, alpha, x2, beta, ctl):
                 (alpha * (n + r1) + 1.0, alpha), (beta * r2 + 1.0, beta), (n + 1.0, 1.0),
                 z, ctl)
             acc += (-1.0) ** deg * coeff * psi
+        if 16 * sys.float_info.epsilon * abs(acc) * scale > _WRIGHT_TOL:
+            raise TruncationError(f"Wright double series layer {deg} ({scale * acc:.3g}) "
+                                  f"loses the sum to rounding", scale * partial)
+        partial += acc
         return acc
 
     total, converged = sum_series(map(layer, itertools.count()), ctl)
-    value = math.exp(n * log_x1) * total
+    value = scale * total
     if not converged:
         raise TruncationError("Wright double series did not converge", value)
     return value

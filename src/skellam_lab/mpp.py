@@ -52,7 +52,8 @@ def as_times(t, dim: int | None = None) -> np.ndarray:
 class GridPath:
     """One realization of a multiparameter process on a rectangular lattice.
 
-    ``values[i_1, ..., i_M]`` is the path at ``(axes[0][i_1], ..., axes[M-1][i_M])``.
+    ``values[i_1, ..., i_M]`` is the path at ``(axes[0][i_1], ..., axes[M-1][i_M])``;
+    a batch of paths stacks them on a leading axis, ``values[p, i_1, ..., i_M]``.
     ``seed`` is the root seed; per-axis streams are ``spawn_rngs(seed, M)`` in
     axis order, which is the splitting rule every sampler here uses.
     """
@@ -98,21 +99,26 @@ def sample_axis_path(rng, lam: float, axis: np.ndarray, n_draws: int = 1) -> np.
     return np.cumsum(incs, axis=1)
 
 
-def mpp_sample_grid(rates, axes, seed: int) -> GridPath:
-    """Sample one grid path of the process as a sum of per-axis Poisson paths."""
+def mpp_sample_grid(rates, axes, seed: int, n_paths: int | None = None) -> GridPath:
+    """Sample a grid path of the process as a sum of per-axis Poisson paths.
+
+    With ``n_paths`` the result is a batch of that many paths.  Each axis
+    stream draws the batch's paths along it in one call, path after path, so
+    path 0 of a batch is the single path of the same seed.
+    """
     lam = as_rates(rates)
     grid_axes = _check_axes(axes)
     if len(grid_axes) != lam.size:
         raise ValueError("number of axes must match the rate dimension")
     streams = spawn_rngs(seed, lam.size)
-    shape = tuple(a.size for a in grid_axes)
-    values = np.zeros(shape, dtype=np.int64)
+    count = 1 if n_paths is None else int(n_paths)
+    values = np.zeros((count, *(a.size for a in grid_axes)), dtype=np.int64)
     for k, (rng, ax) in enumerate(zip(streams, grid_axes)):
-        path = sample_axis_path(rng, lam[k], ax)[0]
-        reshape = [1] * lam.size
-        reshape[k] = ax.size
-        values = values + path.reshape(reshape)
-    return GridPath(axes=grid_axes, values=values, seed=int(seed))
+        reshape = [count] + [1] * lam.size
+        reshape[k + 1] = ax.size
+        values = values + sample_axis_path(rng, lam[k], ax, count).reshape(reshape)
+    return GridPath(axes=grid_axes, values=values if n_paths is not None else values[0],
+                    seed=int(seed))
 
 
 def mpp_covariance(rates, s, t) -> float:

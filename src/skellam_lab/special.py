@@ -142,7 +142,8 @@ def wright_psi23(
     sum_m [Gamma(a1..)Gamma(a2..)/(Gamma(b1..)Gamma(b2..)Gamma(b3..))] z^m/m!.
 
     A pole in a numerator gamma is a domain error.  A pole in a denominator
-    gamma kills that term (the reciprocal gamma is zero there).
+    gamma kills that term (the reciprocal gamma is zero there).  A term above
+    the float range raises :class:`TruncationError`.
     """
     _check_finite("z", z)
     log_abs_z = math.log(abs(z)) if z != 0.0 else None
@@ -168,7 +169,10 @@ def wright_psi23(
         log_z = m * log_abs_z if log_abs_z is not None else (0.0 if m == 0 else -math.inf)
         return sign * math.exp(log_num - log_den + log_z - math.lgamma(m + 1.0))
 
-    total, converged = sum_series(map(term, itertools.count()), ctl)
+    try:
+        total, converged = sum_series(map(term, itertools.count()), ctl)
+    except OverflowError:
+        raise TruncationError("wright_psi23 has a term above the float range", math.inf) from None
     if not converged:
         raise TruncationError(f"wright_psi23 did not converge in {ctl.max_terms} terms", total)
     return total

@@ -1,5 +1,6 @@
 """CLI artifacts: formats, spec'd examples, determinism, error paths."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -328,6 +329,46 @@ def test_byte_identical_reruns(tmp_path, capsys, argv):
     capsys.readouterr()
     assert main(argv) == 0
     assert capsys.readouterr().out.encode() == first
+
+
+_SPEC3 = "1:0.7,0.4;-1:0.5,0.6;2:0.2,0.3"
+_SPEC2 = "1:0.7,0.4;-1:0.5,0.6"
+
+
+# sha256 of each artifact (suffix "" is the --out file itself): bytes are a
+# pure function of (argv, seed), whichever way the writer formats its columns
+@pytest.mark.parametrize("argv, digests", [
+    (["simulate", "--process", "gmsp", "--jumps", _SPEC3, "--t", "1.0,1.0", "--n", "2000",
+      "--seed", "3"],
+     {"": "8d33101ccabeefca74b8cb51da58f1d937bd40683cce562e6fab5fe47f6179ef"}),
+    (["simulate", "--process", "gmsp", "--jumps", _SPEC3, "--t", "1.0,1.0", "--n", "2000",
+      "--seed", "3", "--format", "json"],
+     {"": "6fc731ac5d65c26916e0fa68c1131dbafcf6838d301a3d0e466996d5d09499a8"}),
+    (["integral", "--process", "gmsp", "--jumps", _SPEC2, "--t", "1.2,1.0", "--r", "64",
+      "--n", "500", "--seed", "3"],
+     {"": "8a6cc503bc144c35c3f891a39107c08a2f5198dccc99cdf80759135d472dadd9",
+      ".cf.csv": "f3ae0101b5f73cfc086a85442e01eff8b5e44b42b7dac1b04ac32bd6184aa87a"}),
+    (["cf", "--process", "integral-gmsp", "--jumps", _SPEC2, "--t", "1.2,1.0", "--r", "64",
+      "--u", "0:3:0.25", "--empirical", "--n", "2000", "--seed", "3"],
+     {"": "b28610aaa609ed95a12e0d9f437013804316615a9345da335f1e084d275c8f32"}),
+    (["pmf", "--process", "gmsp", "--jumps", _SPEC3, "--t", "1.0,1.0", "--nmax", "20"],
+     {"": "1db405a842e6c61defbbff6dbacb02ae8e47e47350c837dfd6fdb101e3cbae86"}),
+])
+def test_artifact_bytes_are_pinned(tmp_path, argv, digests):
+    code, _ = run_cli(argv, tmp_path, out_name="pinned")
+    assert code == 0
+    for suffix, digest in digests.items():
+        assert hashlib.sha256((tmp_path / f"pinned{suffix}").read_bytes()).hexdigest() == digest
+
+
+def test_stdout_artifact_bytes_are_pinned(capsys):
+    # float draws, then the CF side table on the same stream
+    assert main(["integral", "--process", "compound", "--rates", "1.3",
+                 "--xvalues", "1.0,-1.0,2.0", "--xprobs", "0.5,0.3,0.2", "--t", "1.2",
+                 "--r", "64", "--n", "300", "--seed", "3"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "5dfbcc01d7aca4b4dd730e29d9a4f932efb217cfc10e38b7ba421152c096cb4a")
 
 
 def test_console_entry_point_subprocess(tmp_path):

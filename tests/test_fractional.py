@@ -219,6 +219,25 @@ def test_wright_form_asymmetric_mirror():
         assert wright == pytest.approx(conv, abs=1e-8)
 
 
+@pytest.mark.parametrize("t1", [0.9, 1.1])
+def test_wright_guard_is_silent_at_unit_rate(t1):
+    # the benchmark's Wright points: lam = 1, t1 in [0.9, 1.1], |k| <= 2
+    spec = FracSkellamSpec(1.0, 1.0, 0.5, 0.5)
+    for k in range(-2, 3):
+        wright = frac_skellam_pmf_wright(spec, t1, 1.0, k)
+        assert wright == pytest.approx(frac_skellam_pmf(spec, t1, 1.0, k), abs=1e-9)
+
+
+@pytest.mark.parametrize("lam", [2.0, 4.0])
+def test_wright_form_refuses_where_rounding_loses_the_sum(lam):
+    # unguarded, the series returns a value 8.3e-3 off at lam = 2, and a Wright
+    # term overflows at lam = 4
+    spec = FracSkellamSpec(lam, lam, 0.5, 0.5)
+    for k in (-2, 0, 3):
+        with pytest.raises(TruncationError):
+            frac_skellam_pmf_wright(spec, 1.0, 1.0, k)
+
+
 def test_wright_form_needs_positive_times():
     spec = FracSkellamSpec(1.0, 1.0, 0.5, 0.5)
     with pytest.raises(ValueError):

@@ -66,13 +66,18 @@ def test_grid_rejects_bad_axes():
         mpp_sample_grid((1.0, 1.0), [[0.0, 1.0]], seed=0)
 
 
-def _marginal_draws(rates, axes, n, index):
-    return np.array([mpp_sample_grid(rates, axes, seed=s).values[index] for s in range(n)])
+def test_grid_batch_leads_with_the_single_path():
+    axes = [np.linspace(0.0, 2.0, 9), np.linspace(0.0, 1.0, 5)]
+    batch = mpp_sample_grid((1.5, 0.7), axes, seed=42, n_paths=30)
+    assert batch.values.shape == (30, 9, 5) and batch.dim == 2
+    assert np.array_equal(batch.values[0], mpp_sample_grid((1.5, 0.7), axes, seed=42).values)
+    assert np.all(np.diff(batch.values, axis=1) >= 0)
+    assert np.all(np.diff(batch.values, axis=2) >= 0)
 
 
 def test_grid_marginal_is_poisson_chi2():
     n = 20_000
-    draws = _marginal_draws((1.2,), [np.array([0.0, 0.5, 1.0])], n, (-1,))
+    draws = mpp_sample_grid((1.2,), [np.array([0.0, 0.5, 1.0])], seed=0, n_paths=n).values[:, -1]
     pmf = LatticePMF(start=0, probs=poisson_table(1.2, 12), tail_mass=0.0)
     report = lattice_chi2(SampleBatch(draws, seed=0), pmf)
     assert report.verdict, f"p={report.p_value}"
@@ -82,13 +87,10 @@ def test_grid_corner_adds_axis_marginals_chi2():
     # on {0,1}x{0,1} the corner value is the sum of the two edge values,
     # distributed Poisson(2) for unit rates
     n = 20_000
-    values = np.empty(n, dtype=np.int64)
-    for s in range(n):
-        v = mpp_sample_grid((1.0, 1.0), [[0.0, 1.0], [0.0, 1.0]], seed=s).values
-        assert v[1, 1] == v[1, 0] + v[0, 1]
-        values[s] = v[1, 1]
+    v = mpp_sample_grid((1.0, 1.0), [[0.0, 1.0], [0.0, 1.0]], seed=0, n_paths=n).values
+    assert np.array_equal(v[:, 1, 1], v[:, 1, 0] + v[:, 0, 1])
     pmf = LatticePMF(start=0, probs=poisson_table(2.0, 16), tail_mass=0.0)
-    report = lattice_chi2(SampleBatch(values, seed=0), pmf)
+    report = lattice_chi2(SampleBatch(v[:, 1, 1], seed=0), pmf)
     assert report.verdict, f"p={report.p_value}"
 
 
@@ -98,8 +100,8 @@ def test_stationary_increments_chi2():
     rates = (0.8, 1.1)
     s, t = np.array([0.3, 0.7]), np.array([1.0, 1.2])
     axes = [np.array([s[k], t[k]]) for k in range(2)]
-    paths = [mpp_sample_grid(rates, axes, seed=sd).values for sd in range(n)]
-    draws = np.array([v[1, 1] - v[0, 0] for v in paths])
+    v = mpp_sample_grid(rates, axes, seed=0, n_paths=n).values
+    draws = v[:, 1, 1] - v[:, 0, 0]
     mu = float(np.dot(rates, t - s))
     pmf = LatticePMF(start=0, probs=poisson_table(mu, 14), tail_mass=0.0)
     report = lattice_chi2(SampleBatch(draws, seed=0), pmf)
@@ -109,12 +111,9 @@ def test_stationary_increments_chi2():
 def test_disjoint_increments_uncorrelated():
     n = 20_000
     axes = [np.array([0.0, 0.6, 1.4]), np.array([0.0, 0.5, 1.0])]
-    first = np.empty(n)
-    second = np.empty(n)
-    for sd in range(n):
-        v = mpp_sample_grid((1.0, 0.5), axes, seed=sd).values
-        first[sd] = v[1, 1] - v[0, 0]
-        second[sd] = v[2, 2] - v[1, 1]
+    v = mpp_sample_grid((1.0, 0.5), axes, seed=0, n_paths=n).values
+    first = v[:, 1, 1] - v[:, 0, 0]
+    second = v[:, 2, 2] - v[:, 1, 1]
     rho = np.corrcoef(first, second)[0, 1]
     assert abs(rho) < 4.0 / math.sqrt(n)
 

@@ -169,6 +169,13 @@ def test_wright_cap_keeps_leading_term():
     assert exc.value.partial == pytest.approx(1.0)  # the m=0 term
 
 
+def test_wright_term_above_float_range_is_truncation():
+    # term m is z^m / Gamma(m/2 + 1)^2, near e^5000 at m = 5000 for z = 2500
+    one, half = (1.0, 1.0), (1.0, 0.5)
+    with pytest.raises(TruncationError, match="float range"):
+        wright_psi23(one, one, half, half, one, 2500.0)
+
+
 def test_wright_numerator_pole_is_domain_error():
     with pytest.raises(ValueError, match="pole"):
         wright_psi23((0.0, 1.0), (1.0, 1.0), (1.0, 1.0), (1.0, 1.0), (1.0, 1.0), 0.5)

@@ -31,6 +31,23 @@ def test_empirical_cf_of_constant_zero():
     assert np.allclose(table.values, 1.0)
 
 
+@pytest.mark.parametrize("values", [
+    np.random.default_rng(1).poisson(2.0, 5000) - np.random.default_rng(2).poisson(1.5, 5000),
+    np.random.default_rng(3).integers(-300, 300, 5000) / 64.0,  # a lattice integral's grid
+    np.random.default_rng(4).standard_normal(5000),  # every value distinct
+    np.array([0.0, -0.0, 1.5, -0.0, 0.0, -2.0, -0.0]),
+    np.array([0.0, 0.0]),
+    np.array([-0.0, -0.0]),
+])
+def test_empirical_cf_matches_the_per_draw_sum_bit_for_bit(values):
+    u = [-3.0, -0.25, -0.0, 0.0, 0.05, 1.0, 2.5]
+    table = empirical_cf(SampleBatch(values, seed=0), u)
+    x = values.astype(float)
+    for ui, got in zip(u, table.values):
+        want = np.exp(1j * ui * x).mean()
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
 def test_empirical_cf_rejects_empty():
     with pytest.raises(ValueError):
         empirical_cf(SampleBatch(np.array([]), seed=0), [0.0])
