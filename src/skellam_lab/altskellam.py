@@ -58,8 +58,8 @@ class AltSpec:
             lam = float(self.rates[j])
             if jf == 0.0 or not math.isfinite(jf):
                 raise ValueError("jumps must be finite and nonzero")
-            if not lam > 0:
-                raise ValueError("rates must be strictly positive")
+            if not 0 < lam < math.inf:
+                raise ValueError("rates must be finite and strictly positive")
             cleaned[jf] = lam
         object.__setattr__(self, "rates", cleaned)
 
@@ -116,10 +116,9 @@ def alt_pgf(spec: AltSpec, t: dict, u: float) -> float:
     return poisson_sum_pgf(spec.jump_values, spec.rate_values * _time_map(spec, t), u)
 
 
-def alt_lattice_pmf(spec: AltSpec, t: dict, tail_mass: float = 1e-12) -> LatticePMF:
+def alt_lattice_pmf(spec: AltSpec, t: dict) -> LatticePMF:
     """Exact lattice pmf at t for integer jump sets (convolution oracle)."""
-    mus = spec.rate_values * _time_map(spec, t)
-    return poisson_sum_lattice_pmf(spec.jump_values, mus, tail_mass)
+    return poisson_sum_lattice_pmf(spec.jump_values, spec.rate_values * _time_map(spec, t))
 
 
 def alt_array_sample(

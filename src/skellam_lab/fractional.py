@@ -18,7 +18,7 @@ import numpy as np
 
 from .records import SampleBatch, make_rng, spawn_rngs
 from .special import (DEFAULT_CONTROL, SeriesControl, TruncationError, frac_poisson_entries,
-                      sum_series, wright_psi23)
+                      grow_table, sum_series, wright_psi23)
 
 __all__ = [
     "FracSkellamSpec",
@@ -32,7 +32,6 @@ __all__ = [
 ]
 
 
-_TABLE_FLOOR = 1e-20  # a side table's tail starts below this
 # The Wright double series alternates in its layer degree, and its layers grow
 # far above the sum as lam t^alpha grows.  A layer L carries a rounding error of
 # about 16 eps |L| x1^n; past this absolute error the value is refused.
@@ -45,6 +44,11 @@ def _check_index(alpha: float) -> float:
     return float(alpha)
 
 
+def _check_times(*times) -> None:
+    if not all(0.0 <= t < math.inf for t in times):
+        raise ValueError("times must be finite and nonnegative")
+
+
 @dataclass(frozen=True)
 class FracSkellamSpec:
     """Rates of the two Poisson components and their stable time-change indices."""
@@ -55,8 +59,8 @@ class FracSkellamSpec:
     beta: float
 
     def __post_init__(self):
-        if not (self.lam1 > 0 and self.lam2 > 0):
-            raise ValueError("rates must be strictly positive")
+        if not (0 < self.lam1 < math.inf and 0 < self.lam2 < math.inf):
+            raise ValueError("rates must be finite and strictly positive")
         _check_index(self.alpha)
         _check_index(self.beta)
 
@@ -81,8 +85,7 @@ def _inv_stable_clock(rng, alpha: float, t: float, n: int) -> np.ndarray:
 def stable_subordinator_sample(alpha: float, t: float, n_draws: int, seed: int) -> SampleBatch:
     """Draws of D(t) with E[e^{-uD(t)}] = e^{-t u^alpha}; alpha = 1 is drift t."""
     alpha = _check_index(alpha)
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    _check_times(t)
     meta = {"process": "stable-subordinator", "alpha": alpha, "t": float(t), "n": int(n_draws)}
     if t == 0.0:
         return SampleBatch(values=np.zeros(n_draws), seed=int(seed), meta=meta)
@@ -96,8 +99,7 @@ def stable_subordinator_sample(alpha: float, t: float, n_draws: int, seed: int) 
 def inv_stable_marginal_sample(alpha: float, t: float, n_draws: int, seed: int) -> SampleBatch:
     """Draws of the first-passage clock L(t), via L(t) =d (t / D(1))^alpha."""
     alpha = _check_index(alpha)
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    _check_times(t)
     meta = {"process": "inverse-stable", "alpha": alpha, "t": float(t), "n": int(n_draws)}
     values = _inv_stable_clock(make_rng(seed), alpha, t, n_draws)
     return SampleBatch(values=values, seed=int(seed), meta=meta)
@@ -110,8 +112,7 @@ def frac_skellam_sample(spec: FracSkellamSpec, t1: float, t2: float,
     Each side conditions a Poisson draw on its own inverse-subordinator draw;
     the two sides use separate child streams of the root seed.
     """
-    if t1 < 0 or t2 < 0:
-        raise ValueError("times must be nonnegative")
+    _check_times(t1, t2)
     rng1, rng2 = spawn_rngs(seed, 2)
     sides = []
     for rng, lam, alpha, t in ((rng1, spec.lam1, spec.alpha, t1), (rng2, spec.lam2, spec.beta, t2)):
@@ -121,27 +122,6 @@ def frac_skellam_sample(spec: FracSkellamSpec, t1: float, t2: float,
             "alpha": spec.alpha, "beta": spec.beta, "t1": float(t1), "t2": float(t2),
             "n": int(n_draws)}
     return SampleBatch(values=values, seed=int(seed), meta=meta)
-
-
-def _grow(table: list, entries, length: int | None = None) -> list:
-    """Extend ``table`` from ``entries`` to ``length`` entries, or else into its tail.
-
-    The tail starts at the first entry below _TABLE_FLOOR that is smaller
-    than the one before it: the law is unimodal, so it only falls from there.
-    Underflowed zeros before a far mode are not smaller, so they run on.
-    """
-    def done():
-        if length is not None:
-            return len(table) >= length
-        return len(table) > 1 and table[-1] < _TABLE_FLOOR and table[-1] < table[-2]
-
-    while not done():
-        if len(table) == DEFAULT_CONTROL.max_terms:
-            raise TruncationError(
-                f"a frac_skellam_pmf side table would pass {DEFAULT_CONTROL.max_terms} entries",
-                math.fsum(table))
-        table.append(next(entries))
-    return table
 
 
 def frac_skellam_pmf_table(spec: FracSkellamSpec, t1: float, t2: float, ns) -> list[float]:
@@ -157,10 +137,10 @@ def frac_skellam_pmf_table(spec: FracSkellamSpec, t1: float, t2: float, ns) -> l
     ns = [int(n) for n in ns]
     entries1 = frac_poisson_entries(spec.lam1, t1, spec.alpha)
     entries2 = frac_poisson_entries(spec.lam2, t2, spec.beta)
-    p1, p2 = _grow([], entries1), _grow([], entries2)
+    p1, p2 = grow_table([], entries1), grow_table([], entries2)
     k1, k2 = len(p1), len(p2)
-    p1 = np.array(_grow(p1, entries1, max([0, *ns]) + k2))
-    p2 = np.array(_grow(p2, entries2, max([0, *(-n for n in ns)]) + k1))
+    p1 = np.array(grow_table(p1, entries1, max([0, *ns]) + k2))
+    p2 = np.array(grow_table(p2, entries2, max([0, *(-n for n in ns)]) + k1))
     table = []
     for n in ns:
         if n >= 0:
@@ -192,7 +172,8 @@ def frac_skellam_pmf_wright(spec: FracSkellamSpec, t1: float, t2: float, n: int,
     float range, it raises :class:`TruncationError`.
     """
     n = int(n)
-    if t1 <= 0 or t2 <= 0:
+    _check_times(t1, t2)
+    if t1 == 0 or t2 == 0:
         raise ValueError("the Wright form needs strictly positive times")
     if n >= 0:
         return _wright_nonneg(n, spec.lam1 * t1**spec.alpha, spec.alpha,
@@ -245,8 +226,7 @@ def frac_skellam_moments(spec: FracSkellamSpec, t1: float, t2: float,
     frac-variance-quadratic identity supports and frac-variance-printed
     rejects; the printed form stays available behind the flag.
     """
-    if t1 < 0 or t2 < 0:
-        raise ValueError("times must be nonnegative")
+    _check_times(t1, t2)
     if variance_form not in ("printed", "quadratic"):
         raise ValueError(f"unknown variance form {variance_form!r}")
 

@@ -14,7 +14,6 @@ and per-jump means or axis times, so the alternate process in
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from .mpp import as_rates, as_times
 from .records import SampleBatch, LatticePMF, make_rng
-from .special import DEFAULT_CONTROL, SeriesControl, TruncationError, bessel_i, poisson_pmf
+from .special import DEFAULT_CONTROL, SeriesControl, bessel_i, grow_table, poisson_entries, poisson_pmf
 
 __all__ = [
     "JumpSpec",
@@ -144,13 +143,11 @@ def poisson_sum_moments(jumps: np.ndarray, mus_t: np.ndarray, mus_min: np.ndarra
             float(np.sum(jumps**2 * mus_min)))
 
 
-def poisson_sum_lattice_pmf(jumps: np.ndarray, mus, tail_mass: float) -> LatticePMF:
+def poisson_sum_lattice_pmf(jumps: np.ndarray, mus) -> LatticePMF:
     """Exact lattice pmf (integer jump sets only), by scaled_poisson_convolution."""
     if not _integer_jumps(jumps):
         raise ValueError("the lattice pmf is only defined for integer jump sets")
-    return scaled_poisson_convolution(
-        {int(j): float(mu) for j, mu in zip(jumps, mus)}, tail_mass
-    )
+    return scaled_poisson_convolution({int(j): float(mu) for j, mu in zip(jumps, mus)})
 
 
 def gmsp_sample(spec: JumpSpec, t, n_draws: int, seed: int) -> SampleBatch:
@@ -218,41 +215,17 @@ def msp_pmf(n: int, rates1, rates2, t) -> float:
     return skellam_pmf(n, float(lam1 @ tt), float(lam2 @ tt))
 
 
-def _poisson_table(mu: float, tail: float) -> np.ndarray:
-    """Pmf table p_0..p_K with P{X > K} <= tail, by the pmf recurrence.
-
-    Raises :class:`TruncationError` when p_0 = e^{-mu} is below the normal
-    float range (the recurrence would carry its lost digits into every entry)
-    or when the table would pass ``DEFAULT_CONTROL.max_terms`` entries.
-    """
-    if mu == 0.0:
-        return np.array([1.0])
-    probs = [math.exp(-mu)]
-    if probs[0] < sys.float_info.min:
-        raise TruncationError(f"Poisson table for mean {mu!r} starts below the float range", 0.0)
-    cum = probs[0]
-    k = 0
-    while 1.0 - cum > tail:
-        if len(probs) == DEFAULT_CONTROL.max_terms:
-            raise TruncationError(
-                f"Poisson table for mean {mu!r} passed {len(probs)} entries above tail {tail!r}",
-                cum)
-        k += 1
-        probs.append(probs[-1] * mu / k)
-        cum += probs[-1]
-    return np.asarray(probs)
-
-
-def scaled_poisson_convolution(jump_mus: dict, tail_mass: float = 1e-12) -> LatticePMF:
+def scaled_poisson_convolution(jump_mus: dict) -> LatticePMF:
     """Exact lattice law of sum_j j * Poisson(mu_j) over integer jumps j.
 
-    Each Poisson factor is truncated so its own tail is at most
-    tail_mass / n_jumps, embedded on the integer lattice at spacing |j|, and
-    the factors are convolved.  The discarded mass is reported in the result.
+    Each Poisson factor is its :func:`~skellam_lab.special.poisson_entries`
+    run into its tail by :func:`~skellam_lab.special.grow_table`, which
+    raises :class:`TruncationError` past its entry cap.  The factor is
+    embedded on the integer lattice at spacing |j| and the factors are
+    convolved; ``tail_mass`` of the result is the mass the tables leave out.
     """
     if not jump_mus:
         raise ValueError("need at least one (jump, mean) pair")
-    share = tail_mass / len(jump_mus)
     probs = np.array([1.0])
     start = 0
     for j in sorted(jump_mus):
@@ -260,9 +233,9 @@ def scaled_poisson_convolution(jump_mus: dict, tail_mass: float = 1e-12) -> Latt
             raise ValueError("lattice pmf requires nonzero integer jumps")
         j = int(j)
         mu = float(jump_mus[j])
-        if mu < 0:
-            raise ValueError("Poisson means must be nonnegative")
-        table = _poisson_table(mu, share)
+        if not 0.0 <= mu < math.inf:
+            raise ValueError("Poisson means must be finite and nonnegative")
+        table = np.array(grow_table([], poisson_entries(mu)))
         k_max = table.size - 1
         scaled = np.zeros(abs(j) * k_max + 1)
         if j > 0:
@@ -271,12 +244,12 @@ def scaled_poisson_convolution(jump_mus: dict, tail_mass: float = 1e-12) -> Latt
             scaled[::-j] = table[::-1]
             start += j * k_max
         probs = np.convolve(probs, scaled)
-    return LatticePMF(start=start, probs=probs, tail_mass=max(0.0, 1.0 - float(probs.sum())))
+    return LatticePMF(start=start, probs=probs)
 
 
-def gmsp_lattice_pmf(spec: JumpSpec, t, tail_mass: float = 1e-12) -> LatticePMF:
+def gmsp_lattice_pmf(spec: JumpSpec, t) -> LatticePMF:
     """Lattice pmf of the process at time t (integer jump sets only)."""
-    return poisson_sum_lattice_pmf(spec.jump_values, _jump_means(spec, t), tail_mass)
+    return poisson_sum_lattice_pmf(spec.jump_values, _jump_means(spec, t))
 
 
 def compound_sums(count_rng, jump_rng, mean: float, n_draws: int, jumps: np.ndarray,

@@ -32,10 +32,10 @@ from .gmsp import (
     gmsp_lattice_pmf,
     gmsp_sample,
     msp_pmf,
+    scaled_poisson_convolution,
 )
 from .integrals import CompoundSpec, RectDomain, integral_cf_mpp, integral_sample, uniform_compound_sample
 from .records import LatticePMF
-from .special import poisson_pmf
 from .stats import TestReport, empirical_cf, ks_two_sample, lattice_chi2, lattice_chi2_two_sample, tv_distance
 
 __all__ = ["IDENTITIES", "array_tvs", "run_identity"]
@@ -49,23 +49,6 @@ _EQ_SPEC = JumpSpec({j: (r, r) for j, r in _EQ_RATES.items()})
 _T2 = (1.0, 1.0)
 
 
-def _skellam_conv(n, a, b, terms=400):
-    """sum_l Pois(n+ + l; a) Pois(n- + l; b) over l < ``terms``, by brute force.
-
-    Past both Poisson modes every product is smaller than the one before, so
-    the sum stops at the first product there that underflows to 0.0: the
-    zeros it skips leave the fsum unchanged.
-    """
-    n_plus, n_minus = max(n, 0), max(-n, 0)
-    products = []
-    for l in range(terms):
-        p = poisson_pmf(n_plus + l, a) * poisson_pmf(n_minus + l, b)
-        if p == 0.0 and n_plus + l > a and n_minus + l > b:
-            break
-        products.append(p)
-    return math.fsum(products)
-
-
 def _exact_report(identity, seed, n, gap, critical):
     return TestReport(identity=identity, statistic=float(gap), p_value=None,
                       n_samples=int(n), seed=int(seed), verdict=gap <= critical,
@@ -73,19 +56,18 @@ def _exact_report(identity, seed, n, gap, critical):
 
 
 def msp_bessel_oracle(seed=0, n=0):
-    """Bessel pmf vs brute-force Poisson convolution, |n| <= 20."""
+    """Bessel pmf vs the Poisson convolution of its two sides, |n| <= 20."""
     gap = 0.0
     count = 0
     for la in (0.5, 1.0, 3.0):
         for lb in (0.5, 1.0, 3.0):
             for t in ((1.0, 1.0), (2.0, 0.5)):
-                a = la * sum(t)
-                b = lb * sum(t)
+                msp = scaled_poisson_convolution({1: la * sum(t), -1: lb * sum(t)})
+                twoparam = scaled_poisson_convolution({1: la * t[0], -1: lb * t[1]})
                 for k in range(-20, 21):
-                    conv = _skellam_conv(k, a, b)
-                    gap = max(gap, abs(msp_pmf(k, (la, la), (lb, lb), t) - conv))
+                    gap = max(gap, abs(msp_pmf(k, (la, la), (lb, lb), t) - msp.prob(k)))
                     gap = max(gap, abs(twoparam_skellam_pmf(k, la, lb, t[0], t[1])
-                                       - _skellam_conv(k, la * t[0], lb * t[1])))
+                                       - twoparam.prob(k)))
                     count += 2
     return _exact_report("msp-bessel-oracle", seed, count, gap, 1e-10)
 
@@ -229,7 +211,7 @@ def frac_pmf(seed=0, n=100_000):
     batch = frac_skellam_sample(_FRAC, 1.0, 1.0, n, seed=seed)
     probs = np.array(frac_skellam_pmf_table(_FRAC, 1.0, 1.0,
                                             range(-_FRAC_KMAX, _FRAC_KMAX + 1)))
-    pmf = LatticePMF(-_FRAC_KMAX, probs, tail_mass=max(0.0, 1.0 - float(probs.sum())))
+    pmf = LatticePMF(-_FRAC_KMAX, probs)
     return lattice_chi2(batch, pmf, level=LEVEL, identity="frac-pmf")
 
 
@@ -289,7 +271,7 @@ def alt_twoparam(seed=0, n=100_000):
     t = {1: 1.2, -1: 0.7}
     batch = alt_sample(spec, t, n, seed=seed)
     probs = np.array([twoparam_skellam_pmf(k, 1.0, 1.0, 1.2, 0.7) for k in range(-12, 13)])
-    pmf = LatticePMF(-12, probs, tail_mass=max(0.0, 1.0 - float(probs.sum())))
+    pmf = LatticePMF(-12, probs)
     return lattice_chi2(batch, pmf, level=LEVEL, identity="alt-twoparam")
 
 

@@ -170,11 +170,12 @@ def integral_sample(process, dom: RectDomain, n_draws: int, seed: int) -> Sample
     return SampleBatch(values=values, seed=int(seed), meta=meta)
 
 
-def riemann_sum(path, upper=None) -> float:
-    """Literal lattice Riemann sum of a sampled grid path.
+def riemann_sum(path, upper=None):
+    """Literal lattice Riemann sum of a sampled grid path, or one per path of a batch.
 
     The path axes must be uniform lattices 0, t_k/r_k, ..., t_k (as produced
     for integration); the sum runs over lattice points with every index >= 1.
+    A batched path (values with a leading path axis) gives an array of sums.
     This is the literal reference the compound-Poisson integral sampler is
     checked against in law on small grids.
     """
@@ -191,8 +192,10 @@ def riemann_sum(path, upper=None) -> float:
             if not math.isclose(ax[-1], u, rel_tol=1e-12):
                 raise ValueError("axis endpoints must match the rectangle corner")
     cellvol = float(np.prod([ax[1] - ax[0] for ax in axes]))
-    inner = path.values[tuple(slice(1, None) for _ in axes)]
-    return cellvol * float(inner.sum())
+    inner = path.values[(..., *(slice(1, None) for _ in axes))]
+    if inner.ndim == len(axes):
+        return cellvol * float(inner.sum())
+    return cellvol * inner.reshape(len(inner), -1).sum(axis=1)
 
 
 def _unit_interval_cf_factor(c: float) -> complex:

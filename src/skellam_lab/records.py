@@ -58,20 +58,22 @@ class SampleBatch:
 class LatticePMF:
     """Probability mass table over a contiguous integer range.
 
-    ``probs[i]`` is the mass at ``start + i``; whatever the table does not
-    cover is recorded in ``tail_mass``.
+    ``probs[i]`` is the mass at ``start + i``; ``tail_mass`` is whatever the
+    table does not cover.
     """
 
     start: int
     probs: np.ndarray
-    tail_mass: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
         if self.probs.ndim != 1 or self.probs.size == 0:
             raise ValueError("LatticePMF needs a nonempty 1-d probability table")
-        if self.tail_mass < 0:
-            raise ValueError("tail mass must be nonnegative")
+
+    @property
+    def tail_mass(self) -> float:
+        """1 minus the table's sum, clamped at 0."""
+        return max(0.0, 1.0 - float(self.probs.sum()))
 
     @property
     def support(self) -> np.ndarray:

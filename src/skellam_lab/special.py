@@ -25,6 +25,8 @@ __all__ = [
     "sum_series",
     "bessel_i",
     "wright_psi23",
+    "poisson_entries",
+    "grow_table",
     "frac_poisson_entries",
     "frac_poisson_table",
     "frac_poisson_pmf",
@@ -194,6 +196,7 @@ _STEP = 1.0 / 16  # node spacing of both rules
 _NEGLIGIBLE = 1e-20  # nodes of smaller weight are dropped
 _RESTART = 16  # ratio-recurrence steps between exact log-space restarts
 _DROPPED = 1e-30  # a node past its mean whose pmf is below this is dropped
+_TABLE_FLOOR = 1e-20  # a table's tail starts below this
 
 
 def _kanter_nodes(alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -243,16 +246,42 @@ def _mixture_pmfs(mean: np.ndarray, weight: np.ndarray):
         yield float(weight @ p)
 
 
+def poisson_entries(mu: float):
+    """Iterator over the Poisson(mu) pmf at n = 0, 1, ..., without end: one node."""
+    return _mixture_pmfs(np.array([float(mu)]), np.ones(1))
+
+
+def grow_table(table: list, entries, length: int | None = None) -> list:
+    """Extend ``table`` from ``entries`` to ``length`` entries, or else into its tail.
+
+    The tail starts at the first entry below _TABLE_FLOOR that is smaller
+    than the one before it: the law is unimodal, so it only falls from there.
+    Underflowed zeros before a far mode are not smaller, so they run on.  No
+    table passes ``DEFAULT_CONTROL.max_terms`` entries.
+    """
+    def done():
+        if length is not None:
+            return len(table) >= length
+        return len(table) > 1 and table[-1] < _TABLE_FLOOR and table[-1] < table[-2]
+
+    while not done():
+        if len(table) == DEFAULT_CONTROL.max_terms:
+            raise TruncationError(
+                f"a pmf table would pass {DEFAULT_CONTROL.max_terms} entries", math.fsum(table))
+        table.append(next(entries))
+    return table
+
+
 def frac_poisson_entries(lam: float, t: float, alpha: float):
     """Iterator over p_n = P{N(L(t)) = n}, n = 0, 1, ..., without end.
 
     N is a Poisson process of rate lam and L the inverse alpha-stable clock;
     alpha = 1 is the ordinary Poisson law.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not 0 < lam < math.inf:
+        raise ValueError("lam must be positive and finite")
+    if not 0 <= t < math.inf:
+        raise ValueError("t must be finite and nonnegative")
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
     if t == 0.0:

@@ -38,6 +38,15 @@ def test_spec_validation():
         AltSpec({1: 0.0})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_spec_refuses_non_finite_rates(bad):
+    # with an infinite rate alt_increment_cf would return 0j
+    with pytest.raises(ValueError, match="finite"):
+        AltSpec({1: bad})
+    with pytest.raises(ValueError, match="finite"):
+        AltSpec({1: 1.0, -1: bad})
+
+
 def test_sample_zero_times():
     batch = alt_sample(SPEC, {1: 0.0, -1: 0.0}, 20, seed=1)
     assert np.all(batch.values == 0)
@@ -101,7 +110,7 @@ def test_two_jump_case_matches_twoparam_pmf_chi2():
     t = {1: 1.2, -1: 0.7}
     batch = alt_sample(SPEC, t, 100_000, seed=13)
     probs = np.array([twoparam_skellam_pmf(n, 1.0, 1.0, 1.2, 0.7) for n in range(-12, 13)])
-    report = lattice_chi2(batch, LatticePMF(-12, probs, tail_mass=max(0.0, 1 - probs.sum())))
+    report = lattice_chi2(batch, LatticePMF(-12, probs))
     assert report.verdict, f"p={report.p_value}"
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
@@ -289,7 +290,7 @@ def test_bad_params_exit_nonzero(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["pmf", "--process", "msp", "--l1", "400", "--l2", "400", "--t", "1,1"],
-    ["pmf", "--process", "gmsp", "--jumps", "1:372.0,374.0", "--t", "1.0,1.0"],
+    ["pmf", "--process", "gmsp", "--jumps", "1:6000.0,6000.0", "--t", "1.0,1.0"],
     ["pmf", "--process", "frac-skellam", "--l1", "1e5", "--l2", "1.0", "--alpha", "0.5",
      "--beta", "0.5", "--t1", "1.0", "--t2", "1.0", "--nmax", "0"],
 ])
@@ -298,6 +299,41 @@ def test_truncation_is_an_error_exit(capsys, argv):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_gmsp_pmf_past_the_subnormal_start(capsys):
+    # e^-744 is subnormal; scipy.stats.poisson.pmf(744, 744) = 0.014624295502660
+    assert main(["pmf", "--process", "gmsp", "--jumps", "1:744.0", "--t", "1.0",
+                 "--nmax", "744"]) == 0
+    n, prob, _ = capsys.readouterr().out.splitlines()[-1].split(",")
+    assert n == "744" and float(prob) == pytest.approx(0.014624295502660, rel=1e-11)
+
+
+_FRAC_ARGS = ["--l1", "1.0", "--l2", "1.0", "--alpha", "0.5", "--beta", "0.5",
+              "--t1", "1.0", "--t2", "1.0"]
+
+
+def _with(args, flag, value):
+    args = list(args)
+    args[args.index(flag) + 1] = value
+    return args
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--process", "inv-stable", "--alpha", "0.5", "--t1", "nan", "--n", "3"],
+    ["simulate", "--process", "stable", "--alpha", "0.5", "--t1", "inf", "--n", "3"],
+    ["pmf", "--process", "frac-poisson", "--l1", "1.0", "--alpha", "0.5", "--t1", "nan",
+     "--nmax", "3"],
+    ["pmf", "--process", "frac-skellam", *_with(_FRAC_ARGS, "--t1", "inf"), "--nmax", "3"],
+    ["pmf", "--process", "frac-skellam", *_with(_FRAC_ARGS, "--l1", "1e999"), "--nmax", "3"],
+    ["simulate", "--process", "frac-skellam", *_with(_FRAC_ARGS, "--t1", "nan"), "--n", "3"],
+])
+def test_non_finite_parameters_are_an_error_exit(tmp_path, capsys, argv):
+    out = tmp_path / "artifact.out"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -352,13 +388,33 @@ _SPEC2 = "1:0.7,0.4;-1:0.5,0.6"
       "--u", "0:3:0.25", "--empirical", "--n", "2000", "--seed", "3"],
      {"": "b28610aaa609ed95a12e0d9f437013804316615a9345da335f1e084d275c8f32"}),
     (["pmf", "--process", "gmsp", "--jumps", _SPEC3, "--t", "1.0,1.0", "--nmax", "20"],
-     {"": "1db405a842e6c61defbbff6dbacb02ae8e47e47350c837dfd6fdb101e3cbae86"}),
+     {"": "0a9cca32fb62d29fb300acc296f16f006ebe4c217810588d41b1ec0157b86deb"}),
 ])
 def test_artifact_bytes_are_pinned(tmp_path, argv, digests):
     code, _ = run_cli(argv, tmp_path, out_name="pinned")
     assert code == 0
     for suffix, digest in digests.items():
         assert hashlib.sha256((tmp_path / f"pinned{suffix}").read_bytes()).hexdigest() == digest
+    if argv[:3] == ["pmf", "--process", "gmsp"]:
+        # the pinned table is the law, not only a fixed byte string
+        exact = _poisson_convolution({1: 0.7 + 0.4, -1: 0.5 + 0.6, 2: 0.2 + 0.3})
+        rows = (tmp_path / "pinned").read_text().splitlines()[2:]
+        for row in rows:
+            n, prob, _ = row.split(",")
+            assert abs(float(prob) - exact.get(int(n), 0.0)) <= 1e-15, n
+
+
+def _poisson_convolution(means, terms=60):
+    """Pmf of sum_j j N_j for independent N_j ~ Poisson(means[j]), by direct sums."""
+    dist = {0: 1.0}
+    for j, mu in means.items():
+        pois = [math.exp(-mu + m * math.log(mu) - math.lgamma(m + 1.0)) for m in range(terms)]
+        nxt = {}
+        for k, p in dist.items():
+            for m, q in enumerate(pois):
+                nxt[k + j * m] = nxt.get(k + j * m, 0.0) + p * q
+        dist = nxt
+    return dist
 
 
 def test_stdout_artifact_bytes_are_pinned(capsys):

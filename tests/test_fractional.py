@@ -19,7 +19,7 @@ from skellam_lab import (
     twoparam_skellam_pmf,
 )
 from skellam_lab.identities import run_identity
-from skellam_lab import fractional
+from skellam_lab import fractional, special
 from skellam_lab.records import LatticePMF
 from skellam_lab.special import DEFAULT_CONTROL, SeriesControl, TruncationError
 from skellam_lab.stats import lattice_chi2
@@ -32,6 +32,32 @@ def test_spec_validation():
         FracSkellamSpec(1.0, 1.0, 1.5, 0.5)
     with pytest.raises(ValueError):
         FracSkellamSpec(1.0, 1.0, 0.5, 0.0)
+
+
+_SPEC = FracSkellamSpec(1.0, 1.0, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", [
+    lambda x: FracSkellamSpec(x, 1.0, 0.5, 0.5),
+    lambda x: FracSkellamSpec(1.0, x, 0.5, 0.5),
+    lambda x: stable_subordinator_sample(0.5, x, 3, seed=0),
+    lambda x: inv_stable_marginal_sample(0.5, x, 3, seed=0),
+    lambda x: frac_skellam_sample(_SPEC, x, 1.0, 3, seed=0),
+    lambda x: frac_skellam_sample(_SPEC, 1.0, x, 3, seed=0),
+    lambda x: frac_skellam_moments(_SPEC, x, 1.0),
+    lambda x: frac_skellam_moments(_SPEC, 1.0, x),
+    lambda x: frac_skellam_pmf_wright(_SPEC, x, 1.0, 0),
+    lambda x: frac_skellam_pmf_table(_SPEC, 1.0, x, [0]),
+    lambda x: special.frac_poisson_entries(x, 1.0, 0.5),
+    lambda x: special.frac_poisson_entries(1.0, x, 0.5),
+], ids=["spec-lam1", "spec-lam2", "stable", "inv-stable", "sample-t1", "sample-t2",
+        "moments-t1", "moments-t2", "wright", "table", "entries-lam", "entries-t"])
+def test_non_finite_times_and_rates_are_refused(call, bad):
+    # NaN and +-inf pass a `< 0` or `> 0` check; downstream they become nan
+    # or inf draws, an all-zero table, or a quadrature that never converges
+    with pytest.raises(ValueError, match="finite"):
+        call(bad)
 
 
 def test_stable_zero_time_and_degenerate_index():
@@ -84,7 +110,7 @@ def test_frac_sample_classical_branch_chi2():
     spec = FracSkellamSpec(1.2, 0.8, 1.0, 1.0)
     batch = frac_skellam_sample(spec, 1.0, 1.5, 100_000, seed=47)
     probs = np.array([twoparam_skellam_pmf(n, 1.2, 0.8, 1.0, 1.5) for n in range(-12, 13)])
-    report = lattice_chi2(batch, LatticePMF(-12, probs, tail_mass=max(0.0, 1 - probs.sum())))
+    report = lattice_chi2(batch, LatticePMF(-12, probs))
     assert report.verdict, f"p={report.p_value}"
 
 
@@ -137,12 +163,15 @@ def test_frac_pmf_table_equals_its_entries(monkeypatch, spec, t1, t2, ctl):
     # a one-entry table runs its side tables less far; each entry is an
     # exactly rounded sum, so that changes no bit.  Under a side-table cap
     # that some requests pass, both raise at a full table: the same text.
-    monkeypatch.setattr(fractional, "DEFAULT_CONTROL", ctl)
+    # special.grow_table reads the cap, so that is the module to patch.
+    monkeypatch.setattr(special, "DEFAULT_CONTROL", ctl)
     ns = range(-20, 21)
     try:
         table = frac_skellam_pmf_table(spec, t1, t2, ns)
     except TruncationError as exc:
         table = str(exc)
+    if ctl.max_terms == 5:
+        assert isinstance(table, str) and "would pass 5 entries" in table
     assert table == _entry_by_entry(spec, t1, t2, ns)
 
 
@@ -181,7 +210,7 @@ def test_frac_pmf_matches_sampler_chi2():
     # lattice_chi2 charges all untabulated mass to the top cell; |k| <= 40
     # leaves a two-sided tail under 1e-13
     probs = np.array([frac_skellam_pmf(spec, 1.0, 1.0, n) for n in range(-40, 41)])
-    report = lattice_chi2(batch, LatticePMF(-40, probs, tail_mass=max(0.0, 1 - probs.sum())))
+    report = lattice_chi2(batch, LatticePMF(-40, probs))
     assert report.verdict, f"p={report.p_value}"
 
 
@@ -191,7 +220,7 @@ def test_frac_pmf_matches_sampler_chi2_at_larger_means():
     spec = FracSkellamSpec(4.0, 4.0, 0.5, 0.5)
     batch = frac_skellam_sample(spec, 1.0, 1.0, 100_000, seed=61)
     probs = np.array(frac_skellam_pmf_table(spec, 1.0, 1.0, range(-150, 151)))
-    report = lattice_chi2(batch, LatticePMF(-150, probs, tail_mass=max(0.0, 1 - probs.sum())))
+    report = lattice_chi2(batch, LatticePMF(-150, probs))
     assert report.verdict, f"p={report.p_value}"
 
 

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from skellam_lab import (
@@ -20,6 +21,7 @@ from skellam_lab import (
     gmsp_pgf,
     gmsp_sample,
     msp_pmf,
+    scaled_poisson_convolution,
 )
 from skellam_lab.records import LatticePMF
 from skellam_lab.special import TruncationError, poisson_pmf
@@ -150,14 +152,13 @@ def test_msp_pmf_convolution_oracle():
 
 
 def test_identity_oracle_stops_early_at_the_same_sum():
-    # the msp-bessel-oracle convolution stops at the first product that
-    # underflows past both modes; the full 400-term sum is the reference
-    from skellam_lab.identities import _skellam_conv
-
+    # msp-bessel-oracle compares with the lattice convolution, whose Poisson
+    # tables stop at their tail; the full 400-term sum is the reference
     for a in (0.5, 1.2, 3.0, 6.0, 40.0):
         for b in (0.01, 1.0, 6.0, 50.0):
+            table = scaled_poisson_convolution({1: a, -1: b})
             for n in range(-25, 26):
-                assert _skellam_conv(n, a, b) == skellam_conv(n, a, b)
+                assert table.prob(n) == pytest.approx(skellam_conv(n, a, b), rel=0, abs=1e-15)
 
 
 def test_msp_pmf_degenerate_branches():
@@ -189,20 +190,27 @@ def test_lattice_pmf_matches_closed_forms():
 
 
 def test_lattice_pmf_at_the_edge_of_the_float_range():
-    table = gmsp_lattice_pmf(JumpSpec({1: (700.0,)}), (1.0,))
-    assert abs(math.fsum(table.probs) + table.tail_mass - 1.0) <= 1e-12
-    assert table.prob(700) == pytest.approx(poisson_pmf(700, 700.0), rel=1e-9)
-    # e^-709 is subnormal: the recurrence would start from a value with lost digits
-    with pytest.raises(TruncationError):
-        gmsp_lattice_pmf(JumpSpec({1: (709.0,)}), (1.0,))
+    # e^-mu is subnormal from mu = 709 and 0 from 745.14; the table starts
+    # wherever its log-space restarts find the pmf in the float range.  At
+    # 9000 the head is subnormal for thousands of entries: a table that took
+    # that for its tail would fail the sum.
+    for mu in (0.5, 1.0, 10.0, 100.0, 700.0, 730.0, 744.0, 745.0, 746.0,
+               1000.0, 3000.0, 5000.0, 9000.0):
+        table = gmsp_lattice_pmf(JumpSpec({1: (mu,)}), (1.0,))
+        exact = scipy.stats.poisson.pmf(table.support, mu)
+        assert np.max(np.abs(table.probs - exact)) <= 1e-12, mu
+        mode = int(mu)
+        assert table.prob(mode) == pytest.approx(scipy.stats.poisson.pmf(mode, mu), rel=1e-10)
+        assert abs(math.fsum(table.probs) + table.tail_mass - 1.0) <= 1e-11, mu
 
 
-@pytest.mark.parametrize("mean, tail_mass", [(746.0, 1e-12), (10.0, 1e-18)])
-def test_lattice_pmf_refuses_instead_of_hanging(mean, tail_mass):
-    # e^-746 is 0 and a tail of 1e-18 is below the rounding of 1 - sum: without
-    # its guards the table loop never ends, so run it where a timeout can stop it
+@pytest.mark.parametrize("mean", [9200.0, 1e5])
+def test_lattice_pmf_refuses_instead_of_hanging(mean):
+    # past a mean of about 9,100 the table would pass DEFAULT_CONTROL.max_terms
+    # entries before its tail; run it where a timeout can stop a loop that
+    # does not end
     code = ("import sys; from skellam_lab import JumpSpec, TruncationError, gmsp_lattice_pmf\n"
-            f"try: gmsp_lattice_pmf(JumpSpec({{1: ({mean},)}}), (1.0,), tail_mass={tail_mass})\n"
+            f"try: gmsp_lattice_pmf(JumpSpec({{1: ({mean},)}}), (1.0,))\n"
             "except TruncationError: sys.exit(0)\n"
             "sys.exit(1)")
     subprocess.run([sys.executable, "-c", code], timeout=30, check=True)

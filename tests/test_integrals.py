@@ -117,11 +117,9 @@ def test_integral_sample_matches_literal_riemann_sum_in_law(r):
     dom = RectDomain(t=t, resolution=r)
     kernel = np.round(integral_sample(GMSP_NEG, dom, n, seed=31).values / dom.cell_volume)
     axes = [np.linspace(0.0, tk, r + 1) for tk in t]
-    literal = np.empty(n)
-    for i in range(n):
-        values = sum(j * mpp_sample_grid(lam, axes, seed=1000 + 2 * i + m).values
-                     for m, (j, lam) in enumerate(GMSP_NEG.jumps.items()))
-        literal[i] = riemann_sum(GridPath(axes=tuple(axes), values=values, seed=0), upper=t)
+    values = sum(j * mpp_sample_grid(lam, axes, seed=1000 + m, n_paths=n).values
+                 for m, (j, lam) in enumerate(GMSP_NEG.jumps.items()))
+    literal = riemann_sum(GridPath(axes=tuple(axes), values=values, seed=0), upper=t)
     literal = np.round(literal / dom.cell_volume)
     report = lattice_chi2_two_sample(SampleBatch(kernel, seed=31), SampleBatch(literal, seed=0))
     assert report.verdict, f"chi2 p={report.p_value}"
@@ -141,11 +139,9 @@ def test_compound_integral_matches_literal_riemann_sum_in_law(rates, t, r):
     # 40 jumps per draw is far past any count these rates reach on the grid
     jumps = np.random.default_rng(7).choice(COMPOUND_VALS, size=(n, 40), p=COMPOUND_PROBS)
     s_x = np.hstack([np.zeros((n, 1)), np.cumsum(jumps, axis=1)])
-    literal = np.empty(n)
-    for i in range(n):
-        path = mpp_sample_grid(rates, axes, seed=2000 + i)
-        values = s_x[i][path.values]
-        literal[i] = riemann_sum(GridPath(axes=path.axes, values=values, seed=0))
+    path = mpp_sample_grid(rates, axes, seed=2000, n_paths=n)
+    values = np.take_along_axis(s_x, path.values.reshape(n, -1), axis=1).reshape(path.values.shape)
+    literal = riemann_sum(GridPath(axes=path.axes, values=values, seed=0))
     literal = np.round(literal / dom.cell_volume)
     report = lattice_chi2_two_sample(SampleBatch(kernel, seed=41), SampleBatch(literal, seed=0))
     assert report.verdict, f"chi2 p={report.p_value}"
@@ -158,6 +154,16 @@ def test_compound_integral_is_prefix_stable_across_chunks(rates, t):
     long = integral_sample(spec, dom, 5000, seed=9)
     longer = integral_sample(spec, dom, 8192, seed=9)
     assert np.array_equal(long.values, longer.values[:5000])
+
+
+def test_riemann_sum_of_a_batch_is_the_sum_of_each_path():
+    axes = [np.linspace(0.0, 1.5, 9), np.linspace(0.0, 1.0, 5)]
+    batch = mpp_sample_grid((0.9, 1.4), axes, seed=5, n_paths=20)
+    sums = riemann_sum(batch, upper=(1.5, 1.0))
+    assert sums.shape == (20,)
+    for p in range(20):
+        one = GridPath(axes=batch.axes, values=batch.values[p], seed=5)
+        assert sums[p] == riemann_sum(one, upper=(1.5, 1.0))
 
 
 def test_riemann_sum_validates_axes():

@@ -78,7 +78,7 @@ def test_grid_batch_leads_with_the_single_path():
 def test_grid_marginal_is_poisson_chi2():
     n = 20_000
     draws = mpp_sample_grid((1.2,), [np.array([0.0, 0.5, 1.0])], seed=0, n_paths=n).values[:, -1]
-    pmf = LatticePMF(start=0, probs=poisson_table(1.2, 12), tail_mass=0.0)
+    pmf = LatticePMF(start=0, probs=poisson_table(1.2, 12))
     report = lattice_chi2(SampleBatch(draws, seed=0), pmf)
     assert report.verdict, f"p={report.p_value}"
 
@@ -89,7 +89,7 @@ def test_grid_corner_adds_axis_marginals_chi2():
     n = 20_000
     v = mpp_sample_grid((1.0, 1.0), [[0.0, 1.0], [0.0, 1.0]], seed=0, n_paths=n).values
     assert np.array_equal(v[:, 1, 1], v[:, 1, 0] + v[:, 0, 1])
-    pmf = LatticePMF(start=0, probs=poisson_table(2.0, 16), tail_mass=0.0)
+    pmf = LatticePMF(start=0, probs=poisson_table(2.0, 16))
     report = lattice_chi2(SampleBatch(v[:, 1, 1], seed=0), pmf)
     assert report.verdict, f"p={report.p_value}"
 
@@ -103,7 +103,7 @@ def test_stationary_increments_chi2():
     v = mpp_sample_grid(rates, axes, seed=0, n_paths=n).values
     draws = v[:, 1, 1] - v[:, 0, 0]
     mu = float(np.dot(rates, t - s))
-    pmf = LatticePMF(start=0, probs=poisson_table(mu, 14), tail_mass=0.0)
+    pmf = LatticePMF(start=0, probs=poisson_table(mu, 14))
     report = lattice_chi2(SampleBatch(draws, seed=0), pmf)
     assert report.verdict, f"p={report.p_value}"
 

@@ -16,7 +16,7 @@ from skellam_lab.stats import TestReport, _chi2_sf, lattice_chi2_two_sample
 
 def poisson_table(mu, n_max):
     probs = np.array([poisson_pmf(n, mu) for n in range(n_max)])
-    return LatticePMF(0, probs, tail_mass=max(0.0, 1.0 - probs.sum()))
+    return LatticePMF(0, probs)
 
 
 def test_empirical_cf_at_zero_is_one():
