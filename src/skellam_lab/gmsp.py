@@ -14,6 +14,7 @@ and per-jump means or axis times, so the alternate process in
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,7 +22,8 @@ import numpy as np
 
 from .mpp import as_rates, as_times
 from .records import SampleBatch, LatticePMF, make_rng
-from .special import DEFAULT_CONTROL, SeriesControl, bessel_i, grow_table, poisson_entries, poisson_pmf
+from .special import (DEFAULT_CONTROL, SeriesControl, TruncationError, bessel_i, grow_table,
+                      poisson_entries, poisson_pmf)
 
 __all__ = [
     "JumpSpec",
@@ -111,6 +113,8 @@ def _as_lattice(values: np.ndarray, jumps) -> np.ndarray:
     return values.astype(np.int64) if _integer_jumps(jumps) else values
 
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
 # The law of sum_j j * Poisson(mu_j) over sorted nonzero jumps j depends only on
 # the per-jump means mu_j.  The functions below are keyed by (jumps, means) so
 # that every process of that form (one rate vector per jump here, one time
@@ -126,10 +130,20 @@ def poisson_sum_sample(jumps: np.ndarray, mus, n_draws: int, seed: int) -> np.nd
 
 
 def poisson_sum_pgf(jumps: np.ndarray, mus: np.ndarray, u: float) -> float:
-    """E[u^S] = exp(sum_j mu_j (u^j - 1)) for 0 < u <= 1."""
+    """E[u^S] = exp(sum_j mu_j (u^j - 1)) for 0 < u <= 1.
+
+    A negative jump makes the pgf grow without bound as u -> 0; when its
+    exponent leaves the float range this raises :class:`TruncationError`.
+    """
     if not 0.0 < u <= 1.0:
         raise ValueError("the pgf argument must lie in (0, 1]")
-    return float(np.exp(np.sum(mus * (u ** jumps - 1.0))))
+    live = mus > 0.0  # a jump with mean 0 adds 0 even where u^j overflows
+    with np.errstate(over="ignore"):
+        exponent = float(np.sum(mus[live] * (u ** jumps[live] - 1.0)))
+    if not exponent <= _LOG_FLOAT_MAX:
+        raise TruncationError(f"the pgf at u={u!r} has exponent {exponent!r}, "
+                              "above the float range", math.inf)
+    return math.exp(exponent)
 
 
 def poisson_sum_cf(jumps: np.ndarray, mus: np.ndarray, u: float) -> complex:
@@ -331,19 +345,27 @@ def sorted_jumps(jumps) -> np.ndarray:
     return jump_vals
 
 
-def array_sums(scale, axis_times: dict, rule, jump_vals: np.ndarray,
-               n_draws: int, seed: int) -> np.ndarray:
-    """Triangular-array sums: sum over axes of sum_{l<=[scale t_axis]} X_l.
+def _trim(probs: np.ndarray, start: int):
+    """Drop exact-zero entries from both ends of a lattice table; no mass is lost."""
+    nonzero = np.flatnonzero(probs)
+    return probs[nonzero[0]:nonzero[-1] + 1], start + int(nonzero[0])
 
-    ``axis_times`` maps each axis label to its time, in drawing order;
-    ``rule(l, axis, j)`` is the probability that the l-th summand on that
-    axis equals jump j, with the residual mass it is 0.  The probability rows
-    of every axis are built in one pass and identical rows, on any axes, are
-    grouped: the sum of identically distributed summands depends only on
-    their category counts, so each distinct row is one multinomial, drawn in
-    sorted-row order from one make_rng(seed).  This keeps scale-10^3 arrays
-    cheap.
+
+def array_law(scale, axis_times: dict, rule, jump_vals: np.ndarray) -> LatticePMF:
+    """Exact lattice law of the triangular-array sum over integer jumps.
+
+    ``axis_times`` maps each axis label to its time; the l-th summand on an
+    axis, l <= [scale t_axis], equals jump j with probability
+    ``rule(l, axis, j)`` and 0 with the residual mass.  The probability rows
+    of every axis are built in one pass, checked (each entry in [0, 1), each
+    row summing below 1), and identical rows, on any axes, are grouped.  A
+    distinct row of multiplicity m contributes the m-th convolution power of
+    its three-point law, by binary powering with ``np.convolve``; the powers
+    of all distinct rows are convolved.  Exact-zero ends are trimmed after
+    every convolution, so the table keeps all of the mass.
     """
+    if not _integer_jumps(jump_vals):
+        raise ValueError("triangular-array sums need integer jumps")
     rows = np.array([[rule(l, axis, j) for j in jump_vals]
                      for axis, t_axis in axis_times.items()
                      for l in range(1, int(math.floor(scale * t_axis)) + 1)],
@@ -352,12 +374,42 @@ def array_sums(scale, axis_times: dict, rule, jump_vals: np.ndarray,
         raise ValueError("three-point probabilities must lie in [0, 1)")
     if np.any(rows.sum(axis=1) >= 1.0):
         raise ValueError("jump probabilities must sum below 1 for every summand")
-    rng = make_rng(seed)
-    values = np.zeros(n_draws, dtype=float)
+    offsets = jump_vals.astype(np.int64)
+    low = min(0, int(offsets.min()))
+    law, start = np.array([1.0]), 0
     for row, mult in zip(*np.unique(rows, axis=0, return_counts=True)):
-        cats = rng.multinomial(int(mult), np.append(row, 1.0 - row.sum()), size=n_draws)
-        values += cats[:, :-1] @ jump_vals
-    return _as_lattice(values, jump_vals)
+        step = np.zeros(max(0, int(offsets.max())) - low + 1)
+        np.add.at(step, offsets - low, row)
+        step[-low] += 1.0 - row.sum()
+        step, step_start = _trim(step, low)
+        mult = int(mult)
+        while mult:
+            if mult & 1:
+                law, start = _trim(np.convolve(law, step), start + step_start)
+            mult >>= 1
+            if mult:
+                step, step_start = _trim(np.convolve(step, step), 2 * step_start)
+    return LatticePMF(start=start, probs=law)
+
+
+def array_sums(scale, axis_times: dict, rule, jump_vals: np.ndarray,
+               n_draws: int, seed: int) -> np.ndarray:
+    """Triangular-array sums: sum over axes of sum_{l<=[scale t_axis]} X_l.
+
+    The summands are those of :func:`array_law`, whose exact lattice law is
+    drawn from by inversion: ``n_draws`` uniforms from one make_rng(seed),
+    scaled by the table's total mass and looked up in its cumulative sums.
+    Returns int64 draws; a non-integer jump raises ``ValueError``.
+    """
+    law = array_law(scale, axis_times, rule, jump_vals)
+    cdf = np.cumsum(law.probs)
+    u = make_rng(seed).random(n_draws)
+    u *= cdf[-1]
+    idx = np.searchsorted(cdf, u, side="right")
+    # rounding can put a scaled uniform on the last edge of the table
+    np.minimum(idx, cdf.size - 1, out=idx)
+    idx += law.start
+    return idx.astype(np.int64, copy=False)
 
 
 def gmsp_array_sample(spec: TriangularArraySpec, jumps, t, n_draws: int, seed: int) -> SampleBatch:

@@ -383,7 +383,7 @@ _SPEC2 = "1:0.7,0.4;-1:0.5,0.6"
     (["integral", "--process", "gmsp", "--jumps", _SPEC2, "--t", "1.2,1.0", "--r", "64",
       "--n", "500", "--seed", "3"],
      {"": "8a6cc503bc144c35c3f891a39107c08a2f5198dccc99cdf80759135d472dadd9",
-      ".cf.csv": "f3ae0101b5f73cfc086a85442e01eff8b5e44b42b7dac1b04ac32bd6184aa87a"}),
+      ".cf.csv": "8c31fbe8a3c0ea23a27f4e705292620a6bc0937088f0f5547ce62d0c551af5a7"}),
     (["cf", "--process", "integral-gmsp", "--jumps", _SPEC2, "--t", "1.2,1.0", "--r", "64",
       "--u", "0:3:0.25", "--empirical", "--n", "2000", "--seed", "3"],
      {"": "b28610aaa609ed95a12e0d9f437013804316615a9345da335f1e084d275c8f32"}),
@@ -424,7 +424,7 @@ def test_stdout_artifact_bytes_are_pinned(capsys):
                  "--r", "64", "--n", "300", "--seed", "3"]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == (
-        "5dfbcc01d7aca4b4dd730e29d9a4f932efb217cfc10e38b7ba421152c096cb4a")
+        "f87c47593e92eb8d16da032d03dc97ec0a6413257dbfbb9f26fb75f252070671")
 
 
 def test_console_entry_point_subprocess(tmp_path):

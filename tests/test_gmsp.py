@@ -10,8 +10,10 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from skellam_lab import (
+    AltSpec,
     JumpSpec,
     TriangularArraySpec,
+    alt_pgf,
     gmsp_array_sample,
     gmsp_cf,
     gmsp_compound_equalrate_sample,
@@ -86,6 +88,20 @@ def test_pgf_examples():
         gmsp_pgf(SPEC2, (1.0, 1.0), 0.0)
     with pytest.raises(ValueError):
         gmsp_pgf(SPEC2, (1.0, 1.0), 1.5)
+
+
+def test_pgf_above_the_float_range_raises():
+    # exponent 1e-3 - 1 + 1e3 - 1 = 998: e^998 is past the float range
+    spec = JumpSpec({1: (1.0,), -1: (1.0,)})
+    with pytest.raises(TruncationError, match="above the float range"):
+        gmsp_pgf(spec, [1.0], 1e-3)
+    with pytest.raises(TruncationError, match="above the float range"):
+        alt_pgf(AltSpec({1: 1.0, -1: 1.0}), {1: 1.0, -1: 1.0}, 1e-3)
+    # a jump with mean 0 contributes nothing, even where u^j overflows
+    assert gmsp_pgf(JumpSpec({1: (1.0,), -200: (1.0,)}), [0.0], 0.01) == 1.0
+    # e^708 is still a float
+    assert gmsp_pgf(spec, [1.0], 1.0 / 710.0) == pytest.approx(
+        math.exp(1.0 / 710.0 - 1.0 + 709.0), rel=1e-12)
 
 
 def test_cf_examples():
@@ -334,7 +350,7 @@ def test_array_single_jump_poisson_binomial_oracle():
 
 def test_array_two_axis_law_is_the_convolution_power():
     # array-gmsp's rule at scale 100: 2 axes x 100 iid three-point summands,
-    # all grouped into one multinomial; the exact law is the 200-fold power
+    # all one distinct row; the exact law is the 200-fold power
     lam, scale = {1: 4.0, -1: 2.5}, 100
     step = np.array([lam[-1] / scale, 1.0 - (lam[1] + lam[-1]) / scale, lam[1] / scale])
     law, power = np.array([1.0]), 2 * scale

@@ -21,6 +21,7 @@ from skellam_lab import (
     riemann_sum,
     uniform_compound_sample,
 )
+from skellam_lab.integrals import _unit_interval_cf_factor
 from skellam_lab.records import SampleBatch
 
 
@@ -223,6 +224,29 @@ def test_cf_against_quadrature_oracle():
     x = np.linspace(0.0, 1.0, 10_001)
     oracle = np.exp(np.trapezoid(np.exp(1j * x) - 1.0, x))
     assert abs(integral_cf_mpp([1.0], [1.0], 1.0) - oracle) < 1e-8
+
+
+# integral_0^1 (e^{icx} - 1) dx = (sin(c)/c - 1) + i (1 - cos c)/c, each part
+# from mpmath at 50 digits, rounded to the nearest double
+_CF_FACTOR_GOLDEN = [
+    (1e-9, -1.666666666666667e-19, 5e-10),
+    (1e-5, -1.6666666666583335e-11, 4.999999999958334e-06),
+    (0.05, -0.00041661458643342417, 0.02499479210067507),
+    (-0.3, -0.014932644462201414, -0.14887836958131326),
+    (0.99, -0.15552931454492877, 0.4558688276953661),
+    (1.0, -0.1585290151921035, 0.4596976941318603),
+    (2.5, -0.7606111423584174, 0.7204574462187735),
+    (-7.0, -0.9061447716116016, -0.035156820808099336),
+    (40.0, -0.9813721709880163, 0.04167345154130655),
+]
+
+
+@pytest.mark.parametrize("c, real, imag", _CF_FACTOR_GOLDEN)
+def test_unit_interval_cf_factor_keeps_both_parts_at_small_c(c, real, imag):
+    # the closed form (e^{ic} - 1)/(ic) - 1 returned -1.1e-16 + 0j at c = 1e-9
+    value = _unit_interval_cf_factor(c)
+    assert value.real == pytest.approx(real, rel=2e-15)
+    assert value.imag == pytest.approx(imag, rel=2e-15)
 
 
 def test_levy_route_matches_poisson_closed_form():
