@@ -1,8 +1,7 @@
 """Multiparameter Skellam process toolkit: samplers, closed forms, verification."""
 
 from .records import SampleBatch, LatticePMF, CFTable, make_rng, spawn_rngs
-from .special import (SeriesControl, DEFAULT_CONTROL, TruncationError, bessel_i, wright_psi23,
-                      frac_poisson_pmf, frac_poisson_table)
+from .special import TruncationError, bessel_i, wright_psi23, frac_poisson_pmf, frac_poisson_table
 from .mpp import GridPath, as_rates, as_times, mpp_pmf, mpp_sample_grid, mpp_covariance
 from .gmsp import (
     JumpSpec,

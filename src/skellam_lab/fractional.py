@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .records import SampleBatch, make_rng, spawn_rngs
-from .special import (DEFAULT_CONTROL, SeriesControl, TruncationError, frac_poisson_entries,
-                      grow_table, sum_series, wright_psi23)
+from .special import TruncationError, frac_poisson_entries, grow_table, sum_series, wright_psi23
 
 __all__ = [
     "FracSkellamSpec",
@@ -155,8 +154,7 @@ def frac_skellam_pmf(spec: FracSkellamSpec, t1: float, t2: float, n: int) -> flo
     return frac_skellam_pmf_table(spec, t1, t2, [n])[0]
 
 
-def frac_skellam_pmf_wright(spec: FracSkellamSpec, t1: float, t2: float, n: int,
-                            ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def frac_skellam_pmf_wright(spec: FracSkellamSpec, t1: float, t2: float, n: int) -> float:
     """Pmf at n through the double series of generalized Wright functions.
 
     For n >= 0 and x1 = lam1 t1^alpha, x2 = lam2 t2^beta, z = x1 x2:
@@ -177,12 +175,12 @@ def frac_skellam_pmf_wright(spec: FracSkellamSpec, t1: float, t2: float, n: int,
         raise ValueError("the Wright form needs strictly positive times")
     if n >= 0:
         return _wright_nonneg(n, spec.lam1 * t1**spec.alpha, spec.alpha,
-                              spec.lam2 * t2**spec.beta, spec.beta, ctl)
+                              spec.lam2 * t2**spec.beta, spec.beta)
     return _wright_nonneg(-n, spec.lam2 * t2**spec.beta, spec.beta,
-                          spec.lam1 * t1**spec.alpha, spec.alpha, ctl)
+                          spec.lam1 * t1**spec.alpha, spec.alpha)
 
 
-def _wright_nonneg(n, x1, alpha, x2, beta, ctl):
+def _wright_nonneg(n, x1, alpha, x2, beta):
     log_x1, log_x2 = math.log(x1), math.log(x2)
     z = x1 * x2
     scale = math.exp(n * log_x1)
@@ -198,7 +196,7 @@ def _wright_nonneg(n, x1, alpha, x2, beta, ctl):
             psi = wright_psi23(
                 (n + r1 + 1.0, 1.0), (r2 + 1.0, 1.0),
                 (alpha * (n + r1) + 1.0, alpha), (beta * r2 + 1.0, beta), (n + 1.0, 1.0),
-                z, ctl)
+                z)
             acc += (-1.0) ** deg * coeff * psi
         if 16 * sys.float_info.epsilon * abs(acc) * scale > _WRIGHT_TOL:
             raise TruncationError(f"Wright double series layer {deg} ({scale * acc:.3g}) "
@@ -206,7 +204,7 @@ def _wright_nonneg(n, x1, alpha, x2, beta, ctl):
         partial += acc
         return acc
 
-    total, converged = sum_series(map(layer, itertools.count()), ctl)
+    total, converged = sum_series(map(layer, itertools.count()))
     value = scale * total
     if not converged:
         raise TruncationError("Wright double series did not converge", value)

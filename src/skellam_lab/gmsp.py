@@ -22,8 +22,7 @@ import numpy as np
 
 from .mpp import as_rates, as_times
 from .records import SampleBatch, LatticePMF, make_rng
-from .special import (DEFAULT_CONTROL, SeriesControl, TruncationError, bessel_i, grow_table,
-                      poisson_entries, poisson_pmf)
+from .special import TruncationError, grow_table, log_bessel_i, poisson_entries, poisson_pmf
 
 __all__ = [
     "JumpSpec",
@@ -191,28 +190,25 @@ def gmsp_moments(spec: JumpSpec, s, t):
 
 
 def skellam_pmf(n: int, a: float, b: float) -> float:
-    """Pmf at n of Poisson(a) - Poisson(b) for means a, b >= 0.
+    """Pmf at n of Poisson(a) - Poisson(b) for finite means a, b >= 0.
 
-    For a, b > 0 this is e^{-(a+b)} (a/b)^{n/2} I_{|n|}(2 sqrt(ab)); if either
-    mean vanishes the law degenerates to a (possibly negated) Poisson.  The
-    power is evaluated as exp((n/2)(ln a - ln b)) so that n and -n are treated
-    symmetrically.  The prefactor can dwarf a tiny Bessel value, so the series
-    tolerance is tightened by the prefactor scale: the default absolute rule
-    alone would leave an error far above the 1e-14 target after
-    multiplication.
+    For a, b > 0 this is e^{-(a+b)} (a/b)^{n/2} I_{|n|}(2 sqrt(ab)), taken as
+    one exponential of the log prefactor plus
+    :func:`~skellam_lab.special.log_bessel_i`, so neither factor leaves the
+    float range on its own.  The power is (n/2)(ln a - ln b), so n and -n are
+    treated symmetrically.  If either mean vanishes the law degenerates to a
+    (possibly negated) Poisson.  Where the Bessel series passes its term cap
+    (from about a = b = 7.2e5) this raises :class:`TruncationError`.
     """
     n = int(n)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"means must be finite, got ({a!r}, {b!r})")
     if b == 0.0:
         return poisson_pmf(n, a)
     if a == 0.0:
         return poisson_pmf(-n, b)
-    x = 2.0 * math.sqrt(a * b)
     log_pref = -(a + b) + 0.5 * n * (math.log(a) - math.log(b))
-    # log of prefactor * e^x bounds the product of prefactor and Bessel scale
-    log_scale = log_pref + x
-    tol = DEFAULT_CONTROL.abs_tol * math.exp(-max(0.0, log_scale))
-    ctl = SeriesControl(abs_tol=max(tol, 1e-300), max_terms=DEFAULT_CONTROL.max_terms)
-    return math.exp(log_pref) * bessel_i(abs(n), x, ctl)
+    return math.exp(log_pref + log_bessel_i(abs(n), 2.0 * math.sqrt(a) * math.sqrt(b)))
 
 
 def msp_pmf(n: int, rates1, rates2, t) -> float:

@@ -1,10 +1,13 @@
 """Series and quadrature evaluations behind the closed-form distributions.
 
-All series are summed in log space with explicit sign bookkeeping: the gamma
-factors overflow double precision long before the series converge.  Every
-series is summed by :func:`sum_series` under a :class:`SeriesControl`; it
-holds the one stop rule, three consecutive small terms, because an
-alternating series can have a single accidentally tiny term.  The fractional
+The Bessel series has positive, unimodal terms: :func:`log_bessel_i` sums it
+outward from its peak term and stops each side relative to its own sum, so it
+needs no tolerance.  The alternating Wright series are summed in log space
+with explicit sign bookkeeping, because the gamma factors overflow double
+precision long before the series converge; :func:`sum_series` holds their
+stop rule, three consecutive small terms, because an alternating series can
+have a single accidentally tiny term.  No series or table passes _MAX_TERMS
+terms or entries; past it they raise :class:`TruncationError`.  The fractional
 Poisson law is no series here: it is a double integral over the Kanter
 representation of the stable clock, taken on one fixed double-exponential
 node grid.
@@ -14,15 +17,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "SeriesControl",
-    "DEFAULT_CONTROL",
     "TruncationError",
     "sum_series",
+    "log_bessel_i",
     "bessel_i",
     "wright_psi23",
     "poisson_entries",
@@ -33,26 +34,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for the series in this module.
-
-    ``abs_tol`` is the absolute tolerance in the stop rule
-    ``|term| < abs_tol * (1 + |partial|)``; ``max_terms`` is a hard cap per
-    series index, and ``DEFAULT_CONTROL.max_terms`` caps table lengths too.
-    """
-
-    abs_tol: float = 1e-14
-    max_terms: int = 10_000
-
-    def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
-
-
-DEFAULT_CONTROL = SeriesControl()
+_ABS_TOL = 1e-14  # sum_series stops after three terms below _ABS_TOL * (1 + |partial|)
+_MAX_TERMS = 10_000  # cap on the terms of a series and the entries of a table
+_REL_STOP = 2.0**-60  # log_bessel_i stops a side at a term below this share of its sum
 
 
 class TruncationError(RuntimeError):
@@ -66,19 +50,19 @@ class TruncationError(RuntimeError):
         self.partial = partial
 
 
-def sum_series(terms, ctl: SeriesControl) -> tuple[float, bool]:
+def sum_series(terms) -> tuple[float, bool]:
     """Sum ``terms`` in order until the stop rule holds; return (partial, converged).
 
     The sum stops, converged, after three consecutive terms with
-    ``|term| < abs_tol * (1 + |partial|)``.  It stops unconverged after
-    ``ctl.max_terms`` terms or when ``terms`` runs out first.  An exception
-    raised while producing a term propagates unchanged.
+    ``|term| < _ABS_TOL * (1 + |partial|)``.  It stops unconverged after
+    _MAX_TERMS terms or when ``terms`` runs out first.  An exception raised
+    while producing a term propagates unchanged.
     """
     total = 0.0
     small = 0
-    for term in itertools.islice(terms, ctl.max_terms):
+    for term in itertools.islice(terms, _MAX_TERMS):
         total += term
-        if abs(term) < ctl.abs_tol * (1.0 + abs(total)):
+        if abs(term) < _ABS_TOL * (1.0 + abs(total)):
             small += 1
             if small == 3:
                 return total, True
@@ -102,30 +86,56 @@ def _signed_lgamma(x: float) -> tuple[float, float]:
     return math.lgamma(x), sign
 
 
-def bessel_i(n: int, x: float, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """Modified Bessel function of integer order by direct series summation.
+def log_bessel_i(n: int, x: float) -> float:
+    """log I_n(x) for integer n >= 0 and finite x > 0, summed outward from the peak term.
 
-    Evaluates sum_m (x/2)^(2m+n) / (Gamma(m+n+1) m!) for n = |n|.  Negative x
-    is handled through the parity I_n(-x) = (-1)^n I_n(x).  A term above the
-    float range raises :class:`TruncationError`.
+    The terms (x/2)^(2m+n) / (m! (m+n)!) are positive and unimodal in m, with
+    their peak at m* = floor((sqrt(n^2+x^2) - n)/2) (Abramowitz & Stegun
+    9.6.10).  Scaled to 1 at the peak, each side is walked by the term ratio
+    (x/2)^2 / ((m+1)(m+n+1)) and stops at the first term below 2^-60 of the
+    running sum; lgamma is taken at the peak only.  More than _MAX_TERMS
+    terms raise :class:`TruncationError`, whose ``partial`` is then the log
+    of the partial sum; so does a peak term whose log leaves the float range.
     """
-    _check_finite("x", x)
+    if n < 0 or not 0 < x < math.inf:
+        raise ValueError(f"log_bessel_i needs n >= 0 and a finite x > 0, got ({n!r}, {x!r})")
+    half = x / 2.0
+    peak = math.floor(half * (x / (math.hypot(n, x) + n)))
+    try:
+        log_peak = ((2 * peak + n) * math.log(half)
+                    - math.lgamma(peak + 1.0) - math.lgamma(peak + n + 1.0))
+    except OverflowError:
+        raise TruncationError(f"log I_{n}({x}): peak term past the float range", math.inf) from None
+    total, budget = 1.0, _MAX_TERMS - 1
+    for step in (1, -1):
+        m, term = peak, 1.0
+        while term >= _REL_STOP * total and (step > 0 or m > 0):
+            if budget == 0:
+                raise TruncationError(f"log I_{n}({x}) did not converge in {_MAX_TERMS} terms",
+                                      log_peak + math.log(total))
+            k = m if step > 0 else m - 1  # the ratio is that of terms k + 1 and k
+            term *= ((half / (k + 1)) * (half / (k + n + 1))) ** step
+            m += step
+            total += term
+            budget -= 1
+    return log_peak + math.log(total)
+
+
+def bessel_i(n: int, x: float) -> float:
+    """Modified Bessel function of integer order: the exponential of :func:`log_bessel_i`.
+
+    Negative x is handled through the parity I_n(-x) = (-1)^n I_n(x) and a
+    negative order through I_{-n} = I_n.  A value above the float range
+    raises :class:`TruncationError`.
+    """
     n = abs(int(n))
-    half = abs(x) / 2.0
-    if half == 0.0:  # includes subnormals whose half underflows
+    if abs(x) / 2.0 == 0.0:  # includes subnormals whose half underflows
         return 1.0 if n == 0 else 0.0
     sign = -1.0 if (x < 0 and n % 2 == 1) else 1.0
-    log_half = math.log(half)
     try:
-        total, converged = sum_series(
-            (math.exp((2 * m + n) * log_half - math.lgamma(m + n + 1.0) - math.lgamma(m + 1.0))
-             for m in itertools.count()), ctl)
+        return sign * math.exp(log_bessel_i(n, abs(x)))
     except OverflowError:
-        raise TruncationError(f"bessel_i({n}, {x}) has a term above the float range",
-                              sign * math.inf) from None
-    if not converged:
-        raise TruncationError(f"bessel_i({n}, {x}) did not converge in {ctl.max_terms} terms", sign * total)
-    return sign * total
+        raise TruncationError(f"I_{n}({x}) is above the float range", sign * math.inf) from None
 
 
 def wright_psi23(
@@ -135,7 +145,6 @@ def wright_psi23(
     b2: tuple[float, float],
     b3: tuple[float, float],
     z: float,
-    ctl: SeriesControl = DEFAULT_CONTROL,
 ) -> float:
     """Generalized Wright series with 2 numerator and 3 denominator pairs.
 
@@ -172,11 +181,11 @@ def wright_psi23(
         return sign * math.exp(log_num - log_den + log_z - math.lgamma(m + 1.0))
 
     try:
-        total, converged = sum_series(map(term, itertools.count()), ctl)
+        total, converged = sum_series(map(term, itertools.count()))
     except OverflowError:
         raise TruncationError("wright_psi23 has a term above the float range", math.inf) from None
     if not converged:
-        raise TruncationError(f"wright_psi23 did not converge in {ctl.max_terms} terms", total)
+        raise TruncationError(f"wright_psi23 did not converge in {_MAX_TERMS} terms", total)
     return total
 
 
@@ -257,7 +266,7 @@ def grow_table(table: list, entries, length: int | None = None) -> list:
     The tail starts at the first entry below _TABLE_FLOOR that is smaller
     than the one before it: the law is unimodal, so it only falls from there.
     Underflowed zeros before a far mode are not smaller, so they run on.  No
-    table passes ``DEFAULT_CONTROL.max_terms`` entries.
+    table passes _MAX_TERMS entries.
     """
     def done():
         if length is not None:
@@ -265,9 +274,8 @@ def grow_table(table: list, entries, length: int | None = None) -> list:
         return len(table) > 1 and table[-1] < _TABLE_FLOOR and table[-1] < table[-2]
 
     while not done():
-        if len(table) == DEFAULT_CONTROL.max_terms:
-            raise TruncationError(
-                f"a pmf table would pass {DEFAULT_CONTROL.max_terms} entries", math.fsum(table))
+        if len(table) == _MAX_TERMS:
+            raise TruncationError(f"a pmf table would pass {_MAX_TERMS} entries", math.fsum(table))
         table.append(next(entries))
     return table
 

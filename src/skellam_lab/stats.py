@@ -24,6 +24,8 @@ __all__ = [
     "tv_distance",
 ]
 
+_MIN_EXPECTED = 5.0  # a chi-square bin is merged until it expects this many draws
+
 
 @dataclass(frozen=True)
 class TestReport:
@@ -85,14 +87,14 @@ def _integer_values(batch: SampleBatch) -> np.ndarray:
     return v.astype(np.int64)
 
 
-def _merge_bins(expected: np.ndarray, min_expected: float) -> list[tuple[int, int]]:
-    """Contiguous [i, j) cell ranges, merged outward until each expects enough."""
+def _merge_bins(expected: np.ndarray) -> list[tuple[int, int]]:
+    """Contiguous [i, j) cell ranges, merged outward until each expects _MIN_EXPECTED."""
     bins = []
     start = 0
     acc = 0.0
     for i, e in enumerate(expected):
         acc += e
-        if acc >= min_expected:
+        if acc >= _MIN_EXPECTED:
             bins.append((start, i + 1))
             start = i + 1
             acc = 0.0
@@ -136,8 +138,16 @@ def _chi2_sf(x: float, dof: int) -> float:
     return min(1.0, math.fsum(parts))
 
 
+def _chi2_report(identity, stat, bins, n, seed, level) -> TestReport:
+    """The report of a chi-square statistic over ``bins``; one bin passes only a zero statistic."""
+    dof = len(bins) - 1
+    p = _chi2_sf(stat, dof) if dof else (1.0 if stat < 1e-12 else 0.0)
+    return TestReport(identity=identity, statistic=float(stat), p_value=p, n_samples=n,
+                      seed=seed, verdict=p > level, level=level)
+
+
 def lattice_chi2(batch: SampleBatch, pmf: LatticePMF, level: float = 1e-3,
-                 min_expected: float = 5.0, identity: str = "lattice-chi2") -> TestReport:
+                 identity: str = "lattice-chi2") -> TestReport:
     """Pearson chi-square of an integer batch against a closed-form lattice pmf.
 
     Tail convention: ``pmf.tail_mass`` is expected in the top cell, while draws
@@ -150,23 +160,16 @@ def lattice_chi2(batch: SampleBatch, pmf: LatticePMF, level: float = 1e-3,
     probs = pmf.probs.copy()
     probs[-1] += pmf.tail_mass  # a DP table leaves <= tail_mass outside
     expected = n * probs
-    bins = _merge_bins(expected, min_expected)
+    bins = _merge_bins(expected)
     if not bins or expected.sum() <= 0:
         raise ValueError("not enough expected mass to bin")
     observed = _bin_counts(values, pmf.start, probs.size, bins)
     exp_binned = np.array([expected[i:j].sum() for i, j in bins])
     stat = float(np.sum((observed - exp_binned) ** 2 / exp_binned))
-    dof = len(bins) - 1
-    if dof == 0:
-        p = 1.0 if stat < 1e-12 else 0.0
-    else:
-        p = _chi2_sf(stat, dof)
-    return TestReport(identity=identity, statistic=stat, p_value=p, n_samples=n,
-                      seed=batch.seed, verdict=p > level, level=level)
+    return _chi2_report(identity, stat, bins, n, batch.seed, level)
 
 
 def lattice_chi2_two_sample(a: SampleBatch, b: SampleBatch, level: float = 1e-3,
-                            min_expected: float = 5.0,
                             identity: str = "lattice-chi2-2s") -> TestReport:
     """Two-sample chi-square for equality of two integer-valued laws."""
     va = _integer_values(a)
@@ -179,7 +182,7 @@ def lattice_chi2_two_sample(a: SampleBatch, b: SampleBatch, level: float = 1e-3,
     na, nb = va.size, vb.size
     pooled = (ca + cb) / (na + nb)
     # merge until the smaller sample expects enough in every bin
-    bins = _merge_bins(min(na, nb) * pooled, min_expected)
+    bins = _merge_bins(min(na, nb) * pooled)
     stat = 0.0
     for i, j in bins:
         p = pooled[i:j].sum()
@@ -187,13 +190,7 @@ def lattice_chi2_two_sample(a: SampleBatch, b: SampleBatch, level: float = 1e-3,
             e = n * p
             o = cnt[i:j].sum()
             stat += (o - e) ** 2 / e
-    dof = len(bins) - 1
-    if dof == 0:
-        p_val = 1.0 if stat < 1e-12 else 0.0
-    else:
-        p_val = _chi2_sf(stat, dof)
-    return TestReport(identity=identity, statistic=float(stat), p_value=p_val,
-                      n_samples=na + nb, seed=a.seed, verdict=p_val > level, level=level)
+    return _chi2_report(identity, stat, bins, na + nb, a.seed, level)
 
 
 def ks_two_sample(a: SampleBatch, b: SampleBatch, level: float = 1e-3,

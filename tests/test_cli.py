@@ -289,7 +289,7 @@ def test_bad_params_exit_nonzero(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["pmf", "--process", "msp", "--l1", "400", "--l2", "400", "--t", "1,1"],
+    ["pmf", "--process", "msp", "--l1", "1000000.0", "--l2", "1000000.0", "--t", "1,1"],
     ["pmf", "--process", "gmsp", "--jumps", "1:6000.0,6000.0", "--t", "1.0,1.0"],
     ["pmf", "--process", "frac-skellam", "--l1", "1e5", "--l2", "1.0", "--alpha", "0.5",
      "--beta", "0.5", "--t1", "1.0", "--t2", "1.0", "--nmax", "0"],
@@ -299,6 +299,27 @@ def test_truncation_is_an_error_exit(capsys, argv):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("rate, nmax, expected, rel", [
+    # a = b = 800: the series overflowed in linear space and refused
+    ("400", "0", 0.009974336468287663, 1e-11),
+    # three leading Bessel terms are below 1e-14: an absolute stop rule wrote 9.81e-31
+    ("5.0", "60", 1.2496629627285318e-30, 1e-13),
+])
+def test_msp_pmf_last_row_matches_mpmath(capsys, rate, nmax, expected, rel):
+    assert main(["pmf", "--process", "msp", "--l1", rate, "--l2", rate, "--t", "1,1",
+                 "--nmax", nmax]) == 0
+    n, prob, _ = capsys.readouterr().out.splitlines()[-1].split(",")
+    assert n == nmax and float(prob) == pytest.approx(expected, rel=rel)
+
+
+def test_non_finite_mean_is_an_error_exit(capsys):
+    # 1e308 * 10 overflows the mean; numpy may warn first, on its own line
+    argv = ["pmf", "--process", "msp", "--l1", "1e308", "--l2", "1.0", "--t", "10"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.splitlines()[-1].startswith("error: ")
 
 
 def test_gmsp_pmf_past_the_subnormal_start(capsys):

@@ -21,7 +21,7 @@ from skellam_lab import (
 from skellam_lab.identities import run_identity
 from skellam_lab import fractional, special
 from skellam_lab.records import LatticePMF
-from skellam_lab.special import DEFAULT_CONTROL, SeriesControl, TruncationError
+from skellam_lab.special import TruncationError
 from skellam_lab.stats import lattice_chi2
 
 
@@ -157,20 +157,20 @@ def _entry_by_entry(spec, t1, t2, ns):
 
 
 @pytest.mark.parametrize("spec,t1,t2", _TABLE_CASES)
-@pytest.mark.parametrize("ctl", [SeriesControl(), SeriesControl(max_terms=5),
-                                 SeriesControl(max_terms=40)])
+@pytest.mark.parametrize("ctl", [{}, {"_MAX_TERMS": 5}, {"_MAX_TERMS": 40}])
 def test_frac_pmf_table_equals_its_entries(monkeypatch, spec, t1, t2, ctl):
     # a one-entry table runs its side tables less far; each entry is an
     # exactly rounded sum, so that changes no bit.  Under a side-table cap
     # that some requests pass, both raise at a full table: the same text.
     # special.grow_table reads the cap, so that is the module to patch.
-    monkeypatch.setattr(special, "DEFAULT_CONTROL", ctl)
+    for name, value in ctl.items():
+        monkeypatch.setattr(special, name, value)
     ns = range(-20, 21)
     try:
         table = frac_skellam_pmf_table(spec, t1, t2, ns)
     except TruncationError as exc:
         table = str(exc)
-    if ctl.max_terms == 5:
+    if ctl.get("_MAX_TERMS") == 5:
         assert isinstance(table, str) and "would pass 5 entries" in table
     assert table == _entry_by_entry(spec, t1, t2, ns)
 
@@ -189,11 +189,11 @@ def test_frac_pmf_table_evaluates_each_factor_once(monkeypatch):
 
 
 def test_frac_pmf_side_table_cap():
-    # lam t^alpha = 1e5 needs side tables far past max_terms entries; the
-    # cap raises after max_terms quadrature steps (0.2 s on 2 vCPUs)
+    # lam t^alpha = 1e5 needs side tables far past the 10,000-entry cap; it
+    # raises after that many quadrature steps (0.2 s on 2 vCPUs)
     spec = FracSkellamSpec(1e5, 1.0, 0.5, 0.5)
     start = time.perf_counter()
-    with pytest.raises(TruncationError, match=str(DEFAULT_CONTROL.max_terms)):
+    with pytest.raises(TruncationError, match=str(special._MAX_TERMS)):
         frac_skellam_pmf(spec, 1.0, 1.0, 0)
     assert time.perf_counter() - start < 10.0
 

@@ -222,8 +222,8 @@ def test_lattice_pmf_at_the_edge_of_the_float_range():
 
 @pytest.mark.parametrize("mean", [9200.0, 1e5])
 def test_lattice_pmf_refuses_instead_of_hanging(mean):
-    # past a mean of about 9,100 the table would pass DEFAULT_CONTROL.max_terms
-    # entries before its tail; run it where a timeout can stop a loop that
+    # past a mean of about 9,100 the table would pass its 10,000-entry cap
+    # before its tail; run it where a timeout can stop a loop that
     # does not end
     code = ("import sys; from skellam_lab import JumpSpec, TruncationError, gmsp_lattice_pmf\n"
             f"try: gmsp_lattice_pmf(JumpSpec({{1: ({mean},)}}), (1.0,))\n"
@@ -233,8 +233,17 @@ def test_lattice_pmf_refuses_instead_of_hanging(mean):
 
 
 def test_msp_pmf_term_overflow_raises_truncation():
-    with pytest.raises(TruncationError):
-        msp_pmf(0, (400.0,), (400.0,), (1.0,))
+    # a Bessel series of more than 10,000 terms: x = 4e6 needs about 16,700
+    with pytest.raises(TruncationError, match="10000 terms"):
+        msp_pmf(0, (1e6, 1e6), (1e6, 1e6), (1.0, 1.0))
+
+
+def test_msp_pmf_refuses_non_finite_means():
+    # finite rates whose mean overflows
+    with pytest.raises(ValueError, match="finite"):
+        msp_pmf(0, (1e308,), (1.0,), (10.0,))
+    with pytest.raises(ValueError, match="finite"):
+        msp_pmf(0, (1e308,), (0.0,), (10.0,))
 
 
 def test_lattice_pmf_requires_integer_jumps():

@@ -11,7 +11,6 @@ import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from skellam_lab import (
-    SeriesControl,
     FracSkellamSpec,
     TruncationError,
     bessel_i,
@@ -22,41 +21,44 @@ from skellam_lab import (
     inv_stable_marginal_sample,
     wright_psi23,
 )
-from skellam_lab.special import poisson_pmf, sum_series
-
-_CTL = SeriesControl()
+from skellam_lab import special
+from skellam_lab.gmsp import skellam_pmf
+from skellam_lab.special import log_bessel_i, poisson_pmf, sum_series
 
 
 def test_sum_series_stops_after_three_consecutive_small_terms():
     terms = iter([1.0, 0.5, 0.0, 1e-20, 0.0, 99.0])
-    assert sum_series(terms, _CTL) == (1.5, True)
+    assert sum_series(terms) == (1.5, True)
     assert next(terms) == 99.0  # the term after the stop is never drawn
 
 
 def test_sum_series_does_not_stop_at_a_single_small_term():
-    assert sum_series([1.0, 0.0, 2.0, 0.0, 0.0, 4.0, 0.0, 0.0, 0.0], _CTL) == (7.0, True)
+    assert sum_series([1.0, 0.0, 2.0, 0.0, 0.0, 4.0, 0.0, 0.0, 0.0]) == (7.0, True)
 
 
-def test_sum_series_cap_returns_the_partial_sum_unconverged():
+def test_sum_series_cap_returns_the_partial_sum_unconverged(monkeypatch):
+    monkeypatch.setattr(special, "_MAX_TERMS", 4)
     terms = itertools.count(1.0)
-    assert sum_series(terms, SeriesControl(max_terms=4)) == (10.0, False)
-    assert next(terms) == 5.0  # the cap draws no term past max_terms
+    assert sum_series(terms) == (10.0, False)
+    assert next(terms) == 5.0  # the cap draws no term past _MAX_TERMS
 
 
 def test_sum_series_exhausted_iterable_is_unconverged():
-    assert sum_series([1.0, 0.0, 0.0], _CTL) == (1.0, False)
-    assert sum_series([], _CTL) == (0.0, False)
+    assert sum_series([1.0, 0.0, 0.0]) == (1.0, False)
+    assert sum_series([]) == (0.0, False)
 
 
-# Values of the series taken before they shared sum_series; the engine must
-# reproduce them bit for bit (0 ulps).  The fractional pmfs are quadratures:
-# their rows hold mpmath values, to be met within four ulps.
+# The Wright rows are values of the series taken before they shared
+# sum_series, reproduced bit for bit (0 ulps).  The first two Bessel rows
+# held bit for bit when the series moved to the peak-outward sum; the third
+# and the fractional pmfs (quadratures) hold mpmath values, to be met within
+# four ulps.
 _PSI_PARAMS = ((1.0, 1.0), (2.0, 1.0), (1.0, 0.5), (1.0, 0.5), (1.0, 1.0))
 _FRAC_SPEC = FracSkellamSpec(1.0, 1.0, 0.7, 0.9)
 _GOLDEN = [
     (lambda: bessel_i(0, 1.0), 1.2660658777520082, 0),
     (lambda: bessel_i(3, -2.5), -0.4743704087780355, 0),
-    (lambda: bessel_i(5, 40.0), 1.085831833762423e+16, 0),
+    (lambda: bessel_i(5, 40.0), 1.0858318337624282e+16, 4),
     (lambda: wright_psi23(*_PSI_PARAMS, -0.5), 0.25759764238321387, 0),
     (lambda: wright_psi23(*_PSI_PARAMS, 2.0), 100.69442310662781, 0),
     (lambda: frac_poisson_pmf(3, 2.0, 1.0, 0.5), 0.12368510211432802, 4),
@@ -98,9 +100,11 @@ def test_bessel_matches_brute_force_at_two():
     assert bessel_i(0, 2.0) == pytest.approx(oracle, abs=1e-14 * (1 + oracle))
 
 
-@pytest.mark.parametrize("n", range(6))
-@pytest.mark.parametrize("x", [0.1, 0.5, 1.0, 2.5, 5.0, 10.0])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 20, 40, 60])
+@pytest.mark.parametrize("x", [0.1, 0.5, 1.0, 2.5, 5.0, 10.0, 20.0, 50.0, 200.0])
 def test_bessel_matches_scipy(n, x):
+    # (60, 20.0) has three leading terms below 1e-14: a sum that stops on an
+    # absolute rule there returns 21 % low
     assert bessel_i(n, x) == pytest.approx(float(scipy.special.iv(n, x)), rel=1e-12)
 
 
@@ -122,11 +126,35 @@ def test_bessel_rejects_non_finite():
         bessel_i(0, math.nan)
 
 
-def test_bessel_cap_carries_partial_sum():
+def test_bessel_cap_carries_partial_sum(monkeypatch):
+    # past the cap, the error carries the log of the partial sum
+    full = log_bessel_i(0, 6.0)
+    monkeypatch.setattr(special, "_MAX_TERMS", 2)
     with pytest.raises(TruncationError) as exc:
-        bessel_i(0, 6.0, SeriesControl(abs_tol=1e-14, max_terms=2))
-    partial = exc.value.partial
-    assert 0 < partial < bessel_i(0, 6.0)
+        bessel_i(0, 6.0)
+    assert 0 < exc.value.partial < full
+
+
+def test_log_bessel_i_rejects_bad_arguments():
+    for n, x in [(-1, 1.0), (0, 0.0), (0, -1.0), (0, math.inf), (0, math.nan)]:
+        with pytest.raises(ValueError):
+            log_bessel_i(n, x)
+
+
+@pytest.mark.parametrize("n, x", [(0, 2.0), (3, 50.0), (60, 20.0), (100, 1.5)])
+def test_log_bessel_i_matches_brute_force(n, x):
+    assert log_bessel_i(n, x) == pytest.approx(math.log(brute_bessel(n, x, terms=300)),
+                                               rel=1e-14)
+
+
+def test_bessel_above_the_float_range_is_truncation():
+    # I_0(720) is about e^716; its log against the large-x expansion
+    # x - log(2 pi x)/2 + log(1 + 1/(8x) + 9/(128x^2) + ...)
+    x = 720.0
+    with pytest.raises(TruncationError, match="float range"):
+        bessel_i(0, x)
+    expansion = x - 0.5 * math.log(2 * math.pi * x) + math.log1p(1 / (8 * x) + 9 / (128 * x**2))
+    assert log_bessel_i(0, x) == pytest.approx(expansion, abs=1e-9)
 
 
 @given(st.integers(0, 8), st.floats(0.0, 15.0))
@@ -162,10 +190,11 @@ def test_wright_unit_weight_factorial_series_oracle():
     assert wright_psi23(*params, z) == pytest.approx(oracle, abs=1e-10)
 
 
-def test_wright_cap_keeps_leading_term():
+def test_wright_cap_keeps_leading_term(monkeypatch):
     one = (1.0, 1.0)
+    monkeypatch.setattr(special, "_MAX_TERMS", 1)
     with pytest.raises(TruncationError) as exc:
-        wright_psi23(one, one, one, one, one, 1.0, SeriesControl(abs_tol=1e-14, max_terms=1))
+        wright_psi23(one, one, one, one, one, 1.0)
     assert exc.value.partial == pytest.approx(1.0)  # the m=0 term
 
 
@@ -278,15 +307,45 @@ def test_frac_poisson_table_mass_and_mean_at_large_means(x):
     assert mean == pytest.approx(x / math.gamma(1.5), rel=1e-12)
 
 
+# The Bessel pmf's domain map (README): (largest a + b, relative tolerance),
+# with x in place of a + b for I_n(x).  The error is the rounding of the
+# log-space exponents, which grow with the means.  Past x = 2 sqrt(ab) of
+# about 1.44e6 the series needs more than 10,000 terms and refuses.
+_SKELLAM_REGIONS = ((20.0, 1e-13), (2_000.0, 5e-12), (25_000.0, 1e-10), (1.1e6, 3e-9))
+_SKELLAM_CAP_X = 1.44e6
+
+
+def test_skellam_pmf_and_bessel_match_the_golden_map():
+    # make_skellam_golden.py: mpmath at 40 and 60 digits
+    path = os.path.join(os.path.dirname(__file__), "skellam_golden.json")
+    with open(path, encoding="utf-8") as fh:
+        points = json.load(fh)["points"]
+    wrong = []
+    for p in points:
+        if p["kind"] == "pmf":
+            size, x = p["a"] + p["b"], 2.0 * math.sqrt(p["a"] * p["b"])
+            fn, args = skellam_pmf, (p["n"], p["a"], p["b"])
+        else:
+            size = x = p["x"]
+            fn, args = bessel_i, (p["n"], p["x"])
+        refuses = p["value"] is None or x > _SKELLAM_CAP_X
+        try:
+            value = fn(*args)
+        except TruncationError:
+            if not refuses:
+                wrong.append((p, "refused"))
+            continue
+        if refuses:
+            wrong.append((p, value))
+            continue
+        tol = next(t for top, t in _SKELLAM_REGIONS if size <= top)
+        if not abs(value - p["value"]) <= tol * p["value"]:
+            wrong.append((p, value))
+    assert len(points) == 205 and not wrong
+
+
 def test_frac_poisson_table_is_its_entries():
     table = frac_poisson_table(12, 3.0, 1.3, 0.6)
     assert table == [frac_poisson_pmf(n, 3.0, 1.3, 0.6) for n in range(13)]
     with pytest.raises(ValueError):
         frac_poisson_table(-1, 3.0, 1.3, 0.6)
-
-
-def test_series_control_validation():
-    with pytest.raises(ValueError):
-        SeriesControl(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        SeriesControl(max_terms=0)
