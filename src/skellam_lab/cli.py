@@ -40,7 +40,7 @@ from .gmsp import (
 )
 from .identities import IDENTITIES, array_tvs, run_identity
 from .integrals import CompoundSpec, RectDomain, integral_cf_gmsp, integral_cf_mpp, integral_sample
-from .mpp import as_rates, as_times
+from .mpp import as_rates, as_times, poisson_means
 from .records import SampleBatch, make_rng
 from .special import TruncationError, frac_poisson_table
 from .stats import empirical_cf
@@ -223,7 +223,7 @@ def _cmd_simulate(args) -> None:
         _require(args, "rates", "t")
         lam = as_rates(_parse_floats(args.rates, "rates"))
         t = as_times(_parse_floats(args.t, "t"), lam.size)
-        values = make_rng(seed).poisson(float(lam @ t), n)
+        values = make_rng(seed).poisson(float(poisson_means(lam, t)), n)
         batch = SampleBatch(values, seed=seed, meta={
             "process": "mpp", "rates": list(map(float, lam)), "t": list(map(float, t)), "n": n})
     elif args.process == "gmsp":

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .mpp import as_rates, as_times
+from .mpp import as_rates, as_times, poisson_means
 from .records import SampleBatch, LatticePMF, make_rng
 from .special import TruncationError, grow_table, log_bessel_i, poisson_entries, poisson_pmf
 
@@ -100,7 +100,7 @@ class TriangularArraySpec:
 
 def _jump_means(spec: JumpSpec, t) -> np.ndarray:
     tt = as_times(t, spec.dim)
-    return spec.rate_matrix @ tt
+    return poisson_means(spec.rate_matrix, tt)
 
 
 def _integer_jumps(jumps) -> bool:
@@ -186,7 +186,9 @@ def gmsp_moments(spec: JumpSpec, s, t):
     ss = as_times(s, spec.dim)
     tt = as_times(t, spec.dim)
     rates = spec.rate_matrix
-    return poisson_sum_moments(spec.jump_values, rates @ tt, rates @ np.minimum(ss, tt))
+    # the shared means are at most the means at t, so only those can overflow
+    return poisson_sum_moments(spec.jump_values, poisson_means(rates, tt),
+                               rates @ np.minimum(ss, tt))
 
 
 def skellam_pmf(n: int, a: float, b: float) -> float:
@@ -222,7 +224,7 @@ def msp_pmf(n: int, rates1, rates2, t) -> float:
     tt = as_times(t, lam1.size)
     if lam2.size != lam1.size:
         raise ValueError("rate vectors must share one dimension")
-    return skellam_pmf(n, float(lam1 @ tt), float(lam2 @ tt))
+    return skellam_pmf(n, float(poisson_means(lam1, tt)), float(poisson_means(lam2, tt)))
 
 
 def scaled_poisson_convolution(jump_mus: dict) -> LatticePMF:
@@ -287,7 +289,8 @@ def peraxis_compound_sums(spec: JumpSpec, tt: np.ndarray, n_draws: int, axis_dra
     values = np.zeros(n_draws)
     for k, (count_rng, jump_rng, weights) in enumerate(axis_draws):
         axis_rate = float(rates[:, k].sum())
-        values += scale * compound_sums(count_rng, jump_rng, axis_rate * tt[k], n_draws,
+        # a float product: an overflow is inf, which rng.poisson refuses, with no numpy warning
+        values += scale * compound_sums(count_rng, jump_rng, axis_rate * float(tt[k]), n_draws,
                                         spec.jump_values, rates[:, k] / axis_rate, weights)
     return values
 

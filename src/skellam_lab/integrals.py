@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gmsp import JumpSpec, compound_sums, equalrate_sums, peraxis_compound_sums
-from .mpp import as_rates, as_times
+from .mpp import as_rates, as_times, poisson_means
 from .records import SampleBatch, make_rng, spawn_rngs
 
 __all__ = [
@@ -119,7 +119,8 @@ def _compound_integral(spec: CompoundSpec, dom: RectDomain, n_draws, seed):
         counts = np.ones((n, 1), dtype=np.int64)
         for k in range(dom.dim):
             r_k = int(dom.resolution[k])
-            events = rngs[2 * k].poisson(spec.rates[k] * dom.t[k], n)
+            # a float product: an overflow is inf, which rng.poisson refuses, with no numpy warning
+            events = rngs[2 * k].poisson(float(spec.rates[k]) * float(dom.t[k]), n)
             # offset by draw so that one flat sort orders the cells within each draw
             shift = np.repeat(np.arange(n) * (r_k + 1), events)
             cells = np.sort(rngs[2 * k + 1].integers(1, r_k + 1, shift.size) + shift) - shift
@@ -298,7 +299,8 @@ def uniform_compound_sample(kind: str, params: dict, n_draws: int, seed: int) ->
         tt = as_times(take("t"), spec.rates.size)
         if params:
             raise ValueError(f"unexpected parameters for {kind}: {sorted(params)}")
-        values = float(np.prod(tt)) * compound_sums(rng, rng, float(spec.rates @ tt), n_draws,
+        mean = float(poisson_means(spec.rates, tt))
+        values = float(np.prod(tt)) * compound_sums(rng, rng, mean, n_draws,
                                                     spec.values, spec.probs, rng.random)
     elif kind == "gmsp-peraxis":
         spec = take("spec")

@@ -48,6 +48,19 @@ def as_times(t, dim: int | None = None) -> np.ndarray:
     return tt
 
 
+def poisson_means(rates: np.ndarray, tt: np.ndarray):
+    """The Poisson means rates @ tt, refused where a product leaves the float range.
+
+    ``rates`` is one rate vector or a matrix of rate rows.  The product runs
+    with numpy's overflow warning off, so an overflow is one ``ValueError``.
+    """
+    with np.errstate(over="ignore"):
+        means = rates @ tt
+    if not np.all(np.isfinite(means)):
+        raise ValueError(f"means must be finite, got {np.asarray(means).tolist()}")
+    return means
+
+
 @dataclass(frozen=True)
 class GridPath:
     """One realization of a multiparameter process on a rectangular lattice.
@@ -85,7 +98,7 @@ def mpp_pmf(n: int, rates, t) -> float:
     """P{N(t) = n} for the process with the given rates: Poisson(rates . t)."""
     lam = as_rates(rates)
     tt = as_times(t, lam.size)
-    return poisson_pmf(int(n), float(lam @ tt))
+    return poisson_pmf(int(n), float(poisson_means(lam, tt)))
 
 
 def sample_axis_path(rng, lam: float, axis: np.ndarray, n_draws: int = 1) -> np.ndarray:

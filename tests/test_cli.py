@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -314,12 +315,34 @@ def test_msp_pmf_last_row_matches_mpmath(capsys, rate, nmax, expected, rel):
     assert n == nmax and float(prob) == pytest.approx(expected, rel=rel)
 
 
-def test_non_finite_mean_is_an_error_exit(capsys):
-    # 1e308 * 10 overflows the mean; numpy may warn first, on its own line
-    argv = ["pmf", "--process", "msp", "--l1", "1e308", "--l2", "1.0", "--t", "10"]
-    assert main(argv) == 1
+def _one_error_line(capsys, argv):
+    """Run argv; it must exit 1 with one error: line on stderr and no warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 1
     err = capsys.readouterr().err
-    assert "Traceback" not in err and err.splitlines()[-1].startswith("error: ")
+    assert [str(w.message) for w in caught] == []
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+def test_non_finite_mean_is_an_error_exit(capsys):
+    # 1e308 * 10 overflows the mean: one error: line, and no numpy overflow warning
+    _one_error_line(capsys, ["pmf", "--process", "msp", "--l1", "1e308", "--l2", "1.0",
+                             "--t", "10"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--process", "mpp", "--rates", "1e308", "--t", "10", "--n", "3"],
+    ["simulate", "--process", "gmsp", "--jumps", "1:1.0e308", "--t", "10.0", "--n", "3"],
+    ["pmf", "--process", "gmsp", "--jumps", "1:1.0e308", "--t", "10.0"],
+    ["cf", "--process", "gmsp", "--jumps", "1:1.0e308", "--t", "10.0", "--u", "1"],
+    ["integral", "--process", "mpp", "--rates", "1e308", "--t", "10", "--r", "4", "--n", "3"],
+    ["integral", "--process", "compound", "--rates", "1e308", "--xvalues", "1.0",
+     "--xprobs", "1.0", "--t", "10", "--r", "4", "--n", "3"],
+])
+def test_overflowing_means_are_one_error_line(capsys, argv):
+    # the gmsp cf used to exit 0 with a table of zeros
+    _one_error_line(capsys, argv)
 
 
 def test_gmsp_pmf_past_the_subnormal_start(capsys):

@@ -1,4 +1,4 @@
-"""Import cost: the package loads numpy only; scipy is imported where it is used.
+"""Import cost: the package loads numpy only; only integral_cf_levy imports scipy.
 
 Each test runs in a fresh interpreter, since the test session itself has
 scipy loaded already.
@@ -14,7 +14,8 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 _SPEC3 = "1:0.7,0.4;-1:0.5,0.6;2:0.2,0.3"
 
-# one fixed argv per command the cold-start benchmark runs, plus a chi-square identity
+# one fixed argv per command the cold-start benchmark runs, plus a chi-square
+# identity and a KS identity
 _COLD_COMMANDS = [
     ["simulate", "--process", "gmsp", "--jumps", _SPEC3, "--t", "1.0,1.0", "--n", "20"],
     ["simulate", "--process", "frac-skellam", "--l1", "1.0", "--l2", "1.0", "--alpha", "0.5",
@@ -35,6 +36,7 @@ _COLD_COMMANDS = [
      "--scales", "10,100", "--n", "100"],
     ["verify", "--identity", "cf-product"],
     ["verify", "--identity", "compound-peraxis", "--n", "2000"],
+    ["verify", "--identity", "uniform-compound-mpp", "--n", "2000"],
 ]
 
 
@@ -60,16 +62,28 @@ def test_cold_commands_never_load_scipy(tmp_path):
     assert len(list(tmp_path.iterdir())) >= len(_COLD_COMMANDS)
 
 
+def test_every_identity_runs_with_scipy_blocked(tmp_path):
+    code = (
+        "import os, sys\n"
+        "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
+        "from skellam_lab.cli import main\n"
+        "from skellam_lab.identities import IDENTITIES\n"
+        "for name in IDENTITIES:\n"
+        "    out = os.path.join(sys.argv[1], name + '.json')\n"
+        "    assert main(['verify', '--identity', name, '--n', '2000', '--out', out]) == 0, name\n"
+        "print(len(IDENTITIES))\n"
+    )
+    assert _run_fresh(code, str(tmp_path)).strip() == "17"
+    reports = [json.loads(f.read_text()) for f in sorted(tmp_path.iterdir())]
+    assert len(reports) == 17 and all(r["n"] > 0 for r in reports)
+
+
 def test_scipy_backed_functions_work_first_in_a_fresh_process():
     code = (
         "import sys\n"
         "import numpy as np\n"
-        "from skellam_lab import integral_cf_levy, integral_cf_mpp, ks_two_sample\n"
-        "from skellam_lab.records import SampleBatch\n"
+        "from skellam_lab import integral_cf_levy, integral_cf_mpp\n"
         "assert 'scipy' not in sys.modules\n"
-        "a = SampleBatch(np.arange(200.0), seed=0)\n"
-        "report = ks_two_sample(a, SampleBatch(np.arange(200.0) + 0.5, seed=1))\n"
-        "assert abs(report.statistic - 0.005) < 1e-12 and report.verdict, report\n"
         "psi = lambda v: complex(1.3 * (np.exp(1j * v) - 1.0))\n"
         "gap = abs(integral_cf_levy([psi], [1.2], 0.7) - integral_cf_mpp([1.3], [1.2], 0.7))\n"
         "assert gap < 1e-9, gap\n"

@@ -5,10 +5,13 @@ trustworthy once its size (under the null) and power (under a wrong law) have
 been checked on known inputs.
 """
 
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from skellam_lab import empirical_cf, ks_two_sample, lattice_chi2, tv_distance
+from skellam_lab import empirical_cf, ks_two_sample, lattice_chi2, stats, tv_distance
 from skellam_lab.records import CFTable, LatticePMF, SampleBatch
 from skellam_lab.special import poisson_pmf
 from skellam_lab.stats import TestReport, _chi2_sf, lattice_chi2_two_sample
@@ -156,6 +159,79 @@ def test_ks_power():
 def test_ks_rejects_empty():
     with pytest.raises(ValueError):
         ks_two_sample(SampleBatch(np.array([]), seed=0), SampleBatch(np.array([1.0]), seed=0))
+    with pytest.raises(ValueError, match="empty"):
+        ks_two_sample(SampleBatch(np.array([1.0]), seed=0), SampleBatch(np.array([]), seed=0))
+
+
+def test_ks_two_single_draws_have_no_p_value():
+    # N = round(1 * 1 / 2) = 0, where scipy's p-value is NaN
+    with pytest.raises(ValueError, match="more than one draw"):
+        ks_two_sample(SampleBatch(np.array([0.0]), seed=0), SampleBatch(np.array([1.0]), seed=0))
+
+
+def _ks_cases():
+    rng = np.random.default_rng(31)
+    same = rng.normal(size=400)
+    return {
+        # D is the bottom gap here and the top gap for the shifted integers
+        "continuous": (rng.normal(0.1, 1.0, size=700), rng.normal(size=500)),
+        "tied-integers": (rng.poisson(3.0, 3000), rng.poisson(3.2, 2000)),
+        "shifted-integers": (rng.poisson(3.0, 20_000), rng.poisson(3.0, 20_000) + 1),
+        "unequal-sizes": (rng.random(7), rng.random(20_000)),
+        "one-draw": (np.array([0.5]), rng.random(50)),
+        "identical": (same, same),
+    }
+
+
+_KS_CASES = _ks_cases()
+# the p-value tolerance against scipy: relative, with an absolute floor where
+# the tail underflows to subnormal floats
+_P_REL, _P_ABS = 1e-10, 1e-300
+
+
+@pytest.mark.parametrize("case", sorted(_KS_CASES))
+def test_ks_matches_scipy_ks_2samp(case):
+    from scipy.stats import ks_2samp
+
+    x, y = _KS_CASES[case]
+    report = ks_two_sample(SampleBatch(x, seed=0), SampleBatch(y, seed=1))
+    ref = ks_2samp(x, y, method="asymp")
+    assert report.statistic == float(ref.statistic)
+    assert abs(report.p_value - float(ref.pvalue)) <= _P_REL * float(ref.pvalue) + _P_ABS
+
+
+def _kolmogorov_grid():
+    """(N, D) pairs reaching every branch of the p-value, N from 1 to 40000."""
+    for n in (1, 2, 3, 5, 10, 50, 139, 140, 141, 500, 2000, 10_000, 40_000):
+        ds = [0.3 / n, 0.6 / n, 0.75 / n, 1.0 / n,  # Ruben-Gambino at nD <= 1
+              1.0 - 0.5 / n, 0.5, 0.7, 0.95]  # nD >= N - 1, and twice Smirnov at D >= 1/2
+        # nD^2 across Durbin or Pelz-Good, the Smirnov tail, and 0 past 370
+        ds += [math.sqrt(v / n) for v in (0.3, 0.7, 1.0, 2.0, 2.2, 3.0, 4.5, 10.0, 50.0,
+                                          200.0, 369.0, 371.0)]
+        ds += [f * (1.4 / n) ** (2 / 3) for f in (0.8, 1.0)]  # Durbin at N > 140, p near 1
+        yield from ((n, d) for d in ds if 0.0 < d < 1.0)
+    yield from ((2_000_000, math.sqrt(v / 2e6)) for v in (1.0, 2.2, 10.0))  # Miller's tail
+
+
+def test_kolmogorov_sf_matches_scipy_kstwo(monkeypatch):
+    from scipy.stats import kstwo
+
+    calls = Counter()
+    for name in ("_smirnov_sf", "_durbin_cdf", "_pelz_good_cdf"):
+        func = getattr(stats, name)
+        monkeypatch.setattr(stats, name,
+                            lambda *args, func=func, name=name: calls.update([name]) or func(*args))
+    refs = []
+    for n, d in _kolmogorov_grid():
+        ref = float(kstwo.sf(d, n))
+        pelz_good = calls["_pelz_good_cdf"]
+        p = stats._kolmogorov_sf(n, d)
+        assert abs(p - ref) <= _P_REL * ref + _P_ABS, (n, d, p, ref)
+        if calls["_pelz_good_cdf"] > pelz_good:  # the same float operations as scipy's
+            assert p == ref, (n, d, p, ref)
+        refs.append(ref)
+    assert set(calls) == {"_smirnov_sf", "_durbin_cdf", "_pelz_good_cdf"}
+    assert min(refs) == 0.0 and max(refs) == 1.0 and 0.0 < min(r for r in refs if r) < 1e-290
 
 
 def test_tv_from_own_law_is_small():
