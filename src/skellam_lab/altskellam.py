@@ -13,7 +13,6 @@ core in :mod:`skellam_lab.gmsp`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,9 +26,8 @@ from .gmsp import (
     poisson_sum_pgf,
     poisson_sum_sample,
     skellam_pmf,
-    sorted_jumps,
 )
-from .records import SampleBatch, LatticePMF
+from .records import SampleBatch, LatticePMF, as_jumps, as_rates, as_scales, as_times
 
 __all__ = [
     "AltSpec",
@@ -52,16 +50,9 @@ class AltSpec:
     def __post_init__(self):
         if not self.rates:
             raise ValueError("need at least one jump")
-        cleaned = {}
-        for j in sorted(self.rates):
-            jf = float(j)
-            lam = float(self.rates[j])
-            if jf == 0.0 or not math.isfinite(jf):
-                raise ValueError("jumps must be finite and nonzero")
-            if not 0 < lam < math.inf:
-                raise ValueError("rates must be finite and strictly positive")
-            cleaned[jf] = lam
-        object.__setattr__(self, "rates", cleaned)
+        keys = sorted(self.rates)
+        rates = as_rates([self.rates[j] for j in keys]).tolist()
+        object.__setattr__(self, "rates", dict(zip(as_jumps(keys).tolist(), rates)))
 
     @property
     def jump_values(self) -> np.ndarray:
@@ -72,18 +63,16 @@ class AltSpec:
         return np.array(list(self.rates.values()))
 
 
-def _time_map(spec: AltSpec, t: dict, name: str = "t") -> np.ndarray:
-    if set(map(float, t)) != set(spec.rates):
+def _time_map(jumps, t: dict, name: str = "t") -> np.ndarray:
+    """The times of ``t`` in the order of ``jumps``; ``t`` is keyed exactly by the jump set."""
+    if set(map(float, t)) != set(jumps):
         raise ValueError(f"{name} must be keyed exactly by the jump set")
-    out = np.array([float(t[j]) for j in spec.rates])
-    if np.any(out < 0) or not np.all(np.isfinite(out)):
-        raise ValueError("times must be finite and nonnegative")
-    return out
+    return as_times([t[j] for j in jumps])
 
 
 def alt_sample(spec: AltSpec, t: dict, n_draws: int, seed: int) -> SampleBatch:
     """Draw sum_j j * Poisson(lam_j t_j) with independent counts."""
-    tt = _time_map(spec, t)
+    tt = _time_map(spec.rates, t)
     values = poisson_sum_sample(spec.jump_values, spec.rate_values * tt, n_draws, seed)
     meta = {"process": "alt-skellam", "rates": dict(spec.rates),
             "t": {j: float(tj) for j, tj in zip(spec.rates, tt)}, "n": int(n_draws)}
@@ -96,16 +85,16 @@ def alt_moments(spec: AltSpec, s: dict, t: dict):
     The covariance includes the rate factor, sum_j j^2 lam_j min(s_j, t_j):
     at s = t it must reproduce the variance sum_j j^2 lam_j t_j.
     """
-    ss = _time_map(spec, s, "s")
-    tt = _time_map(spec, t)
+    ss = _time_map(spec.rates, s, "s")
+    tt = _time_map(spec.rates, t)
     lam = spec.rate_values
     return poisson_sum_moments(spec.jump_values, lam * tt, lam * np.minimum(ss, tt))
 
 
 def alt_increment_cf(spec: AltSpec, s: dict, t: dict, z: float) -> complex:
     """CF of the increment between ordered times s <= t (coordinate-wise)."""
-    ss = _time_map(spec, s, "s")
-    tt = _time_map(spec, t)
+    ss = _time_map(spec.rates, s, "s")
+    tt = _time_map(spec.rates, t)
     if np.any(ss > tt):
         raise ValueError("increment requires s <= t in every coordinate")
     return poisson_sum_cf(spec.jump_values, spec.rate_values * (tt - ss), z)
@@ -113,12 +102,12 @@ def alt_increment_cf(spec: AltSpec, s: dict, t: dict, z: float) -> complex:
 
 def alt_pgf(spec: AltSpec, t: dict, u: float) -> float:
     """E[u^S(t)] = exp(sum_j lam_j t_j (u^j - 1)) for 0 < u <= 1."""
-    return poisson_sum_pgf(spec.jump_values, spec.rate_values * _time_map(spec, t), u)
+    return poisson_sum_pgf(spec.jump_values, spec.rate_values * _time_map(spec.rates, t), u)
 
 
 def alt_lattice_pmf(spec: AltSpec, t: dict) -> LatticePMF:
     """Exact lattice pmf at t for integer jump sets (convolution oracle)."""
-    return poisson_sum_lattice_pmf(spec.jump_values, spec.rate_values * _time_map(spec, t))
+    return poisson_sum_lattice_pmf(spec.jump_values, spec.rate_values * _time_map(spec.rates, t))
 
 
 def alt_array_sample(
@@ -134,12 +123,9 @@ def alt_array_sample(
     ``probs(l, j_axis, j)`` gives the probability that the l-th summand on the
     axis labelled j_axis equals jump j; with the residual mass it is 0.
     """
-    jump_vals = sorted_jumps(jumps)
-    if set(map(float, t)) != set(jump_vals.tolist()):
-        raise ValueError("t must be keyed exactly by the jump set")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    t_axes = {float(j): float(t[j]) for j in jump_vals}
+    jump_vals = as_jumps(jumps)
+    as_scales(scale, "array scales", integer=False)
+    t_axes = dict(zip(jump_vals.tolist(), _time_map(jump_vals.tolist(), t).tolist()))
     values = array_sums(scale, t_axes, probs, jump_vals, n_draws, seed)
     meta = {"process": "alt-array", "scale": float(scale), "t": t_axes, "n": int(n_draws)}
     return SampleBatch(values=values, seed=int(seed), meta=meta)
@@ -151,11 +137,6 @@ def twoparam_skellam_pmf(n: int, lam1: float, lam2: float, t1: float, t2: float)
     e^{-lam1 t1 - lam2 t2} (lam1 t1 / lam2 t2)^{n/2} I_{|n|}(2 sqrt(lam1 lam2 t1 t2)),
     degenerating to a (negated) Poisson when either product vanishes.
     """
-    for name, v in (("lam1", lam1), ("lam2", lam2), ("t1", t1), ("t2", t2)):
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite")
-    if lam1 <= 0 or lam2 <= 0:
-        raise ValueError("rates must be strictly positive")
-    if t1 < 0 or t2 < 0:
-        raise ValueError("times must be nonnegative")
+    as_rates((lam1, lam2))
+    as_times((t1, t2))
     return skellam_pmf(n, lam1 * t1, lam2 * t2)

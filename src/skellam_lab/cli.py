@@ -41,7 +41,7 @@ from .gmsp import (
 from .identities import IDENTITIES, array_tvs, run_identity
 from .integrals import CompoundSpec, RectDomain, integral_cf_gmsp, integral_cf_mpp, integral_sample
 from .mpp import as_rates, as_times, poisson_means
-from .records import SampleBatch, make_rng
+from .records import SampleBatch, as_scales, make_rng
 from .special import TruncationError, frac_poisson_table
 from .stats import empirical_cf
 
@@ -56,6 +56,8 @@ def _fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
+        if not math.isfinite(x):
+            raise ValueError(f"cannot write the non-finite value {float(x)!r}")
         return f"{float(x):.17g}"
     raise TypeError(f"cannot format {type(x)!r}")
 
@@ -67,6 +69,8 @@ _KIND_FORMATS = {"i": str, "u": str, "f": "{:.17g}".format}
 def _column(values, each=_fmt) -> list[str]:
     """``each`` of every entry; a flat numeric array is formatted whole, as ``_fmt`` would."""
     if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in _KIND_FORMATS:
+        if values.dtype.kind == "f" and not np.all(np.isfinite(values)):
+            raise ValueError("cannot write a non-finite value")
         return list(map(_KIND_FORMATS[values.dtype.kind], values.tolist()))
     return list(map(each, values))
 
@@ -179,7 +183,7 @@ def _parse_ugrid(text: str) -> list[float]:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError("u range must be start:stop:step")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = _finite_frequencies([float(p) for p in parts])
         if step <= 0:
             raise ValueError("u range step must be positive")
         grid = []
@@ -188,7 +192,13 @@ def _parse_ugrid(text: str) -> list[float]:
             grid.append(start + k * step)
             k += 1
         return grid
-    return _parse_floats(text, "u grid")
+    return _finite_frequencies(_parse_floats(text, "u grid"))
+
+
+def _finite_frequencies(grid: list[float]) -> list[float]:
+    if not all(map(math.isfinite, grid)):
+        raise ValueError(f"frequencies must be finite, got {grid!r}")
+    return grid
 
 
 def _require(args, *names):
@@ -371,10 +381,7 @@ def _cmd_integral(args) -> None:
 
 
 def _cmd_converge(args) -> None:
-    scales = _parse_floats(args.scales, "scales")
-    if not all(s.is_integer() and s >= 1 for s in scales):
-        raise ValueError(f"--scales must list positive integers, got {args.scales!r}")
-    scales = [int(s) for s in scales]
+    scales = as_scales(_parse_floats(args.scales, "scales"), "--scales entries").tolist()
     if args.scheme == "gmsp-array":
         _require(args, "jumps", "t")
         rates = _parse_single_rate_jumps(args.jumps)

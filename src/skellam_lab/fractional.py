@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import SampleBatch, make_rng, spawn_rngs
+from .records import SampleBatch, as_indices, as_rates, as_times, make_rng, spawn_rngs
 from .special import TruncationError, frac_poisson_entries, grow_table, sum_series, wright_psi23
 
 __all__ = [
@@ -37,17 +37,6 @@ __all__ = [
 _WRIGHT_TOL = 1e-9
 
 
-def _check_index(alpha: float) -> float:
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("a stable index must lie in (0, 1]")
-    return float(alpha)
-
-
-def _check_times(*times) -> None:
-    if not all(0.0 <= t < math.inf for t in times):
-        raise ValueError("times must be finite and nonnegative")
-
-
 @dataclass(frozen=True)
 class FracSkellamSpec:
     """Rates of the two Poisson components and their stable time-change indices."""
@@ -58,10 +47,8 @@ class FracSkellamSpec:
     beta: float
 
     def __post_init__(self):
-        if not (0 < self.lam1 < math.inf and 0 < self.lam2 < math.inf):
-            raise ValueError("rates must be finite and strictly positive")
-        _check_index(self.alpha)
-        _check_index(self.beta)
+        as_rates((self.lam1, self.lam2))
+        as_indices((self.alpha, self.beta))
 
 
 def _stable_draws(rng, alpha: float, n: int) -> np.ndarray:
@@ -83,8 +70,8 @@ def _inv_stable_clock(rng, alpha: float, t: float, n: int) -> np.ndarray:
 
 def stable_subordinator_sample(alpha: float, t: float, n_draws: int, seed: int) -> SampleBatch:
     """Draws of D(t) with E[e^{-uD(t)}] = e^{-t u^alpha}; alpha = 1 is drift t."""
-    alpha = _check_index(alpha)
-    _check_times(t)
+    alpha = as_indices(alpha).item()
+    as_times(t)
     meta = {"process": "stable-subordinator", "alpha": alpha, "t": float(t), "n": int(n_draws)}
     if t == 0.0:
         return SampleBatch(values=np.zeros(n_draws), seed=int(seed), meta=meta)
@@ -97,8 +84,8 @@ def stable_subordinator_sample(alpha: float, t: float, n_draws: int, seed: int) 
 
 def inv_stable_marginal_sample(alpha: float, t: float, n_draws: int, seed: int) -> SampleBatch:
     """Draws of the first-passage clock L(t), via L(t) =d (t / D(1))^alpha."""
-    alpha = _check_index(alpha)
-    _check_times(t)
+    alpha = as_indices(alpha).item()
+    as_times(t)
     meta = {"process": "inverse-stable", "alpha": alpha, "t": float(t), "n": int(n_draws)}
     values = _inv_stable_clock(make_rng(seed), alpha, t, n_draws)
     return SampleBatch(values=values, seed=int(seed), meta=meta)
@@ -111,7 +98,7 @@ def frac_skellam_sample(spec: FracSkellamSpec, t1: float, t2: float,
     Each side conditions a Poisson draw on its own inverse-subordinator draw;
     the two sides use separate child streams of the root seed.
     """
-    _check_times(t1, t2)
+    as_times((t1, t2))
     rng1, rng2 = spawn_rngs(seed, 2)
     sides = []
     for rng, lam, alpha, t in ((rng1, spec.lam1, spec.alpha, t1), (rng2, spec.lam2, spec.beta, t2)):
@@ -170,7 +157,7 @@ def frac_skellam_pmf_wright(spec: FracSkellamSpec, t1: float, t2: float, n: int)
     float range, it raises :class:`TruncationError`.
     """
     n = int(n)
-    _check_times(t1, t2)
+    as_times((t1, t2))
     if t1 == 0 or t2 == 0:
         raise ValueError("the Wright form needs strictly positive times")
     if n >= 0:
@@ -224,7 +211,7 @@ def frac_skellam_moments(spec: FracSkellamSpec, t1: float, t2: float,
     frac-variance-quadratic identity supports and frac-variance-printed
     rejects; the printed form stays available behind the flag.
     """
-    _check_times(t1, t2)
+    as_times((t1, t2))
     if variance_form not in ("printed", "quadratic"):
         raise ValueError(f"unknown variance form {variance_form!r}")
 

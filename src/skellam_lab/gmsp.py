@@ -20,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .mpp import as_rates, as_times, poisson_means
-from .records import SampleBatch, LatticePMF, make_rng
+from .mpp import poisson_means
+from .records import SampleBatch, LatticePMF, as_jumps, as_rates, as_scales, as_times, make_rng
 from .special import TruncationError, grow_table, log_bessel_i, poisson_entries, poisson_pmf
 
 __all__ = [
@@ -54,19 +54,11 @@ class JumpSpec:
     def __post_init__(self):
         if not self.jumps:
             raise ValueError("a JumpSpec needs at least one jump")
-        cleaned = {}
-        dim = None
-        for j in sorted(self.jumps):
-            jf = float(j)
-            if jf == 0.0 or not math.isfinite(jf):
-                raise ValueError("jump sizes must be finite and nonzero")
-            lam = as_rates(self.jumps[j])
-            if dim is None:
-                dim = lam.size
-            elif lam.size != dim:
-                raise ValueError("all rate vectors must share one dimension")
-            cleaned[jf] = lam
-        object.__setattr__(self, "jumps", cleaned)
+        keys = sorted(self.jumps)
+        rates = [as_rates(self.jumps[j]) for j in keys]
+        if len({lam.size for lam in rates}) != 1:
+            raise ValueError("all rate vectors must share one dimension")
+        object.__setattr__(self, "jumps", dict(zip(as_jumps(keys).tolist(), rates)))
 
     @property
     def dim(self) -> int:
@@ -94,8 +86,7 @@ class TriangularArraySpec:
     probs: Callable[[int, float, int], float]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("array scale n must be at least 1")
+        as_scales(self.n, "array scales")
 
 
 def _jump_means(spec: JumpSpec, t) -> np.ndarray:
@@ -240,9 +231,9 @@ def scaled_poisson_convolution(jump_mus: dict) -> LatticePMF:
         raise ValueError("need at least one (jump, mean) pair")
     probs = np.array([1.0])
     start = 0
-    for j in sorted(jump_mus):
-        if j != int(j) or j == 0:
-            raise ValueError("lattice pmf requires nonzero integer jumps")
+    for j in as_jumps(jump_mus):
+        if j != int(j):
+            raise ValueError("lattice pmf requires integer jumps")
         j = int(j)
         mu = float(jump_mus[j])
         if not 0.0 <= mu < math.inf:
@@ -298,10 +289,8 @@ def peraxis_compound_sums(spec: JumpSpec, tt: np.ndarray, n_draws: int, axis_dra
 def equalrate_sums(rng, jump_rates: dict, time: float, n_draws: int, weights=None) -> np.ndarray:
     """:func:`compound_sums` on one Poisson((sum_j lam^(j)) time) clock, jump j at
     probability lam^(j) / sum_j lam^(j): the equal-rate jump law."""
-    jumps = np.array(sorted(jump_rates), dtype=float)
-    lam = np.array([float(jump_rates[j]) for j in sorted(jump_rates)])
-    if np.any(lam <= 0) or np.any(jumps == 0.0):
-        raise ValueError("jump rates must be positive and jumps nonzero")
+    jumps = as_jumps(jump_rates)
+    lam = as_rates([jump_rates[j] for j in sorted(jump_rates)])
     total = float(lam.sum())
     return compound_sums(rng, rng, total * time, n_draws, jumps, lam / total, weights)
 
@@ -334,14 +323,6 @@ def gmsp_compound_equalrate_sample(jump_rates: dict, m: int, t, n_draws: int, se
             "jump_rates": {float(j): float(jump_rates[j]) for j in sorted(jump_rates)},
             "m": int(m), "t": [float(x) for x in tt], "n": int(n_draws)}
     return SampleBatch(values=values, seed=int(seed), meta=meta)
-
-
-def sorted_jumps(jumps) -> np.ndarray:
-    """Jump values as a sorted float array; zero is rejected."""
-    jump_vals = np.array(sorted(float(j) for j in jumps))
-    if np.any(jump_vals == 0.0):
-        raise ValueError("jumps must be nonzero")
-    return jump_vals
 
 
 def _trim(probs: np.ndarray, start: int):
@@ -420,7 +401,7 @@ def gmsp_array_sample(spec: TriangularArraySpec, jumps, t, n_draws: int, seed: i
     """
     tt = as_times(t)
     values = array_sums(spec.n, dict(enumerate(tt)), lambda l, k, j: spec.probs(l, j, spec.n),
-                        sorted_jumps(jumps), n_draws, seed)
+                        as_jumps(jumps), n_draws, seed)
     meta = {"process": "gmsp-array", "scale": int(spec.n),
             "t": [float(x) for x in tt], "n": int(n_draws)}
     return SampleBatch(values=values, seed=int(seed), meta=meta)

@@ -2,8 +2,8 @@
 
 Each identity runs a fixed protocol (parameters pinned here) at a caller-chosen
 seed and sample count and returns a :class:`TestReport`.  Exact identities
-compare against a critical gap; statistical ones report a p-value at the 1e-3
-level used throughout.
+compare against a critical gap; statistical ones report a p-value at the one
+level :data:`skellam_lab.stats.LEVEL`.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ from .records import LatticePMF
 from .stats import TestReport, empirical_cf, ks_two_sample, lattice_chi2, lattice_chi2_two_sample, tv_distance
 
 __all__ = ["IDENTITIES", "array_tvs", "run_identity"]
-
-LEVEL = 1e-3
 
 # three-jump spec used by the compound-representation checks
 _SPEC3 = JumpSpec({1: (0.7, 0.4), -1: (0.5, 0.6), 2: (0.2, 0.3)})
@@ -95,13 +93,13 @@ def cf_product(seed=0, n=0):
 def compound_peraxis(seed=0, n=100_000):
     direct = gmsp_sample(_SPEC3, _T2, n, seed=seed)
     compound = gmsp_compound_peraxis_sample(_SPEC3, _T2, n, seed=seed + 1)
-    return lattice_chi2_two_sample(direct, compound, level=LEVEL, identity="compound-peraxis")
+    return lattice_chi2_two_sample(direct, compound, identity="compound-peraxis")
 
 
 def compound_equalrate(seed=0, n=100_000):
     direct = gmsp_sample(_EQ_SPEC, _T2, n, seed=seed)
     compound = gmsp_compound_equalrate_sample(_EQ_RATES, 2, _T2, n, seed=seed + 1)
-    return lattice_chi2_two_sample(direct, compound, level=LEVEL, identity="compound-equalrate")
+    return lattice_chi2_two_sample(direct, compound, identity="compound-equalrate")
 
 
 def array_tvs(scheme: str, rates: dict, t, scales, n: int, seed: int) -> list[float]:
@@ -182,7 +180,7 @@ def uniform_compound_mpp(seed=0, n=20_000):
     b = uniform_compound_sample("compound-mpp",
                                 {"rates": rates, "values": vals, "probs": probs, "t": t},
                                 n, seed=seed + 1)
-    return ks_two_sample(a, b, level=LEVEL, identity="uniform-compound-mpp")
+    return ks_two_sample(a, b, identity="uniform-compound-mpp")
 
 
 def uniform_compound_peraxis(seed=0, n=20_000):
@@ -190,7 +188,7 @@ def uniform_compound_peraxis(seed=0, n=20_000):
     t = [1.2, 1.0]
     a = integral_sample(spec, RectDomain(t=t, resolution=512), n, seed=seed)
     b = uniform_compound_sample("gmsp-peraxis", {"spec": spec, "t": t}, n, seed=seed + 1)
-    return ks_two_sample(a, b, level=LEVEL, identity="uniform-compound-peraxis")
+    return ks_two_sample(a, b, identity="uniform-compound-peraxis")
 
 
 def uniform_compound_equalrate(seed=0, n=20_000):
@@ -198,7 +196,7 @@ def uniform_compound_equalrate(seed=0, n=20_000):
     a = integral_sample(_EQ_SPEC, RectDomain(t=t, resolution=512), n, seed=seed)
     b = uniform_compound_sample("gmsp-equalrate", {"jump_rates": _EQ_RATES, "m": 2, "t": t},
                                 n, seed=seed + 1)
-    return ks_two_sample(a, b, level=LEVEL, identity="uniform-compound-equalrate")
+    return ks_two_sample(a, b, identity="uniform-compound-equalrate")
 
 
 _FRAC = FracSkellamSpec(1.0, 1.0, 0.5, 0.5)
@@ -212,7 +210,7 @@ def frac_pmf(seed=0, n=100_000):
     probs = np.array(frac_skellam_pmf_table(_FRAC, 1.0, 1.0,
                                             range(-_FRAC_KMAX, _FRAC_KMAX + 1)))
     pmf = LatticePMF(-_FRAC_KMAX, probs)
-    return lattice_chi2(batch, pmf, level=LEVEL, identity="frac-pmf")
+    return lattice_chi2(batch, pmf, identity="frac-pmf")
 
 
 def frac_wright(seed=0, n=0):
@@ -226,20 +224,26 @@ def frac_wright(seed=0, n=0):
 _MOMENT_GRID = [(a, t) for a in (0.4, 0.6, 0.8) for t in (0.5, 1.5, 3.0)]
 
 
+def _check_z_draws(n):
+    if n < 2:
+        raise ValueError(f"a z-score needs at least 2 draws, got n={n}")
+
+
 def _moment_zscores(seed, n, variance_form):
-    z_mean = 0.0
-    z_var = 0.0
+    """The largest mean and variance z-scores over the grid; a NaN z makes its maximum NaN."""
+    _check_z_draws(n)
+    z_mean, z_var = [], []
     for i, (alpha, t) in enumerate(_MOMENT_GRID):
         spec = FracSkellamSpec(1.3, 0.6, alpha, alpha)
         x = frac_skellam_sample(spec, t, t, n, seed=seed + i).values.astype(float)
         mean, var = frac_skellam_moments(spec, t, t, variance_form)
         se_mean = x.std() / math.sqrt(x.size)
-        z_mean = max(z_mean, abs(x.mean() - mean) / se_mean)
+        z_mean.append(abs(x.mean() - mean) / se_mean)
         s2 = x.var(ddof=1)
         m4 = float(np.mean((x - x.mean()) ** 4))
         se_var = math.sqrt(max(m4 - s2**2, 1e-300) / x.size)
-        z_var = max(z_var, abs(s2 - var) / se_var)
-    return z_mean, z_var
+        z_var.append(abs(s2 - var) / se_var)
+    return float(np.max(z_mean)), float(np.max(z_var))
 
 
 def frac_mean(seed=0, n=100_000):
@@ -258,12 +262,13 @@ def frac_variance_quadratic(seed=0, n=100_000):
 
 
 def inverse_subordinator_mean(seed=0, n=100_000):
-    z = 0.0
+    _check_z_draws(n)
+    z = []
     for i, alpha in enumerate((0.3, 0.5, 0.8)):
         batch = inv_stable_marginal_sample(alpha, 1.0, n, seed=seed + i)
         se = batch.values.std() / math.sqrt(batch.n)
-        z = max(z, abs(batch.values.mean() - 1.0 / math.gamma(alpha + 1.0)) / se)
-    return _exact_report("inverse-subordinator-mean", seed, n, z, 5.0)
+        z.append(abs(batch.values.mean() - 1.0 / math.gamma(alpha + 1.0)) / se)
+    return _exact_report("inverse-subordinator-mean", seed, n, float(np.max(z)), 5.0)
 
 
 def alt_twoparam(seed=0, n=100_000):
@@ -272,7 +277,7 @@ def alt_twoparam(seed=0, n=100_000):
     batch = alt_sample(spec, t, n, seed=seed)
     probs = np.array([twoparam_skellam_pmf(k, 1.0, 1.0, 1.2, 0.7) for k in range(-12, 13)])
     pmf = LatticePMF(-12, probs)
-    return lattice_chi2(batch, pmf, level=LEVEL, identity="alt-twoparam")
+    return lattice_chi2(batch, pmf, identity="alt-twoparam")
 
 
 IDENTITIES = {

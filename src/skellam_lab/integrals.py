@@ -28,8 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gmsp import JumpSpec, compound_sums, equalrate_sums, peraxis_compound_sums
-from .mpp import as_rates, as_times, poisson_means
-from .records import SampleBatch, make_rng, spawn_rngs
+from .mpp import poisson_means
+from .records import (SampleBatch, as_jump_values, as_rates, as_scales, as_times, make_rng,
+                      spawn_rngs)
 
 __all__ = [
     "RectDomain",
@@ -54,13 +55,11 @@ class RectDomain:
 
     def __post_init__(self):
         tt = as_times(self.t)
-        res = np.atleast_1d(np.asarray(self.resolution, dtype=int))
+        res = as_scales(self.resolution, "resolutions")
         if res.size == 1:
-            res = np.full(tt.size, int(res[0]))
+            res = np.full(tt.size, res[0])
         if res.size != tt.size:
             raise ValueError("resolution must be scalar or match the time dimension")
-        if np.any(res < 1):
-            raise ValueError("resolutions must be at least 1")
         object.__setattr__(self, "t", tt)
         object.__setattr__(self, "resolution", res)
 
@@ -83,7 +82,7 @@ class CompoundSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "rates", as_rates(self.rates))
-        vals = np.atleast_1d(np.asarray(self.values, dtype=float))
+        vals = as_jump_values(self.values)
         pr = np.atleast_1d(np.asarray(self.probs, dtype=float))
         if vals.shape != pr.shape or vals.ndim != 1:
             raise ValueError("values and probs must be matching 1-d arrays")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import spawn_rngs
+from .records import as_rates, as_times, spawn_rngs
 from .special import poisson_pmf
 
 __all__ = [
@@ -24,28 +24,6 @@ __all__ = [
     "mpp_sample_grid",
     "mpp_covariance",
 ]
-
-
-def as_rates(rates) -> np.ndarray:
-    """Validate and return a strictly positive rate vector."""
-    lam = np.atleast_1d(np.asarray(rates, dtype=float))
-    if lam.ndim != 1 or lam.size < 1:
-        raise ValueError("rates must be a nonempty vector")
-    if not np.all(np.isfinite(lam)) or np.any(lam <= 0.0):
-        raise ValueError("every rate must be finite and strictly positive")
-    return lam
-
-
-def as_times(t, dim: int | None = None) -> np.ndarray:
-    """Validate a time point: nonnegative coordinates, optional dimension check."""
-    tt = np.atleast_1d(np.asarray(t, dtype=float))
-    if tt.ndim != 1:
-        raise ValueError("a time point must be a flat vector")
-    if not np.all(np.isfinite(tt)) or np.any(tt < 0.0):
-        raise ValueError("time coordinates must be finite and nonnegative")
-    if dim is not None and tt.size != dim:
-        raise ValueError(f"time point has dimension {tt.size}, expected {dim}")
-    return tt
 
 
 def poisson_means(rates: np.ndarray, tt: np.ndarray):
@@ -83,11 +61,9 @@ class GridPath:
 def _check_axes(axes):
     cleaned = []
     for ax in axes:
-        a = np.atleast_1d(np.asarray(ax, dtype=float))
+        a = as_times(ax)
         if a.size == 0:
             raise ValueError("every axis needs at least one time point")
-        if np.any(a < 0.0) or not np.all(np.isfinite(a)):
-            raise ValueError("axis times must be finite and nonnegative")
         if a.size > 1 and np.any(np.diff(a) <= 0.0):
             raise ValueError("axis times must be strictly increasing")
         cleaned.append(a)

@@ -1,9 +1,13 @@
-"""Shared value containers: sample batches, lattice pmf tables, CF tables.
+"""Shared value containers and the one checker of each parameter kind.
 
 Every sampler in the package returns a :class:`SampleBatch` that records the
 root seed and enough metadata to regenerate the draws exactly.  Closed-form
 evaluators on integer lattices return :class:`LatticePMF`, and characteristic
 functions (exact or empirical) are tabulated as :class:`CFTable`.
+
+Every entry point that takes a rate, time, jump, jump value, stable index or
+scale refuses a value outside its domain through the checker of that kind
+below, with a ``ValueError`` that says "finite" and the rule.
 """
 
 from __future__ import annotations
@@ -13,12 +17,74 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "as_rates",
+    "as_times",
+    "as_jumps",
+    "as_jump_values",
+    "as_indices",
+    "as_scales",
     "SampleBatch",
     "LatticePMF",
     "CFTable",
     "make_rng",
     "spawn_rngs",
 ]
+
+
+def _checked(x, what: str, ok, rule: str) -> np.ndarray:
+    """``x`` as a flat float vector, refused unless every entry is finite and ``ok``.
+
+    ``what`` is the plural noun of the kind, and ``rule`` says what ``ok`` asks.
+    """
+    v = np.atleast_1d(np.asarray(x, dtype=float))
+    if v.ndim != 1:
+        raise ValueError(f"{what} must form a flat vector")
+    if not (np.all(np.isfinite(v)) and np.all(ok(v))):
+        raise ValueError(f"{what} must be finite{rule}, got {x!r}")
+    return v
+
+
+def as_rates(rates) -> np.ndarray:
+    """A nonempty rate vector, each rate finite and > 0."""
+    lam = _checked(rates, "rates", lambda v: v > 0.0, " and strictly positive")
+    if lam.size < 1:
+        raise ValueError("rates must be a nonempty vector")
+    return lam
+
+
+def as_times(t, dim: int | None = None) -> np.ndarray:
+    """A time point, each coordinate finite and >= 0, of ``dim`` coordinates if given."""
+    tt = _checked(t, "times", lambda v: v >= 0.0, " and nonnegative")
+    if dim is not None and tt.size != dim:
+        raise ValueError(f"time point has dimension {tt.size}, expected {dim}")
+    return tt
+
+
+def as_jumps(jumps) -> np.ndarray:
+    """Jump sizes (any iterable, such as the keys of a jump map) sorted, each finite and nonzero."""
+    return _checked(sorted(float(j) for j in jumps), "jumps", lambda v: v != 0.0, " and nonzero")
+
+
+def as_jump_values(values) -> np.ndarray:
+    """Values of a compound jump law, each finite; zero is allowed."""
+    return _checked(values, "jump values", lambda v: True, "")
+
+
+def as_indices(alphas) -> np.ndarray:
+    """Stable indices, each in (0, 1]."""
+    return _checked(alphas, "stable indices", lambda v: (v > 0.0) & (v <= 1.0), " and in (0, 1]")
+
+
+def as_scales(scales, what: str, integer: bool = True) -> np.ndarray:
+    """Array scales or lattice resolutions (``what``, plural), each finite and > 0.
+
+    With ``integer`` each must be whole, and they come back as int64.
+    """
+    if integer:
+        s = _checked(scales, what, lambda v: (v >= 1.0) & (v == np.floor(v)),
+                     " and positive integers")
+        return s.astype(np.int64)
+    return _checked(scales, what, lambda v: v > 0.0, " and strictly positive")
 
 
 def make_rng(seed: int) -> np.random.Generator:

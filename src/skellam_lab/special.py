@@ -20,6 +20,8 @@ import math
 
 import numpy as np
 
+from .records import as_indices, as_rates, as_times
+
 __all__ = [
     "TruncationError",
     "sum_series",
@@ -69,11 +71,6 @@ def sum_series(terms) -> tuple[float, bool]:
         else:
             small = 0
     return total, False
-
-
-def _check_finite(name, x):
-    if not math.isfinite(x):
-        raise ValueError(f"{name} must be finite, got {x!r}")
 
 
 def _signed_lgamma(x: float) -> tuple[float, float]:
@@ -156,7 +153,8 @@ def wright_psi23(
     gamma kills that term (the reciprocal gamma is zero there).  A term above
     the float range raises :class:`TruncationError`.
     """
-    _check_finite("z", z)
+    if not math.isfinite(z):
+        raise ValueError(f"z must be finite, got {z!r}")
     log_abs_z = math.log(abs(z)) if z != 0.0 else None
 
     def term(m):
@@ -286,12 +284,9 @@ def frac_poisson_entries(lam: float, t: float, alpha: float):
     N is a Poisson process of rate lam and L the inverse alpha-stable clock;
     alpha = 1 is the ordinary Poisson law.
     """
-    if not 0 < lam < math.inf:
-        raise ValueError("lam must be positive and finite")
-    if not 0 <= t < math.inf:
-        raise ValueError("t must be finite and nonnegative")
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
+    as_rates(lam)
+    as_times(t)
+    as_indices(alpha)
     if t == 0.0:
         return itertools.chain([1.0], itertools.repeat(0.0))
     factor, weight = _kanter_nodes(float(alpha))

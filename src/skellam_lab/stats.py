@@ -1,9 +1,9 @@
 """Statistical verification engine: empirical CFs, chi-square, KS, TV.
 
 Every test here is deterministic given its inputs; randomness lives entirely
-in the sample batches, which carry their own seeds.  Statistical levels are
-chosen loose (1e-3 in the identity suites) because the identities under test
-are exact, so power is not the bottleneck but flakes are.
+in the sample batches, which carry their own seeds.  Every test rejects at the
+one level LEVEL = 1e-3, chosen loose because the identities under test are
+exact, so power is not the bottleneck but flakes are.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ __all__ = [
     "tv_distance",
 ]
 
+LEVEL = 1e-3  # a test passes when its p-value is above this
 _MIN_EXPECTED = 5.0  # a chi-square bin is merged until it expects this many draws
 
 
@@ -138,15 +139,15 @@ def _chi2_sf(x: float, dof: int) -> float:
     return min(1.0, math.fsum(parts))
 
 
-def _chi2_report(identity, stat, bins, n, seed, level) -> TestReport:
+def _chi2_report(identity, stat, bins, n, seed) -> TestReport:
     """The report of a chi-square statistic over ``bins``; one bin passes only a zero statistic."""
     dof = len(bins) - 1
     p = _chi2_sf(stat, dof) if dof else (1.0 if stat < 1e-12 else 0.0)
     return TestReport(identity=identity, statistic=float(stat), p_value=p, n_samples=n,
-                      seed=seed, verdict=p > level, level=level)
+                      seed=seed, verdict=p > LEVEL, level=LEVEL)
 
 
-def lattice_chi2(batch: SampleBatch, pmf: LatticePMF, level: float = 1e-3,
+def lattice_chi2(batch: SampleBatch, pmf: LatticePMF,
                  identity: str = "lattice-chi2") -> TestReport:
     """Pearson chi-square of an integer batch against a closed-form lattice pmf.
 
@@ -166,10 +167,10 @@ def lattice_chi2(batch: SampleBatch, pmf: LatticePMF, level: float = 1e-3,
     observed = _bin_counts(values, pmf.start, probs.size, bins)
     exp_binned = np.array([expected[i:j].sum() for i, j in bins])
     stat = float(np.sum((observed - exp_binned) ** 2 / exp_binned))
-    return _chi2_report(identity, stat, bins, n, batch.seed, level)
+    return _chi2_report(identity, stat, bins, n, batch.seed)
 
 
-def lattice_chi2_two_sample(a: SampleBatch, b: SampleBatch, level: float = 1e-3,
+def lattice_chi2_two_sample(a: SampleBatch, b: SampleBatch,
                             identity: str = "lattice-chi2-2s") -> TestReport:
     """Two-sample chi-square for equality of two integer-valued laws."""
     va = _integer_values(a)
@@ -190,7 +191,7 @@ def lattice_chi2_two_sample(a: SampleBatch, b: SampleBatch, level: float = 1e-3,
             e = n * p
             o = cnt[i:j].sum()
             stat += (o - e) ** 2 / e
-    return _chi2_report(identity, stat, bins, na + nb, a.seed, level)
+    return _chi2_report(identity, stat, bins, na + nb, a.seed)
 
 
 # Stirling remainder log k! - (k + 1/2) log k + k - log(2 pi)/2 at k = 0..15;
@@ -345,8 +346,7 @@ def _kolmogorov_sf(n: int, d: float) -> float:
     return 1.0 - _pelz_good_cdf(n, d)
 
 
-def ks_two_sample(a: SampleBatch, b: SampleBatch, level: float = 1e-3,
-                  identity: str = "ks-2s") -> TestReport:
+def ks_two_sample(a: SampleBatch, b: SampleBatch, identity: str = "ks-2s") -> TestReport:
     """Two-sample Kolmogorov-Smirnov test with the "asymp" p-value, in numpy and math.
 
     The statistic is scipy's ``ks_2samp`` statistic bit for bit: both batches
@@ -379,7 +379,7 @@ def ks_two_sample(a: SampleBatch, b: SampleBatch, level: float = 1e-3,
     stat = max(float(gaps.max()), float(-gaps.min()))
     p = min(1.0, max(0.0, _kolmogorov_sf(n_eff, stat)))
     return TestReport(identity=identity, statistic=stat, p_value=p,
-                      n_samples=a.n + b.n, seed=a.seed, verdict=p > level, level=level)
+                      n_samples=a.n + b.n, seed=a.seed, verdict=p > LEVEL, level=LEVEL)
 
 
 def tv_distance(batch: SampleBatch, pmf: LatticePMF) -> float:

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from skellam_lab.cli import main
+from skellam_lab.cli import _column, _fmt, main
 
 
 def run_cli(args, tmp_path=None, out_name=None):
@@ -371,6 +371,16 @@ def _with(args, flag, value):
     ["pmf", "--process", "frac-skellam", *_with(_FRAC_ARGS, "--t1", "inf"), "--nmax", "3"],
     ["pmf", "--process", "frac-skellam", *_with(_FRAC_ARGS, "--l1", "1e999"), "--nmax", "3"],
     ["simulate", "--process", "frac-skellam", *_with(_FRAC_ARGS, "--t1", "nan"), "--n", "3"],
+    ["simulate", "--process", "compound-equalrate", "--jumps", "inf:1.0", "--t", "1.0", "--n", "2"],
+    ["integral", "--process", "compound", "--rates", "1.0,1.0", "--xvalues", "nan,1.0",
+     "--xprobs", "0.5,0.5", "--t", "1.0,1.0", "--r", "4", "--n", "3"],
+    ["cf", "--process", "gmsp", "--jumps", "1:1.0", "--t", "1.0", "--u", "nan,inf",
+     "--format", "json"],
+    ["cf", "--process", "gmsp", "--jumps", "1:1.0", "--t", "1.0", "--u", "0:inf:1"],
+    ["verify", "--identity", "frac-mean", "--n", "0"],
+    ["verify", "--identity", "frac-mean", "--n", "1"],
+    ["verify", "--identity", "frac-variance-quadratic", "--n", "0"],
+    ["verify", "--identity", "inverse-subordinator-mean", "--n", "1"],
 ])
 def test_non_finite_parameters_are_an_error_exit(tmp_path, capsys, argv):
     out = tmp_path / "artifact.out"
@@ -378,6 +388,35 @@ def test_non_finite_parameters_are_an_error_exit(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and "Traceback" not in err
     assert not out.exists()
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("argv", [
+    ["cf", "--process", "gmsp", "--jumps", "1:1.0", "--t", "1.0", "--u", "0,0.5,1",
+     "--format", "json"],
+    ["simulate", "--process", "alt", "--jumps", "1:1.0;-1:0.5", "--t", "1.0,2.0",
+     "--n", "20", "--format", "json"],
+    ["integral", "--process", "compound", "--rates", "1.3", "--xvalues", "1.0,-1.0",
+     "--xprobs", "0.5,0.5", "--t", "1.2", "--r", "16", "--n", "20", "--format", "json"],
+    ["verify", "--identity", "frac-mean", "--n", "100"],
+    ["verify", "--identity", "inverse-subordinator-mean", "--n", "100"],
+])
+def test_json_artifacts_parse_strictly(tmp_path, argv):
+    # NaN and Infinity are not JSON; a strict parser refuses them
+    code, data = run_cli(argv, tmp_path)
+    assert code == 0
+    json.loads(data, parse_constant=_refuse_constant)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_floats_are_never_written(value):
+    with pytest.raises(ValueError, match="non-finite"):
+        _fmt(value)
+    with pytest.raises(ValueError, match="non-finite"):
+        _column(np.array([1.0, value]))
 
 
 @pytest.mark.parametrize("argv", [
