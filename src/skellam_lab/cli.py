@@ -42,7 +42,7 @@ from .identities import IDENTITIES, array_tvs, run_identity
 from .integrals import CompoundSpec, RectDomain, integral_cf_gmsp, integral_cf_mpp, integral_sample
 from .mpp import as_rates, as_times, poisson_means
 from .records import SampleBatch, as_scales, make_rng
-from .special import TruncationError, frac_poisson_table
+from .special import _MAX_TERMS, TruncationError, frac_poisson_table
 from .stats import empirical_cf
 
 __all__ = ["main"]
@@ -187,10 +187,10 @@ def _parse_ugrid(text: str) -> list[float]:
         if step <= 0:
             raise ValueError("u range step must be positive")
         grid = []
-        k = 0
-        while start + k * step <= stop + 1e-12:
-            grid.append(start + k * step)
-            k += 1
+        while start + len(grid) * step <= stop + 1e-12:
+            if len(grid) == _MAX_TERMS:  # the cap on every series and table
+                raise ValueError(f"u range has more than {_MAX_TERMS} points")
+            grid.append(start + len(grid) * step)
         return grid
     return _finite_frequencies(_parse_floats(text, "u grid"))
 

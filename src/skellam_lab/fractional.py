@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .records import SampleBatch, as_indices, as_rates, as_times, make_rng, spawn_rngs
-from .special import TruncationError, frac_poisson_entries, grow_table, sum_series, wright_psi23
+from .special import TruncationError, frac_poisson_entries, grow_table, sum_rows, sum_series
 
 __all__ = [
     "FracSkellamSpec",
@@ -35,6 +35,7 @@ __all__ = [
 # far above the sum as lam t^alpha grows.  A layer L carries a rounding error of
 # about 16 eps |L| x1^n; past this absolute error the value is refused.
 _WRIGHT_TOL = 1e-9
+_WRIGHT_WIDTH = 32  # terms per Wright row in the first block; doubled while a row runs on
 
 
 @dataclass(frozen=True)
@@ -167,23 +168,94 @@ def frac_skellam_pmf_wright(spec: FracSkellamSpec, t1: float, t2: float, n: int)
                           spec.lam1 * t1**spec.alpha, spec.alpha)
 
 
+class _LgammaTable:
+    """math.lgamma(start(r) + step * m) at rows r and columns m, each computed once.
+
+    ``start`` maps a row index to the float start of that row, in Python
+    arithmetic, as the scalar series forms it.  The table grows on demand:
+    the last layer and the widest row of a Wright series are not known in
+    advance.
+    """
+
+    def __init__(self, start, step: float):
+        self.start, self.step = start, step
+        self.cells = np.empty((0, 0))
+
+    def _fill(self, rows, cols) -> np.ndarray:
+        args = np.array([self.start(r) for r in rows])[:, None] + self.step * cols
+        return np.fromiter(map(math.lgamma, args.ravel().tolist()), float,
+                           args.size).reshape(args.shape)
+
+    def __call__(self, nrows: int, ncols: int) -> np.ndarray:
+        """The cells of rows 0..nrows-1 and columns 0..ncols-1."""
+        have_rows, have_cols = self.cells.shape
+        if nrows > have_rows or ncols > have_cols:
+            # grown at least twofold: each layer outgrows the tables by one row or column
+            rows = have_rows if nrows <= have_rows else max(nrows, 2 * have_rows)
+            cols = have_cols if ncols <= have_cols else max(ncols, 2 * have_cols)
+            grown = np.empty((rows, cols))
+            grown[:have_rows, :have_cols] = self.cells
+            grown[:have_rows, have_cols:] = self._fill(range(have_rows), np.arange(have_cols, cols))
+            grown[have_rows:] = self._fill(range(have_rows, rows), np.arange(cols))
+            self.cells = grown
+        return self.cells[:nrows, :ncols]
+
+
+def _wright_log_terms(n, alpha, beta, z):
+    """log_terms(deg, r1s, width): the log terms of the Wright rows of layer ``deg``.
+
+    Row r1 (with r2 = deg - r1) holds the logs of terms m = 0..width-1 of
+
+        2Psi3[(n+r1+1, 1), (r2+1, 1); (alpha(n+r1)+1, alpha), (beta r2+1, beta), (n+1, 1) | z],
+
+    each made of the same floats, in the same order, as a term of
+    :func:`special.wright_psi23`.  Every gamma argument depends on at most
+    two of (r1, r2, m), so each log-gamma comes from a table shared by all
+    layers.  Every argument is positive, so every term is.
+    """
+    if not math.isfinite(z):
+        raise ValueError(f"z must be finite, got {z!r}")
+    low = _LgammaTable(lambda r: r + 1.0, 1.0)  # row 0: lgamma(j + 1)
+    high = _LgammaTable(lambda r: r + (n + 1.0), 1.0)  # row 0: lgamma(n + 1 + j)
+    tab_a = _LgammaTable(lambda r1: alpha * (n + r1) + 1.0, alpha)
+    tab_b = _LgammaTable(lambda r2: beta * r2 + 1.0, beta)
+    log_abs_z = math.log(z) if z != 0.0 else None
+
+    def log_terms(deg, r1s, width):
+        m = np.arange(width)
+        lo, hi = low(1, deg + width)[0], high(1, deg + width)[0]
+        r2s = deg - r1s
+        log_num = hi[r1s[:, None] + m] + lo[r2s[:, None] + m]
+        log_den = (tab_a(deg + 1, width)[r1s] + tab_b(deg + 1, width)[r2s]) + hi[:width]
+        if log_abs_z is not None:
+            log_z = m * log_abs_z
+        else:
+            log_z = np.where(m == 0, 0.0, -math.inf)
+        return ((log_num - log_den) + log_z) - lo[:width]
+
+    return log_terms
+
+
 def _wright_nonneg(n, x1, alpha, x2, beta):
     log_x1, log_x2 = math.log(x1), math.log(x2)
     z = x1 * x2
     scale = math.exp(n * log_x1)
+    log_terms = _wright_log_terms(n, alpha, beta, z)
+    width = _WRIGHT_WIDTH
     partial = 0.0
 
     def layer(deg):
-        nonlocal partial
+        nonlocal partial, width
+        # a refusal names the scalar series whose floats the rows reproduce
+        psis, width = sum_rows(lambda r1s, w: log_terms(deg, r1s, w), deg + 1, width,
+                               "wright_psi23")
         acc = 0.0
-        for r1 in range(deg + 1):
+        for r1, psi in enumerate(psis):
             r2 = deg - r1
             coeff = math.exp(r1 * log_x1 - math.lgamma(r1 + 1.0)
                              + r2 * log_x2 - math.lgamma(r2 + 1.0))
-            psi = wright_psi23(
-                (n + r1 + 1.0, 1.0), (r2 + 1.0, 1.0),
-                (alpha * (n + r1) + 1.0, alpha), (beta * r2 + 1.0, beta), (n + 1.0, 1.0),
-                z)
+            if isinstance(psi, TruncationError):  # after coeff, as in the scalar order
+                raise psi
             acc += (-1.0) ** deg * coeff * psi
         if 16 * sys.float_info.epsilon * abs(acc) * scale > _WRIGHT_TOL:
             raise TruncationError(f"Wright double series layer {deg} ({scale * acc:.3g}) "

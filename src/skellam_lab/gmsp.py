@@ -21,7 +21,8 @@ from typing import Callable
 import numpy as np
 
 from .mpp import poisson_means
-from .records import SampleBatch, LatticePMF, as_jumps, as_rates, as_scales, as_times, make_rng
+from .records import (SampleBatch, LatticePMF, as_count, as_jumps, as_rates, as_scales, as_times,
+                      make_rng)
 from .special import TruncationError, grow_table, log_bessel_i, poisson_entries, poisson_pmf
 
 __all__ = [
@@ -316,12 +317,13 @@ def gmsp_compound_equalrate_sample(jump_rates: dict, m: int, t, n_draws: int, se
     Poisson((sum_j lam^(j)) (t_1 + ... + t_M)) and each arrival contributes an
     iid jump with mass lam^(j) / sum lam^(j).
     """
-    tt = as_times(t, int(m))
+    m = as_count(m, "axis count m")
+    tt = as_times(t, m)
     values = equalrate_sums(make_rng(seed), jump_rates, float(tt.sum()), n_draws)
     values = _as_lattice(values, jump_rates)
     meta = {"process": "gmsp-compound-equalrate",
             "jump_rates": {float(j): float(jump_rates[j]) for j in sorted(jump_rates)},
-            "m": int(m), "t": [float(x) for x in tt], "n": int(n_draws)}
+            "m": m, "t": [float(x) for x in tt], "n": int(n_draws)}
     return SampleBatch(values=values, seed=int(seed), meta=meta)
 
 

@@ -222,6 +222,10 @@ def frac_wright(seed=0, n=0):
 
 
 _MOMENT_GRID = [(a, t) for a in (0.4, 0.6, 0.8) for t in (0.5, 1.5, 3.0)]
+# A sample of equal draws has standard deviation 0; its mean z-score is taken
+# against this floor instead, as the variance's is against 1e-300: huge,
+# finite and failing, where a division by 0 gave an inf no report can hold.
+_SD_FLOOR = 1e-150
 
 
 def _check_z_draws(n):
@@ -237,7 +241,7 @@ def _moment_zscores(seed, n, variance_form):
         spec = FracSkellamSpec(1.3, 0.6, alpha, alpha)
         x = frac_skellam_sample(spec, t, t, n, seed=seed + i).values.astype(float)
         mean, var = frac_skellam_moments(spec, t, t, variance_form)
-        se_mean = x.std() / math.sqrt(x.size)
+        se_mean = max(x.std(), _SD_FLOOR) / math.sqrt(x.size)  # a NaN std stays NaN
         z_mean.append(abs(x.mean() - mean) / se_mean)
         s2 = x.var(ddof=1)
         m4 = float(np.mean((x - x.mean()) ** 4))

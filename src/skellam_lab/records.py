@@ -5,8 +5,8 @@ root seed and enough metadata to regenerate the draws exactly.  Closed-form
 evaluators on integer lattices return :class:`LatticePMF`, and characteristic
 functions (exact or empirical) are tabulated as :class:`CFTable`.
 
-Every entry point that takes a rate, time, jump, jump value, stable index or
-scale refuses a value outside its domain through the checker of that kind
+Every entry point that takes a rate, time, jump, jump value, stable index,
+scale or count refuses a value outside its domain through the checker of that kind
 below, with a ``ValueError`` that says "finite" and the rule.
 """
 
@@ -23,6 +23,7 @@ __all__ = [
     "as_jump_values",
     "as_indices",
     "as_scales",
+    "as_count",
     "SampleBatch",
     "LatticePMF",
     "CFTable",
@@ -85,6 +86,12 @@ def as_scales(scales, what: str, integer: bool = True) -> np.ndarray:
                      " and positive integers")
         return s.astype(np.int64)
     return _checked(scales, what, lambda v: v > 0.0, " and strictly positive")
+
+
+def as_count(n, what: str) -> int:
+    """A count (``what``), such as a table's last index or a number of axes: a whole number >= 0."""
+    _checked(n, what, lambda v: (v >= 0.0) & (v == np.floor(v)), " and a nonnegative integer")
+    return int(n)
 
 
 def make_rng(seed: int) -> np.random.Generator:

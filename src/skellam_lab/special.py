@@ -2,15 +2,15 @@
 
 The Bessel series has positive, unimodal terms: :func:`log_bessel_i` sums it
 outward from its peak term and stops each side relative to its own sum, so it
-needs no tolerance.  The alternating Wright series are summed in log space
-with explicit sign bookkeeping, because the gamma factors overflow double
-precision long before the series converge; :func:`sum_series` holds their
-stop rule, three consecutive small terms, because an alternating series can
-have a single accidentally tiny term.  No series or table passes _MAX_TERMS
-terms or entries; past it they raise :class:`TruncationError`.  The fractional
-Poisson law is no series here: it is a double integral over the Kanter
-representation of the stable clock, taken on one fixed double-exponential
-node grid.
+needs no tolerance.  The Wright series are summed in log space, because the
+gamma factors overflow double precision long before the series converge.
+Their stop rule is three consecutive small terms, because an alternating
+series can have a single accidentally tiny term: :func:`sum_series` applies
+it to one series and :func:`sum_rows` to a block of series at once, with the
+same floats.  No series or table passes _MAX_TERMS terms or entries; past it
+they raise :class:`TruncationError`.  The fractional Poisson law is no series
+here: it is a double integral over the Kanter representation of the stable
+clock, taken on one fixed double-exponential node grid.
 """
 
 from __future__ import annotations
@@ -20,11 +20,12 @@ import math
 
 import numpy as np
 
-from .records import as_indices, as_rates, as_times
+from .records import as_count, as_indices, as_rates, as_times
 
 __all__ = [
     "TruncationError",
     "sum_series",
+    "sum_rows",
     "log_bessel_i",
     "bessel_i",
     "wright_psi23",
@@ -71,6 +72,73 @@ def sum_series(terms) -> tuple[float, bool]:
         else:
             small = 0
     return total, False
+
+
+_EXP_SAFE = 709.0  # math.exp is finite below this; above, it may raise OverflowError
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """math.exp of each entry, inf where it would raise OverflowError.
+
+    np.exp differs from math.exp in the last bit on a few per cent of
+    arguments, so the block sums of :func:`sum_rows` would not be the floats
+    that :func:`sum_series` adds.
+    """
+    flat = x.ravel()
+    big = flat > _EXP_SAFE
+    out = np.fromiter(map(math.exp, np.where(big, 0.0, flat).tolist()), float, flat.size)
+    for i in np.flatnonzero(big):
+        try:
+            out[i] = math.exp(flat[i])
+        except OverflowError:
+            out[i] = math.inf
+    return out.reshape(x.shape)
+
+
+def sum_rows(log_terms, nrows: int, width: int, name: str) -> tuple[list, int]:
+    """Sum ``nrows`` series at once under the stop rule of :func:`sum_series`.
+
+    ``log_terms(rows, width)`` returns the logs of terms 0..width-1 of each
+    row in the index array ``rows``.  Each row is exponentiated with
+    math.exp and summed with np.cumsum, which adds in sequence, so its sum is
+    the float :func:`sum_series` returns for the same terms.  Rows that have
+    not stopped are recomputed at twice the width, up to _MAX_TERMS.
+
+    Returns the list of row results and the last width used.  A row result
+    is its sum, or the :class:`TruncationError` that ``name`` raises for it:
+    a term above the float range at or before the row's stop (terms computed
+    past the stop do not count), or no stop in _MAX_TERMS terms.
+    """
+    results = [None] * nrows
+    rows = np.arange(nrows)
+    width = min(width, _MAX_TERMS)
+    while len(rows):
+        terms = _exp(log_terms(rows, width))
+        with np.errstate(over="ignore"):
+            sums = np.cumsum(terms, axis=1)
+        small = np.abs(terms) < _ABS_TOL * (1.0 + np.abs(sums))
+        run = small[:, 2:] & small[:, 1:-1] & small[:, :-2]
+        first = (~np.logical_or.accumulate(run, axis=1)).sum(axis=1)
+        stopped = first < run.shape[1]
+        stop = np.where(stopped, first + 2, width - 1)  # a row that runs on is read to its end
+        inf = np.isinf(terms)
+        overflow = np.where(inf.any(axis=1), inf.argmax(axis=1), width) <= stop
+        done = stopped | overflow | (width == _MAX_TERMS)
+        values = sums[np.arange(len(rows)), stop].tolist()
+        stopped, overflow = stopped.tolist(), overflow.tolist()
+        for i in np.flatnonzero(done).tolist():
+            if overflow[i]:
+                results[rows[i]] = TruncationError(
+                    f"{name} has a term above the float range", math.inf)
+            elif stopped[i]:
+                results[rows[i]] = values[i]
+            else:
+                results[rows[i]] = TruncationError(
+                    f"{name} did not converge in {_MAX_TERMS} terms", values[i])
+        rows = rows[~done]
+        if len(rows):
+            width = min(2 * width, _MAX_TERMS)
+    return results, width
 
 
 def _signed_lgamma(x: float) -> tuple[float, float]:
@@ -295,9 +363,8 @@ def frac_poisson_entries(lam: float, t: float, alpha: float):
 
 def frac_poisson_table(nmax: int, lam: float, t: float, alpha: float) -> list[float]:
     """Pmf of a Poisson process run on an inverse alpha-stable clock, at n = 0..nmax."""
-    if nmax < 0 or nmax != int(nmax):
-        raise ValueError("n must be a nonnegative integer")
-    return list(itertools.islice(frac_poisson_entries(lam, t, alpha), int(nmax) + 1))
+    nmax = as_count(nmax, "nmax")
+    return list(itertools.islice(frac_poisson_entries(lam, t, alpha), nmax + 1))
 
 
 def frac_poisson_pmf(n: int, lam: float, t: float, alpha: float) -> float:

@@ -377,6 +377,9 @@ def _with(args, flag, value):
     ["cf", "--process", "gmsp", "--jumps", "1:1.0", "--t", "1.0", "--u", "nan,inf",
      "--format", "json"],
     ["cf", "--process", "gmsp", "--jumps", "1:1.0", "--t", "1.0", "--u", "0:inf:1"],
+    # 10^12 + 1 frequencies: the grid stops at the 10,000-entry cap
+    ["cf", "--process", "gmsp", "--jumps", "1:1.0", "--t", "1.0", "--u", "0:1e12:1"],
+    ["cf", "--process", "gmsp", "--jumps", "1:1.0", "--t", "1.0", "--u", "0:10000:1"],
     ["verify", "--identity", "frac-mean", "--n", "0"],
     ["verify", "--identity", "frac-mean", "--n", "1"],
     ["verify", "--identity", "frac-variance-quadratic", "--n", "0"],
@@ -388,6 +391,22 @@ def test_non_finite_parameters_are_an_error_exit(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and "Traceback" not in err
     assert not out.exists()
+
+
+def test_u_range_up_to_the_cap_is_written(tmp_path):
+    code, data = run_cli(["cf", "--process", "gmsp", "--jumps", "1:1.0", "--t", "1.0",
+                          "--u", "0:9999:1"], tmp_path)
+    rows = [line for line in data.decode().splitlines() if line[0].isdigit()]
+    assert code == 0 and len(rows) == 10_000 and rows[-1].startswith("9999,")
+
+
+def test_equal_draws_are_a_failing_report_without_warnings(tmp_path):
+    # seed 0, n = 2: a grid point's two draws are equal, its standard error 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, data = run_cli(["verify", "--identity", "frac-mean", "--n", "2"], tmp_path)
+    doc = json.loads(data)
+    assert code == 0 and doc["verdict"] == "fail" and math.isfinite(doc["statistic"])
 
 
 def _refuse_constant(name):

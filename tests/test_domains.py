@@ -1,11 +1,12 @@
 """Parameter domains: every public entry point refuses a value outside its kind's domain.
 
 One table sends each kind's bad values (NaN, +-inf, a negative value, zero
-where it is not allowed, a non-integer where a whole scale is required) to
+where it is not allowed, a non-integer where a whole scale or a count is required) to
 every public entry point that takes that kind.  Every case is a ValueError.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,7 @@ BAD = {
     "stable index": [*_NON_FINITE, -0.5, 0.0, 1.5],
     "whole scale": [*_NON_FINITE, -1.0, 0.0, 2.7],
     "scale": [*_NON_FINITE, -1.0, 0.0],
+    "count": [*_NON_FINITE, -1.0, 2.7],
 }
 
 _SPEC = JumpSpec({1: (1.0,)})
@@ -160,6 +162,9 @@ ENTRY_POINTS = [
     ("whole scale", "RectDomain-axis", lambda x: RectDomain(t=[1.0, 1.0], resolution=[4, x])),
     ("whole scale", "TriangularArraySpec", lambda x: TriangularArraySpec(n=x, probs=_ARRAY.probs)),
     ("scale", "alt_array_sample", lambda x: alt_array_sample(x, _alt_rule, [1], {1: 1.0}, 3, 0)),
+    # counts: an infinite count used to be an OverflowError
+    ("count", "frac_poisson_table", lambda x: special.frac_poisson_table(x, 1.0, 1.0, 0.5)),
+    ("count", "compound-equalrate", lambda x: gmsp_compound_equalrate_sample({1: 1.0}, x, [1.0], 3, 0)),
 ]
 
 CASES = [pytest.param(call, bad, id=f"{kind}-{name}-{bad}")
@@ -199,3 +204,13 @@ def test_nan_draws_fail_the_z_score_identities(monkeypatch, name, sampler):
 def test_z_score_identities_refuse_fewer_than_two_draws(name, n):
     with pytest.raises(ValueError, match="at least 2 draws"):
         identities.run_identity(name, n=n)
+
+
+@pytest.mark.parametrize("name", ["frac-mean", "frac-variance-printed"])
+def test_equal_draws_fail_the_moment_identities(name):
+    # at n = 2 and seed 0 a grid point draws the same value twice: its
+    # standard error is 0, which used to be a division warning and an inf z
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = identities.run_identity(name, n=2)
+    assert math.isfinite(report.statistic) and not report.verdict

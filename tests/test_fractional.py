@@ -1,6 +1,8 @@
 """Stable clocks and the fractional two-parameter Skellam process."""
 
+import json
 import math
+import os
 import time
 
 import numpy as np
@@ -265,6 +267,82 @@ def test_wright_form_refuses_where_rounding_loses_the_sum(lam):
     for k in (-2, 0, 3):
         with pytest.raises(TruncationError):
             frac_skellam_pmf_wright(spec, 1.0, 1.0, k)
+
+
+_WRIGHT_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "wright_golden.json")
+
+
+def test_wright_golden_map():
+    # the values and refusals of the scalar series (make_wright_golden.py):
+    # the block sum adds the same terms in the same order, so 0 ulps
+    with open(_WRIGHT_GOLDEN, encoding="utf-8") as fh:
+        points = json.load(fh)["points"]
+    assert len(points) > 90
+    wrong = []
+    for p in points:
+        spec = FracSkellamSpec(p["lam1"], p["lam2"], p["alpha"], p["beta"])
+        try:
+            got = repr(frac_skellam_pmf_wright(spec, p["t1"], p["t2"], p["k"]))
+            ok = "value" in p and float(got) == float(p["value"])
+        except TruncationError as err:
+            got = str(err)
+            ok = "refusal" in p and got.startswith(p["refusal"] + " ")
+        if not ok:
+            wrong.append((p, got))
+    assert not wrong
+
+
+@pytest.mark.parametrize("point, message, partial", [
+    ((1.0, 1.0, 0.5, 0.5, 1.0, 1.0, 0), "wright_psi23 did not converge in 20 terms",
+     4.21701906032743),
+    ((1.3, 0.6, 0.5, 0.7, 1.2, 0.8, -1), "wright_psi23 did not converge in 20 terms",
+     265811.5383747329),
+    ((0.7, 0.7, 1.0, 0.6, 1.0, 1.0, 2), "Wright double series did not converge",
+     0.07157940408374641),
+])
+def test_wright_refusal_at_the_term_cap(monkeypatch, point, message, partial):
+    # the scalar series' refusals at a cap of 20 terms: a row of the block
+    # that does not stop gives the partial sum of its first 20 terms
+    monkeypatch.setattr(special, "_MAX_TERMS", 20)
+    with pytest.raises(TruncationError) as err:
+        frac_skellam_pmf_wright(FracSkellamSpec(*point[:4]), *point[4:])
+    assert err.value.partial == partial
+    assert str(err.value) == f"{message} (partial sum {partial!r})"
+
+
+def test_wright_terms_past_a_row_stop_may_overflow(monkeypatch):
+    # at k = 1040 every row starts below 1e-14 and stops at its third term;
+    # the block computes terms past the stop, some above the float range
+    overflowed = []
+
+    def spy(log_terms, nrows, width, name):
+        overflowed.append(bool((log_terms(np.arange(nrows), width) > 710.0).any()))
+        return special.sum_rows(log_terms, nrows, width, name)
+
+    monkeypatch.setattr(fractional, "sum_rows", spy)
+    spec = FracSkellamSpec(1.0, 1e13, 0.05, 0.05)
+    assert frac_skellam_pmf_wright(spec, 1.0, 1.0, 1040) == 5.451580553243722e-16
+    assert any(overflowed)
+
+
+@pytest.mark.parametrize("k", [10**20, -10**20])
+def test_wright_form_at_a_k_past_int64(k):
+    # every term underflows, as in the scalar series; a gamma argument past
+    # int64 is formed in Python arithmetic, not as a numpy integer
+    assert frac_skellam_pmf_wright(FracSkellamSpec(1.0, 0.5, 0.5, 0.5), 1.0, 1.0, k) == 0.0
+
+
+@pytest.mark.parametrize("n, alpha, beta, z", [(0, 0.5, 0.5, 1.0), (3, 0.3, 0.8, 2.3),
+                                               (1, 1.0, 0.6, 0.05), (2, 0.7, 0.4, 0.0)])
+def test_wright_rows_are_the_scalar_series(n, alpha, beta, z):
+    # each row of a layer block is the float wright_psi23 returns for its parameters
+    log_terms = fractional._wright_log_terms(n, alpha, beta, z)
+    for deg in (0, 1, 7, 30):
+        rows, _ = special.sum_rows(lambda r1s, w: log_terms(deg, r1s, w), deg + 1, 4, "psi")
+        assert rows == [special.wright_psi23(
+            (n + r1 + 1.0, 1.0), ((deg - r1) + 1.0, 1.0),
+            (alpha * (n + r1) + 1.0, alpha), (beta * (deg - r1) + 1.0, beta), (n + 1.0, 1.0), z)
+            for r1 in range(deg + 1)]
 
 
 def test_wright_form_needs_positive_times():

@@ -23,7 +23,7 @@ from skellam_lab import (
 )
 from skellam_lab import special
 from skellam_lab.gmsp import skellam_pmf
-from skellam_lab.special import log_bessel_i, poisson_pmf, sum_series
+from skellam_lab.special import log_bessel_i, poisson_pmf, sum_rows, sum_series
 
 
 def test_sum_series_stops_after_three_consecutive_small_terms():
@@ -46,6 +46,40 @@ def test_sum_series_cap_returns_the_partial_sum_unconverged(monkeypatch):
 def test_sum_series_exhausted_iterable_is_unconverged():
     assert sum_series([1.0, 0.0, 0.0]) == (1.0, False)
     assert sum_series([]) == (0.0, False)
+
+
+def _fixed_rows(logs):
+    """log_terms for sum_rows over fixed rows, each padded with log 0 past its end."""
+    logs = [list(row) for row in logs]
+
+    def log_terms(rows, width):
+        return np.array([(logs[r] + [-math.inf] * width)[:width] for r in rows])
+    return log_terms
+
+
+def test_sum_rows_is_sum_series_row_by_row():
+    rng = np.random.default_rng(5)
+    logs = [np.cumsum(rng.normal(-1.0, 2.0, 200)) for _ in range(6)]
+    sums, width = sum_rows(_fixed_rows(logs), 6, 4, "rows")
+    assert sums == [sum_series(math.exp(x) for x in row)[0] for row in logs]
+    assert width >= 4
+
+
+def test_sum_rows_refuses_an_overflow_only_up_to_the_stop():
+    # row 0 stops at its term 3 and overflows after it; row 1 overflows first
+    logs = [[0.0, -50.0, -50.0, -50.0, 800.0], [0.0, 800.0, -50.0, -50.0, -50.0]]
+    sums, _ = sum_rows(_fixed_rows(logs), 2, 5, "rows")
+    assert sums[0] == 1.0 + 3 * math.exp(-50.0)
+    assert isinstance(sums[1], TruncationError)
+    assert str(sums[1]) == "rows has a term above the float range (partial sum inf)"
+
+
+def test_sum_rows_cap_gives_the_partial_sum_of_the_capped_terms(monkeypatch):
+    monkeypatch.setattr(special, "_MAX_TERMS", 5)
+    sums, width = sum_rows(_fixed_rows([[0.0] * 10]), 1, 2, "rows")
+    assert width == 5
+    assert isinstance(sums[0], TruncationError) and sums[0].partial == 5.0
+    assert str(sums[0]) == "rows did not converge in 5 terms (partial sum 5.0)"
 
 
 # The Wright rows are values of the series taken before they shared
