@@ -201,27 +201,18 @@ def _finite_frequencies(grid: list[float]) -> list[float]:
     return grid
 
 
-def _require(args, *names):
-    for name in names:
-        if getattr(args, name.replace("-", "_")) is None:
-            raise ValueError(f"--{name} is required for this process")
-
-
 def _jump_spec(args):
     """(JumpSpec from --jumps, time list from --t)."""
-    _require(args, "jumps", "t")
     return JumpSpec(_parse_jumps(args.jumps)), _parse_floats(args.t, "t")
 
 
 def _alt_jumps(args):
     """(single-rate jump map from --jumps, its time map from --t)."""
-    _require(args, "jumps", "t")
     rates = _parse_single_rate_jumps(args.jumps)
     return rates, _jump_times(rates, args.t, "t")
 
 
 def _frac_spec(args) -> FracSkellamSpec:
-    _require(args, "l1", "l2", "alpha", "beta", "t1", "t2")
     return FracSkellamSpec(float(args.l1), float(args.l2), args.alpha, args.beta)
 
 
@@ -230,7 +221,6 @@ def _frac_spec(args) -> FracSkellamSpec:
 def _cmd_simulate(args) -> None:
     n, seed = args.n, args.seed
     if args.process == "mpp":
-        _require(args, "rates", "t")
         lam = as_rates(_parse_floats(args.rates, "rates"))
         t = as_times(_parse_floats(args.t, "t"), lam.size)
         values = make_rng(seed).poisson(float(poisson_means(lam, t)), n)
@@ -246,26 +236,22 @@ def _cmd_simulate(args) -> None:
     elif args.process == "compound-peraxis":
         batch = gmsp_compound_peraxis_sample(*_jump_spec(args), n, seed)
     elif args.process == "compound-equalrate":
-        _require(args, "jumps", "t")
         rates = _parse_single_rate_jumps(args.jumps)
         t = _parse_floats(args.t, "t")
         batch = gmsp_compound_equalrate_sample(rates, len(t), t, n, seed)
     elif args.process == "stable":
-        _require(args, "alpha", "t1")
         batch = stable_subordinator_sample(args.alpha, args.t1, n, seed)
     elif args.process == "inv-stable":
-        _require(args, "alpha", "t1")
         batch = inv_stable_marginal_sample(args.alpha, args.t1, n, seed)
     _write(batch.meta, {"values": batch.values}, args)
 
 
 def _cmd_pmf(args) -> None:
     nmax = args.nmax
-    if nmax < 0:
-        raise ValueError(f"--nmax must be nonnegative, got {nmax}")
+    if not 0 <= nmax <= _MAX_TERMS:  # the cap on every series and table
+        raise ValueError(f"--nmax must be nonnegative and at most {_MAX_TERMS}, got {nmax}")
     ns = list(range(0 if args.process == "frac-poisson" else -nmax, nmax + 1))
     if args.process == "msp":
-        _require(args, "l1", "l2", "t")
         t = _parse_floats(args.t, "t")
         l1 = _parse_floats(args.l1, "l1")
         l2 = _parse_floats(args.l2, "l2")
@@ -276,7 +262,6 @@ def _cmd_pmf(args) -> None:
         probs = [msp_pmf(k, l1, l2, t) for k in ns]
         meta = {"process": "msp", "l1": l1, "l2": l2, "t": t, "nmax": nmax}
     elif args.process == "skellam2":
-        _require(args, "l1", "l2", "t1", "t2")
         probs = [twoparam_skellam_pmf(k, float(args.l1), float(args.l2), args.t1, args.t2)
                  for k in ns]
         meta = {"process": "skellam2", "l1": float(args.l1), "l2": float(args.l2),
@@ -292,7 +277,6 @@ def _cmd_pmf(args) -> None:
                 "alpha": args.alpha, "beta": args.beta, "t1": args.t1, "t2": args.t2,
                 "nmax": nmax}
     elif args.process == "frac-poisson":
-        _require(args, "l1", "alpha", "t1")
         probs = frac_poisson_table(nmax, float(args.l1), args.t1, args.alpha)
         meta = {"process": "frac-poisson", "lam": float(args.l1), "t": args.t1,
                 "alpha": args.alpha, "nmax": nmax}
@@ -317,7 +301,6 @@ def _cmd_cf(args) -> None:
         meta = {"process": "alt-increment", "jumps": args.jumps,
                 "s": list(s_map.values()), "t": list(t_map.values())}
     elif args.process == "integral-mpp":
-        _require(args, "rates", "t")
         lam = _parse_floats(args.rates, "rates")
         t = _parse_floats(args.t, "t")
         meta = {"process": "integral-mpp", "rates": lam, "t": t}
@@ -340,12 +323,10 @@ def _cmd_cf(args) -> None:
 
 
 def _cmd_integral(args) -> None:
-    _require(args, "t")
     t = _parse_floats(args.t, "t")
     dom = RectDomain(t=t, resolution=args.r)
     grid = _parse_ugrid(args.u)
     if args.process == "mpp":
-        _require(args, "rates")
         lam = _parse_floats(args.rates, "rates")
         batch = integral_sample(lam, dom, args.n, args.seed)
         cf_values = [integral_cf_mpp(lam, t, u) for u in grid]
@@ -356,7 +337,6 @@ def _cmd_integral(args) -> None:
         cf_values = [integral_cf_gmsp(spec, t, u) for u in grid]
         meta = {"process": "integral-gmsp", "jumps": args.jumps}
     elif args.process == "compound":
-        _require(args, "rates", "xvalues", "xprobs")
         lam = _parse_floats(args.rates, "rates")
         xv = _parse_floats(args.xvalues, "xvalues")
         xp = _parse_floats(args.xprobs, "xprobs")
@@ -383,7 +363,6 @@ def _cmd_integral(args) -> None:
 def _cmd_converge(args) -> None:
     scales = as_scales(_parse_floats(args.scales, "scales"), "--scales entries").tolist()
     if args.scheme == "gmsp-array":
-        _require(args, "jumps", "t")
         rates = _parse_single_rate_jumps(args.jumps)
         t = _parse_floats(args.t, "t")
     else:
@@ -401,24 +380,59 @@ def _cmd_verify(args) -> None:
 
 # ---------------------------------------------------------------- wiring
 
+# The process parameters each --process (or --scheme) value of a subcommand
+# reads; a trailing "?" marks one it reads but does not require.  A
+# subcommand registers the flags its values read, and no other.
+_READS = {
+    "simulate": ("process", {
+        "mpp": "rates t", "gmsp": "jumps t", "alt": "jumps t", "frac-skellam": "l1 l2 t1 t2 alpha beta",
+        "compound-peraxis": "jumps t", "compound-equalrate": "jumps t",
+        "stable": "t1 alpha", "inv-stable": "t1 alpha"}),
+    "pmf": ("process", {"msp": "t l1 l2", "skellam2": "l1 l2 t1 t2", "gmsp": "jumps t",
+                        "frac-skellam": "l1 l2 t1 t2 alpha beta", "frac-poisson": "l1 t1 alpha"}),
+    "cf": ("process", {"gmsp": "jumps t", "alt-increment": "jumps t s?",
+                       "integral-mpp": "rates t", "integral-gmsp": "jumps t"}),
+    "integral": ("process", {"mpp": "rates t", "gmsp": "jumps t",
+                             "compound": "rates t xvalues xprobs"}),
+    "converge": ("scheme", {"gmsp-array": "jumps t", "alt-array": "jumps t"}),
+}
+
+# (type, help) of each process parameter flag, in registration and check order
+_FLAGS = {
+    "rates": (str, "comma list of per-axis rates, e.g. 1.0,2.0"),
+    "jumps": (str, "jump spec 'j:rate_1,...,rate_M;j2:...' (decimal points required)"),
+    "t": (str, "comma list of times"),
+    "s": (str, "comma list of lower times (alt increments)"),
+    "l1": (str, "first rate (scalar or comma list for msp)"),
+    "l2": (str, "second rate (scalar or comma list for msp)"),
+    "t1": (float, "first time coordinate"),
+    "t2": (float, "second time coordinate"),
+    "alpha": (float, "stable index in (0,1]"),
+    "beta": (float, "second stable index in (0,1]"),
+    "xvalues": (str, "compound jump values, comma list"),
+    "xprobs": (str, "compound jump probabilities, comma list"),
+}
+
+
+def _require(args) -> None:
+    """Require each flag the chosen process reads, and refuse each other flag of its subcommand."""
+    selector, reads = _READS[args.command]
+    process = getattr(args, selector)
+    wanted = reads[process].split()
+    for name in _FLAGS:
+        given = getattr(args, name, None) is not None
+        if not given and name in wanted:
+            raise ValueError(f"--{name} is required for this process")
+        if given and name not in wanted and f"{name}?" not in wanted:
+            raise ValueError(f"--{name} is not read by {args.command} --{selector} {process}")
+
+
 def _add_common(p, n_default=1000):
     p.add_argument("--seed", type=int, default=0, help="root RNG seed (default 0)")
-    p.add_argument("--n", type=int, default=n_default, help="number of draws")
+    if n_default is not None:
+        p.add_argument("--n", type=int, default=n_default, help="number of draws")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-
-def _add_process_params(p):
-    p.add_argument("--rates", help="comma list of per-axis rates, e.g. 1.0,2.0")
-    p.add_argument("--jumps", help="jump spec 'j:rate_1,...,rate_M;j2:...' (decimal points required)")
-    p.add_argument("--t", help="comma list of times")
-    p.add_argument("--s", help="comma list of lower times (alt increments)")
-    p.add_argument("--l1", help="first rate (scalar or comma list for msp)")
-    p.add_argument("--l2", help="second rate (scalar or comma list for msp)")
-    p.add_argument("--t1", type=float, help="first time coordinate")
-    p.add_argument("--t2", type=float, help="second time coordinate")
-    p.add_argument("--alpha", type=float, help="stable index in (0,1]")
-    p.add_argument("--beta", type=float, help="second stable index in (0,1]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -429,46 +443,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="draw i.i.d. samples of a process value")
-    p.add_argument("--process", required=True,
-                   choices=("mpp", "gmsp", "alt", "frac-skellam",
-                            "compound-peraxis", "compound-equalrate", "stable", "inv-stable"))
-    _add_process_params(p)
     _add_common(p)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("pmf", help="tabulate an exact probability mass function")
-    p.add_argument("--process", required=True,
-                   choices=("msp", "skellam2", "gmsp", "frac-skellam", "frac-poisson"))
     p.add_argument("--nmax", type=int, default=20, help="tabulate n in [-nmax, nmax]")
-    _add_process_params(p)
-    _add_common(p)
+    _add_common(p, n_default=None)  # a pmf table draws nothing
     p.set_defaults(func=_cmd_pmf)
 
     p = sub.add_parser("cf", help="tabulate a characteristic function on a u grid")
-    p.add_argument("--process", required=True,
-                   choices=("gmsp", "alt-increment", "integral-mpp", "integral-gmsp"))
     p.add_argument("--u", required=True, help="grid: comma list or start:stop:step")
     p.add_argument("--empirical", action="store_true",
                    help="tabulate the empirical CF of --n draws (adds a radius column)")
     p.add_argument("--r", type=int, default=256, help="lattice resolution (integral processes)")
-    _add_process_params(p)
     _add_common(p, n_default=10_000)
     p.set_defaults(func=_cmd_cf)
 
     p = sub.add_parser("integral", help="sample rectangle integrals plus their exact CF")
-    p.add_argument("--process", required=True, choices=("mpp", "gmsp", "compound"))
     p.add_argument("--r", type=int, default=256, help="lattice resolution per axis")
     p.add_argument("--u", default="0.25,0.5,1.0", help="CF grid: comma list or start:stop:step")
-    p.add_argument("--xvalues", help="compound jump values, comma list")
-    p.add_argument("--xprobs", help="compound jump probabilities, comma list")
-    _add_process_params(p)
     _add_common(p)
     p.set_defaults(func=_cmd_integral)
 
     p = sub.add_parser("converge", help="triangular-array TV distances against the limit law")
-    p.add_argument("--scheme", required=True, choices=("gmsp-array", "alt-array"))
     p.add_argument("--scales", default="10,100,1000", help="comma list of array scales")
-    _add_process_params(p)
     _add_common(p, n_default=100_000)
     p.set_defaults(func=_cmd_converge)
 
@@ -479,6 +477,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify)
 
+    for command, (selector, reads) in _READS.items():
+        p = sub.choices[command]
+        p.add_argument(f"--{selector}", required=True, choices=tuple(reads))
+        read = {name.rstrip("?") for flags in reads.values() for name in flags.split()}
+        for name, (kind, text) in _FLAGS.items():
+            if name in read:
+                p.add_argument(f"--{name}", type=kind, help=text)
+    for p in sub.choices.values():
+        p.allow_abbrev = False  # a dropped flag, such as --n of pmf, is no prefix of another
     return parser
 
 
@@ -486,6 +493,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command in _READS:
+            _require(args)
         args.func(args)
     except (ValueError, TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

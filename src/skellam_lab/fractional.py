@@ -33,7 +33,8 @@ __all__ = [
 
 # The Wright double series alternates in its layer degree, and its layers grow
 # far above the sum as lam t^alpha grows.  A layer L carries a rounding error of
-# about 16 eps |L| x1^n; past this absolute error the value is refused.
+# about 16 eps |L| x1^n, and the layers' errors add up; once their sum passes
+# this absolute error the value is refused.
 _WRIGHT_TOL = 1e-9
 _WRIGHT_WIDTH = 32  # terms per Wright row in the first block; doubled while a row runs on
 
@@ -152,10 +153,10 @@ def frac_skellam_pmf_wright(spec: FracSkellamSpec, t1: float, t2: float, n: int)
                      (alpha(n+r1)+1, alpha), (beta r2+1, beta), (n+1, 1) | z]
 
     Negative n mirrors the formula with the two components swapped.  Requires
-    t1, t2 > 0 (at a degenerate time use the convolution form).  Where a layer
-    is large enough for its rounding error to pass _WRIGHT_TOL (at alpha =
-    beta = 1/2, t = (1, 1), from lam near 1.5), or a Wright term leaves the
-    float range, it raises :class:`TruncationError`.
+    t1, t2 > 0 (at a degenerate time use the convolution form).  Where the
+    summed rounding errors of the layers pass _WRIGHT_TOL (at alpha = beta =
+    1/2, t = (1, 1), from lam near 1.5), or a Wright term leaves the float
+    range, it raises :class:`TruncationError`.
     """
     n = int(n)
     as_times((t1, t2))
@@ -242,10 +243,10 @@ def _wright_nonneg(n, x1, alpha, x2, beta):
     scale = math.exp(n * log_x1)
     log_terms = _wright_log_terms(n, alpha, beta, z)
     width = _WRIGHT_WIDTH
-    partial = 0.0
+    partial = rounding = 0.0
 
     def layer(deg):
-        nonlocal partial, width
+        nonlocal partial, rounding, width
         # a refusal names the scalar series whose floats the rows reproduce
         psis, width = sum_rows(lambda r1s, w: log_terms(deg, r1s, w), deg + 1, width,
                                "wright_psi23")
@@ -257,7 +258,8 @@ def _wright_nonneg(n, x1, alpha, x2, beta):
             if isinstance(psi, TruncationError):  # after coeff, as in the scalar order
                 raise psi
             acc += (-1.0) ** deg * coeff * psi
-        if 16 * sys.float_info.epsilon * abs(acc) * scale > _WRIGHT_TOL:
+        rounding += 16 * sys.float_info.epsilon * abs(acc) * scale
+        if rounding > _WRIGHT_TOL:
             raise TruncationError(f"Wright double series layer {deg} ({scale * acc:.3g}) "
                                   f"loses the sum to rounding", scale * partial)
         partial += acc

@@ -46,7 +46,7 @@ class GridPath:
     ``values[i_1, ..., i_M]`` is the path at ``(axes[0][i_1], ..., axes[M-1][i_M])``;
     a batch of paths stacks them on a leading axis, ``values[p, i_1, ..., i_M]``.
     ``seed`` is the root seed; per-axis streams are ``spawn_rngs(seed, M)`` in
-    axis order, which is the splitting rule every sampler here uses.
+    axis order (which samplers split their seed, and how, is listed there).
     """
 
     axes: tuple

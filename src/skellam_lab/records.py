@@ -102,9 +102,14 @@ def make_rng(seed: int) -> np.random.Generator:
 def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
     """Derive ``n`` independent child streams from one root seed.
 
-    The split is the fixed rule used everywhere in this package: children are
-    ``SeedSequence(seed).spawn(n)`` taken in order, so the i-th sub-stream is
-    the same no matter how many draws run concurrently.
+    Children are ``SeedSequence(seed).spawn(n)`` taken in order, so the i-th
+    sub-stream is the same no matter how many draws the others make.  Its
+    users: ``mpp_sample_grid`` takes one child per axis, ``frac_skellam_sample``
+    one per side, ``integral_sample`` 3 M for M axes and its compound form
+    2 M + 1.  The other samplers (``gmsp_sample``, the compound forms, the
+    array samplers, ``uniform_compound_sample``, the stable clocks) draw from
+    one ``make_rng(seed)`` stream, and the identities offset the seeds of
+    their batches (seed + i, seed + 7 i, seed + 1) rather than split one.
     """
     return [np.random.default_rng(ss) for ss in np.random.SeedSequence(int(seed)).spawn(n)]
 

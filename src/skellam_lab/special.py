@@ -7,8 +7,11 @@ gamma factors overflow double precision long before the series converge.
 Their stop rule is three consecutive small terms, because an alternating
 series can have a single accidentally tiny term: :func:`sum_series` applies
 it to one series and :func:`sum_rows` to a block of series at once, with the
-same floats.  No series or table passes _MAX_TERMS terms or entries; past it
-they raise :class:`TruncationError`.  The fractional Poisson law is no series
+same floats.  No series, and no table that :func:`grow_table` builds, passes
+_MAX_TERMS terms or entries; past it they raise :class:`TruncationError`.
+:func:`frac_poisson_table` alone returns the nmax + 1 entries it is asked
+for: at x = 1000, alpha = 1/2 its law holds 1.7e-12 of its mass past
+n = 10,000.  The fractional Poisson law is no series
 here: it is a double integral over the Kanter representation of the stable
 clock, taken on one fixed double-exponential node grid.
 """

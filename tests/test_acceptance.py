@@ -6,6 +6,7 @@ the suite doubles as a checklist (`pytest tests/test_acceptance.py -s`).
 
 import pytest
 
+from skellam_lab import identities
 from skellam_lab.cli import main
 from skellam_lab.identities import run_identity
 
@@ -96,6 +97,26 @@ def test_criterion_10_inverse_subordinator_mean():
     report = run_identity("inverse-subordinator-mean", seed=0, n=100_000)
     _line(10, report.verdict, f"E L(1) vs 1/Gamma(a+1), max |z|={report.statistic:.2f} <= 5")
     assert report.verdict
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_criterion_12_alt_twoparam(seed):
+    report = run_identity("alt-twoparam", seed=seed)
+    _line(12, report.verdict, f"alt process at times (1.2, 0.7) vs two-parameter Skellam pmf, "
+                              f"seed {seed}: chi2 p={report.p_value:.4f} (level 1e-3)")
+    assert report.verdict
+
+
+@pytest.mark.parametrize("wrong_times", [
+    lambda t: {1: t[-1], -1: t[1]},  # swapped: p = 0
+    lambda t: {1: 1.03 * t[1], -1: t[-1]},  # one time 3 % long: p <= 6.7e-11
+], ids=["swapped", "scaled"])
+def test_alt_twoparam_rejects_wrong_times(monkeypatch, wrong_times):
+    alt_sample = identities.alt_sample
+    monkeypatch.setattr(identities, "alt_sample",
+                        lambda spec, t, n, seed: alt_sample(spec, wrong_times(t), n, seed))
+    for seed in (0, 1, 2):
+        assert not run_identity("alt-twoparam", seed=seed).verdict
 
 
 CLI_COMMANDS = [

@@ -1,5 +1,6 @@
 """CLI artifacts: formats, spec'd examples, determinism, error paths."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -10,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from skellam_lab.cli import _column, _fmt, main
+from skellam_lab.cli import _column, _fmt, build_parser, main
 
 
 def run_cli(args, tmp_path=None, out_name=None):
@@ -380,6 +381,8 @@ def _with(args, flag, value):
     # 10^12 + 1 frequencies: the grid stops at the 10,000-entry cap
     ["cf", "--process", "gmsp", "--jumps", "1:1.0", "--t", "1.0", "--u", "0:1e12:1"],
     ["cf", "--process", "gmsp", "--jumps", "1:1.0", "--t", "1.0", "--u", "0:10000:1"],
+    # one past the --nmax cap: an unbounded nmax grew its n list until memory ran out
+    ["pmf", "--process", "msp", "--l1", "1.0", "--l2", "1.0", "--t", "1.0", "--nmax", "10001"],
     ["verify", "--identity", "frac-mean", "--n", "0"],
     ["verify", "--identity", "frac-mean", "--n", "1"],
     ["verify", "--identity", "frac-variance-quadratic", "--n", "0"],
@@ -454,6 +457,12 @@ def test_non_finite_floats_are_never_written(value):
     ["verify", "--identity", "frac-wright", "--seed", "5"],
     ["integral", "--process", "compound", "--rates", "1.3", "--xvalues", "1.0,-1.0",
      "--xprobs", "0.5,0.5", "--t", "1.2", "--r", "16", "--n", "20", "--format", "json"],
+    ["simulate", "--process", "compound-peraxis", "--jumps", "1:0.7,0.4;-1:0.5,0.6",
+     "--t", "1.0,1.5", "--n", "200", "--seed", "5"],
+    ["cf", "--process", "integral-mpp", "--rates", "1.0,0.5", "--t", "1.5,1.0", "--u", "0.5,1.0"],
+    # X = 0 almost surely: the one-axis CF is 1
+    ["integral", "--process", "compound", "--rates", "1.3", "--xvalues", "0.0", "--xprobs", "1.0",
+     "--t", "1.2", "--r", "16", "--n", "20"],
 ])
 def test_byte_identical_reruns(tmp_path, capsys, argv):
     _, first = run_cli(argv, tmp_path, out_name="first.out")
@@ -527,6 +536,45 @@ def test_stdout_artifact_bytes_are_pinned(capsys):
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == (
         "f87c47593e92eb8d16da032d03dc97ec0a6413257dbfbb9f26fb75f252070671")
+
+
+def test_each_subcommand_takes_the_flags_its_processes_read():
+    # --process/--scheme plus the union of its values' flags, and the common options
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    counts = {name: sum(1 for a in p._actions if a.option_strings and "-h" not in a.option_strings)
+              for name, p in sub.choices.items()}
+    assert counts == {"simulate": 14, "pmf": 13, "cf": 12, "integral": 12, "converge": 8,
+                      "verify": 4}
+
+
+@pytest.mark.parametrize("argv, flag, process", [
+    (["simulate", "--process", "mpp", "--rates", "1.0", "--t", "1.0", "--n", "3",
+      "--jumps", "1:1.0"], "jumps", "simulate --process mpp"),
+    (["pmf", "--process", "msp", "--l1", "1.0", "--l2", "1.0", "--t", "1.0", "--t1", "1.0"],
+     "t1", "pmf --process msp"),
+    (["cf", "--process", "gmsp", "--jumps", "1:1.0", "--t", "1.0", "--s", "0.5", "--u", "1"],
+     "s", "cf --process gmsp"),
+    (["integral", "--process", "mpp", "--rates", "1.0", "--t", "1.0", "--xvalues", "1.0",
+      "--r", "4", "--n", "3"], "xvalues", "integral --process mpp"),
+])
+def test_a_flag_the_process_does_not_read_is_an_error(capsys, argv, flag, process):
+    # such a flag used to be ignored, with exit 0
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: --{flag} is not read by {process}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["converge", "--scheme", "gmsp-array", "--jumps", "1:2.0", "--t", "1.0", "--alpha", "0.5"],
+    ["integral", "--process", "mpp", "--rates", "1.0", "--t", "1.0", "--t1", "1.0"],
+    # flags are written in full: pmf's dropped --n is not read as --nmax, nor --s as --seed
+    ["pmf", "--process", "msp", "--l1", "1.0", "--l2", "1.0", "--t", "1.0", "--n", "5"],
+    ["simulate", "--process", "gmsp", "--jumps", "1:1.0", "--t", "1.0", "--s", "3"],
+])
+def test_a_flag_no_process_of_the_subcommand_reads_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_console_entry_point_subprocess(tmp_path):

@@ -292,6 +292,23 @@ def test_wright_golden_map():
     assert not wrong
 
 
+def test_wright_golden_values_are_the_law():
+    # the map pins bits; every value it holds is also within _WRIGHT_TOL of the quadrature
+    with open(_WRIGHT_GOLDEN, encoding="utf-8") as fh:
+        points = [p for p in json.load(fh)["points"] if "value" in p]
+    for p in points:
+        spec = FracSkellamSpec(p["lam1"], p["lam2"], p["alpha"], p["beta"])
+        exact = frac_skellam_pmf(spec, p["t1"], p["t2"], p["k"])
+        assert abs(float(p["value"]) - exact) <= fractional._WRIGHT_TOL, p
+
+
+def test_wright_refuses_where_the_layers_rounding_adds_up():
+    # no layer's bound passes 1e-9 alone (the largest is 8.2e-10), but the
+    # bounds sum to 1.7e-8; unrefused, the value was 1.34e-9 off mpmath
+    with pytest.raises(TruncationError, match="^Wright double series layer 17 "):
+        frac_skellam_pmf_wright(FracSkellamSpec(1.5, 1.35, 0.3, 0.8), 1.2, 1.0, -3)
+
+
 @pytest.mark.parametrize("point, message, partial", [
     ((1.0, 1.0, 0.5, 0.5, 1.0, 1.0, 0), "wright_psi23 did not converge in 20 terms",
      4.21701906032743),
