@@ -74,9 +74,7 @@ def alt_sample(spec: AltSpec, t: dict, n_draws: int, seed: int) -> SampleBatch:
     """Draw sum_j j * Poisson(lam_j t_j) with independent counts."""
     tt = _time_map(spec.rates, t)
     values = poisson_sum_sample(spec.jump_values, spec.rate_values * tt, n_draws, seed)
-    meta = {"process": "alt-skellam", "rates": dict(spec.rates),
-            "t": {j: float(tj) for j, tj in zip(spec.rates, tt)}, "n": int(n_draws)}
-    return SampleBatch(values=values, seed=int(seed), meta=meta)
+    return SampleBatch(values=values, seed=int(seed))
 
 
 def alt_moments(spec: AltSpec, s: dict, t: dict):
@@ -127,8 +125,7 @@ def alt_array_sample(
     as_scales(scale, "array scales", integer=False)
     t_axes = dict(zip(jump_vals.tolist(), _time_map(jump_vals.tolist(), t).tolist()))
     values = array_sums(scale, t_axes, probs, jump_vals, n_draws, seed)
-    meta = {"process": "alt-array", "scale": float(scale), "t": t_axes, "n": int(n_draws)}
-    return SampleBatch(values=values, seed=int(seed), meta=meta)
+    return SampleBatch(values=values, seed=int(seed))
 
 
 def twoparam_skellam_pmf(n: int, lam1: float, lam2: float, t1: float, t2: float) -> float:

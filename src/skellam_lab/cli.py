@@ -40,8 +40,7 @@ from .gmsp import (
 )
 from .identities import IDENTITIES, array_tvs, run_identity
 from .integrals import CompoundSpec, RectDomain, integral_cf_gmsp, integral_cf_mpp, integral_sample
-from .mpp import as_rates, as_times, poisson_means
-from .records import SampleBatch, as_scales, make_rng
+from .records import as_scales
 from .special import _MAX_TERMS, TruncationError, frac_poisson_table
 from .stats import empirical_cf
 
@@ -221,29 +220,39 @@ def _frac_spec(args) -> FracSkellamSpec:
 def _cmd_simulate(args) -> None:
     n, seed = args.n, args.seed
     if args.process == "mpp":
-        lam = as_rates(_parse_floats(args.rates, "rates"))
-        t = as_times(_parse_floats(args.t, "t"), lam.size)
-        values = make_rng(seed).poisson(float(poisson_means(lam, t)), n)
-        batch = SampleBatch(values, seed=seed, meta={
-            "process": "mpp", "rates": list(map(float, lam)), "t": list(map(float, t)), "n": n})
+        rates, t = _parse_floats(args.rates, "rates"), _parse_floats(args.t, "t")
+        batch = gmsp_sample(JumpSpec({1.0: rates}), t, n, seed)
+        meta = {"process": "mpp", "rates": rates, "t": t}
     elif args.process == "gmsp":
-        batch = gmsp_sample(*_jump_spec(args), n, seed)
+        spec, t = _jump_spec(args)
+        batch = gmsp_sample(spec, t, n, seed)
+        meta = {"process": "gmsp", "jumps": {j: r.tolist() for j, r in spec.jumps.items()}, "t": t}
     elif args.process == "alt":
         rates, t_map = _alt_jumps(args)
-        batch = alt_sample(AltSpec(rates), t_map, n, seed)
+        spec = AltSpec(rates)
+        batch = alt_sample(spec, t_map, n, seed)
+        meta = {"process": "alt-skellam", "rates": spec.rates, "t": {j: t_map[j] for j in spec.rates}}
     elif args.process == "frac-skellam":
         batch = frac_skellam_sample(_frac_spec(args), args.t1, args.t2, n, seed)
+        meta = {"process": "frac-skellam", "lam1": float(args.l1), "lam2": float(args.l2),
+                "alpha": args.alpha, "beta": args.beta, "t1": args.t1, "t2": args.t2}
     elif args.process == "compound-peraxis":
-        batch = gmsp_compound_peraxis_sample(*_jump_spec(args), n, seed)
+        spec, t = _jump_spec(args)
+        batch = gmsp_compound_peraxis_sample(spec, t, n, seed)
+        meta = {"process": "gmsp-compound-peraxis", "t": t}
     elif args.process == "compound-equalrate":
         rates = _parse_single_rate_jumps(args.jumps)
         t = _parse_floats(args.t, "t")
         batch = gmsp_compound_equalrate_sample(rates, len(t), t, n, seed)
+        meta = {"process": "gmsp-compound-equalrate", "jump_rates": dict(sorted(rates.items())),
+                "m": len(t), "t": t}
     elif args.process == "stable":
         batch = stable_subordinator_sample(args.alpha, args.t1, n, seed)
+        meta = {"process": "stable-subordinator", "alpha": args.alpha, "t": args.t1}
     elif args.process == "inv-stable":
         batch = inv_stable_marginal_sample(args.alpha, args.t1, n, seed)
-    _write(batch.meta, {"values": batch.values}, args)
+        meta = {"process": "inverse-stable", "alpha": args.alpha, "t": args.t1}
+    _write({**meta, "n": n}, {"values": batch.values}, args)
 
 
 def _cmd_pmf(args) -> None:
@@ -285,19 +294,27 @@ def _cmd_pmf(args) -> None:
 
 
 def _cmd_cf(args) -> None:
+    # --n is read only with --empirical, and --r only there on the integral processes
+    reads_r = args.empirical and args.process.startswith("integral-")
+    for name, read in (("n", args.empirical), ("r", reads_r)):
+        if getattr(args, name) is not None and not read:
+            mode = "" if args.empirical else " without --empirical"
+            raise ValueError(f"--{name} is not read by cf --process {args.process}{mode}")
+    n = 10_000 if args.n is None else args.n
+    r = 256 if args.r is None else args.r
     grid = _parse_ugrid(args.u)
     if args.process == "gmsp":
         spec, t = _jump_spec(args)
         meta = {"process": "gmsp", "jumps": args.jumps, "t": t}
         exact = lambda u: gmsp_cf(spec, t, u)
-        draw = lambda: gmsp_sample(spec, t, args.n, args.seed)
+        draw = lambda: gmsp_sample(spec, t, n, args.seed)
     elif args.process == "alt-increment":
         rates, t_map = _alt_jumps(args)
         spec = AltSpec(rates)
         s_map = {j: 0.0 for j in rates} if args.s is None else _jump_times(rates, args.s, "s")
         exact = lambda u: alt_increment_cf(spec, s_map, t_map, u)
         # independent increments: the increment has the law of the process at t - s
-        draw = lambda: alt_sample(spec, {j: t_map[j] - s_map[j] for j in rates}, args.n, args.seed)
+        draw = lambda: alt_sample(spec, {j: t_map[j] - s_map[j] for j in rates}, n, args.seed)
         meta = {"process": "alt-increment", "jumps": args.jumps,
                 "s": list(s_map.values()), "t": list(t_map.values())}
     elif args.process == "integral-mpp":
@@ -305,16 +322,16 @@ def _cmd_cf(args) -> None:
         t = _parse_floats(args.t, "t")
         meta = {"process": "integral-mpp", "rates": lam, "t": t}
         exact = lambda u: integral_cf_mpp(lam, t, u)
-        draw = lambda: integral_sample(lam, RectDomain(t=t, resolution=args.r), args.n, args.seed)
+        draw = lambda: integral_sample(lam, RectDomain(t=t, resolution=r), n, args.seed)
     elif args.process == "integral-gmsp":
         spec, t = _jump_spec(args)
         exact = lambda u: integral_cf_gmsp(spec, t, u)
-        draw = lambda: integral_sample(spec, RectDomain(t=t, resolution=args.r), args.n, args.seed)
+        draw = lambda: integral_sample(spec, RectDomain(t=t, resolution=r), n, args.seed)
         meta = {"process": "integral-gmsp", "jumps": args.jumps, "t": t}
     if args.empirical:
-        meta["n"] = args.n
-        if args.process.startswith("integral-"):
-            meta["resolution"] = args.r
+        meta["n"] = n
+        if reads_r:
+            meta["resolution"] = r
         table = empirical_cf(draw(), grid)
         fields = {**_cf_fields(grid, table.values), "radius": table.radius}
     else:
@@ -455,8 +472,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", required=True, help="grid: comma list or start:stop:step")
     p.add_argument("--empirical", action="store_true",
                    help="tabulate the empirical CF of --n draws (adds a radius column)")
-    p.add_argument("--r", type=int, default=256, help="lattice resolution (integral processes)")
-    _add_common(p, n_default=10_000)
+    p.add_argument("--r", type=int, help="lattice resolution of --empirical integral draws "
+                   "(default 256)")
+    p.add_argument("--n", type=int, help="number of --empirical draws (default 10000)")
+    _add_common(p, n_default=None)  # --n is read with --empirical only
     p.set_defaults(func=_cmd_cf)
 
     p = sub.add_parser("integral", help="sample rectangle integrals plus their exact CF")

@@ -74,23 +74,20 @@ def stable_subordinator_sample(alpha: float, t: float, n_draws: int, seed: int) 
     """Draws of D(t) with E[e^{-uD(t)}] = e^{-t u^alpha}; alpha = 1 is drift t."""
     alpha = as_indices(alpha).item()
     as_times(t)
-    meta = {"process": "stable-subordinator", "alpha": alpha, "t": float(t), "n": int(n_draws)}
     if t == 0.0:
-        return SampleBatch(values=np.zeros(n_draws), seed=int(seed), meta=meta)
-    if alpha == 1.0:
-        return SampleBatch(values=np.full(n_draws, float(t)), seed=int(seed), meta=meta)
-    rng = make_rng(seed)
-    values = t ** (1.0 / alpha) * _stable_draws(rng, alpha, n_draws)
-    return SampleBatch(values=values, seed=int(seed), meta=meta)
+        values = np.zeros(n_draws)
+    elif alpha == 1.0:
+        values = np.full(n_draws, float(t))
+    else:
+        values = t ** (1.0 / alpha) * _stable_draws(make_rng(seed), alpha, n_draws)
+    return SampleBatch(values=values, seed=int(seed))
 
 
 def inv_stable_marginal_sample(alpha: float, t: float, n_draws: int, seed: int) -> SampleBatch:
     """Draws of the first-passage clock L(t), via L(t) =d (t / D(1))^alpha."""
     alpha = as_indices(alpha).item()
     as_times(t)
-    meta = {"process": "inverse-stable", "alpha": alpha, "t": float(t), "n": int(n_draws)}
-    values = _inv_stable_clock(make_rng(seed), alpha, t, n_draws)
-    return SampleBatch(values=values, seed=int(seed), meta=meta)
+    return SampleBatch(values=_inv_stable_clock(make_rng(seed), alpha, t, n_draws), seed=int(seed))
 
 
 def frac_skellam_sample(spec: FracSkellamSpec, t1: float, t2: float,
@@ -106,10 +103,7 @@ def frac_skellam_sample(spec: FracSkellamSpec, t1: float, t2: float,
     for rng, lam, alpha, t in ((rng1, spec.lam1, spec.alpha, t1), (rng2, spec.lam2, spec.beta, t2)):
         sides.append(rng.poisson(lam * _inv_stable_clock(rng, alpha, t, n_draws)))
     values = sides[0].astype(np.int64) - sides[1].astype(np.int64)
-    meta = {"process": "frac-skellam", "lam1": spec.lam1, "lam2": spec.lam2,
-            "alpha": spec.alpha, "beta": spec.beta, "t1": float(t1), "t2": float(t2),
-            "n": int(n_draws)}
-    return SampleBatch(values=values, seed=int(seed), meta=meta)
+    return SampleBatch(values=values, seed=int(seed))
 
 
 def frac_skellam_pmf_table(spec: FracSkellamSpec, t1: float, t2: float, ns) -> list[float]:

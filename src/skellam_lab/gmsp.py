@@ -158,9 +158,7 @@ def poisson_sum_lattice_pmf(jumps: np.ndarray, mus) -> LatticePMF:
 def gmsp_sample(spec: JumpSpec, t, n_draws: int, seed: int) -> SampleBatch:
     """Draw sum_j j * Poisson(rates_j . t) with independent counts per jump."""
     values = poisson_sum_sample(spec.jump_values, _jump_means(spec, t), n_draws, seed)
-    meta = {"process": "gmsp", "jumps": {j: list(map(float, r)) for j, r in spec.jumps.items()},
-            "t": [float(x) for x in as_times(t, spec.dim)], "n": int(n_draws)}
-    return SampleBatch(values=values, seed=int(seed), meta=meta)
+    return SampleBatch(values=values, seed=int(seed))
 
 
 def gmsp_pgf(spec: JumpSpec, t, u: float) -> float:
@@ -305,9 +303,7 @@ def gmsp_compound_peraxis_sample(spec: JumpSpec, t, n_draws: int, seed: int) -> 
     tt = as_times(t, spec.dim)
     rng = make_rng(seed)
     values = peraxis_compound_sums(spec, tt, n_draws, [(rng, rng, None)] * spec.dim)
-    values = _as_lattice(values, spec.jump_values)
-    meta = {"process": "gmsp-compound-peraxis", "t": [float(x) for x in tt], "n": int(n_draws)}
-    return SampleBatch(values=values, seed=int(seed), meta=meta)
+    return SampleBatch(values=_as_lattice(values, spec.jump_values), seed=int(seed))
 
 
 def gmsp_compound_equalrate_sample(jump_rates: dict, m: int, t, n_draws: int, seed: int) -> SampleBatch:
@@ -320,11 +316,7 @@ def gmsp_compound_equalrate_sample(jump_rates: dict, m: int, t, n_draws: int, se
     m = as_count(m, "axis count m")
     tt = as_times(t, m)
     values = equalrate_sums(make_rng(seed), jump_rates, float(tt.sum()), n_draws)
-    values = _as_lattice(values, jump_rates)
-    meta = {"process": "gmsp-compound-equalrate",
-            "jump_rates": {float(j): float(jump_rates[j]) for j in sorted(jump_rates)},
-            "m": m, "t": [float(x) for x in tt], "n": int(n_draws)}
-    return SampleBatch(values=values, seed=int(seed), meta=meta)
+    return SampleBatch(values=_as_lattice(values, jump_rates), seed=int(seed))
 
 
 def _trim(probs: np.ndarray, start: int):
@@ -404,6 +396,4 @@ def gmsp_array_sample(spec: TriangularArraySpec, jumps, t, n_draws: int, seed: i
     tt = as_times(t)
     values = array_sums(spec.n, dict(enumerate(tt)), lambda l, k, j: spec.probs(l, j, spec.n),
                         as_jumps(jumps), n_draws, seed)
-    meta = {"process": "gmsp-array", "scale": int(spec.n),
-            "t": [float(x) for x in tt], "n": int(n_draws)}
-    return SampleBatch(values=values, seed=int(seed), meta=meta)
+    return SampleBatch(values=values, seed=int(seed))

@@ -173,13 +173,9 @@ def integral_cf(seed=0, n=20_000):
 
 def uniform_compound_mpp(seed=0, n=20_000):
     """Compound integral vs t * sum X_r U_r, on one axis: at M >= 2 the laws differ."""
-    rates, t = [1.3], [1.2]
-    vals, probs = [1.0, -1.0, 2.0], [0.5, 0.3, 0.2]
-    dom = RectDomain(t=t, resolution=512)
-    a = integral_sample(CompoundSpec(rates, vals, probs), dom, n, seed=seed)
-    b = uniform_compound_sample("compound-mpp",
-                                {"rates": rates, "values": vals, "probs": probs, "t": t},
-                                n, seed=seed + 1)
+    spec, t = CompoundSpec([1.3], [1.0, -1.0, 2.0], [0.5, 0.3, 0.2]), [1.2]
+    a = integral_sample(spec, RectDomain(t=t, resolution=512), n, seed=seed)
+    b = uniform_compound_sample(spec, t, n, seed=seed + 1)
     return ks_two_sample(a, b, identity="uniform-compound-mpp")
 
 
@@ -187,15 +183,14 @@ def uniform_compound_peraxis(seed=0, n=20_000):
     spec = JumpSpec({1: (0.7, 0.4), -1: (0.5, 0.6)})
     t = [1.2, 1.0]
     a = integral_sample(spec, RectDomain(t=t, resolution=512), n, seed=seed)
-    b = uniform_compound_sample("gmsp-peraxis", {"spec": spec, "t": t}, n, seed=seed + 1)
+    b = uniform_compound_sample(spec, t, n, seed=seed + 1)
     return ks_two_sample(a, b, identity="uniform-compound-peraxis")
 
 
 def uniform_compound_equalrate(seed=0, n=20_000):
     t = [1.2, 1.0]
     a = integral_sample(_EQ_SPEC, RectDomain(t=t, resolution=512), n, seed=seed)
-    b = uniform_compound_sample("gmsp-equalrate", {"jump_rates": _EQ_RATES, "m": 2, "t": t},
-                                n, seed=seed + 1)
+    b = uniform_compound_sample(_EQ_RATES, t, n, seed=seed + 1)
     return ks_two_sample(a, b, identity="uniform-compound-equalrate")
 
 

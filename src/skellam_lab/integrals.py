@@ -147,17 +147,13 @@ def integral_sample(process, dom: RectDomain, n_draws: int, seed: int) -> Sample
     :class:`CompoundSpec`.  A domain with any zero side has zero volume and
     yields exact zeros, once the process has been checked against it.
     """
-    meta = {"process": "integral", "t": [float(x) for x in dom.t],
-            "resolution": [int(r) for r in dom.resolution], "n": int(n_draws)}
     if isinstance(process, CompoundSpec):
         if process.rates.size != dom.dim:
             raise ValueError("compound rates must match the domain dimension")
-        meta["kind"] = "compound"
     else:
         spec = process if isinstance(process, JumpSpec) else JumpSpec({1.0: process})
         if spec.dim != dom.dim:
             raise ValueError("process dimension must match the domain")
-        meta["kind"] = "gmsp" if isinstance(process, JumpSpec) else "mpp"
     if np.any(dom.t == 0.0):
         values = np.zeros(n_draws)
     elif isinstance(process, CompoundSpec):
@@ -167,7 +163,7 @@ def integral_sample(process, dom: RectDomain, n_draws: int, seed: int) -> Sample
         axis_draws = [(rngs[3 * k], rngs[3 * k + 1], _lattice_weights(rngs[3 * k + 2], r))
                       for k, r in enumerate(dom.resolution)]
         values = peraxis_compound_sums(spec, dom.t, n_draws, axis_draws, float(np.prod(dom.t)))
-    return SampleBatch(values=values, seed=int(seed), meta=meta)
+    return SampleBatch(values=values, seed=int(seed))
 
 
 def riemann_sum(path, upper=None):
@@ -265,62 +261,41 @@ def integral_cf_levy(psis, t, u: float) -> complex:
     return complex(np.exp(total))
 
 
-def uniform_compound_sample(kind: str, params: dict, n_draws: int, seed: int) -> SampleBatch:
+def uniform_compound_sample(process, t, n_draws: int, seed: int) -> SampleBatch:
     """Uniform-weighted compound forms that match rectangle integrals in law.
 
     Each form is (prod_k t_k) times draws of the compound-Poisson kernel
     :func:`skellam_lab.gmsp.compound_sums` with U(0,1) weights U_r, all from
-    one make_rng(seed).
+    one make_rng(seed).  Like :func:`integral_sample`, the form follows the
+    type of ``process``:
 
-    kind "compound-mpp":   params rates (one rate), values, probs, t
+    a :class:`CompoundSpec` with one rate
         t * sum_{r<=N(t)} X_r U_r with N(t) ~ Poisson(rate * t).  Only the
         one-parameter integral has this law: at M >= 2 the integral of
         S_X(N_1(s_1) + ... + N_M(s_M)) has a larger variance.
-    kind "gmsp-peraxis":   params spec (JumpSpec), t
+    a :class:`JumpSpec`
         per-axis Poisson counts with axis jump laws, each axis sum scaled by
         (prod_{k'!=k} t_k') t_k = prod_k t_k.
-    kind "gmsp-equalrate": params jump_rates, m, t
+    a dict from jump to rate (equal rates on all len(t) axes)
         one Poisson((sum lam)(sum t)) count with the global jump law; rates
         must be positive and jumps nonzero.
     """
     rng = make_rng(seed)
-    params = dict(params)
-
-    def take(key):
-        if key not in params:
-            raise ValueError(f"kind {kind!r} requires parameter {key!r}")
-        return params.pop(key)
-
-    if kind == "compound-mpp":
-        spec = CompoundSpec(take("rates"), take("values"), take("probs"))
-        if spec.rates.size != 1:
-            raise ValueError("compound-mpp matches the integral for one rate only")
-        tt = as_times(take("t"), spec.rates.size)
-        if params:
-            raise ValueError(f"unexpected parameters for {kind}: {sorted(params)}")
-        mean = float(poisson_means(spec.rates, tt))
-        values = float(np.prod(tt)) * compound_sums(rng, rng, mean, n_draws,
-                                                    spec.values, spec.probs, rng.random)
-    elif kind == "gmsp-peraxis":
-        spec = take("spec")
-        if not isinstance(spec, JumpSpec):
-            raise ValueError("gmsp-peraxis needs a JumpSpec under 'spec'")
-        tt = as_times(take("t"), spec.dim)
-        if params:
-            raise ValueError(f"unexpected parameters for {kind}: {sorted(params)}")
-        values = peraxis_compound_sums(spec, tt, n_draws, [(rng, rng, rng.random)] * spec.dim,
+    if isinstance(process, CompoundSpec):
+        if process.rates.size != 1:
+            raise ValueError("a CompoundSpec matches the integral for one rate only")
+        tt = as_times(t, 1)
+        values = float(tt[0]) * compound_sums(rng, rng, float(poisson_means(process.rates, tt)),
+                                              n_draws, process.values, process.probs, rng.random)
+    elif isinstance(process, JumpSpec):
+        tt = as_times(t, process.dim)
+        values = peraxis_compound_sums(process, tt, n_draws, [(rng, rng, rng.random)] * process.dim,
                                        float(np.prod(tt)))
-    elif kind == "gmsp-equalrate":
-        jump_rates = take("jump_rates")
-        m = int(take("m"))
-        tt = as_times(take("t"), m)
-        if params:
-            raise ValueError(f"unexpected parameters for {kind}: {sorted(params)}")
-        values = float(np.prod(tt)) * equalrate_sums(rng, jump_rates, float(tt.sum()), n_draws,
+    elif isinstance(process, dict):
+        tt = as_times(t)
+        values = float(np.prod(tt)) * equalrate_sums(rng, process, float(tt.sum()), n_draws,
                                                      rng.random)
     else:
-        raise ValueError(f"unknown uniform-compound kind {kind!r}")
-
-    meta = {"process": f"uniform-compound-{kind}",
-            "t": [float(x) for x in tt], "n": int(n_draws)}
-    return SampleBatch(values=values, seed=int(seed), meta=meta)
+        raise ValueError(f"unknown process type {type(process).__name__!r}: "
+                         "expected a CompoundSpec, a JumpSpec or a jump -> rate dict")
+    return SampleBatch(values=values, seed=int(seed))

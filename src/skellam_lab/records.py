@@ -1,7 +1,8 @@
 """Shared value containers and the one checker of each parameter kind.
 
-Every sampler in the package returns a :class:`SampleBatch` that records the
-root seed and enough metadata to regenerate the draws exactly.  Closed-form
+Every sampler in the package returns a :class:`SampleBatch`: its draws and
+the root seed they came from.  Artifact metadata is written by the CLI alone,
+from the parameters it parsed.  Closed-form
 evaluators on integer lattices return :class:`LatticePMF`, and characteristic
 functions (exact or empirical) are tabulated as :class:`CFTable`.
 
@@ -12,7 +13,7 @@ below, with a ``ValueError`` that says "finite" and the rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,11 +117,10 @@ def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """I.i.d. draws of a scalar quantity plus what it takes to reproduce them."""
+    """I.i.d. draws of a scalar quantity and the root seed they were drawn from."""
 
     values: np.ndarray
     seed: int
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values))

@@ -150,7 +150,12 @@ def test_cf_empirical_draws_for_every_process(tmp_path, argv, meta_tail):
     meta = json.loads(lines[0][len("# meta: "):])
     assert list(meta)[-len(meta_tail):] == meta_tail and meta["n"] == 4000
     assert lines[1] == "u,re,im,radius"
-    code, exact_data = run_cli(argv, tmp_path, out_name="exact.csv")
+    # --n and --r are read with --empirical only
+    exact_argv = list(argv)
+    for flag in ("--n", "--r"):
+        if flag in exact_argv:
+            del exact_argv[exact_argv.index(flag):exact_argv.index(flag) + 2]
+    code, exact_data = run_cli(exact_argv, tmp_path, out_name="exact.csv")
     assert code == 0
     exact = exact_data.decode().splitlines()[2:]
     for row, exact_row in zip(lines[2:], exact):
@@ -480,6 +485,8 @@ def test_byte_identical_reruns(tmp_path, capsys, argv):
 
 _SPEC3 = "1:0.7,0.4;-1:0.5,0.6;2:0.2,0.3"
 _SPEC2 = "1:0.7,0.4;-1:0.5,0.6"
+_FRAC_ARGS = ["--l1", "1.3", "--l2", "0.6", "--alpha", "0.6", "--beta", "0.8",
+              "--t1", "1.5", "--t2", "1.0"]
 
 
 # sha256 of each artifact (suffix "" is the --out file itself): bytes are a
@@ -500,6 +507,33 @@ _SPEC2 = "1:0.7,0.4;-1:0.5,0.6"
      {"": "b28610aaa609ed95a12e0d9f437013804316615a9345da335f1e084d275c8f32"}),
     (["pmf", "--process", "gmsp", "--jumps", _SPEC3, "--t", "1.0,1.0", "--nmax", "20"],
      {"": "0a9cca32fb62d29fb300acc296f16f006ebe4c217810588d41b1ec0157b86deb"}),
+    # the CLI writes every simulate meta from the parameters it parsed
+    (["simulate", "--process", "mpp", "--rates", "1.0,0.5", "--t", "1.5,1.0", "--n", "2000",
+      "--seed", "3"],
+     {"": "2e1842ac0a1c6eefa51cbab8038e3caf34560e242eb8e297ef937f6d77ba853c"}),
+    (["simulate", "--process", "alt", "--jumps", "1:1.0;-1:0.5", "--t", "1.0,2.0", "--n", "2000",
+      "--seed", "3"],
+     {"": "40388c41d9596911c37cfab49213ab14304db75afc29e29fadc1df00f90b595a"}),
+    (["simulate", "--process", "alt", "--jumps", "1:1.0;-1:0.5", "--t", "1.0,2.0", "--n", "2000",
+      "--seed", "3", "--format", "json"],
+     {"": "d69011a39bec070757c3d6489f545354e448c7afa63fc82a0619937fc0bf93e5"}),
+    (["simulate", "--process", "frac-skellam", *_FRAC_ARGS, "--n", "2000", "--seed", "3"],
+     {"": "7a1ed0ea693ac0a9567fb51913203bef3b1851f29149494caef6ce3f700177fe"}),
+    (["simulate", "--process", "frac-skellam", *_FRAC_ARGS, "--n", "2000", "--seed", "3",
+      "--format", "json"],
+     {"": "baaed4fab96139a0a58fccb28f46a8557fdba889a5b038c9a07a974058f40443"}),
+    (["simulate", "--process", "compound-peraxis", "--jumps", _SPEC2, "--t", "1.2,1.0",
+      "--n", "2000", "--seed", "3"],
+     {"": "519e258e35de63ec2ab1ca2e51ee36d5ea3415d6fd114a14d0dfc728ca97d95e"}),
+    (["simulate", "--process", "compound-equalrate", "--jumps", "1:0.7;-1:0.5;2:0.2",
+      "--t", "1.2,1.0", "--n", "2000", "--seed", "3"],
+     {"": "2231a86e3167af47335b6bf872be7a0863cf063effc0ee6fa42845d62c5e54d2"}),
+    (["simulate", "--process", "stable", "--alpha", "0.6", "--t1", "1.5", "--n", "2000",
+      "--seed", "3"],
+     {"": "359c4251d6c65e6f6053b17a902eaba86a6fbeaacecf244d905fecd6d54bad7c"}),
+    (["simulate", "--process", "inv-stable", "--alpha", "0.6", "--t1", "1.5", "--n", "2000",
+      "--seed", "3"],
+     {"": "e7fafc20c468acdfd20c98c931c16c0f763bfa62ea5d696ec3f087ae160cdc3a"}),
 ])
 def test_artifact_bytes_are_pinned(tmp_path, argv, digests):
     code, _ = run_cli(argv, tmp_path, out_name="pinned")
@@ -556,6 +590,13 @@ def test_each_subcommand_takes_the_flags_its_processes_read():
      "s", "cf --process gmsp"),
     (["integral", "--process", "mpp", "--rates", "1.0", "--t", "1.0", "--xvalues", "1.0",
       "--r", "4", "--n", "3"], "xvalues", "integral --process mpp"),
+    # cf reads --n with --empirical only, and --r there on the integral processes only
+    (["cf", "--process", "gmsp", "--jumps", "1:1.0", "--t", "1.0", "--u", "1", "--n", "5",
+      "--r", "7"], "n", "cf --process gmsp without --empirical"),
+    (["cf", "--process", "integral-mpp", "--rates", "1.0", "--t", "1.0", "--u", "1",
+      "--r", "7"], "r", "cf --process integral-mpp without --empirical"),
+    (["cf", "--process", "gmsp", "--jumps", "1:1.0", "--t", "1.0", "--u", "1", "--empirical",
+      "--n", "5", "--r", "7"], "r", "cf --process gmsp"),
 ])
 def test_a_flag_the_process_does_not_read_is_an_error(capsys, argv, flag, process):
     # such a flag used to be ignored, with exit 0

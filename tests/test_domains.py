@@ -78,13 +78,6 @@ def _alt_rule(l, axis, j):
     return 0.1
 
 
-def _equalrate(rates, t=(1.0,)):
-    return {"jump_rates": rates, "m": len(t), "t": list(t)}
-
-
-def _compound_mpp(rate=1.0, value=1.0, t=1.0):
-    return {"rates": [rate], "values": [value], "probs": [1.0], "t": [t]}
-
 
 ENTRY_POINTS = [
     # rates
@@ -100,7 +93,7 @@ ENTRY_POINTS = [
     ("rate", "frac_poisson_table", lambda x: special.frac_poisson_table(3, x, 1.0, 0.5)),
     ("rate", "compound-equalrate", lambda x: gmsp_compound_equalrate_sample({1: x}, 1, [1.0], 3, 0)),
     ("rate", "uniform-equalrate",
-     lambda x: uniform_compound_sample("gmsp-equalrate", _equalrate({1: x}), 3, 0)),
+     lambda x: uniform_compound_sample({1: x}, [1.0], 3, 0)),
     ("rate", "CompoundSpec", lambda x: CompoundSpec([x], [1.0], [1.0])),
     ("rate", "integral_cf_mpp", lambda x: integral_cf_mpp([x], [1.0], 1.0)),
     # times
@@ -135,23 +128,23 @@ ENTRY_POINTS = [
     ("time", "RectDomain", lambda x: RectDomain(t=[1.0, x], resolution=4)),
     ("time", "integral_cf_gmsp", lambda x: integral_cf_gmsp(_SPEC, [x], 1.0)),
     ("time", "uniform-compound-mpp",
-     lambda x: uniform_compound_sample("compound-mpp", _compound_mpp(t=x), 3, 0)),
+     lambda x: uniform_compound_sample(CompoundSpec([1.0], [1.0], [1.0]), [x], 3, 0)),
     ("time", "uniform-equalrate",
-     lambda x: uniform_compound_sample("gmsp-equalrate", _equalrate({1: 1.0}, (x,)), 3, 0)),
+     lambda x: uniform_compound_sample({1: 1.0}, [x], 3, 0)),
     # jumps
     ("jump", "JumpSpec", lambda x: JumpSpec({1: (1.0,), x: (1.0,)})),
     ("jump", "AltSpec", lambda x: AltSpec({x: 1.0})),
     ("jump", "compound-equalrate",
      lambda x: gmsp_compound_equalrate_sample({x: 1.0}, 1, [1.0], 3, 0)),
     ("jump", "uniform-equalrate",
-     lambda x: uniform_compound_sample("gmsp-equalrate", _equalrate({x: 1.0}), 3, 0)),
+     lambda x: uniform_compound_sample({x: 1.0}, [1.0], 3, 0)),
     ("jump", "gmsp_array_sample", lambda x: gmsp_array_sample(_ARRAY, [x], [1.0], 3, 0)),
     ("jump", "alt_array_sample", lambda x: alt_array_sample(10, _alt_rule, [x], {x: 1.0}, 3, 0)),
     ("jump", "scaled_poisson_convolution", lambda x: scaled_poisson_convolution({x: 1.0})),
     # jump values
     ("jump value", "CompoundSpec", lambda x: CompoundSpec([1.0], [0.0, x], [0.5, 0.5])),
     ("jump value", "uniform-compound-mpp",
-     lambda x: uniform_compound_sample("compound-mpp", _compound_mpp(value=x), 3, 0)),
+     lambda x: uniform_compound_sample(CompoundSpec([1.0], [x], [1.0]), [1.0], 3, 0)),
     # stable indices
     ("stable index", "FracSkellamSpec", lambda x: FracSkellamSpec(1.0, 1.0, 0.5, x)),
     ("stable index", "stable", lambda x: stable_subordinator_sample(x, 1.0, 3, 0)),
@@ -180,7 +173,10 @@ def test_values_outside_the_domain_are_refused(call, bad):
 def test_whole_scales_keep_their_value():
     # a resolution of 2.7 used to be truncated to 2
     assert RectDomain(t=[1.0], resolution=4.0).resolution.tolist() == [4]
-    assert alt_array_sample(2.5, _alt_rule, [1], {1: 1.0}, 3, 0).meta["scale"] == 2.5
+    # scale 2.5 at t = 0.8 takes floor(2.5 * 0.8) = 2 summands, each equal to 1;
+    # a scale truncated to 2 would take floor(2 * 0.8) = 1
+    draws = alt_array_sample(2.5, lambda l, axis, j: 0.9999, [1], {1: 0.8}, 2000, 0).values
+    assert draws.max() == 2
 
 
 @pytest.mark.parametrize("name, sampler", [

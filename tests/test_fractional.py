@@ -309,6 +309,45 @@ def test_wright_refuses_where_the_layers_rounding_adds_up():
         frac_skellam_pmf_wright(FracSkellamSpec(1.5, 1.35, 0.3, 0.8), 1.2, 1.0, -3)
 
 
+# (alpha, beta) pairs of the Wright grids: equal, each side larger, both near 1, and alpha = 1
+WRIGHT_INDICES = ((0.5, 0.5), (0.3, 0.8), (0.7, 0.4), (0.9, 0.9), (1.0, 0.6), (0.4, 0.9))
+WRIGHT_GRID = ((0.3, 1.0, 1.45, 1.55, 2.0), (0.8, 1.2), (-3, 0, 3))
+# the whole grid, run in CI: 1,008 points
+WRIGHT_FULL_GRID = ((0.3, 0.7, 1.0, 1.3, 1.45, 1.5, 1.55, 2.0), (0.8, 1.0, 1.2), range(-3, 4))
+
+
+def wright_grid_misses(lams, t1s, ks):
+    """(misses, values, refusals) of the Wright form against the quadrature over a grid.
+
+    Each point is lam1 = lam, lam2 = 0.9 lam, an (alpha, beta) of WRIGHT_INDICES,
+    t = (t1, 1) and one k; a miss is a value more than 1e-9 from frac_skellam_pmf.
+    """
+    misses, values, refusals = [], 0, 0
+    for lam in lams:
+        for alpha, beta in WRIGHT_INDICES:
+            spec = FracSkellamSpec(lam, 0.9 * lam, alpha, beta)
+            for t1 in t1s:
+                for k in ks:
+                    try:
+                        wright = frac_skellam_pmf_wright(spec, t1, 1.0, k)
+                    except TruncationError:
+                        refusals += 1
+                        continue
+                    values += 1
+                    gap = abs(wright - frac_skellam_pmf(spec, t1, 1.0, k))
+                    if not gap <= 1e-9:
+                        misses.append((lam, alpha, beta, t1, k, gap))
+    return misses, values, refusals
+
+
+def test_wright_form_is_the_quadrature_or_refuses_over_a_grid():
+    # every point of the grid, not only the pinned ones: a value or a refusal,
+    # never a silently wrong number
+    misses, values, refusals = wright_grid_misses(*WRIGHT_GRID)
+    assert values + refusals == 180
+    assert not misses
+
+
 @pytest.mark.parametrize("point, message, partial", [
     ((1.0, 1.0, 0.5, 0.5, 1.0, 1.0, 0), "wright_psi23 did not converge in 20 terms",
      4.21701906032743),

@@ -283,33 +283,21 @@ def test_empirical_cf_of_integral_matches_closed_form():
 
 
 def test_uniform_compound_zero_time():
-    batch = uniform_compound_sample(
-        "compound-mpp",
-        {"rates": [1.0], "values": [1.0], "probs": [1.0], "t": [0.0]},
-        20,
-        seed=0,
-    )
+    batch = uniform_compound_sample(CompoundSpec([1.0], [1.0], [1.0]), [0.0], 20, seed=0)
     assert np.all(batch.values == 0.0)
 
 
 def test_uniform_compound_rejects_mismatched_params():
-    with pytest.raises(ValueError):
-        uniform_compound_sample("compound-mpp", {"rates": [1.0], "t": [1.0]}, 5, seed=0)
-    with pytest.raises(ValueError):
-        uniform_compound_sample("gmsp-peraxis", {"spec": "nope", "t": [1.0]}, 5, seed=0)
-    with pytest.raises(ValueError):
-        uniform_compound_sample("no-such-kind", {}, 5, seed=0)
-    with pytest.raises(ValueError):
-        uniform_compound_sample(
-            "gmsp-peraxis",
-            {"spec": JumpSpec({1: (1.0,)}), "t": [1.0], "extra": 3},
-            5,
-            seed=0,
-        )
+    with pytest.raises(ValueError, match="dimension"):
+        uniform_compound_sample(CompoundSpec([1.0], [1.0], [1.0]), [1.0, 1.0], 5, seed=0)
+    with pytest.raises(ValueError, match="unknown process type"):
+        uniform_compound_sample("nope", [1.0], 5, seed=0)
+    with pytest.raises(ValueError, match="unknown process type"):
+        uniform_compound_sample([1.0], [1.0], 5, seed=0)
+    with pytest.raises(ValueError, match="dimension"):
+        uniform_compound_sample(JumpSpec({1: (1.0,)}), [1.0, 1.0], 5, seed=0)
     with pytest.raises(ValueError, match="nonzero"):
-        uniform_compound_sample(
-            "gmsp-equalrate", {"jump_rates": {0: 1.0, 1: 0.5}, "m": 1, "t": [1.0]}, 5, seed=0
-        )
+        uniform_compound_sample({0: 1.0, 1: 0.5}, [1.0], 5, seed=0)
 
 
 def test_uniform_compound_matches_compound_integral_ks():
@@ -317,9 +305,7 @@ def test_uniform_compound_matches_compound_integral_ks():
     vals, probs = [1.0, -1.0, 2.0], [0.5, 0.3, 0.2]
     dom = RectDomain(t=t, resolution=512)
     a = integral_sample(CompoundSpec(rates, vals, probs), dom, 20_000, seed=11)
-    b = uniform_compound_sample(
-        "compound-mpp", {"rates": rates, "values": vals, "probs": probs, "t": t}, 20_000, seed=12
-    )
+    b = uniform_compound_sample(CompoundSpec(rates, vals, probs), t, 20_000, seed=12)
     report = ks_two_sample(a, b)
     assert report.verdict, f"KS p={report.p_value}"
 
@@ -327,9 +313,9 @@ def test_uniform_compound_matches_compound_integral_ks():
 def test_uniform_compound_mpp_rejects_two_rates():
     # at M = 2 the integral of S_X(N_1(s_1) + N_2(s_2)) has a larger variance
     # than (t_1 t_2) sum X_r U_r, so the form is offered for one rate only
-    params = {"rates": [0.8, 0.5], "values": [1.0, -1.0], "probs": [0.5, 0.5], "t": [1.2, 1.0]}
+    spec = CompoundSpec([0.8, 0.5], [1.0, -1.0], [0.5, 0.5])
     with pytest.raises(ValueError, match="one rate"):
-        uniform_compound_sample("compound-mpp", params, 10, seed=0)
+        uniform_compound_sample(spec, [1.2, 1.0], 10, seed=0)
 
 
 GMSP_EQ = JumpSpec({1: (0.7, 0.7), -1: (0.5, 0.5), 2: (0.2, 0.2)})
@@ -339,10 +325,8 @@ def test_gmsp_integral_matches_uniform_forms_ks():
     t = [1.2, 1.0]
     dom = RectDomain(t=t, resolution=512)
     g = integral_sample(GMSP_EQ, dom, 20_000, seed=13)
-    f3 = uniform_compound_sample("gmsp-peraxis", {"spec": GMSP_EQ, "t": t}, 20_000, seed=14)
-    f2 = uniform_compound_sample(
-        "gmsp-equalrate", {"jump_rates": {1: 0.7, -1: 0.5, 2: 0.2}, "m": 2, "t": t}, 20_000, seed=15
-    )
+    f3 = uniform_compound_sample(GMSP_EQ, t, 20_000, seed=14)
+    f2 = uniform_compound_sample({1: 0.7, -1: 0.5, 2: 0.2}, t, 20_000, seed=15)
     assert ks_two_sample(g, f3).verdict
     assert ks_two_sample(g, f2).verdict
 
