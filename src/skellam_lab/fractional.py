@@ -53,12 +53,11 @@ class FracSkellamSpec:
         as_indices((self.alpha, self.beta))
 
 
-def _stable_draws(rng, alpha: float, n: int) -> np.ndarray:
-    """Positive stable draws with Laplace transform e^{-u^alpha} (Kanter)."""
+def _kanter(rng, alpha: float, n: int):
+    """sin(alpha theta), sin(theta) and sin((1 - alpha) theta) / w of Kanter's stable draw."""
     theta = rng.uniform(0.0, np.pi, n)
     w = rng.standard_exponential(n)
-    return (np.sin(alpha * theta) / np.sin(theta) ** (1.0 / alpha)
-            * (np.sin((1.0 - alpha) * theta) / w) ** ((1.0 - alpha) / alpha))
+    return np.sin(alpha * theta), np.sin(theta), np.sin((1.0 - alpha) * theta) / w
 
 
 def _inv_stable_clock(rng, alpha: float, t: float, n: int) -> np.ndarray:
@@ -67,11 +66,15 @@ def _inv_stable_clock(rng, alpha: float, t: float, n: int) -> np.ndarray:
         return np.zeros(n)
     if alpha == 1.0:
         return np.full(n, float(t))
-    return (t / _stable_draws(rng, alpha, n)) ** alpha
+    a, s, b = _kanter(rng, alpha, n)
+    return t**alpha * s / (a**alpha * b ** (1.0 - alpha))  # no 1/alpha power to overflow
 
 
 def stable_subordinator_sample(alpha: float, t: float, n_draws: int, seed: int) -> SampleBatch:
-    """Draws of D(t) with E[e^{-uD(t)}] = e^{-t u^alpha}; alpha = 1 is drift t."""
+    """Draws of D(t) with E[e^{-uD(t)}] = e^{-t u^alpha}; alpha = 1 is drift t.
+
+    A draw past the float range (at small alpha) raises :class:`TruncationError`.
+    """
     alpha = as_indices(alpha).item()
     as_times(t)
     if t == 0.0:
@@ -79,7 +82,11 @@ def stable_subordinator_sample(alpha: float, t: float, n_draws: int, seed: int) 
     elif alpha == 1.0:
         values = np.full(n_draws, float(t))
     else:
-        values = t ** (1.0 / alpha) * _stable_draws(make_rng(seed), alpha, n_draws)
+        a, s, b = _kanter(make_rng(seed), alpha, n_draws)
+        with np.errstate(all="ignore"):  # a numpy power overflows to inf, refused below
+            values = np.float64(t) ** (1.0 / alpha) * (a / s ** (1.0 / alpha) * b ** ((1.0 - alpha) / alpha))
+        if not np.all((values > 0.0) & (values < np.inf)):
+            raise TruncationError(f"a stable draw at alpha {alpha!r} leaves the float range", 0.0)
     return SampleBatch(values=values, seed=int(seed))
 
 
@@ -275,9 +282,10 @@ def frac_skellam_moments(spec: FracSkellamSpec, t1: float, t2: float,
     The variance carries a second-order term per side whose leading factor is
     lam t^a / a in the "printed" form and (lam t^a)^2 / a in the "quadratic"
     form; the two coincide at lam t^a = 1 and the second-order term vanishes
-    entirely at a = 1.  The default is the quadratic form, which the
-    frac-variance-quadratic identity supports and frac-variance-printed
-    rejects; the printed form stays available behind the flag.
+    entirely at a = 1.  The default is the quadratic form, which matches the
+    exact law's variance within 1e-15 relative on the moment grid of
+    frac-variance-quadratic; the printed form, 7.6 % to 26.6 % off there, stays
+    available behind the flag.
     """
     as_times((t1, t2))
     if variance_form not in ("printed", "quadratic"):

@@ -9,6 +9,7 @@ level :data:`skellam_lab.stats.LEVEL`.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -36,7 +37,9 @@ from .gmsp import (
 )
 from .integrals import CompoundSpec, RectDomain, integral_cf_mpp, integral_sample, uniform_compound_sample
 from .records import LatticePMF
-from .stats import TestReport, empirical_cf, ks_two_sample, lattice_chi2, lattice_chi2_two_sample, tv_distance
+from .special import frac_poisson_entries, grow_table
+from .stats import (TestReport, empirical_cf, ks_two_sample, lattice_chi2, lattice_chi2_pooled,
+                    lattice_chi2_two_sample, tv_distance)
 
 __all__ = ["IDENTITIES", "array_tvs", "run_identity"]
 
@@ -195,17 +198,19 @@ def uniform_compound_equalrate(seed=0, n=20_000):
 
 
 _FRAC = FracSkellamSpec(1.0, 1.0, 0.5, 0.5)
-# lattice_chi2 expects all untabulated mass in the top cell, so the table must
-# leave a negligible tail on both sides: |k| <= 40 leaves under 1e-13.
-_FRAC_KMAX = 40
+# (spec, t) points of the moment identities and of frac-pmf, at t1 = t2 = t
+_MOMENT_GRID = [(FracSkellamSpec(1.3, 0.6, a, a), t) for a in (0.4, 0.6, 0.8) for t in (0.5, 1.5, 3.0)]
+# lattice_chi2 charges untabulated mass to the top cell; |k| <= 60 leaves none at any point
+_FRAC_KMAX = 60
 
 
 def frac_pmf(seed=0, n=100_000):
-    batch = frac_skellam_sample(_FRAC, 1.0, 1.0, n, seed=seed)
-    probs = np.array(frac_skellam_pmf_table(_FRAC, 1.0, 1.0,
-                                            range(-_FRAC_KMAX, _FRAC_KMAX + 1)))
-    pmf = LatticePMF(-_FRAC_KMAX, probs)
-    return lattice_chi2(batch, pmf, identity="frac-pmf")
+    """One chi-square of ``n`` draws per point at _FRAC and the grid; point i draws at seed 10 seed + i."""
+    ks = range(-_FRAC_KMAX, _FRAC_KMAX + 1)
+    pairs = ((frac_skellam_sample(spec, t, t, n, seed=10 * seed + i),
+              LatticePMF(-_FRAC_KMAX, np.array(frac_skellam_pmf_table(spec, t, t, ks))))
+             for i, (spec, t) in enumerate([(_FRAC, 1.0), *_MOMENT_GRID]))
+    return lattice_chi2_pooled(pairs, seed, identity="frac-pmf")
 
 
 def frac_wright(seed=0, n=0):
@@ -216,52 +221,34 @@ def frac_wright(seed=0, n=0):
     return _exact_report("frac-wright", seed, 5, gap, 1e-6)
 
 
-_MOMENT_GRID = [(a, t) for a in (0.4, 0.6, 0.8) for t in (0.5, 1.5, 3.0)]
-# A sample of equal draws has standard deviation 0; its mean z-score is taken
-# against this floor instead, as the variance's is against 1e-300: huge,
-# finite and failing, where a division by 0 gave an inf no report can hold.
-_SD_FLOOR = 1e-150
+def _moment_report(identity, variance_form, which, seed=0, n=0):
+    """Largest relative gap of the formula's mean (``which`` 0) or variance (1) to the exact law's.
+
+    The report's n counts the entries of both sides' tables, each run into
+    its tail; the ``n`` argument is not read.
+    """
+    gaps, count = [], 0
+    for spec, t in _MOMENT_GRID:
+        exact = np.zeros(2)
+        for sign, lam, alpha in ((1, spec.lam1, spec.alpha), (-1, spec.lam2, spec.beta)):
+            p = np.array(grow_table([], frac_poisson_entries(lam, t, alpha)))
+            k = np.arange(p.size)
+            mean = math.fsum(k * p)
+            exact += (sign * mean, math.fsum((k - mean) ** 2 * p))
+            count += p.size
+        formula = frac_skellam_moments(spec, t, t, variance_form)[which]
+        gaps.append(abs(formula - exact[which]) / abs(exact[which]))
+    return _exact_report(identity, seed, count, float(np.max(gaps)), 1e-12)
 
 
-def _check_z_draws(n):
-    if n < 2:
-        raise ValueError(f"a z-score needs at least 2 draws, got n={n}")
-
-
-def _moment_zscores(seed, n, variance_form):
-    """The largest mean and variance z-scores over the grid; a NaN z makes its maximum NaN."""
-    _check_z_draws(n)
-    z_mean, z_var = [], []
-    for i, (alpha, t) in enumerate(_MOMENT_GRID):
-        spec = FracSkellamSpec(1.3, 0.6, alpha, alpha)
-        x = frac_skellam_sample(spec, t, t, n, seed=seed + i).values.astype(float)
-        mean, var = frac_skellam_moments(spec, t, t, variance_form)
-        se_mean = max(x.std(), _SD_FLOOR) / math.sqrt(x.size)  # a NaN std stays NaN
-        z_mean.append(abs(x.mean() - mean) / se_mean)
-        s2 = x.var(ddof=1)
-        m4 = float(np.mean((x - x.mean()) ** 4))
-        se_var = math.sqrt(max(m4 - s2**2, 1e-300) / x.size)
-        z_var.append(abs(s2 - var) / se_var)
-    return float(np.max(z_mean)), float(np.max(z_var))
-
-
-def frac_mean(seed=0, n=100_000):
-    z_mean, _ = _moment_zscores(seed, n, "printed")
-    return _exact_report("frac-mean", seed, n, z_mean, 5.0)
-
-
-def frac_variance_printed(seed=0, n=100_000):
-    _, z_var = _moment_zscores(seed, n, "printed")
-    return _exact_report("frac-variance-printed", seed, n, z_var, 5.0)
-
-
-def frac_variance_quadratic(seed=0, n=100_000):
-    _, z_var = _moment_zscores(seed, n, "quadratic")
-    return _exact_report("frac-variance-quadratic", seed, n, z_var, 5.0)
+frac_mean = partial(_moment_report, "frac-mean", "printed", 0)
+frac_variance_printed = partial(_moment_report, "frac-variance-printed", "printed", 1)
+frac_variance_quadratic = partial(_moment_report, "frac-variance-quadratic", "quadratic", 1)
 
 
 def inverse_subordinator_mean(seed=0, n=100_000):
-    _check_z_draws(n)
+    if n < 2:
+        raise ValueError(f"a z-score needs at least 2 draws, got n={n}")
     z = []
     for i, alpha in enumerate((0.3, 0.5, 0.8)):
         batch = inv_stable_marginal_sample(alpha, 1.0, n, seed=seed + i)

@@ -239,8 +239,10 @@ def integral_cf_levy(psis, t, u: float) -> complex:
     ``psis[k]`` must be the log-CF of the k-th one-parameter component at unit
     time, with psi_k(0) = 0.  Evaluates
     exp(sum_k t_k integral_0^1 psi_k(u (prod t) x) dx) by adaptive quadrature.
+    It is the only function that needs scipy, which installs with the ``test``
+    extra, and it imports scipy when called.
     """
-    from scipy import integrate  # imported here: no closed-form path needs scipy
+    from scipy import integrate
 
     tt = as_times(t, len(psis))
     c = float(u) * float(np.prod(tt))

@@ -110,7 +110,8 @@ def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
     2 M + 1.  The other samplers (``gmsp_sample``, the compound forms, the
     array samplers, ``uniform_compound_sample``, the stable clocks) draw from
     one ``make_rng(seed)`` stream, and the identities offset the seeds of
-    their batches (seed + i, seed + 7 i, seed + 1) rather than split one.
+    their batches (seed + i, seed + 7 i, seed + 1, and 10 seed + i in
+    frac-pmf) rather than split one.
     """
     return [np.random.default_rng(ss) for ss in np.random.SeedSequence(int(seed)).spawn(n)]
 

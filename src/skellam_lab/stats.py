@@ -20,6 +20,7 @@ __all__ = [
     "empirical_cf",
     "lattice_chi2",
     "lattice_chi2_two_sample",
+    "lattice_chi2_pooled",
     "ks_two_sample",
     "tv_distance",
 ]
@@ -108,17 +109,6 @@ def _merge_bins(expected: np.ndarray) -> list[tuple[int, int]]:
     return bins
 
 
-def _bin_counts(values: np.ndarray, support_start: int, n_cells: int,
-                bins: list[tuple[int, int]]) -> np.ndarray:
-    """Observed counts per merged bin; the end bins absorb out-of-table values."""
-    idx = values - support_start
-    counts = np.zeros(len(bins))
-    cell_counts = np.bincount(np.clip(idx, 0, n_cells - 1), minlength=n_cells)
-    for b, (i, j) in enumerate(bins):
-        counts[b] = cell_counts[i:j].sum()
-    return counts
-
-
 def _chi2_sf(x: float, dof: int) -> float:
     """P{chi^2_dof > x} for an integer dof >= 1, in closed form.
 
@@ -139,9 +129,8 @@ def _chi2_sf(x: float, dof: int) -> float:
     return min(1.0, math.fsum(parts))
 
 
-def _chi2_report(identity, stat, bins, n, seed) -> TestReport:
-    """The report of a chi-square statistic over ``bins``; one bin passes only a zero statistic."""
-    dof = len(bins) - 1
+def _chi2_report(identity, stat, dof, n, seed) -> TestReport:
+    """The report of a chi-square statistic on ``dof`` degrees; 0 passes only a zero statistic."""
     p = _chi2_sf(stat, dof) if dof else (1.0 if stat < 1e-12 else 0.0)
     return TestReport(identity=identity, statistic=float(stat), p_value=p, n_samples=n,
                       seed=seed, verdict=p > LEVEL, level=LEVEL)
@@ -156,18 +145,31 @@ def lattice_chi2(batch: SampleBatch, pmf: LatticePMF,
     table is thus expected at the top and observed at the bottom, so the table
     must leave a negligible tail on both sides.
     """
-    values = _integer_values(batch)
-    n = values.size
-    probs = pmf.probs.copy()
-    probs[-1] += pmf.tail_mass  # a DP table leaves <= tail_mass outside
-    expected = n * probs
-    bins = _merge_bins(expected)
-    if not bins or expected.sum() <= 0:
-        raise ValueError("not enough expected mass to bin")
-    observed = _bin_counts(values, pmf.start, probs.size, bins)
-    exp_binned = np.array([expected[i:j].sum() for i, j in bins])
-    stat = float(np.sum((observed - exp_binned) ** 2 / exp_binned))
-    return _chi2_report(identity, stat, bins, n, batch.seed)
+    return lattice_chi2_pooled([(batch, pmf)], batch.seed, identity)
+
+
+def lattice_chi2_pooled(pairs, seed: int, identity: str = "lattice-chi2-pooled") -> TestReport:
+    """:func:`lattice_chi2` over independent (batch, pmf) pairs, read once.
+
+    The Pearson statistics of independent batches add up to a chi-square on
+    their summed degrees of freedom.
+    """
+    stat, dof, n = 0.0, 0, 0
+    for batch, pmf in pairs:
+        values = _integer_values(batch)
+        probs = pmf.probs.copy()
+        probs[-1] += pmf.tail_mass  # a DP table leaves <= tail_mass outside
+        expected = values.size * probs
+        bins = _merge_bins(expected)
+        if not bins or expected.sum() <= 0:
+            raise ValueError("not enough expected mass to bin")
+        # draws outside the table fall into the nearer end cell
+        cells = np.bincount(np.clip(values - pmf.start, 0, probs.size - 1), minlength=probs.size)
+        observed = np.array([cells[i:j].sum() for i, j in bins], dtype=float)
+        exp_binned = np.array([expected[i:j].sum() for i, j in bins])
+        stat += float(np.sum((observed - exp_binned) ** 2 / exp_binned))
+        dof, n = dof + len(bins) - 1, n + values.size
+    return _chi2_report(identity, stat, dof, n, seed)
 
 
 def lattice_chi2_two_sample(a: SampleBatch, b: SampleBatch,
@@ -191,7 +193,7 @@ def lattice_chi2_two_sample(a: SampleBatch, b: SampleBatch,
             e = n * p
             o = cnt[i:j].sum()
             stat += (o - e) ** 2 / e
-    return _chi2_report(identity, stat, bins, na + nb, a.seed)
+    return _chi2_report(identity, stat, len(bins) - 1, na + nb, a.seed)
 
 
 # Stirling remainder log k! - (k + 1/2) log k + k - log(2 pi)/2 at k = 0..15;

@@ -180,33 +180,62 @@ def test_whole_scales_keep_their_value():
 
 
 @pytest.mark.parametrize("name, sampler", [
-    ("frac-mean", "frac_skellam_sample"),
-    ("frac-variance-printed", "frac_skellam_sample"),
-    ("frac-variance-quadratic", "frac_skellam_sample"),
     ("inverse-subordinator-mean", "inv_stable_marginal_sample"),
 ])
 def test_nan_draws_fail_the_z_score_identities(monkeypatch, name, sampler):
-    # max(z, nan) dropped a NaN z, so NaN draws used to pass with statistic 0
-    # both samplers take the draw count last and the seed by keyword
+    # max(z, nan) dropped a NaN z, so NaN draws used to pass with statistic 0;
+    # the sampler takes the draw count last and the seed by keyword
     monkeypatch.setattr(identities, sampler,
                         lambda *args, seed: SampleBatch(np.full(args[-1], math.nan), seed=seed))
     report = identities.run_identity(name, n=50)
     assert math.isnan(report.statistic) and not report.verdict
 
 
-@pytest.mark.parametrize("name", ["frac-mean", "frac-variance-quadratic",
-                                  "inverse-subordinator-mean"])
+def test_nan_draws_make_frac_pmf_raise(monkeypatch):
+    monkeypatch.setattr(identities, "frac_skellam_sample",
+                        lambda *args, seed: SampleBatch(np.full(args[-1], math.nan), seed=seed))
+    with pytest.raises(ValueError, match="integer-valued"):
+        identities.run_identity("frac-pmf", n=50)
+
+
+@pytest.mark.parametrize("name", ["inverse-subordinator-mean"])
 @pytest.mark.parametrize("n", [0, 1])
 def test_z_score_identities_refuse_fewer_than_two_draws(name, n):
     with pytest.raises(ValueError, match="at least 2 draws"):
         identities.run_identity(name, n=n)
 
 
-@pytest.mark.parametrize("name", ["frac-mean", "frac-variance-printed"])
-def test_equal_draws_fail_the_moment_identities(name):
-    # at n = 2 and seed 0 a grid point draws the same value twice: its
-    # standard error is 0, which used to be a division warning and an inf z
+@pytest.mark.parametrize("name", ["frac-mean", "frac-variance-printed", "frac-variance-quadratic"])
+def test_moment_identities_draw_nothing(monkeypatch, name):
+    # they sum the exact tables, so a sampler that cannot draw and any n
+    # leave the report as it is
+    def no_draws(*args, seed):
+        raise AssertionError("a moment identity drew")
+
+    expected = identities.run_identity(name)
+    monkeypatch.setattr(identities, "frac_skellam_sample", no_draws)
+    for n in (None, 0, 1):
+        assert identities.run_identity(name, n=n) == expected
+
+
+@pytest.mark.parametrize("alpha", [0.001, 0.01, 0.02])
+def test_small_stable_indices_give_finite_values_or_refuse(alpha):
+    # stable indices near 0 are inside the domain: every entry point returns
+    # finite values there, or the stable subordinator refuses a draw that
+    # leaves the float range
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = identities.run_identity(name, n=2)
-    assert math.isfinite(report.statistic) and not report.verdict
+        clock = inv_stable_marginal_sample(alpha, 2.0, 100_000, 0).values
+        assert np.all((clock > 0.0) & (clock < math.inf))
+        draws = frac_skellam_sample(FracSkellamSpec(1.0, 1.0, alpha, alpha), 1.0, 2.0,
+                                    100_000, 0).values
+        assert draws.dtype == np.int64
+        table = frac_skellam_pmf_table(FracSkellamSpec(1.0, 1.0, alpha, alpha), 1.0, 2.0,
+                                       range(-3, 4))
+        assert all(0.0 < p < 1.0 for p in table)
+        assert all(0.0 < p < 1.0 for p in special.frac_poisson_table(5, 1.0, 2.0, alpha))
+        try:
+            d = stable_subordinator_sample(alpha, 1.0, 1_000, 0).values
+        except special.TruncationError:
+            return
+    assert np.all((d > 0.0) & (d < math.inf))

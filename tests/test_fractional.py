@@ -4,6 +4,7 @@ import json
 import math
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from skellam_lab import (
     twoparam_skellam_pmf,
 )
 from skellam_lab.identities import run_identity
-from skellam_lab import fractional, special
+from skellam_lab import fractional, identities, special
 from skellam_lab.records import LatticePMF
 from skellam_lab.special import TruncationError
 from skellam_lab.stats import lattice_chi2
@@ -85,6 +86,31 @@ def test_stable_reproducible():
 def test_inverse_stable_zero_time_and_degenerate_index():
     assert np.all(inv_stable_marginal_sample(0.5, 0.0, 10, seed=0).values == 0)
     assert np.all(inv_stable_marginal_sample(1.0, 1.5, 10, seed=0).values == 1.5)
+
+
+def test_inverse_stable_clock_stays_in_range_at_small_index():
+    # the clock used to take a 1/alpha power: at alpha 0.01 these draws held
+    # 2,340 zeros, 87 infinities and 259 NaNs
+    clock = inv_stable_marginal_sample(0.01, 1.0, 2_000_000, seed=0).values
+    assert np.all((clock > 0.0) & (clock < math.inf))
+
+
+def test_stable_draws_past_the_float_range_are_refused():
+    # D(1) at alpha 0.01 passes 1e308; no numpy warning comes first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TruncationError, match="float range"):
+            stable_subordinator_sample(0.01, 1.0, 1_000, seed=0)
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.02, 0.05])
+def test_frac_sample_chi2_at_small_index(alpha):
+    # |k| <= 60 leaves no tail: the law is near geometric with ratio 1/2
+    spec = FracSkellamSpec(1.0, 1.0, alpha, alpha)
+    batch = frac_skellam_sample(spec, 1.0, 1.0, 200_000, seed=67)
+    probs = np.array(frac_skellam_pmf_table(spec, 1.0, 1.0, range(-60, 61)))
+    report = lattice_chi2(batch, LatticePMF(-60, probs))
+    assert report.verdict, f"p={report.p_value}"
 
 
 def test_inverse_stable_mean():
@@ -231,6 +257,32 @@ def test_frac_pmf_identity_holds_at_two_million_draws():
     # this sample size then rejected the correct sampler (p = 1.5e-6)
     report = run_identity("frac-pmf", seed=0, n=2_000_000)
     assert report.verdict, f"p={report.p_value}"
+
+
+def _shifted(spec):
+    return FracSkellamSpec(spec.lam1, spec.lam2, spec.alpha + 0.02, spec.beta + 0.02)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_frac_pmf_rejects_a_sampler_with_shifted_indices(monkeypatch, seed):
+    # p = 6.4e-26, 3.0e-21 and 1.4e-14; a chi-square at one point read 0.28,
+    # 0.005 and 0.03
+    monkeypatch.setattr(identities, "frac_skellam_sample", lambda spec, t1, t2, n, seed:
+                        frac_skellam_sample(_shifted(spec), t1, t2, n, seed=seed))
+    assert not run_identity("frac-pmf", seed=seed).verdict
+
+
+def test_frac_mean_rejects_a_mean_with_shifted_indices(monkeypatch):
+    monkeypatch.setattr(identities, "frac_skellam_moments", lambda spec, t1, t2, form:
+                        frac_skellam_moments(_shifted(spec), t1, t2, form))
+    report = run_identity("frac-mean")
+    assert not report.verdict and report.statistic > 0.02
+
+
+def test_frac_variance_quadratic_rejects_the_printed_form(monkeypatch):
+    monkeypatch.setattr(identities, "frac_skellam_moments", lambda spec, t1, t2, form:
+                        frac_skellam_moments(spec, t1, t2, "printed"))
+    assert not run_identity("frac-variance-quadratic").verdict
 
 
 def test_wright_form_cross_check():
