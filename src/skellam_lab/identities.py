@@ -174,27 +174,21 @@ def integral_cf(seed=0, n=20_000):
     return _exact_report("integral-cf", seed, n, gap, 4.0 / math.sqrt(n))
 
 
-def uniform_compound_mpp(seed=0, n=20_000):
-    """Compound integral vs t * sum X_r U_r, on one axis: at M >= 2 the laws differ."""
-    spec, t = CompoundSpec([1.3], [1.0, -1.0, 2.0], [0.5, 0.3, 0.2]), [1.2]
-    a = integral_sample(spec, RectDomain(t=t, resolution=512), n, seed=seed)
-    b = uniform_compound_sample(spec, t, n, seed=seed + 1)
-    return ks_two_sample(a, b, identity="uniform-compound-mpp")
+def _uniform_compound(identity, integrand, compound, t, seed=0, n=20_000):
+    """KS of the rectangle integral of ``integrand`` against t * sum X_r U_r in ``compound``'s form."""
+    a = integral_sample(integrand, RectDomain(t=t, resolution=512), n, seed=seed)
+    b = uniform_compound_sample(compound, t, n, seed=seed + 1)
+    return ks_two_sample(a, b, identity=identity)
 
 
-def uniform_compound_peraxis(seed=0, n=20_000):
-    spec = JumpSpec({1: (0.7, 0.4), -1: (0.5, 0.6)})
-    t = [1.2, 1.0]
-    a = integral_sample(spec, RectDomain(t=t, resolution=512), n, seed=seed)
-    b = uniform_compound_sample(spec, t, n, seed=seed + 1)
-    return ks_two_sample(a, b, identity="uniform-compound-peraxis")
-
-
-def uniform_compound_equalrate(seed=0, n=20_000):
-    t = [1.2, 1.0]
-    a = integral_sample(_EQ_SPEC, RectDomain(t=t, resolution=512), n, seed=seed)
-    b = uniform_compound_sample(_EQ_RATES, t, n, seed=seed + 1)
-    return ks_two_sample(a, b, identity="uniform-compound-equalrate")
+# one axis only: at M >= 2 the compound integral and t * sum X_r U_r differ in law
+_MPP = CompoundSpec([1.3], [1.0, -1.0, 2.0], [0.5, 0.3, 0.2])
+_PERAXIS = JumpSpec({1: (0.7, 0.4), -1: (0.5, 0.6)})
+uniform_compound_mpp = partial(_uniform_compound, "uniform-compound-mpp", _MPP, _MPP, (1.2,))
+uniform_compound_peraxis = partial(_uniform_compound, "uniform-compound-peraxis",
+                                   _PERAXIS, _PERAXIS, (1.2, 1.0))
+uniform_compound_equalrate = partial(_uniform_compound, "uniform-compound-equalrate",
+                                     _EQ_SPEC, _EQ_RATES, (1.2, 1.0))
 
 
 _FRAC = FracSkellamSpec(1.0, 1.0, 0.5, 0.5)

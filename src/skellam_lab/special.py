@@ -282,7 +282,7 @@ def _kanter_nodes(alpha: float) -> tuple[np.ndarray, np.ndarray]:
 
     For theta ~ U(0, pi) and w ~ Exp(1), D^(-alpha) = B(theta) w^(1-alpha) with
     B(theta) = sin(theta) / (sin(alpha theta)^alpha sin((1-alpha) theta)^(1-alpha)),
-    where D is the stable draw of fractional._stable_draws (Kanter 1975).
+    where D is the stable draw of fractional._kanter (Kanter 1975).
     theta takes tanh-sinh nodes; w takes the nodes w = exp(v - e^(-v)), which
     grow only like e^v, so the narrow Poisson peaks of large n stay resolved.
     """

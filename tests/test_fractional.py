@@ -252,11 +252,12 @@ def test_frac_pmf_matches_sampler_chi2_at_larger_means():
     assert report.verdict, f"p={report.p_value}"
 
 
-def test_frac_pmf_identity_holds_at_two_million_draws():
-    # a table of |k| <= 10 charged its 7.1e-5 two-sided tail to the top cell;
-    # this sample size then rejected the correct sampler (p = 1.5e-6)
-    report = run_identity("frac-pmf", seed=0, n=2_000_000)
-    assert report.verdict, f"p={report.p_value}"
+def test_frac_pmf_tables_leave_no_tail_mass():
+    # lattice_chi2 charges untabulated mass to the top cell: a table of |k| <= 10
+    # left 3.4e-8 to 6.2e-3 there, which 2,000,000 draws rejected (p = 1.5e-6)
+    ks = range(-identities._FRAC_KMAX, identities._FRAC_KMAX + 1)
+    for spec, t in [(identities._FRAC, 1.0), *identities._MOMENT_GRID]:
+        assert abs(1.0 - math.fsum(frac_skellam_pmf_table(spec, t, t, ks))) <= 1e-15, (spec, t)
 
 
 def _shifted(spec):
