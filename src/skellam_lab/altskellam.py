@@ -5,10 +5,10 @@ processes N_j, indexed by a time vector keyed by the jump set itself.  Time
 maps are keyed by jump value rather than by position, so callers cannot
 scramble the axis order.
 
-This is a GMSP with one time axis per jump: its law at t depends only on the
-per-jump means mu_j = lam_j t_j.  This module validates the jump-keyed time
-maps, forms those means and delegates sampling and evaluation to the law
-core in :mod:`skellam_lab.gmsp`.
+This is the GMSP with rate matrix diag(lam) and one time axis per jump.  This
+module validates the jump-keyed time maps and passes the times, in jump order,
+to the ``gmsp_*`` functions of :mod:`skellam_lab.gmsp`, which form the means
+lam_j t_j and sample and evaluate the law.
 """
 
 from __future__ import annotations
@@ -18,15 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .gmsp import (
-    array_sums,
-    poisson_sum_cf,
-    poisson_sum_lattice_pmf,
-    poisson_sum_moments,
-    poisson_sum_pgf,
-    poisson_sum_sample,
-    skellam_pmf,
-)
+from .gmsp import (array_sums, gmsp_cf, gmsp_lattice_pmf, gmsp_moments, gmsp_pgf, gmsp_sample,
+                   skellam_pmf)
 from .records import SampleBatch, LatticePMF, as_jumps, as_rates, as_scales, as_times
 
 __all__ = [
@@ -43,7 +36,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AltSpec:
-    """Finite map from nonzero jumps to one-parameter Poisson rates."""
+    """Finite map from nonzero jumps to one-parameter Poisson rates.
+
+    As a GMSP spec: ``dim`` jumps, one time axis each, and ``rate_matrix`` diag(lam).
+    """
 
     rates: dict
 
@@ -59,8 +55,12 @@ class AltSpec:
         return np.array(list(self.rates), dtype=float)
 
     @property
-    def rate_values(self) -> np.ndarray:
-        return np.array(list(self.rates.values()))
+    def dim(self) -> int:
+        return len(self.rates)
+
+    @property
+    def rate_matrix(self) -> np.ndarray:
+        return np.diag(list(self.rates.values()))
 
 
 def _time_map(jumps, t: dict, name: str = "t") -> np.ndarray:
@@ -72,9 +72,7 @@ def _time_map(jumps, t: dict, name: str = "t") -> np.ndarray:
 
 def alt_sample(spec: AltSpec, t: dict, n_draws: int, seed: int) -> SampleBatch:
     """Draw sum_j j * Poisson(lam_j t_j) with independent counts."""
-    tt = _time_map(spec.rates, t)
-    values = poisson_sum_sample(spec.jump_values, spec.rate_values * tt, n_draws, seed)
-    return SampleBatch(values=values, seed=int(seed))
+    return gmsp_sample(spec, _time_map(spec.rates, t), n_draws, seed)
 
 
 def alt_moments(spec: AltSpec, s: dict, t: dict):
@@ -83,10 +81,7 @@ def alt_moments(spec: AltSpec, s: dict, t: dict):
     The covariance includes the rate factor, sum_j j^2 lam_j min(s_j, t_j):
     at s = t it must reproduce the variance sum_j j^2 lam_j t_j.
     """
-    ss = _time_map(spec.rates, s, "s")
-    tt = _time_map(spec.rates, t)
-    lam = spec.rate_values
-    return poisson_sum_moments(spec.jump_values, lam * tt, lam * np.minimum(ss, tt))
+    return gmsp_moments(spec, _time_map(spec.rates, s, "s"), _time_map(spec.rates, t))
 
 
 def alt_increment_cf(spec: AltSpec, s: dict, t: dict, z: float) -> complex:
@@ -95,17 +90,17 @@ def alt_increment_cf(spec: AltSpec, s: dict, t: dict, z: float) -> complex:
     tt = _time_map(spec.rates, t)
     if np.any(ss > tt):
         raise ValueError("increment requires s <= t in every coordinate")
-    return poisson_sum_cf(spec.jump_values, spec.rate_values * (tt - ss), z)
+    return gmsp_cf(spec, tt - ss, z)
 
 
 def alt_pgf(spec: AltSpec, t: dict, u: float) -> float:
     """E[u^S(t)] = exp(sum_j lam_j t_j (u^j - 1)) for 0 < u <= 1."""
-    return poisson_sum_pgf(spec.jump_values, spec.rate_values * _time_map(spec.rates, t), u)
+    return gmsp_pgf(spec, _time_map(spec.rates, t), u)
 
 
 def alt_lattice_pmf(spec: AltSpec, t: dict) -> LatticePMF:
     """Exact lattice pmf at t for integer jump sets (convolution oracle)."""
-    return poisson_sum_lattice_pmf(spec.jump_values, spec.rate_values * _time_map(spec.rates, t))
+    return gmsp_lattice_pmf(spec, _time_map(spec.rates, t))
 
 
 def alt_array_sample(

@@ -108,7 +108,8 @@ def frac_skellam_sample(spec: FracSkellamSpec, t1: float, t2: float,
     rng1, rng2 = spawn_rngs(seed, 2)
     sides = []
     for rng, lam, alpha, t in ((rng1, spec.lam1, spec.alpha, t1), (rng2, spec.lam2, spec.beta, t2)):
-        sides.append(rng.poisson(lam * _inv_stable_clock(rng, alpha, t, n_draws)))
+        with np.errstate(over="ignore"):  # an overflow is numpy's one "lam value too large"
+            sides.append(rng.poisson(lam * _inv_stable_clock(rng, alpha, t, n_draws)))
     values = sides[0].astype(np.int64) - sides[1].astype(np.int64)
     return SampleBatch(values=values, seed=int(seed))
 
@@ -285,7 +286,7 @@ def frac_skellam_moments(spec: FracSkellamSpec, t1: float, t2: float,
     entirely at a = 1.  The default is the quadratic form, which matches the
     exact law's variance within 1e-15 relative on the moment grid of
     frac-variance-quadratic; the printed form, 7.6 % to 26.6 % off there, stays
-    available behind the flag.
+    available as ``variance_form="printed"`` (a parameter; no CLI flag reads it).
     """
     as_times((t1, t2))
     if variance_form not in ("printed", "quadratic"):

@@ -6,9 +6,9 @@ samplers, the probability generating / characteristic functions, moments, the
 two-sided Bessel pmf of the jumps-{1,-1} case, both compound representations,
 the triangular-array approximation, and a dynamic-programming lattice pmf used
 as ground truth by the statistical tests (there is no closed-form pmf for a
-general jump set).  The law core and the array-sum kernel are keyed by jumps
-and per-jump means or axis times, so the alternate process in
-:mod:`skellam_lab.altskellam` runs through them too.
+general jump set).  The law functions read a spec only through its jump
+values, dimension and rate matrix, so they also evaluate the alternate process
+of :mod:`skellam_lab.altskellam`, the GMSP with rate matrix diag(lam).
 """
 
 from __future__ import annotations
@@ -106,79 +106,56 @@ def _as_lattice(values: np.ndarray, jumps) -> np.ndarray:
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
-# The law of sum_j j * Poisson(mu_j) over sorted nonzero jumps j depends only on
-# the per-jump means mu_j.  The functions below are keyed by (jumps, means) so
-# that every process of that form (one rate vector per jump here, one time
-# axis per jump in altskellam) samples and evaluates through them.
 
-def poisson_sum_sample(jumps: np.ndarray, mus, n_draws: int, seed: int) -> np.ndarray:
-    """Draws of sum_j j * Poisson(mu_j): one rng.poisson per jump, in jump order."""
+def gmsp_sample(spec: JumpSpec, t, n_draws: int, seed: int) -> SampleBatch:
+    """Draw sum_j j * Poisson(rates_j . t): one rng.poisson per jump, in jump order.
+
+    Here and in the other law functions below, ``spec`` is a :class:`JumpSpec`
+    or an :class:`~skellam_lab.altskellam.AltSpec`: only its ``jump_values``,
+    ``dim`` and ``rate_matrix`` are read.
+    """
+    mus = _jump_means(spec, t)
+    jumps = spec.jump_values
     rng = make_rng(seed)
     values = np.zeros(n_draws, dtype=float)
     for j, mu in zip(jumps, mus):
         values += j * rng.poisson(mu, n_draws)
-    return _as_lattice(values, jumps)
+    return SampleBatch(values=_as_lattice(values, jumps), seed=int(seed))
 
 
-def poisson_sum_pgf(jumps: np.ndarray, mus: np.ndarray, u: float) -> float:
-    """E[u^S] = exp(sum_j mu_j (u^j - 1)) for 0 < u <= 1.
+def gmsp_pgf(spec: JumpSpec, t, u: float) -> float:
+    """E[u^S(t)] = exp(sum_j (rates_j . t)(u^j - 1)) for 0 < u <= 1.
 
     A negative jump makes the pgf grow without bound as u -> 0; when its
     exponent leaves the float range this raises :class:`TruncationError`.
     """
+    mus = _jump_means(spec, t)
     if not 0.0 < u <= 1.0:
         raise ValueError("the pgf argument must lie in (0, 1]")
     live = mus > 0.0  # a jump with mean 0 adds 0 even where u^j overflows
     with np.errstate(over="ignore"):
-        exponent = float(np.sum(mus[live] * (u ** jumps[live] - 1.0)))
+        exponent = float(np.sum(mus[live] * (u ** spec.jump_values[live] - 1.0)))
     if not exponent <= _LOG_FLOAT_MAX:
         raise TruncationError(f"the pgf at u={u!r} has exponent {exponent!r}, "
                               "above the float range", math.inf)
     return math.exp(exponent)
 
 
-def poisson_sum_cf(jumps: np.ndarray, mus: np.ndarray, u: float) -> complex:
-    """E[exp(iuS)] = exp(sum_j mu_j (e^{iuj} - 1)); modulus <= 1."""
-    return complex(np.exp(np.sum(mus * (np.exp(1j * u * jumps) - 1.0))))
-
-
-def poisson_sum_moments(jumps: np.ndarray, mus_t: np.ndarray, mus_min: np.ndarray):
-    """(mean, variance) at means mus_t, and the covariance whose shared means are mus_min."""
-    return (float(np.sum(jumps * mus_t)), float(np.sum(jumps**2 * mus_t)),
-            float(np.sum(jumps**2 * mus_min)))
-
-
-def poisson_sum_lattice_pmf(jumps: np.ndarray, mus) -> LatticePMF:
-    """Exact lattice pmf (integer jump sets only), by scaled_poisson_convolution."""
-    if not _integer_jumps(jumps):
-        raise ValueError("the lattice pmf is only defined for integer jump sets")
-    return scaled_poisson_convolution({int(j): float(mu) for j, mu in zip(jumps, mus)})
-
-
-def gmsp_sample(spec: JumpSpec, t, n_draws: int, seed: int) -> SampleBatch:
-    """Draw sum_j j * Poisson(rates_j . t) with independent counts per jump."""
-    values = poisson_sum_sample(spec.jump_values, _jump_means(spec, t), n_draws, seed)
-    return SampleBatch(values=values, seed=int(seed))
-
-
-def gmsp_pgf(spec: JumpSpec, t, u: float) -> float:
-    """E[u^S(t)] = exp(sum_j (rates_j . t)(u^j - 1)) for 0 < u <= 1."""
-    return poisson_sum_pgf(spec.jump_values, _jump_means(spec, t), u)
-
-
 def gmsp_cf(spec: JumpSpec, t, u: float) -> complex:
     """E[exp(iuS(t))] = exp(sum_j (rates_j . t)(e^{iuj} - 1)); modulus <= 1."""
-    return poisson_sum_cf(spec.jump_values, _jump_means(spec, t), u)
+    mus = _jump_means(spec, t)
+    return complex(np.exp(np.sum(mus * (np.exp(1j * u * spec.jump_values) - 1.0))))
 
 
 def gmsp_moments(spec: JumpSpec, s, t):
     """(mean at t, variance at t, covariance between s and t)."""
     ss = as_times(s, spec.dim)
     tt = as_times(t, spec.dim)
-    rates = spec.rate_matrix
+    rates, jumps = spec.rate_matrix, spec.jump_values
+    mus = poisson_means(rates, tt)
     # the shared means are at most the means at t, so only those can overflow
-    return poisson_sum_moments(spec.jump_values, poisson_means(rates, tt),
-                               rates @ np.minimum(ss, tt))
+    return (float(np.sum(jumps * mus)), float(np.sum(jumps**2 * mus)),
+            float(np.sum(jumps**2 * (rates @ np.minimum(ss, tt)))))
 
 
 def skellam_pmf(n: int, a: float, b: float) -> float:
@@ -251,7 +228,11 @@ def scaled_poisson_convolution(jump_mus: dict) -> LatticePMF:
 
 def gmsp_lattice_pmf(spec: JumpSpec, t) -> LatticePMF:
     """Lattice pmf of the process at time t (integer jump sets only)."""
-    return poisson_sum_lattice_pmf(spec.jump_values, _jump_means(spec, t))
+    mus = _jump_means(spec, t)
+    jumps = spec.jump_values
+    if not _integer_jumps(jumps):
+        raise ValueError("the lattice pmf is only defined for integer jump sets")
+    return scaled_poisson_convolution({int(j): float(mu) for j, mu in zip(jumps, mus)})
 
 
 def compound_sums(count_rng, jump_rng, mean: float, n_draws: int, jumps: np.ndarray,
@@ -370,20 +351,14 @@ def array_sums(scale, axis_times: dict, rule, jump_vals: np.ndarray,
                n_draws: int, seed: int) -> np.ndarray:
     """Triangular-array sums: sum over axes of sum_{l<=[scale t_axis]} X_l.
 
-    The summands are those of :func:`array_law`, whose exact lattice law is
-    drawn from by inversion: ``n_draws`` uniforms from one make_rng(seed),
-    scaled by the table's total mass and looked up in its cumulative sums.
+    The summands are those of :func:`array_law`, whose exact lattice law,
+    normalised to its total mass, is drawn from by ``Generator.choice`` of one
+    make_rng(seed): ``n_draws`` uniforms looked up in its cumulative sums.
     Returns int64 draws; a non-integer jump raises ``ValueError``.
     """
     law = array_law(scale, axis_times, rule, jump_vals)
-    cdf = np.cumsum(law.probs)
-    u = make_rng(seed).random(n_draws)
-    u *= cdf[-1]
-    idx = np.searchsorted(cdf, u, side="right")
-    # rounding can put a scaled uniform on the last edge of the table
-    np.minimum(idx, cdf.size - 1, out=idx)
-    idx += law.start
-    return idx.astype(np.int64, copy=False)
+    probs = law.probs / law.probs.sum()
+    return law.start + make_rng(seed).choice(probs.size, n_draws, p=probs)
 
 
 def gmsp_array_sample(spec: TriangularArraySpec, jumps, t, n_draws: int, seed: int) -> SampleBatch:

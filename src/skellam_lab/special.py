@@ -361,7 +361,11 @@ def frac_poisson_entries(lam: float, t: float, alpha: float):
     if t == 0.0:
         return itertools.chain([1.0], itertools.repeat(0.0))
     factor, weight = _kanter_nodes(float(alpha))
-    return _mixture_pmfs(lam * t**alpha * factor, weight)
+    with np.errstate(over="ignore"):
+        means = lam * t**alpha * factor
+    if not np.all(np.isfinite(means)):
+        raise ValueError(f"means must be finite, got lam * t**alpha = {lam!r} * {t!r}**{alpha!r}")
+    return _mixture_pmfs(means, weight)
 
 
 def frac_poisson_table(nmax: int, lam: float, t: float, alpha: float) -> list[float]:

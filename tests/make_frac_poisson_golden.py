@@ -13,6 +13,11 @@ where D is the largest term's decimal exponent; the two sums must agree to
 1e-40 before the value is rounded to double.  alpha is a short decimal p/q,
 so Gamma(alpha k + 1) is carried from k to k + q by p exact factors instead
 of one high-precision gamma call per term.
+
+Below alpha = 0.1 the series is out of reach from x = 2 on: its terms decay
+only once Gamma(alpha k + 1) outgrows C(k, n) x^k, so the cell (0.05, 2) would
+need 57,020,488 terms and (0.001, 1) 120,737.  There the grid stops at x = 1,
+and at x = 0.9 for alpha = 0.001.
 """
 
 from __future__ import annotations
@@ -27,7 +32,9 @@ import mpmath
 HERE = os.path.dirname(os.path.abspath(__file__))
 NMAX = 40
 GRID = ([(a, x) for a in (0.3, 0.5, 0.7, 0.8, 0.9, 0.95) for x in (0.5, 1.0, 2.0, 4.0, 10.0)]
-        + [(a, x) for a in (0.1, 0.99) for x in (0.5, 2.0)])
+        + [(a, x) for a in (0.1, 0.99) for x in (0.5, 2.0)]
+        + [(a, x) for a in (0.05, 0.02, 0.01, 0.001) for x in (0.5, 0.9)]
+        + [(a, 1.0) for a in (0.05, 0.02, 0.01)])
 NEGLIGIBLE_LOG10 = -45.0  # the sum stops past the peak once every term is below this
 
 

@@ -1,6 +1,7 @@
 """Alternate Skellam process (one time per jump) and its closed forms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,22 @@ def test_spec_refuses_non_finite_rates(bad):
         AltSpec({1: bad})
     with pytest.raises(ValueError, match="finite"):
         AltSpec({1: 1.0, -1: bad})
+
+
+@pytest.mark.parametrize("call", [
+    lambda spec, t: alt_sample(spec, t, 3, seed=0),
+    lambda spec, t: alt_moments(spec, t, t),
+    lambda spec, t: alt_increment_cf(spec, {j: 0.0 for j in t}, t, 1.0),
+    lambda spec, t: alt_pgf(spec, t, 0.5),
+    lambda spec, t: alt_lattice_pmf(spec, t),
+], ids=["sample", "moments", "increment_cf", "pgf", "lattice_pmf"])
+def test_overflowing_means_are_refused(call):
+    # lam t = 1e309 overflows: alt_increment_cf used to return 0j, alt_pgf 0.0
+    # and alt_moments (inf, inf, 1e308), after a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            call(AltSpec({1: 1e308, -1: 1.0}), {1: 10.0, -1: 1.0})
 
 
 def test_sample_zero_times():

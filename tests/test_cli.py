@@ -331,6 +331,16 @@ def _one_error_line(capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
+_FRAC_ARGS = ["--l1", "1.0", "--l2", "1.0", "--alpha", "0.5", "--beta", "0.5",
+              "--t1", "1.0", "--t2", "1.0"]
+
+
+def _with(args, flag, value):
+    args = list(args)
+    args[args.index(flag) + 1] = value
+    return args
+
+
 def test_non_finite_mean_is_an_error_exit(capsys):
     # 1e308 * 10 overflows the mean: one error: line, and no numpy overflow warning
     _one_error_line(capsys, ["pmf", "--process", "msp", "--l1", "1e308", "--l2", "1.0",
@@ -345,9 +355,19 @@ def test_non_finite_mean_is_an_error_exit(capsys):
     ["integral", "--process", "mpp", "--rates", "1e308", "--t", "10", "--r", "4", "--n", "3"],
     ["integral", "--process", "compound", "--rates", "1e308", "--xvalues", "1.0",
      "--xprobs", "1.0", "--t", "10", "--r", "4", "--n", "3"],
+    ["simulate", "--process", "alt", "--jumps", "1:1.0e308;-1:1.0", "--t", "10.0,1.0", "--n", "3"],
+    ["cf", "--process", "alt-increment", "--jumps", "1:1.0e308;-1:1.0", "--t", "10.0,1.0",
+     "--u", "1"],
+    ["pmf", "--process", "frac-skellam", *_with(_with(_FRAC_ARGS, "--l1", "1.0e308"), "--t1", "10"),
+     "--nmax", "3"],
+    ["pmf", "--process", "frac-poisson", "--l1", "1.0e308", "--alpha", "0.5", "--t1", "10",
+     "--nmax", "3"],
+    ["simulate", "--process", "frac-skellam",
+     *_with(_with(_FRAC_ARGS, "--l1", "1.0e308"), "--t1", "10"), "--n", "3"],
 ])
 def test_overflowing_means_are_one_error_line(capsys, argv):
-    # the gmsp cf used to exit 0 with a table of zeros
+    # the gmsp cf used to exit 0 with a table of zeros, and the alt-increment
+    # cf with the row 1,0,0; the fractional pmfs ended in a nan after numpy warnings
     _one_error_line(capsys, argv)
 
 
@@ -357,16 +377,6 @@ def test_gmsp_pmf_past_the_subnormal_start(capsys):
                  "--nmax", "744"]) == 0
     n, prob, _ = capsys.readouterr().out.splitlines()[-1].split(",")
     assert n == "744" and float(prob) == pytest.approx(0.014624295502660, rel=1e-11)
-
-
-_FRAC_ARGS = ["--l1", "1.0", "--l2", "1.0", "--alpha", "0.5", "--beta", "0.5",
-              "--t1", "1.0", "--t2", "1.0"]
-
-
-def _with(args, flag, value):
-    args = list(args)
-    args[args.index(flag) + 1] = value
-    return args
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -302,6 +303,14 @@ def test_frac_poisson_rejects_bad_arguments():
         frac_poisson_pmf(0, 1.0, 1.0, 1.2)
 
 
+def test_frac_poisson_table_refuses_an_overflowing_mean():
+    # 1e308 * 10**0.5 leaves the float range: this used to be [nan] * 4 after a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            frac_poisson_table(3, 1e308, 10.0, 0.5)
+
+
 @given(st.integers(0, 60), st.floats(0.0, 100.0, exclude_min=True), st.floats(0.1, 1.5),
        st.floats(0.0, 1.0, exclude_min=True))
 @settings(max_examples=80, deadline=None)
@@ -324,7 +333,8 @@ def _golden_cells():
 
 @pytest.mark.parametrize("cell", _golden_cells(), ids=lambda c: f"a{c['alpha']}-x{c['x']}")
 def test_frac_poisson_table_matches_mpmath(cell):
-    # the grid spans alpha 0.1..0.99 and lam t^alpha 0.5..10, n <= 40,
+    # the grid spans alpha 0.1..0.99 at lam t^alpha 0.5..10, and alpha
+    # 0.001..0.05 at lam t^alpha 0.5..1 (the series' reach there), n <= 40,
     # including (0.3, 10), where the series needs about 1,100 digits
     # (make_frac_poisson_golden.py)
     table = frac_poisson_table(len(cell["p"]) - 1, cell["x"], 1.0, cell["alpha"])
