@@ -18,8 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .gmsp import (array_sums, gmsp_cf, gmsp_lattice_pmf, gmsp_moments, gmsp_pgf, gmsp_sample,
-                   skellam_pmf)
+from .gmsp import (array_law, array_sums, gmsp_cf, gmsp_lattice_pmf, gmsp_moments, gmsp_pgf,
+                   gmsp_sample, skellam_pmf)
 from .records import SampleBatch, LatticePMF, as_jumps, as_rates, as_scales, as_times
 
 __all__ = [
@@ -103,23 +103,23 @@ def alt_lattice_pmf(spec: AltSpec, t: dict) -> LatticePMF:
     return gmsp_lattice_pmf(spec, _time_map(spec.rates, t))
 
 
-def alt_array_sample(
-    scale: float,
-    probs: Callable[[int, float, float], float],
-    jumps,
-    t: dict,
-    n_draws: int,
-    seed: int,
-) -> SampleBatch:
+def alt_array_law(scale: float, probs: Callable[[int, float, float], float], jumps,
+                  t: dict) -> LatticePMF:
+    """Exact lattice law of the sums :func:`alt_array_sample` draws; integer jumps only."""
+    jump_vals = as_jumps(jumps)
+    as_scales(scale, "array scales", integer=False)
+    t_axes = dict(zip(jump_vals.tolist(), _time_map(jump_vals.tolist(), t).tolist()))
+    return array_law(scale, t_axes, probs, jump_vals)
+
+
+def alt_array_sample(scale: float, probs: Callable[[int, float, float], float], jumps, t: dict,
+                     n_draws: int, seed: int) -> SampleBatch:
     """Triangular-array sums U(t) = sum_j sum_{l<=[scale t_j]} X_l per jump axis.
 
     ``probs(l, j_axis, j)`` gives the probability that the l-th summand on the
     axis labelled j_axis equals jump j; with the residual mass it is 0.
     """
-    jump_vals = as_jumps(jumps)
-    as_scales(scale, "array scales", integer=False)
-    t_axes = dict(zip(jump_vals.tolist(), _time_map(jump_vals.tolist(), t).tolist()))
-    values = array_sums(scale, t_axes, probs, jump_vals, n_draws, seed)
+    values = array_sums(alt_array_law(scale, probs, jumps, t), n_draws, seed)
     return SampleBatch(values=values, seed=int(seed))
 
 

@@ -293,9 +293,12 @@ def frac_skellam_moments(spec: FracSkellamSpec, t1: float, t2: float,
         raise ValueError(f"unknown variance form {variance_form!r}")
 
     def side(lam, alpha, t):
-        m1 = lam * t**alpha / math.gamma(alpha + 1.0)
+        mu = lam * t**alpha
+        if not math.isfinite(mu):
+            raise ValueError(f"means must be finite, got lam * t**alpha = {mu!r}")
+        m1 = mu / math.gamma(alpha + 1.0)
         bracket = 1.0 / math.gamma(2.0 * alpha) - 1.0 / (alpha * math.gamma(alpha) ** 2)
-        lead = lam * t**alpha if variance_form == "printed" else (lam * t**alpha) ** 2
+        lead = mu if variance_form == "printed" else mu**2
         return m1, m1 + (lead / alpha) * bracket
 
     m1, v1 = side(spec.lam1, spec.alpha, t1)

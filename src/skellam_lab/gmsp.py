@@ -347,18 +347,21 @@ def array_law(scale, axis_times: dict, rule, jump_vals: np.ndarray) -> LatticePM
     return LatticePMF(start=start, probs=law)
 
 
-def array_sums(scale, axis_times: dict, rule, jump_vals: np.ndarray,
-               n_draws: int, seed: int) -> np.ndarray:
-    """Triangular-array sums: sum over axes of sum_{l<=[scale t_axis]} X_l.
+def array_sums(law: LatticePMF, n_draws: int, seed: int) -> np.ndarray:
+    """``n_draws`` int64 draws of a triangular-array sum from its :func:`array_law`.
 
-    The summands are those of :func:`array_law`, whose exact lattice law,
-    normalised to its total mass, is drawn from by ``Generator.choice`` of one
-    make_rng(seed): ``n_draws`` uniforms looked up in its cumulative sums.
-    Returns int64 draws; a non-integer jump raises ``ValueError``.
+    The law, normalised to its total mass, is drawn from by ``Generator.choice``
+    of one make_rng(seed): ``n_draws`` uniforms looked up in its cumulative sums.
     """
-    law = array_law(scale, axis_times, rule, jump_vals)
     probs = law.probs / law.probs.sum()
     return law.start + make_rng(seed).choice(probs.size, n_draws, p=probs)
+
+
+def gmsp_array_law(spec: TriangularArraySpec, jumps, t) -> LatticePMF:
+    """Exact lattice law of the sums :func:`gmsp_array_sample` draws; integer jumps only."""
+    tt = as_times(t)
+    return array_law(spec.n, dict(enumerate(tt)), lambda l, k, j: spec.probs(l, j, spec.n),
+                     as_jumps(jumps))
 
 
 def gmsp_array_sample(spec: TriangularArraySpec, jumps, t, n_draws: int, seed: int) -> SampleBatch:
@@ -366,9 +369,7 @@ def gmsp_array_sample(spec: TriangularArraySpec, jumps, t, n_draws: int, seed: i
 
     Each summand takes value j with probability ``spec.probs(l, j, spec.n)``
     and 0 otherwise; as n grows these sums converge in law to the GMSP whose
-    jump means the rule accumulates.
+    jump means the rule accumulates.  :func:`array_sums` draws them from :func:`gmsp_array_law`.
     """
-    tt = as_times(t)
-    values = array_sums(spec.n, dict(enumerate(tt)), lambda l, k, j: spec.probs(l, j, spec.n),
-                        as_jumps(jumps), n_draws, seed)
+    values = array_sums(gmsp_array_law(spec, jumps, t), n_draws, seed)
     return SampleBatch(values=values, seed=int(seed))

@@ -13,7 +13,7 @@ from functools import partial
 
 import numpy as np
 
-from .altskellam import AltSpec, alt_lattice_pmf, alt_array_sample, alt_sample, twoparam_skellam_pmf
+from .altskellam import AltSpec, alt_array_law, alt_lattice_pmf, alt_sample, twoparam_skellam_pmf
 from .fractional import (
     FracSkellamSpec,
     frac_skellam_moments,
@@ -26,7 +26,7 @@ from .fractional import (
 from .gmsp import (
     JumpSpec,
     TriangularArraySpec,
-    gmsp_array_sample,
+    gmsp_array_law,
     gmsp_cf,
     gmsp_compound_equalrate_sample,
     gmsp_compound_peraxis_sample,
@@ -36,10 +36,10 @@ from .gmsp import (
     scaled_poisson_convolution,
 )
 from .integrals import CompoundSpec, RectDomain, integral_cf_mpp, integral_sample, uniform_compound_sample
-from .records import LatticePMF
+from .records import LatticePMF, make_rng
 from .special import frac_poisson_entries, grow_table
 from .stats import (TestReport, empirical_cf, ks_two_sample, lattice_chi2, lattice_chi2_pooled,
-                    lattice_chi2_two_sample, tv_distance)
+                    lattice_chi2_two_sample, tv_from_counts)
 
 __all__ = ["IDENTITIES", "array_tvs", "run_identity"]
 
@@ -108,27 +108,36 @@ def compound_equalrate(seed=0, n=100_000):
 def array_tvs(scheme: str, rates: dict, t, scales, n: int, seed: int) -> list[float]:
     """TV to the limit law of ``n`` triangular-array draws at each of ``scales``.
 
-    Scale i draws at seed + 7 i.  ``gmsp-array``: rule rates[j] / scale on
-    every axis of the time list t; the limit is the GMSP with rates
-    (rates[j], ..., rates[j]).  ``alt-array``: the Kronecker rule,
-    rates[j] / scale for jump j on axis j only, over the jump-keyed time map
-    t; the limit is the alternate process.
+    The histogram of n iid draws from a lattice law p is Multinomial(n, p):
+    scale i draws it as one multinomial of make_rng(seed + 7 i) over the exact
+    array law that the sampler inverts (n < 1 is an "empty batch").  ``gmsp-array``:
+    rule rates[j] / scale on every axis of the time list t; the limit is the
+    GMSP with rates (rates[j], ..., rates[j]).  ``alt-array``: the Kronecker
+    rule, rates[j] / scale for jump j on axis j only, over the jump-keyed time
+    map t; the limit is the alternate process.
     """
     if scheme == "gmsp-array":
         pmf = gmsp_lattice_pmf(JumpSpec({j: [rate] * len(t) for j, rate in rates.items()}), t)
 
-        def draw(scale, s):
+        def law(scale):
             arr = TriangularArraySpec(n=scale, probs=lambda l, j, sc: rates[j] / sc)
-            return gmsp_array_sample(arr, sorted(rates), t, n, seed=s)
+            return gmsp_array_law(arr, sorted(rates), t)
     elif scheme == "alt-array":
         pmf = alt_lattice_pmf(AltSpec(rates), t)
 
-        def draw(scale, s):
+        def law(scale):
             rule = lambda l, ja, j: (rates[ja] / scale) if ja == j else 0.0
-            return alt_array_sample(scale, rule, sorted(rates), t, n, seed=s)
+            return alt_array_law(scale, rule, sorted(rates), t)
     else:
         raise ValueError(f"unknown array scheme {scheme!r}")
-    return [tv_distance(draw(scale, seed + 7 * i), pmf) for i, scale in enumerate(scales)]
+    if n < 1:
+        raise ValueError("empty batch")
+    tvs = []
+    for i, scale in enumerate(scales):
+        exact = law(scale)
+        counts = make_rng(seed + 7 * i).multinomial(n, exact.probs / exact.probs.sum())
+        tvs.append(tv_from_counts(counts, exact.start, pmf))
+    return tvs
 
 
 def _array_report(identity, seed, n, tvs):
@@ -148,8 +157,8 @@ def array_gmsp(seed=0, n=4_000_000):
     """Triangular-array law approaches the GMSP law in total variation.
 
     Constant rule p = lam_j / scale over scales 10, 100, 1000.  The sample
-    count keeps the TV estimator's noise floor (~ sqrt(atoms / n) / 2) below
-    the scale-100 vs scale-1000 gap.
+    count, free since :func:`array_tvs` draws one multinomial per scale, keeps
+    the TV noise floor (~ sqrt(atoms / n) / 2) below the scale-100 vs 1000 gap.
     """
     tvs = array_tvs("gmsp-array", {1: 4.0, -1: 2.5}, _T2, (10, 100, 1000), n, seed)
     return _array_report("array-gmsp", seed, n, tvs)

@@ -99,6 +99,7 @@ def mpp_sample_grid(rates, axes, seed: int, n_paths: int | None = None) -> GridP
     grid_axes = _check_axes(axes)
     if len(grid_axes) != lam.size:
         raise ValueError("number of axes must match the rate dimension")
+    poisson_means(lam, np.array([ax[-1] for ax in grid_axes]))  # bounds every increment's mean
     streams = spawn_rngs(seed, lam.size)
     count = 1 if n_paths is None else int(n_paths)
     values = np.zeros((count, *(a.size for a in grid_axes)), dtype=np.int64)
@@ -119,4 +120,4 @@ def mpp_covariance(rates, s, t) -> float:
     lam = as_rates(rates)
     ss = as_times(s, lam.size)
     tt = as_times(t, lam.size)
-    return float(lam @ np.minimum(ss, tt))
+    return float(poisson_means(lam, np.minimum(ss, tt)))

@@ -241,19 +241,22 @@ def ks_two_sample(a: SampleBatch, b: SampleBatch, identity: str = "ks-2s") -> Te
                       n_samples=a.n + b.n, seed=a.seed, verdict=p > LEVEL, level=LEVEL)
 
 
-def tv_distance(batch: SampleBatch, pmf: LatticePMF) -> float:
-    """Half the l1 gap between the empirical law and a lattice pmf.
+def tv_from_counts(counts: np.ndarray, start: int, pmf: LatticePMF) -> float:
+    """Half the l1 gap between the empirical law of ``counts[i]`` draws at start + i and a pmf.
 
-    Computed over the pmf's truncated support; empirical mass outside the
-    table and the table's own tail mass are added in full (they cannot
-    overlap less than that).
+    Computed over the pmf's truncated support; empirical mass outside the table
+    and the table's own tail mass are added in full (they cannot overlap less).
     """
-    if batch.n == 0:
+    n = int(counts.sum())
+    if n < 1:
         raise ValueError("empty batch")
-    values = _integer_values(batch)
-    n = values.size
-    idx = values - pmf.start
+    idx = start - pmf.start + np.arange(counts.size)
     inside = (idx >= 0) & (idx < pmf.probs.size)
-    emp = np.bincount(idx[inside], minlength=pmf.probs.size) / n
-    outside = float(np.count_nonzero(~inside)) / n
-    return 0.5 * (float(np.abs(emp - pmf.probs).sum()) + outside + pmf.tail_mass)
+    emp = np.bincount(idx[inside], weights=counts[inside], minlength=pmf.probs.size) / n
+    return 0.5 * float(np.abs(emp - pmf.probs).sum() + counts[~inside].sum() / n + pmf.tail_mass)
+
+
+def tv_distance(batch: SampleBatch, pmf: LatticePMF) -> float:
+    """:func:`tv_from_counts` of a batch; draws outside the table share a cell on either side."""
+    idx = np.clip(_integer_values(batch) - pmf.start, -1, pmf.probs.size)
+    return tv_from_counts(np.bincount(idx + 1, minlength=pmf.probs.size + 2), pmf.start - 1, pmf)

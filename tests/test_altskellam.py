@@ -22,7 +22,7 @@ from skellam_lab import (
     msp_pmf,
     twoparam_skellam_pmf,
 )
-from skellam_lab import identities
+from skellam_lab import altskellam, gmsp, identities
 from skellam_lab.identities import array_tvs, run_identity
 from skellam_lab.records import LatticePMF
 from skellam_lab.special import poisson_pmf
@@ -234,6 +234,31 @@ def test_array_rejects_invalid_rule():
         alt_array_sample(-1.0, lambda l, ja, j: 0.1, [1], {1: 1.0}, 10, seed=0)
     with pytest.raises(ValueError, match="unknown array scheme"):
         array_tvs("poisson-array", {1: 1.0}, {1: 1.0}, (10,), 10, seed=0)
+
+
+@pytest.mark.parametrize("scheme, t", [("gmsp-array", (1.0, 1.0)),
+                                       ("alt-array", {1: 1.0, -1: 1.0})])
+@pytest.mark.parametrize("n", [0, -3])
+def test_array_tvs_refuse_fewer_than_one_draw(monkeypatch, scheme, t, n):
+    # refused before any histogram is drawn, so a multinomial of -3 draws
+    # cannot end in numpy's own message
+    monkeypatch.setattr(identities, "make_rng", None)
+    with pytest.raises(ValueError, match="^empty batch$"):
+        array_tvs(scheme, {1: 2.0, -1: 1.5}, t, (10, 100), n, seed=0)
+
+
+@pytest.mark.parametrize("name", ["array-gmsp", "array-alt"])
+def test_array_identities_draw_nothing_per_draw(monkeypatch, name):
+    # the identities draw each scale's histogram as one multinomial over the
+    # exact array law, so an array kernel that cannot draw leaves the report as it is
+    def no_draws(*args):
+        raise AssertionError("an array identity drew per draw")
+
+    expected = run_identity(name)
+    monkeypatch.setattr(gmsp, "array_sums", no_draws)
+    monkeypatch.setattr(altskellam, "array_sums", no_draws)
+    assert run_identity(name) == expected
+    assert expected.verdict
 
 
 def test_twoparam_pmf_center_and_symmetry():

@@ -239,7 +239,7 @@ def test_integral_compound_cf_on_two_axes_is_header_only(tmp_path):
 def test_converge_rows(tmp_path):
     code, data = run_cli(
         ["converge", "--scheme", "gmsp-array", "--jumps", "1:2.0;-1:1.5",
-         "--t", "1.0,1.0", "--scales", "10,100", "--n", "20000", "--seed", "2"],
+         "--t", "1.0,1.0", "--scales", "10,100", "--n", "200000", "--seed", "2"],
         tmp_path,
     )
     assert code == 0

@@ -460,6 +460,14 @@ def test_wright_form_needs_positive_times():
         frac_skellam_pmf_wright(spec, 0.0, 1.0, 0)
 
 
+def test_moments_refuse_an_overflowing_mean():
+    # lam t^alpha = 1e308 * 10**0.5 leaves the float range: this used to be (inf, inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="means must be finite"):
+            frac_skellam_moments(FracSkellamSpec(1e308, 1.0, 0.5, 0.5), 10.0, 1.0)
+
+
 def test_moments_symmetry_and_classical_branch():
     spec = FracSkellamSpec(1.0, 1.0, 0.5, 0.5)
     mean, _ = frac_skellam_moments(spec, 1.3, 1.3)

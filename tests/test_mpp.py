@@ -1,6 +1,7 @@
 """Multiparameter Poisson process: exact law, grid sampler, moments."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -137,3 +138,16 @@ def test_covariance_symmetric_and_bounded(rates, data):
     c_st = mpp_covariance(rates, s, t)
     assert c_st == pytest.approx(mpp_covariance(rates, t, s))
     assert c_st <= mpp_covariance(rates, s, s) + 1e-12 or c_st <= mpp_covariance(rates, t, t) + 1e-12
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mpp_covariance([1e308, 1e308], [10.0, 10.0], [10.0, 10.0]),
+    lambda: mpp_sample_grid([1e308], [[10.0]], 0),
+], ids=["covariance", "sample_grid"])
+def test_overflowing_means_are_refused(call):
+    # 1e308 * 10 leaves the float range: the covariance used to be inf after a
+    # numpy warning, and the grid sampler ended in numpy's "lam value too large"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="means must be finite"):
+            call()

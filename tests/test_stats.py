@@ -275,6 +275,26 @@ def test_tv_point_masses():
     assert tv_distance(zeros, point1) == pytest.approx(1.0)
 
 
+def test_tv_from_counts_is_tv_distance_of_the_same_draws():
+    # the counts-based core reads a histogram as tv_distance reads its draws,
+    # including counts on either side of the table; both match the statistic
+    # written out per draw
+    pmf = poisson_table(3.0, 12)
+    counts = np.random.default_rng(23).multinomial(50_000, np.full(20, 0.05))
+    draws = np.repeat(np.arange(-4, 16), counts)
+    idx = draws - pmf.start
+    inside = (idx >= 0) & (idx < pmf.probs.size)
+    emp = np.bincount(idx[inside], minlength=pmf.probs.size) / draws.size
+    per_draw = 0.5 * (np.abs(emp - pmf.probs).sum() + np.mean(~inside) + pmf.tail_mass)
+    tv = stats.tv_from_counts(counts, -4, pmf)
+    assert abs(tv - per_draw) <= 1e-15
+    assert abs(tv - tv_distance(SampleBatch(draws, seed=23), pmf)) <= 1e-15
+    with pytest.raises(ValueError, match="empty batch"):
+        tv_distance(SampleBatch(np.zeros(0, dtype=np.int64), seed=23), pmf)
+    with pytest.raises(ValueError, match="empty batch"):
+        stats.tv_from_counts(np.zeros(3, dtype=np.int64), 0, pmf)
+
+
 def test_reports_are_deterministic():
     draws = np.random.default_rng(19).poisson(2.0, 20_000)
     batch = SampleBatch(draws, seed=19)
