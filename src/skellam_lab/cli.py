@@ -40,7 +40,7 @@ from .gmsp import (
 )
 from .identities import IDENTITIES, array_tvs, run_identity
 from .integrals import CompoundSpec, RectDomain, integral_cf_gmsp, integral_cf_mpp, integral_sample
-from .records import as_scales
+from .records import as_scales, distinct_bits
 from .special import _MAX_TERMS, TruncationError, frac_poisson_table
 from .stats import empirical_cf
 
@@ -66,11 +66,18 @@ _KIND_FORMATS = {"i": str, "u": str, "f": "{:.17g}".format}
 
 
 def _column(values, each=_fmt) -> list[str]:
-    """``each`` of every entry; a flat numeric array is formatted whole, as ``_fmt`` would."""
+    """``each`` of every entry; a flat numeric array is formatted as ``_fmt`` would.
+
+    The draws of a process sit on a lattice, so a flat numeric array formats
+    each distinct bit pattern once and gathers the strings back per entry.
+    """
     if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in _KIND_FORMATS:
         if values.dtype.kind == "f" and not np.all(np.isfinite(values)):
             raise ValueError("cannot write a non-finite value")
-        return list(map(_KIND_FORMATS[values.dtype.kind], values.tolist()))
+        distinct, inverse = distinct_bits(values)
+        strings = np.array(list(map(_KIND_FORMATS[values.dtype.kind], distinct.tolist())),
+                           dtype=object)
+        return strings[inverse].tolist()
     return list(map(each, values))
 
 
@@ -94,7 +101,8 @@ def _csv(meta: dict, fields: dict) -> str:
     header = ["value" if name == "values" else name for name in fields]
     columns = [_column(f) if isinstance(f, (list, np.ndarray)) else itertools.repeat(_fmt(f))
                for f in fields.values()]
-    lines = [f"# meta: {_json(meta)}", ",".join(header), *map(",".join, zip(*columns))]
+    rows = columns[0] if len(columns) == 1 else map(",".join, zip(*columns))
+    lines = [f"# meta: {_json(meta)}", ",".join(header), *rows]
     return "\n".join(lines) + "\n"
 
 

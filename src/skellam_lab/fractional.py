@@ -287,6 +287,7 @@ def frac_skellam_moments(spec: FracSkellamSpec, t1: float, t2: float,
     exact law's variance within 1e-15 relative on the moment grid of
     frac-variance-quadratic; the printed form, 7.6 % to 26.6 % off there, stays
     available as ``variance_form="printed"`` (a parameter; no CLI flag reads it).
+    A mean or variance past the float range is refused with a ``ValueError``.
     """
     as_times((t1, t2))
     if variance_form not in ("printed", "quadratic"):
@@ -298,9 +299,16 @@ def frac_skellam_moments(spec: FracSkellamSpec, t1: float, t2: float,
             raise ValueError(f"means must be finite, got lam * t**alpha = {mu!r}")
         m1 = mu / math.gamma(alpha + 1.0)
         bracket = 1.0 / math.gamma(2.0 * alpha) - 1.0 / (alpha * math.gamma(alpha) ** 2)
-        lead = mu if variance_form == "printed" else mu**2
-        return m1, m1 + (lead / alpha) * bracket
+        try:
+            lead = mu if variance_form == "printed" else mu**2
+        except OverflowError:  # a Python float square past the float range
+            lead = math.inf
+        # the bracket is 0 at alpha = 1, where the second-order term vanishes whatever mu is
+        return m1, m1 + ((lead / alpha) * bracket if bracket else 0.0)
 
     m1, v1 = side(spec.lam1, spec.alpha, t1)
     m2, v2 = side(spec.lam2, spec.beta, t2)
-    return m1 - m2, v1 + v2
+    var = v1 + v2
+    if not math.isfinite(var):
+        raise ValueError(f"means must be finite, got a variance of {var!r}")
+    return m1 - m2, var

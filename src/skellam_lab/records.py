@@ -9,6 +9,9 @@ functions (exact or empirical) are tabulated as :class:`CFTable`.
 Every entry point that takes a rate, time, jump, jump value, stable index,
 scale or count refuses a value outside its domain through the checker of that kind
 below, with a ``ValueError`` that says "finite" and the rule.
+
+:func:`distinct_bits` is the one grouping of an array's entries by bit
+pattern, shared by the empirical CF and the CLI's column writer.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ __all__ = [
     "as_indices",
     "as_scales",
     "as_count",
+    "distinct_bits",
     "SampleBatch",
     "LatticePMF",
     "CFTable",
@@ -93,6 +97,16 @@ def as_count(n, what: str) -> int:
     """A count (``what``), such as a table's last index or a number of axes: a whole number >= 0."""
     _checked(n, what, lambda v: (v >= 0.0) & (v == np.floor(v)), " and a nonnegative integer")
     return int(n)
+
+
+def distinct_bits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct entries of a flat numeric array by bit pattern, and the inverse.
+
+    ``distinct[inverse]`` has the bits of ``values``, so 0.0 and -0.0 stay
+    apart.  ``distinct`` has the dtype of ``values``, sorted by bit pattern.
+    """
+    bits, inverse = np.unique(values.view(f"i{values.itemsize}"), return_inverse=True)
+    return bits.view(values.dtype), inverse
 
 
 def make_rng(seed: int) -> np.random.Generator:

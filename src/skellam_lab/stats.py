@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import SampleBatch, LatticePMF, CFTable
+from .records import SampleBatch, LatticePMF, CFTable, distinct_bits
 
 __all__ = [
     "TestReport",
@@ -73,8 +73,7 @@ def empirical_cf(batch: SampleBatch, u_grid) -> CFTable:
     x = np.asarray(batch.values, dtype=float)
     # one exponential per distinct bit pattern (0.0 and -0.0 apart), gathered
     # back per draw, so each mean sums the per-draw terms in the per-draw order
-    bits, inverse = np.unique(x.view(np.int64), return_inverse=True)
-    distinct = bits.view(float)
+    distinct, inverse = distinct_bits(x)
     values = np.empty(u.size, dtype=complex)
     for i, ui in enumerate(u):  # one frequency at a time keeps N=1e5 grids cheap
         values[i] = np.exp(1j * ui * distinct)[inverse].mean()

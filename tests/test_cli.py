@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from skellam_lab.cli import _column, _fmt, build_parser, main
+from skellam_lab.cli import _column, _fmt, _json, build_parser, main
 
 
 def run_cli(args, tmp_path=None, out_name=None):
@@ -464,6 +464,32 @@ def test_non_finite_floats_are_never_written(value):
         _column(np.array([1.0, value]))
 
 
+_F32_EDGES = [0.0, -0.0, 1e-45, -1e-45, 3.4028235e38, -3.4028235e38, 0.1, -0.0, 0.0]
+_F64_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, -0.0, 1.0 / 3.0, 0.0]
+
+
+@pytest.mark.parametrize("values", [
+    np.array([0, -1, 127, -128, 5, -1, 127], dtype=np.int8),
+    np.array([0, -7, 2**31 - 1, -2**31, -7, 3], dtype=np.int32),
+    np.array([0, -2, 2**63 - 1, -2**63, -2, 2**40], dtype=np.int64),
+    np.array([0, 255, 7, 255, 128], dtype=np.uint8),
+    np.array([0, 2**63, 2**64 - 1, 2**63 - 1, 1, 2**63], dtype=np.uint64),
+    np.array(_F32_EDGES, dtype=np.float32),
+    np.array(_F64_EDGES),
+    np.array([], dtype=np.int64),
+    np.array([]),
+    np.arange(-30, 30, dtype=np.int64)[::7],
+    np.array(_F64_EDGES * 3)[::-4],
+    np.full(500, 4, dtype=np.int64),
+    np.full(500, -0.0),
+], ids=lambda v: f"{v.dtype}-{v.size}")
+def test_column_formats_each_entry_as_fmt_would(values):
+    # a numeric column formats each distinct bit pattern once: 0.0 and -0.0 stay apart
+    want = [_fmt(x) for x in values]
+    assert _column(values) == want
+    assert _json(values) == "[" + ", ".join(want) + "]"
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--process", "gmsp", "--jumps", "1:1.0,2.0;-1:0.5,0.5",
      "--t", "1.0,1.0", "--n", "500", "--seed", "7"],
@@ -552,6 +578,18 @@ _FRAC_ARGS = ["--l1", "1.3", "--l2", "0.6", "--alpha", "0.6", "--beta", "0.8",
     (["simulate", "--process", "inv-stable", "--alpha", "0.6", "--t1", "1.5", "--n", "2000",
       "--seed", "3"],
      {"": "79b474c1ce5e5739da106fe1b5a47d520ad7073c92f6cdfac26a385e7206e027"}),
+    # the benchmark's bulk sizes: 200,000 draws on 23 distinct integers, and
+    # 20,000 rectangle integrals on a 1/512 grid with a CF side table
+    (["simulate", "--process", "gmsp", "--jumps", _SPEC3, "--t", "1.0,1.0", "--n", "200000",
+      "--seed", "3"],
+     {"": "9e682d69e43c54236ea1828584bd53b1f9a39275e480ab425c30fa067951948d"}),
+    (["simulate", "--process", "gmsp", "--jumps", _SPEC3, "--t", "1.0,1.0", "--n", "200000",
+      "--seed", "3", "--format", "json"],
+     {"": "86bdf855274d4c664cd0903b782b18236ab92e1f4bace437ab49cb304390abe8"}),
+    (["integral", "--process", "compound", "--rates", "1.3", "--xvalues", "1.0,-1.0,2.0",
+      "--xprobs", "0.5,0.3,0.2", "--t", "1.2", "--r", "512", "--n", "20000", "--seed", "3"],
+     {"": "6857e4bb8cb95686db14febb7196dbe59253f2f50ce0799e1e03aa4ecf533402",
+      ".cf.csv": "7caba882605c1ff055aa9e74412166ec6cad9b50542f70ebaef58f5314a56995"}),
 ])
 def test_artifact_bytes_are_pinned(tmp_path, argv, digests):
     code, _ = run_cli(argv, tmp_path, out_name="pinned")
