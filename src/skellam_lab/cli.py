@@ -68,8 +68,10 @@ _KIND_FORMATS = {"i": str, "u": str, "f": "{:.17g}".format}
 def _column(values, each=_fmt) -> list[str]:
     """``each`` of every entry; a flat numeric array is formatted as ``_fmt`` would.
 
-    The draws of a process sit on a lattice, so a flat numeric array formats
-    each distinct bit pattern once and gathers the strings back per entry.
+    A flat numeric array formats each distinct bit pattern once and gathers
+    the strings back per entry: a lattice process's draws repeat a few dozen
+    values, while a column with no repeats (the stable and inverse-stable
+    draws) pays for the grouping and saves nothing.
     """
     if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in _KIND_FORMATS:
         if values.dtype.kind == "f" and not np.all(np.isfinite(values)):

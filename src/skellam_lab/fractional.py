@@ -299,12 +299,8 @@ def frac_skellam_moments(spec: FracSkellamSpec, t1: float, t2: float,
             raise ValueError(f"means must be finite, got lam * t**alpha = {mu!r}")
         m1 = mu / math.gamma(alpha + 1.0)
         bracket = 1.0 / math.gamma(2.0 * alpha) - 1.0 / (alpha * math.gamma(alpha) ** 2)
-        try:
-            lead = mu if variance_form == "printed" else mu**2
-        except OverflowError:  # a Python float square past the float range
-            lead = math.inf
-        # the bracket is 0 at alpha = 1, where the second-order term vanishes whatever mu is
-        return m1, m1 + ((lead / alpha) * bracket if bracket else 0.0)
+        lead = mu if variance_form == "printed" else mu * mu  # inf, not OverflowError, past the range
+        return m1, m1 + (lead / alpha) * bracket
 
     m1, v1 = side(spec.lam1, spec.alpha, t1)
     m2, v2 = side(spec.lam2, spec.beta, t2)
