@@ -11,6 +11,7 @@ from .gmsp import (
     gmsp_cf,
     gmsp_moments,
     msp_pmf,
+    msp_pmf_table,
     gmsp_lattice_pmf,
     scaled_poisson_convolution,
     gmsp_compound_peraxis_sample,
@@ -36,6 +37,7 @@ from .altskellam import (
     alt_lattice_pmf,
     alt_array_sample,
     twoparam_skellam_pmf,
+    twoparam_skellam_pmf_table,
 )
 from .fractional import (
     FracSkellamSpec,

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .gmsp import (array_law, array_sums, gmsp_cf, gmsp_lattice_pmf, gmsp_moments, gmsp_pgf,
-                   gmsp_sample, skellam_pmf)
+                   gmsp_sample, skellam_pmf_table)
 from .records import SampleBatch, LatticePMF, as_jumps, as_rates, as_scales, as_times
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "alt_lattice_pmf",
     "alt_array_sample",
     "twoparam_skellam_pmf",
+    "twoparam_skellam_pmf_table",
 ]
 
 
@@ -123,12 +124,19 @@ def alt_array_sample(scale: float, probs: Callable[[int, float, float], float], 
     return SampleBatch(values=values, seed=int(seed))
 
 
-def twoparam_skellam_pmf(n: int, lam1: float, lam2: float, t1: float, t2: float) -> float:
-    """Pmf of N_1(t1) - N_2(t2) for independent Poisson processes.
+def twoparam_skellam_pmf_table(ns, lam1: float, lam2: float, t1: float, t2: float) -> list[float]:
+    """Pmf of N_1(t1) - N_2(t2) at each n of ``ns``, for independent Poisson processes.
 
     e^{-lam1 t1 - lam2 t2} (lam1 t1 / lam2 t2)^{n/2} I_{|n|}(2 sqrt(lam1 lam2 t1 t2)),
-    degenerating to a (negated) Poisson when either product vanishes.
+    degenerating to a (negated) Poisson when either product vanishes; the
+    rates and times are checked once per table (see
+    :func:`~skellam_lab.gmsp.skellam_pmf_table`).
     """
     as_rates((lam1, lam2))
     as_times((t1, t2))
-    return skellam_pmf(n, lam1 * t1, lam2 * t2)
+    return skellam_pmf_table(ns, lam1 * t1, lam2 * t2)
+
+
+def twoparam_skellam_pmf(n: int, lam1: float, lam2: float, t1: float, t2: float) -> float:
+    """Pmf of N_1(t1) - N_2(t2) at n: the one-entry :func:`twoparam_skellam_pmf_table`."""
+    return twoparam_skellam_pmf_table([n], lam1, lam2, t1, t2)[0]

@@ -9,6 +9,7 @@ and all samplers run off explicit seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -20,7 +21,7 @@ from .altskellam import (
     AltSpec,
     alt_increment_cf,
     alt_sample,
-    twoparam_skellam_pmf,
+    twoparam_skellam_pmf_table,
 )
 from .fractional import (
     FracSkellamSpec,
@@ -36,7 +37,7 @@ from .gmsp import (
     gmsp_compound_peraxis_sample,
     gmsp_lattice_pmf,
     gmsp_sample,
-    msp_pmf,
+    msp_pmf_table,
 )
 from .identities import IDENTITIES, array_tvs, run_identity
 from .integrals import CompoundSpec, RectDomain, integral_cf_gmsp, integral_cf_mpp, integral_sample
@@ -278,11 +279,10 @@ def _cmd_pmf(args) -> None:
             l1 = l1 * len(t)
         if len(l2) == 1:
             l2 = l2 * len(t)
-        probs = [msp_pmf(k, l1, l2, t) for k in ns]
+        probs = msp_pmf_table(ns, l1, l2, t)
         meta = {"process": "msp", "l1": l1, "l2": l2, "t": t, "nmax": nmax}
     elif args.process == "skellam2":
-        probs = [twoparam_skellam_pmf(k, float(args.l1), float(args.l2), args.t1, args.t2)
-                 for k in ns]
+        probs = twoparam_skellam_pmf_table(ns, float(args.l1), float(args.l2), args.t1, args.t2)
         meta = {"process": "skellam2", "l1": float(args.l1), "l2": float(args.l2),
                 "t1": args.t1, "t2": args.t2, "nmax": nmax}
     elif args.process == "gmsp":
@@ -518,9 +518,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reuses: built by :func:`build_parser` on its first call.
+
+    Each ``parse_args`` call fills a fresh namespace from the defaults, so
+    nothing one command line sets carries over into the next.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command in _READS:
             _require(args)

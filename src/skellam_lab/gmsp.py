@@ -32,7 +32,10 @@ __all__ = [
     "gmsp_pgf",
     "gmsp_cf",
     "gmsp_moments",
+    "skellam_pmf",
+    "skellam_pmf_table",
     "msp_pmf",
+    "msp_pmf_table",
     "gmsp_lattice_pmf",
     "scaled_poisson_convolution",
     "gmsp_compound_peraxis_sample",
@@ -158,40 +161,60 @@ def gmsp_moments(spec: JumpSpec, s, t):
             float(np.sum(jumps**2 * (rates @ np.minimum(ss, tt)))))
 
 
-def skellam_pmf(n: int, a: float, b: float) -> float:
-    """Pmf at n of Poisson(a) - Poisson(b) for finite means a, b >= 0.
+def skellam_pmf_table(ns, a: float, b: float) -> list[float]:
+    """Pmf of Poisson(a) - Poisson(b) at each n of ``ns``, in order, for finite means a, b >= 0.
 
-    For a, b > 0 this is e^{-(a+b)} (a/b)^{n/2} I_{|n|}(2 sqrt(ab)), taken as
+    For a, b > 0 an entry is e^{-(a+b)} (a/b)^{n/2} I_{|n|}(2 sqrt(ab)), taken as
     one exponential of the log prefactor plus
     :func:`~skellam_lab.special.log_bessel_i`, so neither factor leaves the
     float range on its own.  The power is (n/2)(ln a - ln b), so n and -n are
-    treated symmetrically.  If either mean vanishes the law degenerates to a
-    (possibly negated) Poisson.  Where the Bessel series passes its term cap
-    (from about a = b = 7.2e5) this raises :class:`TruncationError`.
+    treated symmetrically, and log I_{|n|} is evaluated once per distinct |n|,
+    in the order the entries first need it.  If either mean vanishes the law
+    degenerates to a (possibly negated) Poisson.  Where the Bessel series
+    passes its term cap (from about a = b = 7.2e5) the first entry that needs
+    it raises :class:`TruncationError`.
     """
-    n = int(n)
+    ns = [int(n) for n in ns]
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"means must be finite, got ({a!r}, {b!r})")
     if b == 0.0:
-        return poisson_pmf(n, a)
+        return [poisson_pmf(n, a) for n in ns]
     if a == 0.0:
-        return poisson_pmf(-n, b)
-    log_pref = -(a + b) + 0.5 * n * (math.log(a) - math.log(b))
-    return math.exp(log_pref + log_bessel_i(abs(n), 2.0 * math.sqrt(a) * math.sqrt(b)))
+        return [poisson_pmf(-n, b) for n in ns]
+    log_ratio = math.log(a) - math.log(b)
+    x = 2.0 * math.sqrt(a) * math.sqrt(b)
+    log_bessel = {}
+    table = []
+    for n in ns:
+        if abs(n) not in log_bessel:
+            log_bessel[abs(n)] = log_bessel_i(abs(n), x)
+        table.append(math.exp(-(a + b) + 0.5 * n * log_ratio + log_bessel[abs(n)]))
+    return table
 
 
-def msp_pmf(n: int, rates1, rates2, t) -> float:
-    """Two-sided pmf of N_1(t) - N_2(t) for independent processes.
+def skellam_pmf(n: int, a: float, b: float) -> float:
+    """Pmf at n of Poisson(a) - Poisson(b): the one-entry :func:`skellam_pmf_table`."""
+    return skellam_pmf_table([n], a, b)[0]
+
+
+def msp_pmf_table(ns, rates1, rates2, t) -> list[float]:
+    """Two-sided pmf of N_1(t) - N_2(t) at each n of ``ns``, for independent processes.
 
     With a = rates1 . t and b = rates2 . t this is the Skellam pmf of
-    Poisson(a) - Poisson(b) (see :func:`skellam_pmf`).
+    Poisson(a) - Poisson(b) (see :func:`skellam_pmf_table`); the rates, times
+    and means are checked once per table.
     """
     lam1 = as_rates(rates1)
     lam2 = as_rates(rates2)
     tt = as_times(t, lam1.size)
     if lam2.size != lam1.size:
         raise ValueError("rate vectors must share one dimension")
-    return skellam_pmf(n, float(poisson_means(lam1, tt)), float(poisson_means(lam2, tt)))
+    return skellam_pmf_table(ns, float(poisson_means(lam1, tt)), float(poisson_means(lam2, tt)))
+
+
+def msp_pmf(n: int, rates1, rates2, t) -> float:
+    """Two-sided pmf of N_1(t) - N_2(t) at n: the one-entry :func:`msp_pmf_table`."""
+    return msp_pmf_table([n], rates1, rates2, t)[0]
 
 
 def scaled_poisson_convolution(jump_mus: dict) -> LatticePMF:

@@ -13,7 +13,8 @@ from functools import partial
 
 import numpy as np
 
-from .altskellam import AltSpec, alt_array_law, alt_lattice_pmf, alt_sample, twoparam_skellam_pmf
+from .altskellam import (AltSpec, alt_array_law, alt_lattice_pmf, alt_sample,
+                         twoparam_skellam_pmf_table)
 from .fractional import (
     FracSkellamSpec,
     frac_skellam_moments,
@@ -32,7 +33,7 @@ from .gmsp import (
     gmsp_compound_peraxis_sample,
     gmsp_lattice_pmf,
     gmsp_sample,
-    msp_pmf,
+    msp_pmf_table,
     scaled_poisson_convolution,
 )
 from .integrals import CompoundSpec, RectDomain, integral_cf_mpp, integral_sample, uniform_compound_sample
@@ -65,10 +66,11 @@ def msp_bessel_oracle(seed=0, n=0):
             for t in ((1.0, 1.0), (2.0, 0.5)):
                 msp = scaled_poisson_convolution({1: la * sum(t), -1: lb * sum(t)})
                 twoparam = scaled_poisson_convolution({1: la * t[0], -1: lb * t[1]})
-                for k in range(-20, 21):
-                    gap = max(gap, abs(msp_pmf(k, (la, la), (lb, lb), t) - msp.prob(k)))
-                    gap = max(gap, abs(twoparam_skellam_pmf(k, la, lb, t[0], t[1])
-                                       - twoparam.prob(k)))
+                ks = range(-20, 21)
+                for k, p_msp, p_twoparam in zip(ks, msp_pmf_table(ks, (la, la), (lb, lb), t),
+                                                twoparam_skellam_pmf_table(ks, la, lb, t[0], t[1])):
+                    gap = max(gap, abs(p_msp - msp.prob(k)))
+                    gap = max(gap, abs(p_twoparam - twoparam.prob(k)))
                     count += 2
     return _exact_report("msp-bessel-oracle", seed, count, gap, 1e-10)
 
@@ -264,7 +266,7 @@ def alt_twoparam(seed=0, n=100_000):
     spec = AltSpec({1: 1.0, -1: 1.0})
     t = {1: 1.2, -1: 0.7}
     batch = alt_sample(spec, t, n, seed=seed)
-    probs = np.array([twoparam_skellam_pmf(k, 1.0, 1.0, 1.2, 0.7) for k in range(-12, 13)])
+    probs = np.array(twoparam_skellam_pmf_table(range(-12, 13), 1.0, 1.0, 1.2, 0.7))
     pmf = LatticePMF(-12, probs)
     return lattice_chi2(batch, pmf, identity="alt-twoparam")
 

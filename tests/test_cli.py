@@ -682,3 +682,40 @@ def test_console_entry_point_subprocess(tmp_path):
     second = subprocess.run(cmd, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert first.stdout.decode().splitlines()[1] == "value"
+
+
+def test_main_reuses_one_parser_and_carries_nothing_between_calls(tmp_path, capsys, monkeypatch):
+    # main parses every command line of the process with the parser its first call built
+    from test_imports import _COLD_COMMANDS, _SPEC3
+
+    from skellam_lab import cli
+
+    builds = []
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+    cli._parser.cache_clear()
+
+    def write_corpus(name):
+        folder = tmp_path / name
+        folder.mkdir()
+        for i, argv in enumerate(_COLD_COMMANDS):
+            assert main([*argv, "--out", str(folder / str(i))]) == 0, argv
+        return {f.name: f.read_bytes() for f in folder.iterdir()}
+
+    first = write_corpus("first")
+    cf = ["cf", "--process", "gmsp", "--jumps", "1:0.7,0.4;-1:0.5,0.6", "--t", "1.0,1.0",
+          "--u", "0:3:0.25", "--empirical"]
+    # an argparse exit and an error: line, each with --empirical given, then an --empirical table
+    with pytest.raises(SystemExit) as exit_:
+        main([*cf, "--alpha", "0.5"])
+    assert exit_.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+    assert main([*cf, "--r", "7"]) == 1
+    assert capsys.readouterr().err == "error: --r is not read by cf --process gmsp\n"
+    assert main([*cf, "--n", "50", "--out", str(tmp_path / "empirical.csv")]) == 0
+    assert b"radius" in (tmp_path / "empirical.csv").read_bytes()
+    second = write_corpus("second")
+
+    assert second == first and len(first) > len(_COLD_COMMANDS)
+    exact_cf = _COLD_COMMANDS.index(["cf", "--process", "gmsp", "--jumps", _SPEC3,
+                                     "--t", "1.0,1.0", "--u", "0:3:0.25"])
+    assert b"radius" not in second[str(exact_cf)]
+    assert builds == [1]
