@@ -9,9 +9,11 @@ L(t) =d (t / D)^alpha.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,20 +56,39 @@ class FracSkellamSpec:
 
 
 def _kanter(rng, alpha: float, n: int):
-    """sin(alpha theta), sin(theta) and sin((1 - alpha) theta) / w of Kanter's stable draw."""
+    """sin(alpha theta), sin(theta) and sin((1 - alpha) theta) / w of Kanter's stable draw.
+
+    Three fresh arrays, each computed in place, for the callers to reuse.
+    """
     theta = rng.uniform(0.0, np.pi, n)
     w = rng.standard_exponential(n)
-    return np.sin(alpha * theta), np.sin(theta), np.sin((1.0 - alpha) * theta) / w
+    a = alpha * theta
+    np.sin(a, out=a)
+    s = np.sin(theta)
+    theta *= 1.0 - alpha
+    b = np.sin(theta, out=theta)
+    b /= w
+    return a, s, b
 
 
 def _inv_stable_clock(rng, alpha: float, t: float, n: int) -> np.ndarray:
-    """``n`` draws of L(t) =d (t / D(1))^alpha; no draw is taken at t = 0 or alpha = 1."""
+    """``n`` draws of L(t) =d (t / D(1))^alpha; no draw is taken at t = 0 or alpha = 1.
+
+    Each draw is t^alpha s / (a^alpha b^(1 - alpha)), in that order of
+    operations, computed in the arrays of :func:`_kanter`.  Augmented powers
+    keep numpy's scalar-power fast paths (a square root at alpha = 1/2).
+    """
     if t == 0.0:
         return np.zeros(n)
     if alpha == 1.0:
         return np.full(n, float(t))
     a, s, b = _kanter(rng, alpha, n)
-    return t**alpha * s / (a**alpha * b ** (1.0 - alpha))  # no 1/alpha power to overflow
+    s *= t**alpha
+    a **= alpha
+    b **= 1.0 - alpha
+    a *= b
+    s /= a  # no 1/alpha power to overflow
+    return s
 
 
 def stable_subordinator_sample(alpha: float, t: float, n_draws: int, seed: int) -> SampleBatch:
@@ -102,16 +123,44 @@ def frac_skellam_sample(spec: FracSkellamSpec, t1: float, t2: float,
     """Draws of N_1(L_1(t1)) - N_2(L_2(t2)), all four components independent.
 
     Each side conditions a Poisson draw on its own inverse-subordinator draw;
-    the two sides use separate child streams of the root seed.
+    the two sides use separate child streams of the root seed.  Side 2 is
+    drawn on a worker thread, in a copy of the caller's context (so under its
+    ``np.errstate``), while the calling thread draws side 1.  Each side reads
+    only its own stream, so the draws are those of drawing side 1 and then
+    side 2, whatever the scheduling and the number of cores.  An error is
+    raised after both sides end: side 1's if it failed, else side 2's.
     """
     as_times((t1, t2))
     rng1, rng2 = spawn_rngs(seed, 2)
-    sides = []
-    for rng, lam, alpha, t in ((rng1, spec.lam1, spec.alpha, t1), (rng2, spec.lam2, spec.beta, t2)):
-        with np.errstate(over="ignore"):  # an overflow is numpy's one "lam value too large"
-            sides.append(rng.poisson(lam * _inv_stable_clock(rng, alpha, t, n_draws)))
-    values = sides[0].astype(np.int64) - sides[1].astype(np.int64)
+    side2 = []  # the worker's draws, or the exception it raised
+    worker = threading.Thread(target=contextvars.copy_context().run,
+                              args=(_draw_side_into, side2, rng2, spec.lam2, spec.beta, t2,
+                                    n_draws))
+    worker.start()
+    try:
+        values = _draw_side(rng1, spec.lam1, spec.alpha, t1, n_draws)
+    finally:
+        worker.join()
+    if isinstance(side2[0], BaseException):
+        raise side2[0]
+    values -= side2[0]
     return SampleBatch(values=values, seed=int(seed))
+
+
+def _draw_side(rng, lam: float, alpha: float, t: float, n: int) -> np.ndarray:
+    """``n`` int64 draws of N(L(t)) for rate ``lam``: a Poisson draw on each clock draw."""
+    with np.errstate(over="ignore"):  # an overflow is numpy's one "lam value too large"
+        clock = _inv_stable_clock(rng, alpha, t, n)
+        clock *= lam
+        return rng.poisson(clock)
+
+
+def _draw_side_into(out: list, *side):
+    """Append the draws of :func:`_draw_side`, or the exception it raised, to ``out``."""
+    try:
+        out.append(_draw_side(*side))
+    except BaseException as exc:  # re-raised by the calling thread, after its own side
+        out.append(exc)
 
 
 def frac_skellam_pmf_table(spec: FracSkellamSpec, t1: float, t2: float, ns) -> list[float]:

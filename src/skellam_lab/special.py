@@ -311,17 +311,20 @@ def _mixture_pmfs(mean: np.ndarray, weight: np.ndarray):
     The ratio recurrence restarts from the exact log pmf every _RESTART
     steps, so a node whose e^(-mean) underflows joins once its pmf is back in
     the float range.  A restart drops the nodes whose pmf only falls from
-    there, before it sinks into slow subnormal arithmetic.
+    there, before it sinks into slow subnormal arithmetic.  The weights ride
+    in the recurrence and each entry is numpy's pairwise sum, not a BLAS dot
+    product, so its bits do not depend on how many threads BLAS runs.
     """
     log_mean = np.log(np.maximum(mean, np.finfo(float).tiny))  # a mean of 0 stays at n = 0
     for n in itertools.count():
         if n % _RESTART == 0:
             p = np.exp(n * log_mean - mean - math.lgamma(n + 1.0))
             live = (p >= _DROPPED) | (mean > n)
-            mean, log_mean, weight, p = mean[live], log_mean[live], weight[live], p[live]
+            mean, log_mean, weight = mean[live], log_mean[live], weight[live]
+            q = weight * p[live]
         else:
-            p *= mean / n
-        yield float(weight @ p)
+            q *= mean / n
+        yield float(q.sum())
 
 
 def poisson_entries(mu: float):

@@ -590,6 +590,9 @@ _FRAC_ARGS = ["--l1", "1.3", "--l2", "0.6", "--alpha", "0.6", "--beta", "0.8",
       "--xprobs", "0.5,0.3,0.2", "--t", "1.2", "--r", "512", "--n", "20000", "--seed", "3"],
      {"": "6857e4bb8cb95686db14febb7196dbe59253f2f50ce0799e1e03aa4ecf533402",
       ".cf.csv": "7caba882605c1ff055aa9e74412166ec6cad9b50542f70ebaef58f5314a56995"}),
+    # the fractional sampler draws its two sides on two threads
+    (["simulate", "--process", "frac-skellam", *_FRAC_ARGS, "--n", "200000", "--seed", "3"],
+     {"": "8cf5c1378711fa258e1a2b13b728107c70b6c70d1a5c53fa9a977e3ff1bfe8bb"}),
 ])
 def test_artifact_bytes_are_pinned(tmp_path, argv, digests):
     code, _ = run_cli(argv, tmp_path, out_name="pinned")

@@ -3,8 +3,12 @@
 import json
 import math
 import os
+import subprocess
+import sys
+import threading
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +27,7 @@ from skellam_lab import (
 )
 from skellam_lab.identities import run_identity
 from skellam_lab import fractional, identities, special
-from skellam_lab.records import LatticePMF
+from skellam_lab.records import LatticePMF, spawn_rngs
 from skellam_lab.special import TruncationError
 from skellam_lab.stats import lattice_chi2
 
@@ -151,6 +155,151 @@ def test_frac_sample_symmetric_case():
         p_neg = np.mean(values == -n)
         se = math.sqrt((p_pos * (1 - p_pos) + p_neg * (1 - p_neg)) / values.size)
         assert abs(p_pos - p_neg) < 4 * max(se, 1e-4)
+
+
+def _sequential_sample(spec, t1, t2, n, seed):
+    """The sampler drawn side 1 then side 2, with the clock written as one expression."""
+    sides = []
+    for rng, lam, alpha, t in zip(spawn_rngs(seed, 2), (spec.lam1, spec.lam2),
+                                  (spec.alpha, spec.beta), (t1, t2)):
+        if t == 0.0:
+            clock = np.zeros(n)
+        elif alpha == 1.0:
+            clock = np.full(n, float(t))
+        else:
+            theta = rng.uniform(0.0, np.pi, n)
+            w = rng.standard_exponential(n)
+            a, s, b = np.sin(alpha * theta), np.sin(theta), np.sin((1.0 - alpha) * theta) / w
+            clock = t**alpha * s / (a**alpha * b ** (1 - alpha))
+        sides.append(rng.poisson(lam * clock).astype(np.int64))
+    return sides[0] - sides[1]
+
+
+@pytest.mark.parametrize("spec, t1, t2, n", [
+    (FracSkellamSpec(1.0, 1.0, 0.5, 0.5), 1.0, 1.0, 1000),  # the square-root fast path
+    (FracSkellamSpec(1.3, 0.6, 0.6, 0.8), 1.5, 1.0, 200_000),
+    (FracSkellamSpec(1.2, 0.8, 1.0, 0.7), 1.0, 1.5, 1000),
+    (FracSkellamSpec(1.2, 0.8, 0.3, 1.0), 2.0, 1.5, 1000),
+    (FracSkellamSpec(1.2, 0.8, 0.4, 0.9), 0.0, 1.5, 1000),
+    (FracSkellamSpec(1.2, 0.8, 0.4, 0.9), 1.5, 0.0, 1000),
+    (FracSkellamSpec(1.2, 0.8, 0.4, 0.9), 1.5, 1.0, 1),
+    (FracSkellamSpec(1.2, 0.8, 0.4, 0.9), 1.5, 1.0, 0),
+])
+def test_frac_sample_is_the_sequential_draw(spec, t1, t2, n):
+    # the two sides are drawn on two threads, each from its own child stream
+    batch = frac_skellam_sample(spec, t1, t2, n, seed=11)
+    want = _sequential_sample(spec, t1, t2, n, seed=11)
+    assert batch.values.dtype == np.int64 and batch.values.shape == (n,)
+    assert np.array_equal(batch.values, want)
+
+
+def test_concurrent_frac_samples_are_each_the_sequential_draw():
+    # four callers at once, each with its own worker: eight threads on the cores
+    spec = FracSkellamSpec(1.3, 0.6, 0.6, 0.8)
+    results = {}
+
+    def call(seed):
+        for _ in range(5):
+            batch = frac_skellam_sample(spec, 1.5, 1.0, 5000, seed)
+            results.setdefault(seed, []).append(batch.values)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(seed,)) for seed in range(4)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    for seed in range(4):
+        want = _sequential_sample(spec, 1.5, 1.0, 5000, seed)
+        assert len(results[seed]) == 5 and all(np.array_equal(v, want) for v in results[seed])
+
+
+def test_frac_sample_draws_its_sides_on_two_threads_under_the_callers_errstate(monkeypatch):
+    seen = []
+
+    def clock(rng, alpha, t, n):
+        seen.append((t, threading.get_ident(), np.geterr()))
+        return np.full(n, float(t))
+
+    monkeypatch.setattr(fractional, "_inv_stable_clock", clock)
+    threads = threading.active_count()
+    with np.errstate(all="raise"):
+        frac_skellam_sample(_SPEC, 1.0, 2.0, 10, seed=0)
+    assert threading.active_count() == threads
+    (t1, ident1, err1), (t2, ident2, err2) = sorted(seen, key=lambda x: x[0])
+    assert (t1, t2) == (1.0, 2.0)
+    assert ident1 == threading.get_ident() != ident2
+    # the caller's setting, with the sampler's own overflow setting on top
+    assert err1 == err2 == {"divide": "raise", "over": "ignore", "under": "raise",
+                            "invalid": "raise"}
+
+
+def _poisson_overflow_message():
+    with pytest.raises(ValueError) as exc:
+        np.random.default_rng(0).poisson(np.array([math.inf]))
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("lam1, lam2", [(1.0, 1e308), (1e308, 1.0), (1e308, 1e308)])
+def test_frac_sample_overflow_on_either_side_is_numpys_error(lam1, lam2):
+    threads = threading.active_count()
+    with pytest.raises(ValueError) as exc:
+        frac_skellam_sample(FracSkellamSpec(lam1, lam2, 0.5, 0.3), 1.0, 1.0, 1000, seed=3)
+    assert type(exc.value) is ValueError and str(exc.value) == _poisson_overflow_message()
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("fail", [(1,), (2,), (1, 2)])
+def test_frac_sample_raises_side_ones_error_first(monkeypatch, fail):
+    # the sequential order: side 1's error if it failed, else side 2's
+    ended = []
+
+    def clock(rng, alpha, t, n):
+        if t == 2.0:
+            time.sleep(0.05)  # side 2 ends after side 1
+        ended.append(t)
+        if int(t) in fail:
+            raise ArithmeticError(f"side {int(t)}")
+        return np.full(n, float(t))
+
+    monkeypatch.setattr(fractional, "_inv_stable_clock", clock)
+    with pytest.raises(ArithmeticError, match=f"side {fail[0]}"):
+        frac_skellam_sample(_SPEC, 1.0, 2.0, 10, seed=0)
+    assert sorted(ended) == [1.0, 2.0]  # both sides end before anything is raised
+
+
+_BLAS_PROBE = """
+import sys
+from skellam_lab import FracSkellamSpec, frac_skellam_pmf_table
+from skellam_lab.identities import run_identity
+from skellam_lab.special import frac_poisson_table
+rows = [frac_poisson_table(20, 4.0, 1.0, 0.3), frac_poisson_table(20, 0.5, 1.0, 0.8),
+        frac_skellam_pmf_table(FracSkellamSpec(1.0, 1.0, 0.7, 0.9), 1.0, 1.0, range(-20, 21)),
+        [run_identity("frac-mean", seed=0).statistic]]
+print("\\n".join(" ".join(map(float.hex, row)) for row in rows))
+"""
+
+
+def test_fractional_tables_do_not_depend_on_the_blas_thread_count():
+    # a BLAS dot product of the ~11,500 quadrature nodes used to round
+    # differently when OpenBLAS split it over two threads
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert len(outs[0].splitlines()) == 4
 
 
 def test_frac_pmf_classical_branch_matches_closed_form():
