@@ -17,33 +17,10 @@ import sys
 
 import numpy as np
 
-from .altskellam import (
-    AltSpec,
-    alt_increment_cf,
-    alt_sample,
-    twoparam_skellam_pmf_table,
-)
-from .fractional import (
-    FracSkellamSpec,
-    frac_skellam_pmf_table,
-    frac_skellam_sample,
-    inv_stable_marginal_sample,
-    stable_subordinator_sample,
-)
-from .gmsp import (
-    JumpSpec,
-    gmsp_cf,
-    gmsp_compound_equalrate_sample,
-    gmsp_compound_peraxis_sample,
-    gmsp_lattice_pmf,
-    gmsp_sample,
-    msp_pmf_table,
-)
-from .identities import IDENTITIES, array_tvs, run_identity
-from .integrals import CompoundSpec, RectDomain, integral_cf_gmsp, integral_cf_mpp, integral_sample
+# Every command uses these; each command imports the modules its --process
+# (or --scheme) runs when it runs, so a cold process loads no other module.
 from .records import as_scales, distinct_bits
-from .special import _MAX_TERMS, TruncationError, frac_poisson_table
-from .stats import empirical_cf
+from .special import _MAX_TERMS, TruncationError
 
 __all__ = ["main"]
 
@@ -213,6 +190,7 @@ def _finite_frequencies(grid: list[float]) -> list[float]:
 
 def _jump_spec(args):
     """(JumpSpec from --jumps, time list from --t)."""
+    from .gmsp import JumpSpec
     return JumpSpec(_parse_jumps(args.jumps)), _parse_floats(args.t, "t")
 
 
@@ -222,7 +200,8 @@ def _alt_jumps(args):
     return rates, _jump_times(rates, args.t, "t")
 
 
-def _frac_spec(args) -> FracSkellamSpec:
+def _frac_spec(args):
+    from .fractional import FracSkellamSpec
     return FracSkellamSpec(float(args.l1), float(args.l2), args.alpha, args.beta)
 
 
@@ -231,36 +210,44 @@ def _frac_spec(args) -> FracSkellamSpec:
 def _cmd_simulate(args) -> None:
     n, seed = args.n, args.seed
     if args.process == "mpp":
+        from .gmsp import JumpSpec, gmsp_sample
         rates, t = _parse_floats(args.rates, "rates"), _parse_floats(args.t, "t")
         batch = gmsp_sample(JumpSpec({1.0: rates}), t, n, seed)
         meta = {"process": "mpp", "rates": rates, "t": t}
     elif args.process == "gmsp":
+        from .gmsp import gmsp_sample
         spec, t = _jump_spec(args)
         batch = gmsp_sample(spec, t, n, seed)
         meta = {"process": "gmsp", "jumps": {j: r.tolist() for j, r in spec.jumps.items()}, "t": t}
     elif args.process == "alt":
+        from .altskellam import AltSpec, alt_sample
         rates, t_map = _alt_jumps(args)
         spec = AltSpec(rates)
         batch = alt_sample(spec, t_map, n, seed)
         meta = {"process": "alt-skellam", "rates": spec.rates, "t": {j: t_map[j] for j in spec.rates}}
     elif args.process == "frac-skellam":
+        from .fractional import frac_skellam_sample
         batch = frac_skellam_sample(_frac_spec(args), args.t1, args.t2, n, seed)
         meta = {"process": "frac-skellam", "lam1": float(args.l1), "lam2": float(args.l2),
                 "alpha": args.alpha, "beta": args.beta, "t1": args.t1, "t2": args.t2}
     elif args.process == "compound-peraxis":
+        from .gmsp import gmsp_compound_peraxis_sample
         spec, t = _jump_spec(args)
         batch = gmsp_compound_peraxis_sample(spec, t, n, seed)
         meta = {"process": "gmsp-compound-peraxis", "t": t}
     elif args.process == "compound-equalrate":
+        from .gmsp import gmsp_compound_equalrate_sample
         rates = _parse_single_rate_jumps(args.jumps)
         t = _parse_floats(args.t, "t")
         batch = gmsp_compound_equalrate_sample(rates, len(t), t, n, seed)
         meta = {"process": "gmsp-compound-equalrate", "jump_rates": dict(sorted(rates.items())),
                 "m": len(t), "t": t}
     elif args.process == "stable":
+        from .fractional import stable_subordinator_sample
         batch = stable_subordinator_sample(args.alpha, args.t1, n, seed)
         meta = {"process": "stable-subordinator", "alpha": args.alpha, "t": args.t1}
     elif args.process == "inv-stable":
+        from .fractional import inv_stable_marginal_sample
         batch = inv_stable_marginal_sample(args.alpha, args.t1, n, seed)
         meta = {"process": "inverse-stable", "alpha": args.alpha, "t": args.t1}
     _write({**meta, "n": n}, {"values": batch.values}, args)
@@ -272,6 +259,7 @@ def _cmd_pmf(args) -> None:
         raise ValueError(f"--nmax must be nonnegative and at most {_MAX_TERMS}, got {nmax}")
     ns = list(range(0 if args.process == "frac-poisson" else -nmax, nmax + 1))
     if args.process == "msp":
+        from .gmsp import msp_pmf_table
         t = _parse_floats(args.t, "t")
         l1 = _parse_floats(args.l1, "l1")
         l2 = _parse_floats(args.l2, "l2")
@@ -282,20 +270,24 @@ def _cmd_pmf(args) -> None:
         probs = msp_pmf_table(ns, l1, l2, t)
         meta = {"process": "msp", "l1": l1, "l2": l2, "t": t, "nmax": nmax}
     elif args.process == "skellam2":
+        from .altskellam import twoparam_skellam_pmf_table
         probs = twoparam_skellam_pmf_table(ns, float(args.l1), float(args.l2), args.t1, args.t2)
         meta = {"process": "skellam2", "l1": float(args.l1), "l2": float(args.l2),
                 "t1": args.t1, "t2": args.t2, "nmax": nmax}
     elif args.process == "gmsp":
+        from .gmsp import gmsp_lattice_pmf
         spec, t = _jump_spec(args)
         table = gmsp_lattice_pmf(spec, t)
         probs = [table.prob(k) for k in ns]
         meta = {"process": "gmsp", "jumps": args.jumps, "t": t, "nmax": nmax}
     elif args.process == "frac-skellam":
+        from .fractional import frac_skellam_pmf_table
         probs = frac_skellam_pmf_table(_frac_spec(args), args.t1, args.t2, ns)
         meta = {"process": "frac-skellam", "l1": float(args.l1), "l2": float(args.l2),
                 "alpha": args.alpha, "beta": args.beta, "t1": args.t1, "t2": args.t2,
                 "nmax": nmax}
     elif args.process == "frac-poisson":
+        from .special import frac_poisson_table
         probs = frac_poisson_table(nmax, float(args.l1), args.t1, args.alpha)
         meta = {"process": "frac-poisson", "lam": float(args.l1), "t": args.t1,
                 "alpha": args.alpha, "nmax": nmax}
@@ -314,11 +306,13 @@ def _cmd_cf(args) -> None:
     r = 256 if args.r is None else args.r
     grid = _parse_ugrid(args.u)
     if args.process == "gmsp":
+        from .gmsp import gmsp_cf, gmsp_sample
         spec, t = _jump_spec(args)
         meta = {"process": "gmsp", "jumps": args.jumps, "t": t}
         exact = lambda u: gmsp_cf(spec, t, u)
         draw = lambda: gmsp_sample(spec, t, n, args.seed)
     elif args.process == "alt-increment":
+        from .altskellam import AltSpec, alt_increment_cf, alt_sample
         rates, t_map = _alt_jumps(args)
         spec = AltSpec(rates)
         s_map = {j: 0.0 for j in rates} if args.s is None else _jump_times(rates, args.s, "s")
@@ -328,17 +322,20 @@ def _cmd_cf(args) -> None:
         meta = {"process": "alt-increment", "jumps": args.jumps,
                 "s": list(s_map.values()), "t": list(t_map.values())}
     elif args.process == "integral-mpp":
+        from .integrals import RectDomain, integral_cf_mpp, integral_sample
         lam = _parse_floats(args.rates, "rates")
         t = _parse_floats(args.t, "t")
         meta = {"process": "integral-mpp", "rates": lam, "t": t}
         exact = lambda u: integral_cf_mpp(lam, t, u)
         draw = lambda: integral_sample(lam, RectDomain(t=t, resolution=r), n, args.seed)
     elif args.process == "integral-gmsp":
+        from .integrals import RectDomain, integral_cf_gmsp, integral_sample
         spec, t = _jump_spec(args)
         exact = lambda u: integral_cf_gmsp(spec, t, u)
         draw = lambda: integral_sample(spec, RectDomain(t=t, resolution=r), n, args.seed)
         meta = {"process": "integral-gmsp", "jumps": args.jumps, "t": t}
     if args.empirical:
+        from .stats import empirical_cf
         meta["n"] = n
         if reads_r:
             meta["resolution"] = r
@@ -350,6 +347,7 @@ def _cmd_cf(args) -> None:
 
 
 def _cmd_integral(args) -> None:
+    from .integrals import CompoundSpec, RectDomain, integral_cf_gmsp, integral_cf_mpp, integral_sample
     t = _parse_floats(args.t, "t")
     dom = RectDomain(t=t, resolution=args.r)
     grid = _parse_ugrid(args.u)
@@ -376,6 +374,7 @@ def _cmd_integral(args) -> None:
                 if x != 0.0 and p > 0.0:
                     jumps[x] = jumps.get(x, 0.0) + lam[0] * p
             if jumps:
+                from .gmsp import JumpSpec
                 spec = JumpSpec({x: (rate,) for x, rate in jumps.items()})
                 cf_values = [integral_cf_gmsp(spec, t, u) for u in grid]
             else:  # X = 0 almost surely
@@ -394,6 +393,7 @@ def _cmd_converge(args) -> None:
         t = _parse_floats(args.t, "t")
     else:
         rates, t = _alt_jumps(args)
+    from .identities import array_tvs
     tvs = array_tvs(args.scheme, rates, t, scales, args.n, args.seed)
     meta = {"scheme": args.scheme, "jumps": args.jumps, "t": args.t,
             "scales": scales, "n": args.n}
@@ -401,6 +401,7 @@ def _cmd_converge(args) -> None:
 
 
 def _cmd_verify(args) -> None:
+    from .identities import run_identity
     report = run_identity(args.identity, seed=args.seed, n=args.n)
     _emit(_json(report.to_json_dict()) + "\n", args.out)
 
@@ -500,7 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_converge)
 
     p = sub.add_parser("verify", help="run a named distributional identity check")
-    p.add_argument("--identity", required=True, choices=sorted(IDENTITIES))
+    # run_identity checks the name, so the parser loads no identity protocol
+    p.add_argument("--identity", required=True,
+                   help="name of the check (an unknown name is an error that lists them)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=None, help="draws (identity-specific default)")
     p.add_argument("--out", default=None)

@@ -18,6 +18,7 @@ clock, taken on one fixed double-exponential node grid.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -288,21 +289,33 @@ def _kanter_nodes(alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """
     if alpha == 1.0:  # the clock is the identity
         return np.ones(1), np.ones(1)
-    u = np.arange(-4.0, 4.0 + _STEP / 2, _STEP)  # past +-4 every node weighs under 1e-20
-    s = np.pi * np.sinh(u)
+    s, w, keep, weight = _node_grid()
     theta = np.pi / (1.0 + np.exp(-s))
     # sin(theta) from the nearer end of (0, pi), and a floor on sin(alpha theta):
     # its alpha-th power tends to 1, but a subnormal alpha would give 0^alpha = 0
     b = (np.sin(np.pi / (1.0 + np.exp(np.abs(s))))
          / (np.maximum(np.sin(alpha * theta), np.finfo(float).tiny) ** alpha
             * np.sin((1.0 - alpha) * theta) ** (1.0 - alpha)))
+    return np.outer(b, w ** (1.0 - alpha)).ravel()[keep], weight
+
+
+@functools.cache
+def _node_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(pi sinh u, w, flat indices of the kept nodes, their weights), built once.
+
+    None of it depends on alpha.  The weights are shared by every table, so
+    they are read-only.
+    """
+    u = np.arange(-4.0, 4.0 + _STEP / 2, _STEP)  # past +-4 every node weighs under 1e-20
+    s = np.pi * np.sinh(u)
     theta_weight = _STEP * np.pi / 2 * np.cosh(u) / (1.0 + np.cosh(s))
     w = np.exp(u - np.exp(-u))
     w_weight = _STEP * (1.0 + np.exp(-u)) * w * np.exp(-w)
-    factor = np.outer(b, w ** (1.0 - alpha)).ravel()
     weight = np.outer(theta_weight, w_weight).ravel()
-    keep = weight > _NEGLIGIBLE
-    return factor[keep], weight[keep]
+    keep = np.flatnonzero(weight > _NEGLIGIBLE)
+    weight = weight[keep]
+    weight.flags.writeable = False
+    return s, w, keep, weight
 
 
 def _mixture_pmfs(mean: np.ndarray, weight: np.ndarray):
@@ -313,15 +326,22 @@ def _mixture_pmfs(mean: np.ndarray, weight: np.ndarray):
     the float range.  A restart drops the nodes whose pmf only falls from
     there, before it sinks into slow subnormal arithmetic.  The weights ride
     in the recurrence and each entry is numpy's pairwise sum, not a BLAS dot
-    product, so its bits do not depend on how many threads BLAS runs.
+    product, so its bits do not depend on how many threads BLAS runs.  A
+    restart works in place and copies the nodes only when some drop, so a
+    table holds few node-sized arrays at once.
     """
-    log_mean = np.log(np.maximum(mean, np.finfo(float).tiny))  # a mean of 0 stays at n = 0
+    log_mean = np.maximum(mean, np.finfo(float).tiny)  # a mean of 0 stays at n = 0
+    np.log(log_mean, out=log_mean)
     for n in itertools.count():
         if n % _RESTART == 0:
-            p = np.exp(n * log_mean - mean - math.lgamma(n + 1.0))
+            p = n * log_mean
+            p -= mean
+            p -= math.lgamma(n + 1.0)
+            np.exp(p, out=p)
             live = (p >= _DROPPED) | (mean > n)
-            mean, log_mean, weight = mean[live], log_mean[live], weight[live]
-            q = weight * p[live]
+            if not live.all():
+                mean, log_mean, weight, p = mean[live], log_mean[live], weight[live], p[live]
+            q = weight * p
         else:
             q *= mean / n
         yield float(q.sum())
@@ -363,9 +383,9 @@ def frac_poisson_entries(lam: float, t: float, alpha: float):
     as_indices(alpha)
     if t == 0.0:
         return itertools.chain([1.0], itertools.repeat(0.0))
-    factor, weight = _kanter_nodes(float(alpha))
+    means, weight = _kanter_nodes(float(alpha))
     with np.errstate(over="ignore"):
-        means = lam * t**alpha * factor
+        means *= lam * t**alpha
     if not np.all(np.isfinite(means)):
         raise ValueError(f"means must be finite, got lam * t**alpha = {lam!r} * {t!r}**{alpha!r}")
     return _mixture_pmfs(means, weight)

@@ -129,8 +129,10 @@ def _chi2_sf(x: float, dof: int) -> float:
 
 
 def _chi2_report(identity, stat, dof, n, seed) -> TestReport:
-    """The report of a chi-square statistic on ``dof`` degrees; 0 passes only a zero statistic."""
-    p = _chi2_sf(stat, dof) if dof else (1.0 if stat < 1e-12 else 0.0)
+    """The report of a chi-square statistic on ``dof`` degrees; 0 degrees test nothing, and raise."""
+    if dof < 1:
+        raise ValueError("a chi-square on one bin (0 degrees of freedom) tests nothing")
+    p = _chi2_sf(stat, dof)
     return TestReport(identity=identity, statistic=float(stat), p_value=p, n_samples=n,
                       seed=seed, verdict=p > LEVEL, level=LEVEL)
 
@@ -151,11 +153,13 @@ def lattice_chi2_pooled(pairs, seed: int, identity: str = "lattice-chi2-pooled")
     """:func:`lattice_chi2` over independent (batch, pmf) pairs, read once.
 
     The Pearson statistics of independent batches add up to a chi-square on
-    their summed degrees of freedom.
+    their summed degrees of freedom.  An empty batch raises ``ValueError``.
     """
     stat, dof, n = 0.0, 0, 0
     for batch, pmf in pairs:
         values = _integer_values(batch)
+        if values.size == 0:
+            raise ValueError("empty batch")
         probs = pmf.probs.copy()
         probs[-1] += pmf.tail_mass  # a DP table leaves <= tail_mass outside
         expected = values.size * probs
@@ -173,9 +177,11 @@ def lattice_chi2_pooled(pairs, seed: int, identity: str = "lattice-chi2-pooled")
 
 def lattice_chi2_two_sample(a: SampleBatch, b: SampleBatch,
                             identity: str = "lattice-chi2-2s") -> TestReport:
-    """Two-sample chi-square for equality of two integer-valued laws."""
+    """Two-sample chi-square for equality of two integer-valued laws; an empty batch raises."""
     va = _integer_values(a)
     vb = _integer_values(b)
+    if va.size == 0 or vb.size == 0:
+        raise ValueError("empty batch")
     lo = int(min(va.min(), vb.min()))
     hi = int(max(va.max(), vb.max()))
     cells = hi - lo + 1

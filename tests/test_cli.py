@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from skellam_lab.cli import _column, _fmt, _json, build_parser, main
+from skellam_lab.identities import IDENTITIES
 
 
 def run_cli(args, tmp_path=None, out_name=None):
@@ -379,6 +380,23 @@ def test_gmsp_pmf_past_the_subnormal_start(capsys):
     assert n == "744" and float(prob) == pytest.approx(0.014624295502660, rel=1e-11)
 
 
+# the four chi-square identities at no draws (two used to end in a numpy
+# reduction error, two in "not enough expected mass to bin"), and two at one draw
+_EMPTY_CHI2 = [["verify", "--identity", name, "--n", "0"]
+               for name in ("compound-peraxis", "compound-equalrate", "frac-pmf", "alt-twoparam")]
+_ONE_DRAW_CHI2 = [["verify", "--identity", name, "--n", "1"]
+                  for name in ("alt-twoparam", "frac-pmf")]
+# the parser does not list the identities, so that building it loads none:
+# run_identity refuses an unknown name, where argparse exited with code 2
+_UNKNOWN_IDENTITY = ["verify", "--identity", "no-such-check"]
+# the text of the error line, where the corpus pins it
+_ERROR_TEXT = {**{tuple(argv): "empty batch" for argv in _EMPTY_CHI2},
+               **{tuple(argv): "a chi-square on one bin (0 degrees of freedom) tests nothing"
+                  for argv in _ONE_DRAW_CHI2},
+               tuple(_UNKNOWN_IDENTITY): "unknown identity 'no-such-check'; known: "
+                                         + ", ".join(sorted(IDENTITIES))}
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--process", "inv-stable", "--alpha", "0.5", "--t1", "nan", "--n", "3"],
     ["simulate", "--process", "stable", "--alpha", "0.5", "--t1", "inf", "--n", "3"],
@@ -400,15 +418,18 @@ def test_gmsp_pmf_past_the_subnormal_start(capsys):
     ["pmf", "--process", "msp", "--l1", "1.0", "--l2", "1.0", "--t", "1.0", "--nmax", "10001"],
     ["verify", "--identity", "inverse-subordinator-mean", "--n", "0"],
     ["verify", "--identity", "inverse-subordinator-mean", "--n", "-1"],
-    # no draws leave no expected mass to bin
-    ["verify", "--identity", "frac-pmf", "--n", "0"],
     ["verify", "--identity", "inverse-subordinator-mean", "--n", "1"],
+    *_EMPTY_CHI2,
+    # one draw merges every cell into one bin: these reports passed with p = 1
+    *_ONE_DRAW_CHI2,
+    _UNKNOWN_IDENTITY,
 ])
 def test_non_finite_parameters_are_an_error_exit(tmp_path, capsys, argv):
     out = tmp_path / "artifact.out"
     assert main([*argv, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and "Traceback" not in err
+    assert tuple(argv) not in _ERROR_TEXT or err == f"error: {_ERROR_TEXT[tuple(argv)]}\n"
     assert not out.exists()
 
 

@@ -1,7 +1,9 @@
 """Import cost: the package loads numpy only; only integral_cf_levy imports scipy.
 
-Each test runs in a fresh interpreter, since the test session itself has
-scipy loaded already.
+A command loads only the submodules it runs, and the package namespace
+imports each public name on first use.  Each test runs in a fresh
+interpreter, since the test session itself has scipy and every submodule
+loaded already.
 """
 
 import json
@@ -9,6 +11,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -90,3 +94,92 @@ def test_scipy_backed_functions_work_first_in_a_fresh_process():
         "print('ok')\n"
     )
     assert _run_fresh(code).strip() == "ok"
+
+
+# the submodules a cold command may load: every command loads cli, records and special
+_GMSP_MODULES = {"cli", "records", "special", "mpp", "gmsp"}
+_FRAC_MODULES = {"cli", "records", "special", "fractional"}
+_INTEGRAL_MODULES = _GMSP_MODULES | {"integrals"}
+
+
+def _cold(command, process):
+    return next(argv for argv in _COLD_COMMANDS if argv[:3] == [command, "--process", process])
+
+
+@pytest.mark.parametrize("argv, allowed", [
+    (_cold("simulate", "gmsp"), _GMSP_MODULES),
+    (_cold("pmf", "msp"), _GMSP_MODULES),
+    (_cold("cf", "gmsp"), _GMSP_MODULES),
+    (_cold("simulate", "frac-skellam"), _FRAC_MODULES),
+    (_cold("pmf", "frac-skellam"), _FRAC_MODULES),
+    (_cold("cf", "integral-gmsp"), _INTEGRAL_MODULES),
+    (_cold("integral", "mpp"), _INTEGRAL_MODULES),
+])
+def test_a_cold_command_loads_only_the_modules_it_runs(tmp_path, argv, allowed):
+    code = (
+        "import json, sys\n"
+        "from skellam_lab.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print(json.dumps(sorted(m.split('.', 1)[1] for m in sys.modules\n"
+        "                        if m.startswith('skellam_lab.'))))\n"
+    )
+    loaded = set(json.loads(_run_fresh(code, *argv, "--out", str(tmp_path / "out"))))
+    assert "cli" in loaded and loaded <= allowed, sorted(loaded - allowed)
+
+
+def test_importing_the_package_loads_no_submodule():
+    code = ("import json, sys\nimport skellam_lab\n"
+            "print(json.dumps([m for m in sys.modules if m.startswith('skellam_lab.')]))\n")
+    assert json.loads(_run_fresh(code)) == []
+
+
+# every public name of the package, by the submodule that defines it
+_PUBLIC = {
+    "records": ["SampleBatch", "LatticePMF", "CFTable", "make_rng", "spawn_rngs"],
+    "special": ["TruncationError", "bessel_i", "wright_psi23", "frac_poisson_pmf",
+                "frac_poisson_table"],
+    "mpp": ["GridPath", "as_rates", "as_times", "mpp_pmf", "mpp_sample_grid", "mpp_covariance"],
+    "gmsp": ["JumpSpec", "TriangularArraySpec", "gmsp_sample", "gmsp_pgf", "gmsp_cf",
+             "gmsp_moments", "msp_pmf", "msp_pmf_table", "gmsp_lattice_pmf",
+             "scaled_poisson_convolution", "gmsp_compound_peraxis_sample",
+             "gmsp_compound_equalrate_sample", "gmsp_array_sample"],
+    "integrals": ["RectDomain", "CompoundSpec", "integral_sample", "riemann_sum",
+                  "integral_cf_gmsp", "integral_cf_mpp", "integral_cf_levy",
+                  "uniform_compound_sample"],
+    "altskellam": ["AltSpec", "alt_sample", "alt_moments", "alt_increment_cf", "alt_pgf",
+                   "alt_lattice_pmf", "alt_array_sample", "twoparam_skellam_pmf",
+                   "twoparam_skellam_pmf_table"],
+    "fractional": ["FracSkellamSpec", "stable_subordinator_sample", "inv_stable_marginal_sample",
+                   "frac_skellam_sample", "frac_skellam_pmf", "frac_skellam_pmf_table",
+                   "frac_skellam_pmf_wright", "frac_skellam_moments"],
+    "stats": ["TestReport", "empirical_cf", "lattice_chi2", "lattice_chi2_two_sample",
+              "ks_two_sample", "tv_distance"],
+}
+
+
+def test_the_lazy_namespace_holds_every_public_name():
+    code = (
+        "import importlib, json, sys\n"
+        "import skellam_lab\n"
+        "public = json.loads(sys.argv[1])\n"
+        "names = [n for ns in public.values() for n in ns]\n"
+        "listed = set(dir(skellam_lab))\n"
+        "star = {}\n"
+        "exec('from skellam_lab import *', star)\n"
+        "same = all(getattr(skellam_lab, n) is getattr(importlib.import_module('skellam_lab.' + m), n)\n"
+        "           for m, ns in public.items() for n in ns)\n"
+        "try:\n"
+        "    skellam_lab.no_such_name\n"
+        "    unknown = 'resolved'\n"
+        "except AttributeError as exc:\n"
+        "    unknown = str(exc)\n"
+        "print(json.dumps({'missing_from_dir': sorted(set(names) - listed),\n"
+        "                  'star': sorted(set(star) - {'__builtins__'}), 'same': same,\n"
+        "                  'unknown': unknown, 'version': skellam_lab.__version__}))\n"
+    )
+    names = sorted(n for ns in _PUBLIC.values() for n in ns)
+    got = json.loads(_run_fresh(code, json.dumps(_PUBLIC)))
+    assert len(names) == 60
+    assert got == {"missing_from_dir": [], "star": names, "same": True,
+                   "unknown": "module 'skellam_lab' has no attribute 'no_such_name'",
+                   "version": "0.1.0"}

@@ -388,6 +388,17 @@ def test_skellam_pmf_and_bessel_match_the_golden_map():
     assert len(points) == 205 and not wrong
 
 
+def test_frac_poisson_tables_share_one_read_only_weight_grid():
+    # the node weights do not depend on alpha: they are built once, and each
+    # table scales only its own means in place
+    weight = special._node_grid()[3]
+    before = weight.copy()
+    for alpha in (0.3, 0.8):
+        frac_poisson_table(40, 4.0, 1.3, alpha)
+        assert special._kanter_nodes(alpha)[1] is weight
+    assert not weight.flags.writeable and np.array_equal(weight, before)
+
+
 def test_frac_poisson_table_is_its_entries():
     table = frac_poisson_table(12, 3.0, 1.3, 0.6)
     assert table == [frac_poisson_pmf(n, 3.0, 1.3, 0.6) for n in range(13)]

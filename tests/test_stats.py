@@ -67,11 +67,29 @@ def test_empirical_cf_calibration_poisson():
     assert hits >= 95
 
 
-def test_chi2_zero_batch_against_point_mass():
-    batch = SampleBatch(np.zeros(1000, dtype=int), seed=0)
-    report = lattice_chi2(batch, LatticePMF(0, np.array([1.0])))
-    assert report.statistic == 0.0
-    assert report.verdict
+def test_chi2_on_one_bin_is_refused():
+    # a point mass, or one draw whose cells all merge, leaves 0 degrees of
+    # freedom: such a chi-square used to pass with p = 1
+    zeros = SampleBatch(np.zeros(1000, dtype=int), seed=0)
+    one = SampleBatch(np.array([2]), seed=0)
+    for run in (lambda: lattice_chi2(zeros, LatticePMF(0, np.array([1.0]))),
+                lambda: lattice_chi2(one, poisson_table(2.0, 20)),
+                lambda: lattice_chi2_two_sample(zeros, zeros),
+                lambda: lattice_chi2_two_sample(one, zeros)):
+        with pytest.raises(ValueError, match="0 degrees of freedom"):
+            run()
+
+
+def test_chi2_refuses_an_empty_batch():
+    empty = SampleBatch(np.array([], dtype=int), seed=0)
+    full = SampleBatch(np.random.default_rng(5).poisson(2.0, 1000), seed=5)
+    for run in (lambda: lattice_chi2(empty, poisson_table(2.0, 20)),
+                lambda: stats.lattice_chi2_pooled([(full, poisson_table(2.0, 20)),
+                                                   (empty, poisson_table(2.0, 20))], 0),
+                lambda: lattice_chi2_two_sample(empty, full),
+                lambda: lattice_chi2_two_sample(full, empty)):
+        with pytest.raises(ValueError, match="^empty batch$"):
+            run()
 
 
 def test_chi2_size_calibration():
