@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .records import SampleBatch, as_indices, as_rates, as_times, make_rng, spawn_rngs
-from .special import TruncationError, frac_poisson_entries, grow_table, sum_rows, sum_series
+from .special import TruncationError, _exp, frac_poisson_entries, grow_table, sum_rows, sum_series
 
 __all__ = [
     "FracSkellamSpec",
@@ -38,7 +38,9 @@ __all__ = [
 # about 16 eps |L| x1^n, and the layers' errors add up; once their sum passes
 # this absolute error the value is refused.
 _WRIGHT_TOL = 1e-9
+_WRIGHT_BLOCK = 4  # layers of the Wright double series summed in one block
 _WRIGHT_WIDTH = 32  # terms per Wright row in the first block; doubled while a row runs on
+_WRIGHT_MARGIN = 4  # a block starts this many terms wider than the longest row of the last
 
 
 @dataclass(frozen=True)
@@ -206,8 +208,9 @@ def frac_skellam_pmf_wright(spec: FracSkellamSpec, t1: float, t2: float, n: int)
     Negative n mirrors the formula with the two components swapped.  Requires
     t1, t2 > 0 (at a degenerate time use the convolution form).  Where the
     summed rounding errors of the layers pass _WRIGHT_TOL (at alpha = beta =
-    1/2, t = (1, 1), from lam near 1.5), or a Wright term leaves the float
-    range, it raises :class:`TruncationError`.
+    1/2, t = (1, 1), from lam near 1.5), or a Wright term, a coefficient or
+    x1^n leaves the float range, it raises :class:`TruncationError`.  An x1
+    or x2 that underflows to 0 is taken as 0.
     """
     n = int(n)
     as_times((t1, t2))
@@ -242,9 +245,11 @@ class _LgammaTable:
         """The cells of rows 0..nrows-1 and columns 0..ncols-1."""
         have_rows, have_cols = self.cells.shape
         if nrows > have_rows or ncols > have_cols:
-            # grown at least twofold: each layer outgrows the tables by one row or column
+            # each block of layers adds a few rows, so rows grow at least twofold;
+            # its width is that of the block before within a few terms, so
+            # columns grow by at least a quarter
             rows = have_rows if nrows <= have_rows else max(nrows, 2 * have_rows)
-            cols = have_cols if ncols <= have_cols else max(ncols, 2 * have_cols)
+            cols = have_cols if ncols <= have_cols else max(ncols, have_cols + have_cols // 4)
             grown = np.empty((rows, cols))
             grown[:have_rows, :have_cols] = self.cells
             grown[:have_rows, have_cols:] = self._fill(range(have_rows), np.arange(have_cols, cols))
@@ -254,9 +259,9 @@ class _LgammaTable:
 
 
 def _wright_log_terms(n, alpha, beta, z):
-    """log_terms(deg, r1s, width): the log terms of the Wright rows of layer ``deg``.
+    """log_terms(r1s, r2s, width): the log terms of the Wright rows (r1, r2).
 
-    Row r1 (with r2 = deg - r1) holds the logs of terms m = 0..width-1 of
+    Row (r1, r2) holds the logs of terms m = 0..width-1 of
 
         2Psi3[(n+r1+1, 1), (r2+1, 1); (alpha(n+r1)+1, alpha), (beta r2+1, beta), (n+1, 1) | z],
 
@@ -273,12 +278,12 @@ def _wright_log_terms(n, alpha, beta, z):
     tab_b = _LgammaTable(lambda r2: beta * r2 + 1.0, beta)
     log_abs_z = math.log(z) if z != 0.0 else None
 
-    def log_terms(deg, r1s, width):
+    def log_terms(r1s, r2s, width):
         m = np.arange(width)
-        lo, hi = low(1, deg + width)[0], high(1, deg + width)[0]
-        r2s = deg - r1s
+        top1, top2 = int(r1s.max()) + 1, int(r2s.max()) + 1
+        lo, hi = low(1, top2 + width)[0], high(1, top1 + width)[0]
         log_num = hi[r1s[:, None] + m] + lo[r2s[:, None] + m]
-        log_den = (tab_a(deg + 1, width)[r1s] + tab_b(deg + 1, width)[r2s]) + hi[:width]
+        log_den = (tab_a(top1, width)[r1s] + tab_b(top2, width)[r2s]) + hi[:width]
         if log_abs_z is not None:
             log_z = m * log_abs_z
         else:
@@ -288,35 +293,71 @@ def _wright_log_terms(n, alpha, beta, z):
     return log_terms
 
 
+def _times_log(r: np.ndarray, log_x: float) -> np.ndarray:
+    """r * log(x), the log of x^r, with 0 * log(0) taken as 0."""
+    return r * log_x if log_x > -math.inf else np.where(r == 0, 0.0, -math.inf)
+
+
 def _wright_nonneg(n, x1, alpha, x2, beta):
-    log_x1, log_x2 = math.log(x1), math.log(x2)
+    # lam t^alpha may underflow to 0: x^0 is then 1 and every other power 0,
+    # which is the pmf within far less than _WRIGHT_TOL
+    log_x1, log_x2 = (math.log(x) if x > 0.0 else -math.inf for x in (x1, x2))
     z = x1 * x2
-    scale = math.exp(n * log_x1)
+    try:
+        scale = math.exp(n * log_x1) if x1 > 0.0 else float(n == 0)
+    except OverflowError:
+        raise TruncationError(f"Wright double series factor x1^n = {x1!r}^{n} is above the "
+                              f"float range", math.inf) from None
     log_terms = _wright_log_terms(n, alpha, beta, z)
-    width = _WRIGHT_WIDTH
-    partial = rounding = 0.0
 
-    def layer(deg):
-        nonlocal partial, rounding, width
-        # a refusal names the scalar series whose floats the rows reproduce
-        psis, width = sum_rows(lambda r1s, w: log_terms(deg, r1s, w), deg + 1, width,
-                               "wright_psi23")
-        acc = 0.0
-        for r1, psi in enumerate(psis):
-            r2 = deg - r1
-            coeff = math.exp(r1 * log_x1 - math.lgamma(r1 + 1.0)
-                             + r2 * log_x2 - math.lgamma(r2 + 1.0))
-            if isinstance(psi, TruncationError):  # after coeff, as in the scalar order
-                raise psi
-            acc += (-1.0) ** deg * coeff * psi
-        rounding += 16 * sys.float_info.epsilon * abs(acc) * scale
-        if rounding > _WRIGHT_TOL:
-            raise TruncationError(f"Wright double series layer {deg} ({scale * acc:.3g}) "
-                                  f"loses the sum to rounding", scale * partial)
-        partial += acc
-        return acc
+    def layers():
+        # Each block of _WRIGHT_BLOCK layers is one sum_rows call; its layers
+        # are then checked and yielded in order, so a refusal in a layer past
+        # the outer stop is never raised.
+        lgammas = []  # lgamma(j + 1.0) at j = 0, 1, ...
+        width = _WRIGHT_WIDTH
+        partial = rounding = 0.0
+        for first in itertools.count(0, _WRIGHT_BLOCK):
+            degs = range(first, first + _WRIGHT_BLOCK)
+            lgammas.extend(math.lgamma(j + 1.0) for j in range(len(lgammas), degs[-1] + 1))
+            lg = np.array(lgammas)
+            r1s = np.concatenate([np.arange(deg + 1) for deg in degs])
+            r2s = np.concatenate([np.arange(deg, -1, -1) for deg in degs])
+            # a refusal names the scalar series whose floats the rows reproduce
+            psis, read = sum_rows(lambda rows, w: log_terms(r1s[rows], r2s[rows], w), len(r1s),
+                                  width, "wright_psi23")
+            width = read + _WRIGHT_MARGIN
+            refused = set()
+            try:
+                psi = np.array(psis, float)
+            except TypeError:  # some rows are refusals
+                refused = {i for i, p in enumerate(psis) if isinstance(p, TruncationError)}
+                psi = np.array([0.0 if i in refused else p for i, p in enumerate(psis)])
+            with np.errstate(over="ignore", invalid="ignore"):
+                coeffs = _exp(_times_log(r1s, log_x1) - lg[r1s] + _times_log(r2s, log_x2) - lg[r2s])
+                # one line per layer: 0.0, its rows' terms in order, then 0.0s, so
+                # the cumsum adds what the scalar loop's acc = 0.0; acc += ... adds
+                terms = np.zeros((_WRIGHT_BLOCK, degs[-1] + 2))
+                terms[r1s + r2s - first, r1s + 1] = (-1.0) ** (r1s + r2s) * coeffs * psi
+                accs = np.cumsum(terms, axis=1)[:, -1].tolist()
+            bad = min(refused.union(np.flatnonzero(coeffs == math.inf).tolist()), default=len(psis))
+            row = 0
+            for deg, acc in zip(degs, accs):
+                row += deg + 1
+                if bad < row:  # the scalar order: row r1's coefficient, then its series
+                    r1 = bad - (row - deg - 1)
+                    if coeffs[bad] == math.inf:
+                        raise TruncationError(f"Wright double series coefficient of layer {deg}, "
+                                              f"row {r1} is above the float range", math.inf)
+                    raise psis[bad]
+                rounding += 16 * sys.float_info.epsilon * abs(acc) * scale
+                if rounding > _WRIGHT_TOL:
+                    raise TruncationError(f"Wright double series layer {deg} ({scale * acc:.3g}) "
+                                          f"loses the sum to rounding", scale * partial)
+                partial += acc
+                yield acc
 
-    total, converged = sum_series(map(layer, itertools.count()))
+    total, converged = sum_series(layers())
     value = scale * total
     if not converged:
         raise TruncationError("Wright double series did not converge", value)

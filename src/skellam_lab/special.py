@@ -7,7 +7,8 @@ gamma factors overflow double precision long before the series converge.
 Their stop rule is three consecutive small terms, because an alternating
 series can have a single accidentally tiny term: :func:`sum_series` applies
 it to one series and :func:`sum_rows` to a block of series at once, with the
-same floats.  No series, and no table that :func:`grow_table` builds, passes
+same floats, taking libm's exp of the whole block in one numpy call
+(:func:`_exp`).  No series, and no table that :func:`grow_table` builds, passes
 _MAX_TERMS terms or entries; past it they raise :class:`TruncationError`.
 :func:`frac_poisson_table` alone returns the nmax + 1 entries it is asked
 for: at x = 1000, alpha = 1/2 its law holds 1.7e-12 of its mass past
@@ -78,7 +79,7 @@ def sum_series(terms) -> tuple[float, bool]:
     return total, False
 
 
-_EXP_SAFE = 709.0  # math.exp is finite below this; above, it may raise OverflowError
+_EXP_SAFE = 709.0  # int(1023 ln 2): glibc's cexp scales its argument above this
 
 
 def _exp(x: np.ndarray) -> np.ndarray:
@@ -86,12 +87,16 @@ def _exp(x: np.ndarray) -> np.ndarray:
 
     np.exp differs from math.exp in the last bit on a few per cent of
     arguments, so the block sums of :func:`sum_rows` would not be the floats
-    that :func:`sum_series` adds.
+    that :func:`sum_series` adds.  numpy's complex exp calls the C library's
+    cexp, and cexp(x + 0i) is exp(x) * cos(0) = exp(x), the libm exp that
+    math.exp calls, up to x = _EXP_SAFE; there glibc starts to scale x, so
+    the few entries above it go through math.exp one at a time.
     """
     flat = x.ravel()
     big = flat > _EXP_SAFE
-    out = np.fromiter(map(math.exp, np.where(big, 0.0, flat).tolist()), float, flat.size)
-    for i in np.flatnonzero(big):
+    work = np.where(big, 0.0, flat).astype(complex)
+    out = np.exp(work, out=work).real.copy()
+    for i in np.flatnonzero(big).tolist():
         try:
             out[i] = math.exp(flat[i])
         except OverflowError:
@@ -104,18 +109,22 @@ def sum_rows(log_terms, nrows: int, width: int, name: str) -> tuple[list, int]:
 
     ``log_terms(rows, width)`` returns the logs of terms 0..width-1 of each
     row in the index array ``rows``.  Each row is exponentiated with
-    math.exp and summed with np.cumsum, which adds in sequence, so its sum is
-    the float :func:`sum_series` returns for the same terms.  Rows that have
-    not stopped are recomputed at twice the width, up to _MAX_TERMS.
+    :func:`_exp` (libm's exp, as math.exp) and summed with np.cumsum, which
+    adds in sequence, so its sum is the float :func:`sum_series` returns for
+    the same terms.  Rows that have not stopped are recomputed at twice the
+    width, up to _MAX_TERMS.
 
-    Returns the list of row results and the last width used.  A row result
-    is its sum, or the :class:`TruncationError` that ``name`` raises for it:
-    a term above the float range at or before the row's stop (terms computed
-    past the stop do not count), or no stop in _MAX_TERMS terms.
+    Returns the list of row results and the number of terms the longest row
+    read (its last term's index + 1), a width for the caller's next block of
+    similar rows.  A row result is its sum, or the :class:`TruncationError`
+    that ``name`` raises for it: a term above the float range at or before
+    the row's stop (terms computed past the stop do not count), or no stop
+    in _MAX_TERMS terms.
     """
     results = [None] * nrows
     rows = np.arange(nrows)
     width = min(width, _MAX_TERMS)
+    read = 0
     while len(rows):
         terms = _exp(log_terms(rows, width))
         with np.errstate(over="ignore"):
@@ -129,6 +138,7 @@ def sum_rows(log_terms, nrows: int, width: int, name: str) -> tuple[list, int]:
         overflow = np.where(inf.any(axis=1), inf.argmax(axis=1), width) <= stop
         done = stopped | overflow | (width == _MAX_TERMS)
         values = sums[np.arange(len(rows)), stop].tolist()
+        read = max(read, int(stop.max()) + 1)  # a row that runs on reads more next time
         stopped, overflow = stopped.tolist(), overflow.tolist()
         for i in np.flatnonzero(done).tolist():
             if overflow[i]:
@@ -142,7 +152,7 @@ def sum_rows(log_terms, nrows: int, width: int, name: str) -> tuple[list, int]:
         rows = rows[~done]
         if len(rows):
             width = min(2 * width, _MAX_TERMS)
-    return results, width
+    return results, read
 
 
 def _signed_lgamma(x: float) -> tuple[float, float]:

@@ -518,28 +518,48 @@ WRIGHT_GRID = ((0.3, 1.0, 1.45, 1.55, 2.0), (0.8, 1.2), (-3, 0, 3))
 WRIGHT_FULL_GRID = ((0.3, 0.7, 1.0, 1.3, 1.45, 1.5, 1.55, 2.0), (0.8, 1.0, 1.2), range(-3, 4))
 
 
-def wright_grid_misses(lams, t1s, ks):
-    """(misses, values, refusals) of the Wright form against the quadrature over a grid.
+def wright_grid_points(lams, t1s, ks):
+    """(spec, t1, k) of each grid point, in order.
 
-    Each point is lam1 = lam, lam2 = 0.9 lam, an (alpha, beta) of WRIGHT_INDICES,
-    t = (t1, 1) and one k; a miss is a value more than 1e-9 from frac_skellam_pmf.
+    Each point is lam1 = lam, lam2 = 0.9 lam, an (alpha, beta) of
+    WRIGHT_INDICES, t = (t1, 1) and one k.
     """
-    misses, values, refusals = [], 0, 0
     for lam in lams:
         for alpha, beta in WRIGHT_INDICES:
             spec = FracSkellamSpec(lam, 0.9 * lam, alpha, beta)
             for t1 in t1s:
                 for k in ks:
-                    try:
-                        wright = frac_skellam_pmf_wright(spec, t1, 1.0, k)
-                    except TruncationError:
-                        refusals += 1
-                        continue
-                    values += 1
-                    gap = abs(wright - frac_skellam_pmf(spec, t1, 1.0, k))
-                    if not gap <= 1e-9:
-                        misses.append((lam, alpha, beta, t1, k, gap))
+                    yield spec, t1, k
+
+
+def wright_grid_misses(lams, t1s, ks):
+    """(misses, values, refusals) of the Wright form against the quadrature over a grid.
+
+    A miss is a value more than 1e-9 from frac_skellam_pmf.
+    """
+    misses, values, refusals = [], 0, 0
+    for spec, t1, k in wright_grid_points(lams, t1s, ks):
+        try:
+            wright = frac_skellam_pmf_wright(spec, t1, 1.0, k)
+        except TruncationError:
+            refusals += 1
+            continue
+        values += 1
+        gap = abs(wright - frac_skellam_pmf(spec, t1, 1.0, k))
+        if not gap <= 1e-9:
+            misses.append((spec.lam1, spec.alpha, spec.beta, t1, k, gap))
     return misses, values, refusals
+
+
+def wright_grid_outcomes(lams, t1s, ks):
+    """The Wright form at each grid point, in order: its value's repr or its refusal's text."""
+    outcomes = []
+    for spec, t1, k in wright_grid_points(lams, t1s, ks):
+        try:
+            outcomes.append(repr(frac_skellam_pmf_wright(spec, t1, 1.0, k)))
+        except TruncationError as err:
+            outcomes.append(str(err))
+    return outcomes
 
 
 def test_wright_form_is_the_quadrature_or_refuses_over_a_grid():
@@ -593,14 +613,95 @@ def test_wright_form_at_a_k_past_int64(k):
 @pytest.mark.parametrize("n, alpha, beta, z", [(0, 0.5, 0.5, 1.0), (3, 0.3, 0.8, 2.3),
                                                (1, 1.0, 0.6, 0.05), (2, 0.7, 0.4, 0.0)])
 def test_wright_rows_are_the_scalar_series(n, alpha, beta, z):
-    # each row of a layer block is the float wright_psi23 returns for its parameters
+    # each row of a block of layers is the float wright_psi23 returns for its parameters
     log_terms = fractional._wright_log_terms(n, alpha, beta, z)
-    for deg in (0, 1, 7, 30):
-        rows, _ = special.sum_rows(lambda r1s, w: log_terms(deg, r1s, w), deg + 1, 4, "psi")
-        assert rows == [special.wright_psi23(
-            (n + r1 + 1.0, 1.0), ((deg - r1) + 1.0, 1.0),
-            (alpha * (n + r1) + 1.0, alpha), (beta * (deg - r1) + 1.0, beta), (n + 1.0, 1.0), z)
-            for r1 in range(deg + 1)]
+    degs = (0, 1, 7, 30)
+    r1s = np.concatenate([np.arange(deg + 1) for deg in degs])
+    r2s = np.concatenate([np.arange(deg, -1, -1) for deg in degs])
+    rows, _ = special.sum_rows(lambda rows, w: log_terms(r1s[rows], r2s[rows], w), len(r1s), 4,
+                               "psi")
+    assert rows == [special.wright_psi23(
+        (n + r1 + 1.0, 1.0), (r2 + 1.0, 1.0),
+        (alpha * (n + r1) + 1.0, alpha), (beta * r2 + 1.0, beta), (n + 1.0, 1.0), z)
+        for r1, r2 in zip(r1s.tolist(), r2s.tolist())]
+
+
+def _overflowing_from(layer):
+    """A _wright_log_terms whose rows in layers >= ``layer`` overflow at their first term."""
+    make = fractional._wright_log_terms
+
+    def make_overflowing(*args):
+        log_terms = make(*args)
+
+        def overflowing(r1s, r2s, width):
+            logs = log_terms(r1s, r2s, width)
+            logs[r1s + r2s >= layer] = math.inf
+            return logs
+        return overflowing
+    return make_overflowing
+
+
+def test_wright_refusal_past_the_outer_stop_is_never_raised(monkeypatch):
+    # this series stops after layer 16, inside the block of layers 16-19:
+    # a refusal in layers 17-19 is computed but never raised, one in layer
+    # 16 is raised as the scalar order raises it
+    spec = FracSkellamSpec(0.3, 0.27, 0.9, 0.9)
+    assert frac_skellam_pmf_wright(spec, 0.8, 1.0, -3) == 0.002679133963762556
+    monkeypatch.setattr(fractional, "_wright_log_terms", _overflowing_from(17))
+    assert frac_skellam_pmf_wright(spec, 0.8, 1.0, -3) == 0.002679133963762556
+    monkeypatch.setattr(fractional, "_wright_log_terms", _overflowing_from(16))
+    with pytest.raises(TruncationError) as err:
+        frac_skellam_pmf_wright(spec, 0.8, 1.0, -3)
+    assert str(err.value) == "wright_psi23 has a term above the float range (partial sum inf)"
+
+
+def test_wright_refusal_inside_a_block_keeps_its_text_and_partial():
+    # layer 17 is the second layer of its block; the layers before it are
+    # added to the partial sum, the ones after it are not
+    with pytest.raises(TruncationError) as err:
+        frac_skellam_pmf_wright(FracSkellamSpec(1.5, 1.35, 0.3, 0.8), 1.2, 1.0, -3)
+    assert err.value.partial == 40317.55740850564
+    assert str(err.value) == ("Wright double series layer 17 (-8.93e+04) loses the sum to "
+                              "rounding (partial sum 40317.55740850564)")
+
+
+def test_wright_refuses_a_coefficient_above_the_float_range(monkeypatch):
+    # no point of the grids reaches one (it needs x1 + x2 above 709), so one
+    # is forced: block 0 holds the rows (0, 0), (0, 1), (1, 0), (0, 2), (1, 1),
+    # ..., and the fifth is layer 2, r1 = 1
+    def overflowing(x):
+        out = special._exp(x)
+        out[4] = math.inf
+        return out
+
+    monkeypatch.setattr(fractional, "_exp", overflowing)
+    with pytest.raises(TruncationError) as err:
+        frac_skellam_pmf_wright(FracSkellamSpec(1.0, 0.9, 0.5, 0.5), 1.0, 1.0, 0)
+    assert str(err.value) == ("Wright double series coefficient of layer 2, row 1 is above "
+                              "the float range (partial sum inf)")
+
+
+def test_wright_form_refuses_a_power_of_x1_above_the_float_range():
+    # 50^200 overflows; this ended in a bare OverflowError
+    spec = FracSkellamSpec(50.0, 1.0, 0.5, 0.5)
+    assert frac_skellam_pmf(spec, 1.0, 1.0, 200) == pytest.approx(2.177e-4, rel=1e-3)
+    with pytest.raises(TruncationError, match=r"^Wright double series factor x1\^n = 50.0\^200 "
+                                              r"is above the float range"):
+        frac_skellam_pmf_wright(spec, 1.0, 1.0, 200)
+
+
+@pytest.mark.parametrize("spec, t1, t2", [
+    (FracSkellamSpec(1e-200, 1e-200, 0.9, 0.9), 1e-200, 1.0),  # x1 underflows to 0
+    (FracSkellamSpec(1e-200, 1e-200, 0.9, 0.9), 1e-200, 1e-200),  # both do
+    (FracSkellamSpec(1e-200, 3.0, 0.9, 0.7), 1e-200, 1.0),
+    (FracSkellamSpec(3.0, 1e-200, 0.9, 0.7), 1.0, 1e-200),
+])
+@pytest.mark.parametrize("k", [-2, -1, 0, 1, 2])
+def test_wright_form_where_lam_t_alpha_underflows(spec, t1, t2, k):
+    # a side whose lam t^alpha underflows to 0 ended in a bare ValueError
+    # (math domain error); its powers are now those of 0, and the pmf holds
+    assert abs(frac_skellam_pmf_wright(spec, t1, t2, k)
+               - frac_skellam_pmf(spec, t1, t2, k)) <= fractional._WRIGHT_TOL
 
 
 def test_wright_form_needs_positive_times():
