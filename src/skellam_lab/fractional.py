@@ -9,17 +9,17 @@ L(t) =d (t / D)^alpha.
 
 from __future__ import annotations
 
-import contextvars
 import itertools
 import math
 import sys
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .records import SampleBatch, as_indices, as_rates, as_times, make_rng, spawn_rngs
-from .special import TruncationError, _exp, frac_poisson_entries, grow_table, sum_rows, sum_series
+from .records import (SampleBatch, as_indices, as_rates, as_times, concurrently, make_rng,
+                      spawn_rngs)
+from .special import (TruncationError, _exp, clock_means, frac_poisson_entries, grow_table,
+                      sum_rows, sum_series)
 
 __all__ = [
     "FracSkellamSpec",
@@ -125,27 +125,18 @@ def frac_skellam_sample(spec: FracSkellamSpec, t1: float, t2: float,
     """Draws of N_1(L_1(t1)) - N_2(L_2(t2)), all four components independent.
 
     Each side conditions a Poisson draw on its own inverse-subordinator draw;
-    the two sides use separate child streams of the root seed.  Side 2 is
-    drawn on a worker thread, in a copy of the caller's context (so under its
-    ``np.errstate``), while the calling thread draws side 1.  Each side reads
-    only its own stream, so the draws are those of drawing side 1 and then
-    side 2, whatever the scheduling and the number of cores.  An error is
-    raised after both sides end: side 1's if it failed, else side 2's.
+    the two sides use separate child streams of the root seed and are drawn
+    through :func:`records.concurrently` (side 1 on the calling thread, side
+    2 on a worker under the caller's ``np.errstate``).  Each side reads only
+    its own stream, so the draws are those of drawing side 1 and then side 2,
+    whatever the scheduling and the number of cores.  An error is raised
+    after both sides end: side 1's if it failed, else side 2's.
     """
     as_times((t1, t2))
     rng1, rng2 = spawn_rngs(seed, 2)
-    side2 = []  # the worker's draws, or the exception it raised
-    worker = threading.Thread(target=contextvars.copy_context().run,
-                              args=(_draw_side_into, side2, rng2, spec.lam2, spec.beta, t2,
-                                    n_draws))
-    worker.start()
-    try:
-        values = _draw_side(rng1, spec.lam1, spec.alpha, t1, n_draws)
-    finally:
-        worker.join()
-    if isinstance(side2[0], BaseException):
-        raise side2[0]
-    values -= side2[0]
+    values, side2 = concurrently(lambda: _draw_side(rng1, spec.lam1, spec.alpha, t1, n_draws),
+                                 lambda: _draw_side(rng2, spec.lam2, spec.beta, t2, n_draws))
+    values -= side2
     return SampleBatch(values=values, seed=int(seed))
 
 
@@ -155,14 +146,6 @@ def _draw_side(rng, lam: float, alpha: float, t: float, n: int) -> np.ndarray:
         clock = _inv_stable_clock(rng, alpha, t, n)
         clock *= lam
         return rng.poisson(clock)
-
-
-def _draw_side_into(out: list, *side):
-    """Append the draws of :func:`_draw_side`, or the exception it raised, to ``out``."""
-    try:
-        out.append(_draw_side(*side))
-    except BaseException as exc:  # re-raised by the calling thread, after its own side
-        out.append(exc)
 
 
 def frac_skellam_pmf_table(spec: FracSkellamSpec, t1: float, t2: float, ns) -> list[float]:
@@ -210,17 +193,19 @@ def frac_skellam_pmf_wright(spec: FracSkellamSpec, t1: float, t2: float, n: int)
     summed rounding errors of the layers pass _WRIGHT_TOL (at alpha = beta =
     1/2, t = (1, 1), from lam near 1.5), or a Wright term, a coefficient or
     x1^n leaves the float range, it raises :class:`TruncationError`.  An x1
-    or x2 that underflows to 0 is taken as 0.
+    or x2 that underflows to 0 is taken as 0; one above the float range is
+    refused with the ``ValueError`` of :func:`frac_skellam_pmf`.
     """
     n = int(n)
     as_times((t1, t2))
     if t1 == 0 or t2 == 0:
         raise ValueError("the Wright form needs strictly positive times")
+    # side 1 first, as frac_skellam_pmf checks them, whatever the sign of n
+    x1 = clock_means(spec.lam1, t1, spec.alpha)
+    x2 = clock_means(spec.lam2, t2, spec.beta)
     if n >= 0:
-        return _wright_nonneg(n, spec.lam1 * t1**spec.alpha, spec.alpha,
-                              spec.lam2 * t2**spec.beta, spec.beta)
-    return _wright_nonneg(-n, spec.lam2 * t2**spec.beta, spec.beta,
-                          spec.lam1 * t1**spec.alpha, spec.alpha)
+        return _wright_nonneg(n, x1, spec.alpha, x2, spec.beta)
+    return _wright_nonneg(-n, x2, spec.beta, x1, spec.alpha)
 
 
 class _LgammaTable:

@@ -3,7 +3,10 @@
 Each identity runs a fixed protocol (parameters pinned here) at a caller-chosen
 seed and sample count and returns a :class:`TestReport`.  Exact identities
 compare against a critical gap; statistical ones report a p-value at the one
-level :data:`skellam_lab.stats.LEVEL`.
+level :data:`skellam_lab.stats.LEVEL`.  Each identity imports the modules it
+runs when it runs, so `verify` loads only those.  The identities that draw
+two batches from separate seeds draw them through
+:func:`~skellam_lab.records.concurrently`, on two threads.
 """
 
 from __future__ import annotations
@@ -13,40 +16,15 @@ from functools import partial
 
 import numpy as np
 
-from .altskellam import (AltSpec, alt_array_law, alt_lattice_pmf, alt_sample,
-                         twoparam_skellam_pmf_table)
-from .fractional import (
-    FracSkellamSpec,
-    frac_skellam_moments,
-    frac_skellam_pmf_table,
-    frac_skellam_pmf_wright,
-    frac_skellam_sample,
-    inv_stable_marginal_sample,
-)
-from .gmsp import (
-    JumpSpec,
-    TriangularArraySpec,
-    gmsp_array_law,
-    gmsp_cf,
-    gmsp_compound_equalrate_sample,
-    gmsp_compound_peraxis_sample,
-    gmsp_lattice_pmf,
-    gmsp_sample,
-    msp_pmf_table,
-    scaled_poisson_convolution,
-)
-from .integrals import CompoundSpec, RectDomain, integral_cf_mpp, integral_sample, uniform_compound_sample
-from .records import LatticePMF, make_rng
+from .records import LatticePMF, TestReport, concurrently, make_rng
 from .special import frac_poisson_entries, grow_table
-from .stats import (TestReport, empirical_cf, ks_two_sample, lattice_chi2, lattice_chi2_pooled,
-                    lattice_chi2_two_sample, tv_from_counts)
 
 __all__ = ["IDENTITIES", "array_tvs", "run_identity"]
 
-# three-jump spec used by the compound-representation checks
-_SPEC3 = JumpSpec({1: (0.7, 0.4), -1: (0.5, 0.6), 2: (0.2, 0.3)})
+# jump -> per-axis rates of the three-jump spec of the compound-representation checks
+_SPEC3 = {1: (0.7, 0.4), -1: (0.5, 0.6), 2: (0.2, 0.3)}
 _EQ_RATES = {1: 0.7, -1: 0.5, 2: 0.2}
-_EQ_SPEC = JumpSpec({j: (r, r) for j, r in _EQ_RATES.items()})
+_EQ_SPEC = {j: (r, r) for j, r in _EQ_RATES.items()}
 _T2 = (1.0, 1.0)
 
 
@@ -58,6 +36,8 @@ def _exact_report(identity, seed, n, gap, critical):
 
 def msp_bessel_oracle(seed=0, n=0):
     """Bessel pmf vs the Poisson convolution of its two sides, |n| <= 20."""
+    from .altskellam import twoparam_skellam_pmf_table
+    from .gmsp import msp_pmf_table, scaled_poisson_convolution
     gap = 0.0
     count = 0
     for la in (0.5, 1.0, 3.0):
@@ -76,6 +56,7 @@ def msp_bessel_oracle(seed=0, n=0):
 
 def cf_product(seed=0, n=0):
     """exp-sum CF equals the product of per-jump factors on a u-grid."""
+    from .gmsp import JumpSpec, gmsp_cf
     specs = [
         JumpSpec({1: (1.0, 2.0), -1: (0.5, 0.5)}),
         JumpSpec({1: (0.5,), -1: (0.25,), 2: (0.4,)}),
@@ -95,14 +76,22 @@ def cf_product(seed=0, n=0):
 
 
 def compound_peraxis(seed=0, n=100_000):
-    direct = gmsp_sample(_SPEC3, _T2, n, seed=seed)
-    compound = gmsp_compound_peraxis_sample(_SPEC3, _T2, n, seed=seed + 1)
+    from .gmsp import JumpSpec, gmsp_compound_peraxis_sample, gmsp_sample
+    from .stats import lattice_chi2_two_sample
+    spec = JumpSpec(_SPEC3)
+    direct, compound = concurrently(
+        lambda: gmsp_sample(spec, _T2, n, seed=seed),
+        lambda: gmsp_compound_peraxis_sample(spec, _T2, n, seed=seed + 1))
     return lattice_chi2_two_sample(direct, compound, identity="compound-peraxis")
 
 
 def compound_equalrate(seed=0, n=100_000):
-    direct = gmsp_sample(_EQ_SPEC, _T2, n, seed=seed)
-    compound = gmsp_compound_equalrate_sample(_EQ_RATES, 2, _T2, n, seed=seed + 1)
+    from .gmsp import JumpSpec, gmsp_compound_equalrate_sample, gmsp_sample
+    from .stats import lattice_chi2_two_sample
+    spec = JumpSpec(_EQ_SPEC)
+    direct, compound = concurrently(
+        lambda: gmsp_sample(spec, _T2, n, seed=seed),
+        lambda: gmsp_compound_equalrate_sample(_EQ_RATES, 2, _T2, n, seed=seed + 1))
     return lattice_chi2_two_sample(direct, compound, identity="compound-equalrate")
 
 
@@ -117,13 +106,16 @@ def array_tvs(scheme: str, rates: dict, t, scales, n: int, seed: int) -> list[fl
     rule, rates[j] / scale for jump j on axis j only, over the jump-keyed time
     map t; the limit is the alternate process.
     """
+    from .stats import tv_from_counts
     if scheme == "gmsp-array":
+        from .gmsp import JumpSpec, TriangularArraySpec, gmsp_array_law, gmsp_lattice_pmf
         pmf = gmsp_lattice_pmf(JumpSpec({j: [rate] * len(t) for j, rate in rates.items()}), t)
 
         def law(scale):
             arr = TriangularArraySpec(n=scale, probs=lambda l, j, sc: rates[j] / sc)
             return gmsp_array_law(arr, sorted(rates), t)
     elif scheme == "alt-array":
+        from .altskellam import AltSpec, alt_array_law, alt_lattice_pmf
         pmf = alt_lattice_pmf(AltSpec(rates), t)
 
         def law(scale):
@@ -172,56 +164,83 @@ def array_alt(seed=0, n=1_000_000):
 
 
 def integral_cf(seed=0, n=20_000):
-    """Empirical CF of the lattice integral within 4/sqrt(n) of the closed form."""
+    """Empirical CF of the lattice integral within 4/sqrt(n) of the closed form.
+
+    Case i draws at seed + i; the two cases' draws and empirical CFs run
+    concurrently.
+    """
+    from .integrals import RectDomain, integral_cf_mpp, integral_sample
+    from .stats import empirical_cf
     cases = [(np.array([1.0]), np.array([2.0])), (np.array([1.0, 0.5]), np.array([1.5, 1.0]))]
+
+    def case_cf(i):
+        lam, t = cases[i]
+        batch = integral_sample(lam, RectDomain(t=t, resolution=512), n, seed=seed + i)
+        return empirical_cf(batch, [0.25, 0.5, 1.0])
+
     gap = 0.0
-    for i, (lam, t) in enumerate(cases):
-        dom = RectDomain(t=t, resolution=512)
-        batch = integral_sample(lam, dom, n, seed=seed + i)
-        table = empirical_cf(batch, [0.25, 0.5, 1.0])
+    for (lam, t), table in zip(cases, concurrently(lambda: case_cf(0), lambda: case_cf(1))):
         for u, v in zip(table.u, table.values):
             gap = max(gap, abs(v - integral_cf_mpp(lam, t, u)))
     return _exact_report("integral-cf", seed, n, gap, 4.0 / math.sqrt(n))
 
 
-def _uniform_compound(identity, integrand, compound, t, seed=0, n=20_000):
+def _uniform_compound(identity, integrand, compound, t, seed, n):
     """KS of the rectangle integral of ``integrand`` against t * sum X_r U_r in ``compound``'s form."""
-    a = integral_sample(integrand, RectDomain(t=t, resolution=512), n, seed=seed)
-    b = uniform_compound_sample(compound, t, n, seed=seed + 1)
+    from .integrals import RectDomain, integral_sample, uniform_compound_sample
+    from .stats import ks_two_sample
+    a, b = concurrently(
+        lambda: integral_sample(integrand, RectDomain(t=t, resolution=512), n, seed=seed),
+        lambda: uniform_compound_sample(compound, t, n, seed=seed + 1))
     return ks_two_sample(a, b, identity=identity)
 
 
-# one axis only: at M >= 2 the compound integral and t * sum X_r U_r differ in law
-_MPP = CompoundSpec([1.3], [1.0, -1.0, 2.0], [0.5, 0.3, 0.2])
-_PERAXIS = JumpSpec({1: (0.7, 0.4), -1: (0.5, 0.6)})
-uniform_compound_mpp = partial(_uniform_compound, "uniform-compound-mpp", _MPP, _MPP, (1.2,))
-uniform_compound_peraxis = partial(_uniform_compound, "uniform-compound-peraxis",
-                                   _PERAXIS, _PERAXIS, (1.2, 1.0))
-uniform_compound_equalrate = partial(_uniform_compound, "uniform-compound-equalrate",
-                                     _EQ_SPEC, _EQ_RATES, (1.2, 1.0))
+def uniform_compound_mpp(seed=0, n=20_000):
+    # one axis only: at M >= 2 the compound integral and t * sum X_r U_r differ in law
+    from .integrals import CompoundSpec
+    spec = CompoundSpec([1.3], [1.0, -1.0, 2.0], [0.5, 0.3, 0.2])
+    return _uniform_compound("uniform-compound-mpp", spec, spec, (1.2,), seed, n)
 
 
-_FRAC = FracSkellamSpec(1.0, 1.0, 0.5, 0.5)
-# (spec, t) points of the moment identities and of frac-pmf, at t1 = t2 = t
-_MOMENT_GRID = [(FracSkellamSpec(1.3, 0.6, a, a), t) for a in (0.4, 0.6, 0.8) for t in (0.5, 1.5, 3.0)]
+def uniform_compound_peraxis(seed=0, n=20_000):
+    from .gmsp import JumpSpec
+    spec = JumpSpec({1: (0.7, 0.4), -1: (0.5, 0.6)})
+    return _uniform_compound("uniform-compound-peraxis", spec, spec, (1.2, 1.0), seed, n)
+
+
+def uniform_compound_equalrate(seed=0, n=20_000):
+    from .gmsp import JumpSpec
+    return _uniform_compound("uniform-compound-equalrate", JumpSpec(_EQ_SPEC), _EQ_RATES,
+                             (1.2, 1.0), seed, n)
+
+
+# (lam1, lam2, alpha, beta) of a FracSkellamSpec
+_FRAC = (1.0, 1.0, 0.5, 0.5)
+# (spec parameters, t) points of the moment identities and of frac-pmf, at t1 = t2 = t
+_MOMENT_GRID = [((1.3, 0.6, a, a), t) for a in (0.4, 0.6, 0.8) for t in (0.5, 1.5, 3.0)]
 # lattice_chi2 charges untabulated mass to the top cell; |k| <= 60 leaves none at any point
 _FRAC_KMAX = 60
 
 
 def frac_pmf(seed=0, n=100_000):
     """One chi-square of ``n`` draws per point at _FRAC and the grid; point i draws at seed 10 seed + i."""
+    from .fractional import FracSkellamSpec, frac_skellam_pmf_table, frac_skellam_sample
+    from .stats import lattice_chi2_pooled
     ks = range(-_FRAC_KMAX, _FRAC_KMAX + 1)
+    points = [(FracSkellamSpec(*params), t) for params, t in [(_FRAC, 1.0), *_MOMENT_GRID]]
     pairs = ((frac_skellam_sample(spec, t, t, n, seed=10 * seed + i),
               LatticePMF(-_FRAC_KMAX, np.array(frac_skellam_pmf_table(spec, t, t, ks))))
-             for i, (spec, t) in enumerate([(_FRAC, 1.0), *_MOMENT_GRID]))
+             for i, (spec, t) in enumerate(points))
     return lattice_chi2_pooled(pairs, seed, identity="frac-pmf")
 
 
 def frac_wright(seed=0, n=0):
+    from .fractional import FracSkellamSpec, frac_skellam_pmf_table, frac_skellam_pmf_wright
+    spec = FracSkellamSpec(*_FRAC)
     gap = 0.0
     ks = range(-2, 3)
-    for k, p in zip(ks, frac_skellam_pmf_table(_FRAC, 1.0, 1.0, ks)):
-        gap = max(gap, abs(p - frac_skellam_pmf_wright(_FRAC, 1.0, 1.0, k)))
+    for k, p in zip(ks, frac_skellam_pmf_table(spec, 1.0, 1.0, ks)):
+        gap = max(gap, abs(p - frac_skellam_pmf_wright(spec, 1.0, 1.0, k)))
     return _exact_report("frac-wright", seed, 5, gap, 1e-6)
 
 
@@ -231,8 +250,10 @@ def _moment_report(identity, variance_form, which, seed=0, n=0):
     The report's n counts the entries of both sides' tables, each run into
     its tail; the ``n`` argument is not read.
     """
+    from .fractional import FracSkellamSpec, frac_skellam_moments
     gaps, count = [], 0
-    for spec, t in _MOMENT_GRID:
+    for params, t in _MOMENT_GRID:
+        spec = FracSkellamSpec(*params)
         exact = np.zeros(2)
         for sign, lam, alpha in ((1, spec.lam1, spec.alpha), (-1, spec.lam2, spec.beta)):
             p = np.array(grow_table([], frac_poisson_entries(lam, t, alpha)))
@@ -251,6 +272,7 @@ frac_variance_quadratic = partial(_moment_report, "frac-variance-quadratic", "qu
 
 
 def inverse_subordinator_mean(seed=0, n=100_000):
+    from .fractional import inv_stable_marginal_sample
     if n < 2:
         raise ValueError(f"a z-score needs at least 2 draws, got n={n}")
     z = []
@@ -262,6 +284,8 @@ def inverse_subordinator_mean(seed=0, n=100_000):
 
 
 def alt_twoparam(seed=0, n=100_000):
+    from .altskellam import AltSpec, alt_sample, twoparam_skellam_pmf_table
+    from .stats import lattice_chi2
     spec = AltSpec({1: 1.0, -1: 1.0})
     t = {1: 1.2, -1: 0.7}
     batch = alt_sample(spec, t, n, seed=seed)

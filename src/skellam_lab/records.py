@@ -4,7 +4,8 @@ Every sampler in the package returns a :class:`SampleBatch`: its draws and
 the root seed they came from.  Artifact metadata is written by the CLI alone,
 from the parameters it parsed.  Closed-form
 evaluators on integer lattices return :class:`LatticePMF`, and characteristic
-functions (exact or empirical) are tabulated as :class:`CFTable`.
+functions (exact or empirical) are tabulated as :class:`CFTable`.  Every
+identity check returns a :class:`TestReport`.
 
 Every entry point that takes a rate, time, jump, jump value, stable index,
 scale or count refuses a value outside its domain through the checker of that kind
@@ -16,6 +17,8 @@ pattern, shared by the empirical CF and the CLI's column writer.
 
 from __future__ import annotations
 
+import contextvars
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +35,10 @@ __all__ = [
     "SampleBatch",
     "LatticePMF",
     "CFTable",
+    "TestReport",
     "make_rng",
     "spawn_rngs",
+    "concurrently",
 ]
 
 
@@ -121,15 +126,52 @@ def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
     sub-stream is the same no matter how many draws the others make, or on
     which thread and in which order they make them.  Its users:
     ``mpp_sample_grid`` takes one child per axis, ``frac_skellam_sample`` one
-    per side (and draws the two sides on two threads), ``integral_sample``
-    3 M for M axes and its compound form 2 M + 1.  The other samplers
-    (``gmsp_sample``, the compound forms, the array samplers,
+    per side (and draws the two sides through :func:`concurrently`),
+    ``integral_sample`` 3 M for M axes and its compound form 2 M + 1.  The
+    other samplers (``gmsp_sample``, the compound forms, the array samplers,
     ``uniform_compound_sample``, the stable clocks) draw from one
     ``make_rng(seed)`` stream, and the identities offset the seeds of
     their batches (seed + i, seed + 7 i, seed + 1, and 10 seed + i in
-    frac-pmf) rather than split one.
+    frac-pmf) rather than split one.  Six identities draw their two batches
+    through :func:`concurrently`, each from its own seed: compound-peraxis
+    and compound-equalrate (the direct batch at seed, the compound batch at
+    seed + 1), the three uniform-compound identities (``integral_sample`` at
+    seed, ``uniform_compound_sample`` at seed + 1) and integral-cf (its two
+    cases at seed and seed + 1).
     """
     return [np.random.default_rng(ss) for ss in np.random.SeedSequence(int(seed)).spawn(n)]
+
+
+def concurrently(first, second):
+    """``(first(), second())``: ``second`` on a worker thread while this thread runs ``first``.
+
+    Each is a call without arguments.  The worker runs ``second`` in a copy
+    of the caller's context, so under its ``np.errstate``.  Calls that share
+    no state (each draws from its own Generator, say) return what they
+    return when run one after the other, whatever the scheduling and the
+    number of cores; numpy releases the interpreter lock in its bulk draws,
+    so two such calls overlap.  An error is raised after both calls end:
+    ``first``'s if it failed, else ``second``'s.  This is the one place the
+    package starts a thread.
+    """
+    outcome = []  # the worker's (True, result) or (False, exception)
+
+    def run_second():
+        try:
+            outcome.append((True, second()))
+        except BaseException as exc:  # re-raised by the calling thread, after ``first``
+            outcome.append((False, exc))
+
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(run_second,))
+    worker.start()
+    try:
+        result = first()
+    finally:
+        worker.join()
+    ok, value = outcome[0]
+    if not ok:
+        raise value
+    return result, value
 
 
 @dataclass(frozen=True)
@@ -200,3 +242,39 @@ class CFTable:
             raise ValueError("u grid and CF values must have matching shapes")
         if self.radius is not None:
             object.__setattr__(self, "radius", np.asarray(self.radius, dtype=float))
+
+
+@dataclass(frozen=True)
+class TestReport:
+    """Outcome of one verification: statistic, p-value or critical gap, verdict."""
+
+    __test__ = False  # not a pytest collectible despite the name
+
+    identity: str
+    statistic: float
+    p_value: float | None
+    n_samples: int
+    seed: int
+    verdict: bool
+    level: float | None = None
+    critical: float | None = None
+
+    def __post_init__(self):
+        if self.p_value is not None and not 0.0 <= self.p_value <= 1.0:
+            raise ValueError("p-value must lie in [0, 1]")
+        if self.p_value is not None and self.level is not None:
+            if self.verdict != (self.p_value > self.level):
+                raise ValueError("verdict inconsistent with p-value and level")
+        if self.p_value is None and self.critical is not None:
+            if self.verdict != (self.statistic <= self.critical):
+                raise ValueError("verdict inconsistent with statistic and critical value")
+
+    def to_json_dict(self) -> dict:
+        return {
+            "identity": self.identity,
+            "statistic": float(self.statistic),
+            "p_value": None if self.p_value is None else float(self.p_value),
+            "n": int(self.n_samples),
+            "seed": int(self.seed),
+            "verdict": "pass" if self.verdict else "fail",
+        }

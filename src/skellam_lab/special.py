@@ -393,12 +393,23 @@ def frac_poisson_entries(lam: float, t: float, alpha: float):
     as_indices(alpha)
     if t == 0.0:
         return itertools.chain([1.0], itertools.repeat(0.0))
-    means, weight = _kanter_nodes(float(alpha))
+    nodes, weight = _kanter_nodes(float(alpha))
+    return _mixture_pmfs(clock_means(lam, t, alpha, nodes), weight)
+
+
+def clock_means(lam: float, t: float, alpha: float, nodes=1.0):
+    """``nodes`` * lam t^alpha, refused with a ``ValueError`` unless every entry is finite.
+
+    These are the Poisson means of a count of rate lam on the inverse
+    alpha-stable clock at t where L(t) / t^alpha takes the values ``nodes``;
+    the Wright form of the fractional Skellam pmf takes the one mean
+    lam t^alpha, and refuses it with the same text as the quadrature form.
+    """
     with np.errstate(over="ignore"):
-        means *= lam * t**alpha
+        means = nodes * (lam * t**alpha)
     if not np.all(np.isfinite(means)):
         raise ValueError(f"means must be finite, got lam * t**alpha = {lam!r} * {t!r}**{alpha!r}")
-    return _mixture_pmfs(means, weight)
+    return means
 
 
 def frac_poisson_table(nmax: int, lam: float, t: float, alpha: float) -> list[float]:

@@ -9,11 +9,10 @@ exact, so power is not the bottleneck but flakes are.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .records import SampleBatch, LatticePMF, CFTable, distinct_bits
+from .records import SampleBatch, LatticePMF, CFTable, TestReport, distinct_bits
 
 __all__ = [
     "TestReport",
@@ -27,42 +26,6 @@ __all__ = [
 
 LEVEL = 1e-3  # a test passes when its p-value is above this
 _MIN_EXPECTED = 5.0  # a chi-square bin is merged until it expects this many draws
-
-
-@dataclass(frozen=True)
-class TestReport:
-    """Outcome of one verification: statistic, p-value or critical gap, verdict."""
-
-    __test__ = False  # not a pytest collectible despite the name
-
-    identity: str
-    statistic: float
-    p_value: float | None
-    n_samples: int
-    seed: int
-    verdict: bool
-    level: float | None = None
-    critical: float | None = None
-
-    def __post_init__(self):
-        if self.p_value is not None and not 0.0 <= self.p_value <= 1.0:
-            raise ValueError("p-value must lie in [0, 1]")
-        if self.p_value is not None and self.level is not None:
-            if self.verdict != (self.p_value > self.level):
-                raise ValueError("verdict inconsistent with p-value and level")
-        if self.p_value is None and self.critical is not None:
-            if self.verdict != (self.statistic <= self.critical):
-                raise ValueError("verdict inconsistent with statistic and critical value")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "statistic": float(self.statistic),
-            "p_value": None if self.p_value is None else float(self.p_value),
-            "n": int(self.n_samples),
-            "seed": int(self.seed),
-            "verdict": "pass" if self.verdict else "fail",
-        }
 
 
 def empirical_cf(batch: SampleBatch, u_grid) -> CFTable:

@@ -6,7 +6,7 @@ the suite doubles as a checklist (`pytest tests/test_acceptance.py -s`).
 
 import pytest
 
-from skellam_lab import identities
+from skellam_lab import altskellam
 from skellam_lab.cli import main
 from skellam_lab.identities import run_identity
 
@@ -113,8 +113,8 @@ def test_criterion_12_alt_twoparam(seed):
     lambda t: {1: 1.03 * t[1], -1: t[-1]},  # one time 3 % long: p <= 6.7e-11
 ], ids=["swapped", "scaled"])
 def test_alt_twoparam_rejects_wrong_times(monkeypatch, wrong_times):
-    alt_sample = identities.alt_sample
-    monkeypatch.setattr(identities, "alt_sample",
+    alt_sample = altskellam.alt_sample
+    monkeypatch.setattr(altskellam, "alt_sample",
                         lambda spec, t, n, seed: alt_sample(spec, wrong_times(t), n, seed))
     for seed in (0, 1, 2):
         assert not run_identity("alt-twoparam", seed=seed).verdict

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from skellam_lab import identities, special
+from skellam_lab import fractional, identities, special
 from skellam_lab.altskellam import (
     AltSpec,
     alt_array_sample,
@@ -185,14 +185,14 @@ def test_whole_scales_keep_their_value():
 def test_nan_draws_fail_the_z_score_identities(monkeypatch, name, sampler):
     # max(z, nan) dropped a NaN z, so NaN draws used to pass with statistic 0;
     # the sampler takes the draw count last and the seed by keyword
-    monkeypatch.setattr(identities, sampler,
+    monkeypatch.setattr(fractional, sampler,
                         lambda *args, seed: SampleBatch(np.full(args[-1], math.nan), seed=seed))
     report = identities.run_identity(name, n=50)
     assert math.isnan(report.statistic) and not report.verdict
 
 
 def test_nan_draws_make_frac_pmf_raise(monkeypatch):
-    monkeypatch.setattr(identities, "frac_skellam_sample",
+    monkeypatch.setattr(fractional, "frac_skellam_sample",
                         lambda *args, seed: SampleBatch(np.full(args[-1], math.nan), seed=seed))
     with pytest.raises(ValueError, match="integer-valued"):
         identities.run_identity("frac-pmf", n=50)
@@ -213,7 +213,7 @@ def test_moment_identities_draw_nothing(monkeypatch, name):
         raise AssertionError("a moment identity drew")
 
     expected = identities.run_identity(name)
-    monkeypatch.setattr(identities, "frac_skellam_sample", no_draws)
+    monkeypatch.setattr(fractional, "frac_skellam_sample", no_draws)
     for n in (None, 0, 1):
         assert identities.run_identity(name, n=n) == expected
 

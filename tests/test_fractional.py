@@ -405,7 +405,8 @@ def test_frac_pmf_tables_leave_no_tail_mass():
     # lattice_chi2 charges untabulated mass to the top cell: a table of |k| <= 10
     # left 3.4e-8 to 6.2e-3 there, which 2,000,000 draws rejected (p = 1.5e-6)
     ks = range(-identities._FRAC_KMAX, identities._FRAC_KMAX + 1)
-    for spec, t in [(identities._FRAC, 1.0), *identities._MOMENT_GRID]:
+    for params, t in [(identities._FRAC, 1.0), *identities._MOMENT_GRID]:
+        spec = FracSkellamSpec(*params)
         assert abs(1.0 - math.fsum(frac_skellam_pmf_table(spec, t, t, ks))) <= 1e-15, (spec, t)
 
 
@@ -417,20 +418,20 @@ def _shifted(spec):
 def test_frac_pmf_rejects_a_sampler_with_shifted_indices(monkeypatch, seed):
     # p = 6.4e-26, 3.0e-21 and 1.4e-14; a chi-square at one point read 0.28,
     # 0.005 and 0.03
-    monkeypatch.setattr(identities, "frac_skellam_sample", lambda spec, t1, t2, n, seed:
+    monkeypatch.setattr(fractional, "frac_skellam_sample", lambda spec, t1, t2, n, seed:
                         frac_skellam_sample(_shifted(spec), t1, t2, n, seed=seed))
     assert not run_identity("frac-pmf", seed=seed).verdict
 
 
 def test_frac_mean_rejects_a_mean_with_shifted_indices(monkeypatch):
-    monkeypatch.setattr(identities, "frac_skellam_moments", lambda spec, t1, t2, form:
+    monkeypatch.setattr(fractional, "frac_skellam_moments", lambda spec, t1, t2, form:
                         frac_skellam_moments(_shifted(spec), t1, t2, form))
     report = run_identity("frac-mean")
     assert not report.verdict and report.statistic > 0.02
 
 
 def test_frac_variance_quadratic_rejects_the_printed_form(monkeypatch):
-    monkeypatch.setattr(identities, "frac_skellam_moments", lambda spec, t1, t2, form:
+    monkeypatch.setattr(fractional, "frac_skellam_moments", lambda spec, t1, t2, form:
                         frac_skellam_moments(spec, t1, t2, "printed"))
     assert not run_identity("frac-variance-quadratic").verdict
 
@@ -702,6 +703,20 @@ def test_wright_form_where_lam_t_alpha_underflows(spec, t1, t2, k):
     # (math domain error); its powers are now those of 0, and the pmf holds
     assert abs(frac_skellam_pmf_wright(spec, t1, t2, k)
                - frac_skellam_pmf(spec, t1, t2, k)) <= fractional._WRIGHT_TOL
+
+
+@pytest.mark.parametrize("spec, t1, t2, mean", [
+    (FracSkellamSpec(1e300, 1.0, 0.5, 0.5), 1e300, 1, "1e+300 * 1e+300**0.5"),
+    (FracSkellamSpec(1.0, 1e300, 0.5, 0.7), 1, 1e300, "1e+300 * 1e+300**0.7"),
+    (FracSkellamSpec(1e300, 1e300, 0.5, 0.9), 1e300, 1e300, "1e+300 * 1e+300**0.5"),  # side 1 first
+])
+@pytest.mark.parametrize("k", [-1, 0, 1])
+def test_wright_form_refuses_an_infinite_mean_with_the_convolution_forms_text(spec, t1, t2, mean, k):
+    # the Wright form raised "z must be finite, got inf" here
+    for form in (frac_skellam_pmf, frac_skellam_pmf_wright):
+        with pytest.raises(ValueError) as exc:
+            form(spec, t1, t2, k)
+        assert str(exc.value) == f"means must be finite, got lam * t**alpha = {mean}"
 
 
 def test_wright_form_needs_positive_times():

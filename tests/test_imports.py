@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from skellam_lab.identities import IDENTITIES
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 _SPEC3 = "1:0.7,0.4;-1:0.5,0.6;2:0.2,0.3"
@@ -125,6 +127,65 @@ def test_a_cold_command_loads_only_the_modules_it_runs(tmp_path, argv, allowed):
     )
     loaded = set(json.loads(_run_fresh(code, *argv, "--out", str(tmp_path / "out"))))
     assert "cli" in loaded and loaded <= allowed, sorted(loaded - allowed)
+
+
+def test_converge_loads_only_the_modules_of_its_scheme(tmp_path):
+    argv = next(a for a in _COLD_COMMANDS if a[:3] == ["converge", "--scheme", "gmsp-array"])
+    code = (
+        "import json, sys\n"
+        "from skellam_lab.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print(json.dumps(sorted(m.split('.', 1)[1] for m in sys.modules\n"
+        "                        if m.startswith('skellam_lab.'))))\n"
+    )
+    loaded = set(json.loads(_run_fresh(code, *argv, "--out", str(tmp_path / "out"))))
+    assert loaded == _GMSP_MODULES | {"identities", "stats"}
+
+
+# the submodules `verify --identity <name>` loads, each identity in a fresh package
+_IDENTITY_BASE = {"cli", "records", "special", "identities"}
+_GMSP_IDENTITY = _IDENTITY_BASE | {"mpp", "gmsp"}
+_FRAC_IDENTITY = _IDENTITY_BASE | {"fractional"}
+_IDENTITY_MODULES = {
+    "msp-bessel-oracle": _GMSP_IDENTITY | {"altskellam"},
+    "cf-product": _GMSP_IDENTITY,
+    "compound-peraxis": _GMSP_IDENTITY | {"stats"},
+    "compound-equalrate": _GMSP_IDENTITY | {"stats"},
+    "array-gmsp": _GMSP_IDENTITY | {"stats"},
+    "array-alt": _GMSP_IDENTITY | {"altskellam", "stats"},
+    "integral-cf": _GMSP_IDENTITY | {"integrals", "stats"},
+    "uniform-compound-mpp": _GMSP_IDENTITY | {"integrals", "stats"},
+    "uniform-compound-peraxis": _GMSP_IDENTITY | {"integrals", "stats"},
+    "uniform-compound-equalrate": _GMSP_IDENTITY | {"integrals", "stats"},
+    "frac-pmf": _FRAC_IDENTITY | {"stats"},
+    "frac-wright": _FRAC_IDENTITY,
+    "frac-mean": _FRAC_IDENTITY,
+    "frac-variance-printed": _FRAC_IDENTITY,
+    "frac-variance-quadratic": _FRAC_IDENTITY,
+    "inverse-subordinator-mean": _FRAC_IDENTITY,
+    "alt-twoparam": _GMSP_IDENTITY | {"altskellam", "stats"},
+}
+
+
+def test_each_identity_loads_only_the_modules_it_runs(tmp_path):
+    # one interpreter: numpy stays loaded, and every skellam_lab module is
+    # dropped before each identity, so each runs in a freshly imported package
+    code = (
+        "import json, os, sys\n"
+        "loaded = {}\n"
+        "for name in json.loads(sys.argv[1]):\n"
+        "    for m in [m for m in sys.modules if m.split('.')[0] == 'skellam_lab']:\n"
+        "        del sys.modules[m]\n"
+        "    from skellam_lab.cli import main\n"
+        "    out = os.path.join(sys.argv[2], name + '.json')\n"
+        "    assert main(['verify', '--identity', name, '--n', '2000', '--out', out]) == 0, name\n"
+        "    loaded[name] = sorted(m.split('.', 1)[1] for m in sys.modules\n"
+        "                          if m.startswith('skellam_lab.'))\n"
+        "print(json.dumps(loaded))\n"
+    )
+    loaded = json.loads(_run_fresh(code, json.dumps(list(_IDENTITY_MODULES)), str(tmp_path)))
+    assert {name: set(mods) for name, mods in loaded.items()} == _IDENTITY_MODULES
+    assert sorted(_IDENTITY_MODULES) == sorted(IDENTITIES)
 
 
 def test_importing_the_package_loads_no_submodule():
