@@ -104,23 +104,17 @@ def alt_lattice_pmf(spec: AltSpec, t: dict) -> LatticePMF:
     return gmsp_lattice_pmf(spec, _time_map(spec.rates, t))
 
 
-def alt_array_law(scale: float, probs: Callable[[int, float, float], float], jumps,
-                  t: dict) -> LatticePMF:
-    """Exact lattice law of the sums :func:`alt_array_sample` draws; integer jumps only."""
-    jump_vals = as_jumps(jumps)
-    as_scales(scale, "array scales", integer=False)
-    t_axes = dict(zip(jump_vals.tolist(), _time_map(jump_vals.tolist(), t).tolist()))
-    return array_law(scale, t_axes, probs, jump_vals)
-
-
 def alt_array_sample(scale: float, probs: Callable[[int, float, float], float], jumps, t: dict,
                      n_draws: int, seed: int) -> SampleBatch:
     """Triangular-array sums U(t) = sum_j sum_{l<=[scale t_j]} X_l per jump axis.
 
     ``probs(l, j_axis, j)`` gives the probability that the l-th summand on the
-    axis labelled j_axis equals jump j; with the residual mass it is 0.
+    axis labelled j_axis equals jump j; with the residual mass it is 0.  Integer jumps only.
     """
-    values = array_sums(alt_array_law(scale, probs, jumps, t), n_draws, seed)
+    jump_vals = as_jumps(jumps)
+    as_scales(scale, "array scales", integer=False)
+    t_axes = dict(zip(jump_vals.tolist(), _time_map(jump_vals.tolist(), t).tolist()))
+    values = array_sums(array_law(scale, t_axes, probs, jump_vals), n_draws, seed)
     return SampleBatch(values=values, seed=int(seed))
 
 

@@ -389,12 +389,17 @@ def _cmd_integral(args) -> None:
 def _cmd_converge(args) -> None:
     scales = as_scales(_parse_floats(args.scales, "scales"), "--scales entries").tolist()
     if args.scheme == "gmsp-array":
+        from .gmsp import JumpSpec
         rates = _parse_single_rate_jumps(args.jumps)
         t = _parse_floats(args.t, "t")
+        spec = JumpSpec({j: [rate] * len(t) for j, rate in rates.items()})
     else:
-        rates, t = _alt_jumps(args)
+        from .altskellam import AltSpec
+        rates, t_map = _alt_jumps(args)
+        spec = AltSpec(rates)
+        t = [t_map[j] for j in spec.rates]
     from .identities import array_tvs
-    tvs = array_tvs(args.scheme, rates, t, scales, args.n, args.seed)
+    tvs = array_tvs(spec, t, scales, args.n, args.seed)
     meta = {"scheme": args.scheme, "jumps": args.jumps, "t": args.t,
             "scales": scales, "n": args.n}
     _write(meta, {"scale": scales, "tv_distance": tvs}, args)

@@ -191,8 +191,8 @@ def frac_skellam_pmf_wright(spec: FracSkellamSpec, t1: float, t2: float, n: int)
     Negative n mirrors the formula with the two components swapped.  Requires
     t1, t2 > 0 (at a degenerate time use the convolution form).  Where the
     summed rounding errors of the layers pass _WRIGHT_TOL (at alpha = beta =
-    1/2, t = (1, 1), from lam near 1.5), or a Wright term, a coefficient or
-    x1^n leaves the float range, it raises :class:`TruncationError`.  An x1
+    1/2, t = (1, 1), from lam near 1.5), or z, a Wright term, a coefficient
+    or x1^n leaves the float range, it raises :class:`TruncationError`.  An x1
     or x2 that underflows to 0 is taken as 0; one above the float range is
     refused with the ``ValueError`` of :func:`frac_skellam_pmf`.
     """
@@ -255,8 +255,6 @@ def _wright_log_terms(n, alpha, beta, z):
     two of (r1, r2, m), so each log-gamma comes from a table shared by all
     layers.  Every argument is positive, so every term is.
     """
-    if not math.isfinite(z):
-        raise ValueError(f"z must be finite, got {z!r}")
     low = _LgammaTable(lambda r: r + 1.0, 1.0)  # row 0: lgamma(j + 1)
     high = _LgammaTable(lambda r: r + (n + 1.0), 1.0)  # row 0: lgamma(n + 1 + j)
     tab_a = _LgammaTable(lambda r1: alpha * (n + r1) + 1.0, alpha)
@@ -288,6 +286,9 @@ def _wright_nonneg(n, x1, alpha, x2, beta):
     # which is the pmf within far less than _WRIGHT_TOL
     log_x1, log_x2 = (math.log(x) if x > 0.0 else -math.inf for x in (x1, x2))
     z = x1 * x2
+    if z == math.inf:
+        raise TruncationError(f"Wright double series argument z = {x1!r} * {x2!r} is above the "
+                              f"float range", math.inf)
     try:
         scale = math.exp(n * log_x1) if x1 > 0.0 else float(n == 0)
     except OverflowError:

@@ -175,8 +175,8 @@ def skellam_pmf_table(ns, a: float, b: float) -> list[float]:
     it raises :class:`TruncationError`.
     """
     ns = [int(n) for n in ns]
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"means must be finite, got ({a!r}, {b!r})")
+    if not (0.0 <= a < math.inf and 0.0 <= b < math.inf):
+        raise ValueError(f"means must be finite and nonnegative, got ({a!r}, {b!r})")
     if b == 0.0:
         return [poisson_pmf(n, a) for n in ns]
     if a == 0.0:
@@ -380,19 +380,13 @@ def array_sums(law: LatticePMF, n_draws: int, seed: int) -> np.ndarray:
     return law.start + make_rng(seed).choice(probs.size, n_draws, p=probs)
 
 
-def gmsp_array_law(spec: TriangularArraySpec, jumps, t) -> LatticePMF:
-    """Exact lattice law of the sums :func:`gmsp_array_sample` draws; integer jumps only."""
-    tt = as_times(t)
-    return array_law(spec.n, dict(enumerate(tt)), lambda l, k, j: spec.probs(l, j, spec.n),
-                     as_jumps(jumps))
-
-
 def gmsp_array_sample(spec: TriangularArraySpec, jumps, t, n_draws: int, seed: int) -> SampleBatch:
     """Triangular-array partial sums S^(n)(t) = sum_k sum_{l<=[n t_k]} X^(n)_l.
 
     Each summand takes value j with probability ``spec.probs(l, j, spec.n)``
     and 0 otherwise; as n grows these sums converge in law to the GMSP whose
-    jump means the rule accumulates.  :func:`array_sums` draws them from :func:`gmsp_array_law`.
+    jump means the rule accumulates.  :func:`array_sums` draws them from their :func:`array_law`.
     """
-    values = array_sums(gmsp_array_law(spec, jumps, t), n_draws, seed)
-    return SampleBatch(values=values, seed=int(seed))
+    law = array_law(spec.n, dict(enumerate(as_times(t))),
+                    lambda l, k, j: spec.probs(l, j, spec.n), as_jumps(jumps))
+    return SampleBatch(values=array_sums(law, n_draws, seed), seed=int(seed))

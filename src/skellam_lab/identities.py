@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .records import LatticePMF, TestReport, concurrently, make_rng
+from .records import LatticePMF, TestReport, as_scales, as_times, concurrently, make_rng
 from .special import frac_poisson_entries, grow_table
 
 __all__ = ["IDENTITIES", "array_tvs", "run_identity"]
@@ -95,39 +95,29 @@ def compound_equalrate(seed=0, n=100_000):
     return lattice_chi2_two_sample(direct, compound, identity="compound-equalrate")
 
 
-def array_tvs(scheme: str, rates: dict, t, scales, n: int, seed: int) -> list[float]:
-    """TV to the limit law of ``n`` triangular-array draws at each of ``scales``.
+def array_tvs(spec, t, scales, n: int, seed: int) -> list[float]:
+    """TV to the GMSP law of ``spec`` at t of ``n`` triangular-array draws at each of ``scales``.
 
+    ``spec`` is a :class:`~skellam_lab.gmsp.JumpSpec` or an
+    :class:`~skellam_lab.altskellam.AltSpec` (rate matrix diag(lam), t in jump
+    order).  At scale s a summand on axis k takes jump j with probability
+    rate_matrix[j, k] / s, and the limit is :func:`~skellam_lab.gmsp.gmsp_lattice_pmf`.
     The histogram of n iid draws from a lattice law p is Multinomial(n, p):
     scale i draws it as one multinomial of make_rng(seed + 7 i) over the exact
-    array law that the sampler inverts (n < 1 is an "empty batch").  ``gmsp-array``:
-    rule rates[j] / scale on every axis of the time list t; the limit is the
-    GMSP with rates (rates[j], ..., rates[j]).  ``alt-array``: the Kronecker
-    rule, rates[j] / scale for jump j on axis j only, over the jump-keyed time
-    map t; the limit is the alternate process.
+    :func:`~skellam_lab.gmsp.array_law` (n < 1 is an "empty batch").
     """
+    from .gmsp import array_law, gmsp_lattice_pmf
     from .stats import tv_from_counts
-    if scheme == "gmsp-array":
-        from .gmsp import JumpSpec, TriangularArraySpec, gmsp_array_law, gmsp_lattice_pmf
-        pmf = gmsp_lattice_pmf(JumpSpec({j: [rate] * len(t) for j, rate in rates.items()}), t)
-
-        def law(scale):
-            arr = TriangularArraySpec(n=scale, probs=lambda l, j, sc: rates[j] / sc)
-            return gmsp_array_law(arr, sorted(rates), t)
-    elif scheme == "alt-array":
-        from .altskellam import AltSpec, alt_array_law, alt_lattice_pmf
-        pmf = alt_lattice_pmf(AltSpec(rates), t)
-
-        def law(scale):
-            rule = lambda l, ja, j: (rates[ja] / scale) if ja == j else 0.0
-            return alt_array_law(scale, rule, sorted(rates), t)
-    else:
-        raise ValueError(f"unknown array scheme {scheme!r}")
+    pmf = gmsp_lattice_pmf(spec, t)
     if n < 1:
         raise ValueError("empty batch")
+    as_scales(scales, "array scales", integer=False)
+    # Python floats: the rule runs once per summand and jump
+    rates = dict(zip(spec.jump_values.tolist(), spec.rate_matrix.tolist()))
+    axes = dict(enumerate(as_times(t).tolist()))
     tvs = []
     for i, scale in enumerate(scales):
-        exact = law(scale)
+        exact = array_law(scale, axes, lambda l, k, j: rates[j][k] / scale, spec.jump_values)
         counts = make_rng(seed + 7 * i).multinomial(n, exact.probs / exact.probs.sum())
         tvs.append(tv_from_counts(counts, exact.start, pmf))
     return tvs
@@ -149,18 +139,20 @@ def _array_report(identity, seed, n, tvs):
 def array_gmsp(seed=0, n=4_000_000):
     """Triangular-array law approaches the GMSP law in total variation.
 
-    Constant rule p = lam_j / scale over scales 10, 100, 1000.  The sample
-    count, free since :func:`array_tvs` draws one multinomial per scale, keeps
+    Equal rate columns: rule p = lam_j / scale on both axes over scales 10, 100, 1000.  The
+    sample count, free since :func:`array_tvs` draws one multinomial per scale, keeps
     the TV noise floor (~ sqrt(atoms / n) / 2) below the scale-100 vs 1000 gap.
     """
-    tvs = array_tvs("gmsp-array", {1: 4.0, -1: 2.5}, _T2, (10, 100, 1000), n, seed)
-    return _array_report("array-gmsp", seed, n, tvs)
+    from .gmsp import JumpSpec
+    spec = JumpSpec({1: (4.0, 4.0), -1: (2.5, 2.5)})
+    return _array_report("array-gmsp", seed, n, array_tvs(spec, _T2, (10, 100, 1000), n, seed))
 
 
 def array_alt(seed=0, n=1_000_000):
-    """Kronecker-rule triangular array approaches the alternate Skellam law."""
-    tvs = array_tvs("alt-array", {1: 2.0, -1: 1.5}, {1: 1.0, -1: 1.0}, (10, 100, 1000), n, seed)
-    return _array_report("array-alt", seed, n, tvs)
+    """Triangular array approaches the alternate Skellam law (rate matrix diag(lam)) in TV."""
+    from .altskellam import AltSpec
+    spec = AltSpec({1: 2.0, -1: 1.5})
+    return _array_report("array-alt", seed, n, array_tvs(spec, _T2, (10, 100, 1000), n, seed))
 
 
 def integral_cf(seed=0, n=20_000):

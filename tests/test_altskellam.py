@@ -232,19 +232,21 @@ def test_array_rejects_invalid_rule():
         alt_array_sample(10.0, lambda l, ja, j: 0.6, [1, -1], {1: 1.0, -1: 1.0}, 10, seed=0)
     with pytest.raises(ValueError):
         alt_array_sample(-1.0, lambda l, ja, j: 0.1, [1], {1: 1.0}, 10, seed=0)
-    with pytest.raises(ValueError, match="unknown array scheme"):
-        array_tvs("poisson-array", {1: 1.0}, {1: 1.0}, (10,), 10, seed=0)
 
 
-@pytest.mark.parametrize("scheme, t", [("gmsp-array", (1.0, 1.0)),
-                                       ("alt-array", {1: 1.0, -1: 1.0})])
+# the spec each converge scheme passes to array_tvs, at rates {1: 2.0, -1: 1.5}
+_ARRAY_SPECS = {"gmsp-array": JumpSpec({1: (2.0, 2.0), -1: (1.5, 1.5)}),
+                "alt-array": AltSpec({1: 2.0, -1: 1.5})}
+
+
+@pytest.mark.parametrize("scheme, t", [("gmsp-array", (1.0, 1.0)), ("alt-array", (1.0, 1.0))])
 @pytest.mark.parametrize("n", [0, -3])
 def test_array_tvs_refuse_fewer_than_one_draw(monkeypatch, scheme, t, n):
     # refused before any histogram is drawn, so a multinomial of -3 draws
     # cannot end in numpy's own message
     monkeypatch.setattr(identities, "make_rng", None)
     with pytest.raises(ValueError, match="^empty batch$"):
-        array_tvs(scheme, {1: 2.0, -1: 1.5}, t, (10, 100), n, seed=0)
+        array_tvs(_ARRAY_SPECS[scheme], t, (10, 100), n, seed=0)
 
 
 @pytest.mark.parametrize("name", ["array-gmsp", "array-alt"])

@@ -20,7 +20,9 @@ from skellam_lab import (
     gmsp_array_sample,
     gmsp_lattice_pmf,
 )
+from skellam_lab import gmsp
 from skellam_lab.gmsp import array_law
+from skellam_lab.identities import array_tvs, run_identity
 from skellam_lab.records import LatticePMF, SampleBatch
 from skellam_lab.stats import lattice_chi2, lattice_chi2_two_sample
 
@@ -37,6 +39,46 @@ def _gmsp_law(scale):
 def _alt_law(scale):
     rule = lambda l, ja, j: ALT_RATES[ja] / scale if ja == j else 0.0
     return array_law(scale, {-1.0: 1.0, 1.0: 1.0}, rule, JUMPS)
+
+
+@pytest.mark.parametrize("spec, protocol_law", [
+    (JumpSpec({j: (r, r) for j, r in GMSP_RATES.items()}), _gmsp_law),
+    (AltSpec(ALT_RATES), _alt_law),
+], ids=["gmsp-array", "alt-array"])
+def test_rate_matrix_rule_builds_each_protocol_law_bit_for_bit(monkeypatch, spec, protocol_law):
+    # array_tvs reads one rule off the rate matrix: equal columns for the GMSP,
+    # diag(lam) for the alternate process; each scale's law is that of the
+    # per-scheme rule, entry for entry
+    built = []
+
+    def recording_law(*args):
+        built.append(array_law(*args))
+        return built[-1]
+
+    monkeypatch.setattr(gmsp, "array_law", recording_law)
+    array_tvs(spec, (1.0, 1.0), (10, 100, 1000), 1, seed=0)
+    assert len(built) == 3
+    for law, scale in zip(built, (10, 100, 1000)):
+        expected = protocol_law(scale)
+        assert law.start == expected.start
+        assert law.probs.tobytes() == expected.probs.tobytes()
+
+
+# the report fields of the two array identities at their pinned n
+@pytest.mark.parametrize("name, seed, statistic", [
+    ("array-gmsp", 0, 0.0007327980045208396),
+    ("array-gmsp", 1, 0.0006479318511515378),
+    ("array-gmsp", 2, 0.0006307431223990512),
+    ("array-alt", 0, 0.0010766941976363222),
+    ("array-alt", 1, 0.0009652098759798775),
+    ("array-alt", 2, 0.0007598866266121183),
+])
+def test_array_identity_reports_are_pinned(name, seed, statistic):
+    report = run_identity(name, seed=seed)
+    n = 4_000_000 if name == "array-gmsp" else 1_000_000
+    assert report.to_json_dict() == {"identity": name, "statistic": statistic, "p_value": None,
+                                     "n": n, "seed": seed, "verdict": "pass"}
+    assert (report.verdict, report.level, report.critical) == (True, None, 0.02)
 
 
 def _tv(a: LatticePMF, b: LatticePMF) -> float:

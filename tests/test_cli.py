@@ -262,6 +262,19 @@ def test_converge_last_row_is_the_array_identity_statistic(tmp_path):
     assert float(last[1]) == run_identity("array-gmsp", seed=4, n=20_000).statistic
 
 
+def test_converge_last_row_is_the_alt_array_identity_statistic(tmp_path):
+    from skellam_lab.identities import run_identity
+    code, data = run_cli(
+        ["converge", "--scheme", "alt-array", "--jumps", "1:2.0;-1:1.5",
+         "--t", "1.0,1.0", "--scales", "10,100,1000", "--n", "20000", "--seed", "4"],
+        tmp_path,
+    )
+    assert code == 0
+    last = data.decode().splitlines()[-1].split(",")
+    assert last[0] == "1000"
+    assert float(last[1]) == run_identity("array-alt", seed=4, n=20_000).statistic
+
+
 def test_verify_report_schema(tmp_path):
     code, data = run_cli(["verify", "--identity", "compound-equalrate", "--seed", "3"], tmp_path)
     assert code == 0
@@ -614,6 +627,24 @@ _FRAC_ARGS = ["--l1", "1.3", "--l2", "0.6", "--alpha", "0.6", "--beta", "0.8",
     # the fractional sampler draws its two sides on two threads
     (["simulate", "--process", "frac-skellam", *_FRAC_ARGS, "--n", "200000", "--seed", "3"],
      {"": "8cf5c1378711fa258e1a2b13b728107c70b6c70d1a5c53fa9a977e3ff1bfe8bb"}),
+    # both array schemes run one rate-matrix rule: equal columns for gmsp-array,
+    # diag(lam) with t in jump order for alt-array
+    (["converge", "--scheme", "gmsp-array", "--jumps", "1:4.0;-1:2.5", "--t", "1.0,1.0",
+      "--scales", "10,100", "--n", "100"],
+     {"": "a69e6f897ed2b5f54079246537865a650adb0c4997d7b19e7b7956b14b8a20e6"}),
+    (["converge", "--scheme", "gmsp-array", "--jumps", "1:1.0;-2:0.5;3:0.25",
+      "--t", "0.5,1.0,1.5", "--scales", "10,100", "--n", "2000", "--seed", "4"],
+     {"": "6410bcd9de0bf29ec98c7a78641b1bfc3a006a9daa5e3f5a140ba81955a36eea"}),
+    (["converge", "--scheme", "alt-array", "--jumps", "1:2.0;-1:1.5", "--t", "1.0,1.0",
+      "--scales", "10,100", "--n", "100"],
+     {"": "fad8238f0f561c5384ed28d02a940fc763a0b1c8eaeb18a6ddd66b83562f26a9"}),
+    (["converge", "--scheme", "alt-array", "--jumps", "1:2.0;-1:1.5", "--t", "1.0,1.0",
+      "--scales", "10,100", "--n", "100", "--format", "json"],
+     {"": "e28455d3e0201fe0d3160361a3ea081aaa12ec1286c92425ccec498cd71ec244"}),
+    # three jumps written out of order, at unequal times
+    (["converge", "--scheme", "alt-array", "--jumps", "2:0.5;-1:1.5;1:2.0",
+      "--t", "0.7,1.3,2.1", "--scales", "10,100,1000", "--n", "5000", "--seed", "3"],
+     {"": "248507453c144d00e7722071d33aa2555baba8faab9a815082bc2cf3880a3ff7"}),
 ])
 def test_artifact_bytes_are_pinned(tmp_path, argv, digests):
     code, _ = run_cli(argv, tmp_path, out_name="pinned")

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -689,6 +690,20 @@ def test_wright_form_refuses_a_power_of_x1_above_the_float_range():
     with pytest.raises(TruncationError, match=r"^Wright double series factor x1\^n = 50.0\^200 "
                                               r"is above the float range"):
         frac_skellam_pmf_wright(spec, 1.0, 1.0, 200)
+
+
+@pytest.mark.parametrize("lam", [1e200, 1e160])
+@pytest.mark.parametrize("k", [-1, 0, 1])
+def test_wright_form_refuses_z_above_the_float_range(lam, k):
+    # x1 = x2 = lam are finite but z = x1 x2 is not: this ended in a bare
+    # ValueError ("z must be finite, got inf")
+    spec = FracSkellamSpec(lam, lam, 0.5, 0.5)
+    message = f"Wright double series argument z = {lam!r} * {lam!r} is above the float range"
+    with pytest.raises(TruncationError, match="^" + re.escape(message)):
+        frac_skellam_pmf_wright(spec, 1.0, 1.0, k)
+    if k == 0:  # the convolution form refuses there too
+        with pytest.raises(TruncationError):
+            frac_skellam_pmf(spec, 1.0, 1.0, k)
 
 
 @pytest.mark.parametrize("spec, t1, t2", [

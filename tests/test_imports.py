@@ -21,7 +21,7 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 _SPEC3 = "1:0.7,0.4;-1:0.5,0.6;2:0.2,0.3"
 
 # one fixed argv per command the cold-start benchmark runs, plus a chi-square
-# identity and a KS identity
+# identity, a KS identity and the converge scheme of the alternate process
 _COLD_COMMANDS = [
     ["simulate", "--process", "gmsp", "--jumps", _SPEC3, "--t", "1.0,1.0", "--n", "20"],
     ["simulate", "--process", "frac-skellam", "--l1", "1.0", "--l2", "1.0", "--alpha", "0.5",
@@ -39,6 +39,8 @@ _COLD_COMMANDS = [
     ["integral", "--process", "compound", "--rates", "0.8,0.5", "--xvalues", "1.0,-1.0,2.0",
      "--xprobs", "0.5,0.3,0.2", "--t", "1.2,1.0", "--r", "64", "--n", "20"],
     ["converge", "--scheme", "gmsp-array", "--jumps", "1:4.0;-1:2.5", "--t", "1.0,1.0",
+     "--scales", "10,100", "--n", "100"],
+    ["converge", "--scheme", "alt-array", "--jumps", "1:2.0;-1:1.5", "--t", "1.0,1.0",
      "--scales", "10,100", "--n", "100"],
     ["verify", "--identity", "cf-product"],
     ["verify", "--identity", "compound-peraxis", "--n", "2000"],

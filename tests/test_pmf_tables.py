@@ -106,6 +106,16 @@ def test_table_raises_what_its_first_entry_raises(name, table, scalar, a, b):
     assert_table_is_entry_by_entry(table, scalar, range(-20, 21), a, b)
 
 
+@pytest.mark.parametrize("a, b", [(-1.0, 1.0), (1.0, -1.0), (-0.5, 0.0), (0.0, -2.0)])
+def test_skellam_table_refuses_a_negative_mean(a, b):
+    # a negative mean ended in math.log's bare "math domain error"
+    message = rf"^means must be finite and nonnegative, got \({a!r}, {b!r}\)$"
+    with pytest.raises(ValueError, match=message):
+        skellam_pmf(0, a, b)
+    with pytest.raises(ValueError, match=message):
+        skellam_pmf_table(range(-3, 4), a, b)
+
+
 @pytest.mark.parametrize("name, table, scalar", _CHECKED_FORMS,
                          ids=[f[0] for f in _CHECKED_FORMS])
 def test_table_raises_at_the_first_entry_past_the_term_cap(name, table, scalar):
