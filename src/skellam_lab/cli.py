@@ -47,9 +47,11 @@ def _column(values, each=_fmt) -> list[str]:
     """``each`` of every entry; a flat numeric array is formatted as ``_fmt`` would.
 
     A flat numeric array formats each distinct bit pattern once and gathers
-    the strings back per entry: a lattice process's draws repeat a few dozen
-    values, while a column with no repeats (the stable and inverse-stable
-    draws) pays for the grouping and saves nothing.
+    the strings back per entry.  A lattice process's int64 draws repeat a few
+    dozen values, and :func:`~skellam_lab.records.distinct_bits` groups them
+    by counting, in linear time; a float column is grouped by a sort, and one
+    with no repeats (the stable and inverse-stable draws) pays for it and
+    saves nothing.
     """
     if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in _KIND_FORMATS:
         if values.dtype.kind == "f" and not np.all(np.isfinite(values)):

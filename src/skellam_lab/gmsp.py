@@ -102,9 +102,31 @@ def _integer_jumps(jumps) -> bool:
     return all(j == int(j) for j in jumps)
 
 
-def _as_lattice(values: np.ndarray, jumps) -> np.ndarray:
-    """Integer draws when every jump is an integer, float draws otherwise."""
-    return values.astype(np.int64) if _integer_jumps(jumps) else values
+# float64 holds every integer of magnitude below 2**53, and not every one above
+_EXACT_BELOW = 2.0 ** 53
+
+
+def _exact_reach(reach: float) -> None:
+    """Refuse lattice draws when ``reach``, a bound on |sum| from the drawn counts, is >= 2**53.
+
+    The bound is sum_j |j| (largest count of j) for :func:`gmsp_sample`, and
+    max |j| times the largest number of jumps, summed over the clocks, for the
+    compound forms.  Below 2**53 every partial sum of every draw is an exact
+    integer, in float64 as in int64.  Every lattice sampler refuses through
+    here, with one message.
+    """
+    if not reach < _EXACT_BELOW:
+        raise ValueError(f"lattice draws are exact only below 2**53 in magnitude, and the drawn "
+                         f"counts let them reach {reach:.6g}: use smaller jumps or means")
+
+
+def _as_lattice(values: np.ndarray, jumps, reach: float) -> np.ndarray:
+    """Integer draws when every jump is an integer (refused by :func:`_exact_reach` at a
+    ``reach`` of 2**53 or more), float draws otherwise."""
+    if not _integer_jumps(jumps):
+        return values
+    _exact_reach(reach)
+    return values.astype(np.int64)
 
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -113,17 +135,29 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 def gmsp_sample(spec: JumpSpec, t, n_draws: int, seed: int) -> SampleBatch:
     """Draw sum_j j * Poisson(rates_j . t): one rng.poisson per jump, in jump order.
 
+    An integer jump set adds int(j) * counts into one int64 array, so each
+    draw is its exact integer sum; a set whose drawn counts let a sum reach
+    2**53 is refused (:func:`_exact_reach`) before any product is formed.
+    Any other jump set adds j * counts in float64.
+
     Here and in the other law functions below, ``spec`` is a :class:`JumpSpec`
     or an :class:`~skellam_lab.altskellam.AltSpec`: only its ``jump_values``,
     ``dim`` and ``rate_matrix`` are read.
     """
     mus = _jump_means(spec, t)
     jumps = spec.jump_values
+    lattice = _integer_jumps(jumps)
     rng = make_rng(seed)
-    values = np.zeros(n_draws, dtype=float)
+    values = np.zeros(n_draws, dtype=np.int64 if lattice else float)
+    reach = 0.0
     for j, mu in zip(jumps, mus):
-        values += j * rng.poisson(mu, n_draws)
-    return SampleBatch(values=_as_lattice(values, jumps), seed=int(seed))
+        counts = rng.poisson(mu, n_draws)
+        if lattice:
+            reach += abs(float(j)) * float(counts.max(initial=0))
+            _exact_reach(reach)
+            j = int(j)
+        values += j * counts
+    return SampleBatch(values=values, seed=int(seed))
 
 
 def gmsp_pgf(spec: JumpSpec, t, u: float) -> float:
@@ -259,13 +293,17 @@ def gmsp_lattice_pmf(spec: JumpSpec, t) -> LatticePMF:
 
 
 def compound_sums(count_rng, jump_rng, mean: float, n_draws: int, jumps: np.ndarray,
-                  probs: np.ndarray, weights=None) -> np.ndarray:
+                  probs: np.ndarray, weights=None, reach=None) -> np.ndarray:
     """Draws of sum_{e<=N} X_e W_e with N ~ Poisson(mean) and iid jumps X_e ~ probs.
 
     The counts come from ``count_rng`` and the jumps, flat in draw order, from
     ``jump_rng.choice``; ``weights(size)``, when given, draws the W_e (else W = 1).
+    ``reach``, when given, is a list: max |jumps| times the largest count is
+    appended to it, a bound on |sum_{e<=N} X_e| over the draws.
     """
     counts = count_rng.poisson(mean, n_draws)
+    if reach is not None:
+        reach.append(float(np.abs(jumps).max()) * float(counts.max(initial=0)))
     x = jump_rng.choice(jumps, size=int(counts.sum()), p=probs)
     if weights is not None:
         x = x * weights(x.size)
@@ -273,11 +311,12 @@ def compound_sums(count_rng, jump_rng, mean: float, n_draws: int, jumps: np.ndar
 
 
 def peraxis_compound_sums(spec: JumpSpec, tt: np.ndarray, n_draws: int, axis_draws,
-                          scale: float = 1.0) -> np.ndarray:
+                          scale: float = 1.0, reach=None) -> np.ndarray:
     """sum_k scale * (compound sum on axis k), drawn by :func:`compound_sums`.
 
     Axis k has Poisson(t_k sum_j lam_jk) jumps, j at probability
     lam_jk / sum_j lam_jk; ``axis_draws[k]`` is its (count_rng, jump_rng, weights).
+    ``reach`` is passed to every axis's :func:`compound_sums`.
     """
     rates = spec.rate_matrix
     values = np.zeros(n_draws)
@@ -285,29 +324,34 @@ def peraxis_compound_sums(spec: JumpSpec, tt: np.ndarray, n_draws: int, axis_dra
         axis_rate = float(rates[:, k].sum())
         # a float product: an overflow is inf, which rng.poisson refuses, with no numpy warning
         values += scale * compound_sums(count_rng, jump_rng, axis_rate * float(tt[k]), n_draws,
-                                        spec.jump_values, rates[:, k] / axis_rate, weights)
+                                        spec.jump_values, rates[:, k] / axis_rate, weights,
+                                        reach)
     return values
 
 
-def equalrate_sums(rng, jump_rates: dict, time: float, n_draws: int, weights=None) -> np.ndarray:
+def equalrate_sums(rng, jump_rates: dict, time: float, n_draws: int, weights=None,
+                   reach=None) -> np.ndarray:
     """:func:`compound_sums` on one Poisson((sum_j lam^(j)) time) clock, jump j at
     probability lam^(j) / sum_j lam^(j): the equal-rate jump law."""
     jumps = as_jumps(jump_rates)
     lam = as_rates([jump_rates[j] for j in sorted(jump_rates)])
     total = float(lam.sum())
-    return compound_sums(rng, rng, total * time, n_draws, jumps, lam / total, weights)
+    return compound_sums(rng, rng, total * time, n_draws, jumps, lam / total, weights, reach)
 
 
 def gmsp_compound_peraxis_sample(spec: JumpSpec, t, n_draws: int, seed: int) -> SampleBatch:
     """Compound form: per axis k, a Poisson(t_k sum_j lam_k^(j)) number of iid jumps.
 
     The jump law on axis k puts mass lam_k^(j) / sum_j lam_k^(j) on j; summed
-    over axes this equals the process in distribution.
+    over axes this equals the process in distribution.  Integer draws are
+    refused as in :func:`gmsp_sample`, with max |j| times each axis's largest
+    count as the bound.
     """
     tt = as_times(t, spec.dim)
     rng = make_rng(seed)
-    values = peraxis_compound_sums(spec, tt, n_draws, [(rng, rng, None)] * spec.dim)
-    return SampleBatch(values=_as_lattice(values, spec.jump_values), seed=int(seed))
+    reach = []
+    values = peraxis_compound_sums(spec, tt, n_draws, [(rng, rng, None)] * spec.dim, reach=reach)
+    return SampleBatch(values=_as_lattice(values, spec.jump_values, sum(reach)), seed=int(seed))
 
 
 def gmsp_compound_equalrate_sample(jump_rates: dict, m: int, t, n_draws: int, seed: int) -> SampleBatch:
@@ -315,12 +359,14 @@ def gmsp_compound_equalrate_sample(jump_rates: dict, m: int, t, n_draws: int, se
 
     With rates_j = (lam^(j), ..., lam^(j)) the count N(t) is
     Poisson((sum_j lam^(j)) (t_1 + ... + t_M)) and each arrival contributes an
-    iid jump with mass lam^(j) / sum lam^(j).
+    iid jump with mass lam^(j) / sum lam^(j).  Integer draws are refused as in
+    :func:`gmsp_sample`, with max |j| times the largest count as the bound.
     """
     m = as_count(m, "axis count m")
     tt = as_times(t, m)
-    values = equalrate_sums(make_rng(seed), jump_rates, float(tt.sum()), n_draws)
-    return SampleBatch(values=_as_lattice(values, jump_rates), seed=int(seed))
+    reach = []
+    values = equalrate_sums(make_rng(seed), jump_rates, float(tt.sum()), n_draws, reach=reach)
+    return SampleBatch(values=_as_lattice(values, jump_rates, sum(reach)), seed=int(seed))
 
 
 def _trim(probs: np.ndarray, start: int):

@@ -12,7 +12,8 @@ scale or count refuses a value outside its domain through the checker of that ki
 below, with a ``ValueError`` that says "finite" and the rule.
 
 :func:`distinct_bits` is the one grouping of an array's entries by bit
-pattern, shared by the empirical CF and the CLI's column writer.
+pattern, shared by the empirical CF and the CLI's column writer: integer
+lattice draws are grouped by counting, everything else by a sort.
 """
 
 from __future__ import annotations
@@ -108,8 +109,24 @@ def distinct_bits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct entries of a flat numeric array by bit pattern, and the inverse.
 
     ``distinct[inverse]`` has the bits of ``values``, so 0.0 and -0.0 stay
-    apart.  ``distinct`` has the dtype of ``values``, sorted by bit pattern.
+    apart.  ``distinct`` has the dtype of ``values``, sorted by bit pattern
+    read as a signed integer, and ``inverse`` is an intp array: what
+    ``np.unique`` of that signed view returns.  Two routes give it.  A signed
+    integer array whose range (max - min + 1 values) is at most its length,
+    such as a lattice process's draws, is grouped by counting: each value's
+    offset from the minimum, taken in int64, marks a flag, and one ``cumsum``
+    over the flags ranks them, in linear time.  Every other array is sorted
+    by ``np.unique``.
     """
+    if values.dtype.kind == "i" and values.size:
+        low, high = int(values.min()), int(values.max())
+        if high - low < values.size:
+            offsets = values.astype(np.int64, copy=False) - low
+            present = np.zeros(high - low + 1, dtype=bool)
+            present[offsets] = True
+            rank = np.cumsum(present, dtype=np.intp)
+            rank -= 1
+            return (np.flatnonzero(present) + low).astype(values.dtype), rank[offsets]
     bits, inverse = np.unique(values.view(f"i{values.itemsize}"), return_inverse=True)
     return bits.view(values.dtype), inverse
 

@@ -33,10 +33,13 @@ def empirical_cf(batch: SampleBatch, u_grid) -> CFTable:
     if batch.n == 0:
         raise ValueError("empty batch")
     u = np.atleast_1d(np.asarray(u_grid, dtype=float))
-    x = np.asarray(batch.values, dtype=float)
     # one exponential per distinct bit pattern (0.0 and -0.0 apart), gathered
-    # back per draw, so each mean sums the per-draw terms in the per-draw order
-    distinct, inverse = distinct_bits(x)
+    # back per draw, so each mean sums the per-draw terms in the per-draw order.
+    # The batch is grouped in its own dtype (int64 lattice draws by counting)
+    # and only the distinct values are cast to float: the terms are those of
+    # the cast batch, bit for bit
+    distinct, inverse = distinct_bits(batch.values)
+    distinct = distinct.astype(float)
     values = np.empty(u.size, dtype=complex)
     for i, ui in enumerate(u):  # one frequency at a time keeps N=1e5 grids cheap
         values[i] = np.exp(1j * ui * distinct)[inverse].mean()
@@ -45,7 +48,10 @@ def empirical_cf(batch: SampleBatch, u_grid) -> CFTable:
 
 
 def _integer_values(batch: SampleBatch) -> np.ndarray:
+    """The batch as int64: an integer batch as it is, a float batch only if every value is whole."""
     v = np.asarray(batch.values)
+    if v.dtype.kind in "iu":
+        return v.astype(np.int64, copy=False)
     if not np.all(v == np.round(v)):
         raise ValueError("lattice tests need integer-valued batches")
     return v.astype(np.int64)

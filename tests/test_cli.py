@@ -385,6 +385,16 @@ def test_overflowing_means_are_one_error_line(capsys, argv):
     _one_error_line(capsys, argv)
 
 
+@pytest.mark.parametrize("process", ["gmsp", "compound-peraxis", "compound-equalrate", "alt"])
+@pytest.mark.parametrize("jumps", ["1e300:1.0", "9007199254740992:1.0;1:1.0"])
+def test_lattice_draws_past_2_53_are_one_error_line(capsys, process, jumps):
+    # gmsp wrote INT64_MIN for 1e300, after a numpy cast warning, and every
+    # process dropped the count of jump 1 beside 2**53; each exited 0
+    t = "1,1" if process == "alt" and ";" in jumps else "1"
+    _one_error_line(capsys, ["simulate", "--process", process, "--jumps", jumps, "--t", t,
+                             "--n", "4"])
+
+
 def test_gmsp_pmf_past_the_subnormal_start(capsys):
     # e^-744 is subnormal; scipy.stats.poisson.pmf(744, 744) = 0.014624295502660
     assert main(["pmf", "--process", "gmsp", "--jumps", "1:744.0", "--t", "1.0",
@@ -516,6 +526,11 @@ _F64_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, -0.0, 1.0 / 3.0, 0
     np.array(_F64_EDGES * 3)[::-4],
     np.full(500, 4, dtype=np.int64),
     np.full(500, -0.0),
+    # integer columns no wider than they are long, grouped by counting
+    np.tile(np.array([-128, 127, 0, -1, 5], dtype=np.int8), 60),
+    np.tile(np.array([-100, 100, 0, 5], dtype=np.int8), 100),
+    np.arange(-2**15, 2**15 - 1, 37, dtype=np.int16).repeat(40),
+    np.tile(np.array([-32768, 32767, 0, -1], dtype=np.int16), 20000),
 ], ids=lambda v: f"{v.dtype}-{v.size}")
 def test_column_formats_each_entry_as_fmt_would(values):
     # a numeric column formats each distinct bit pattern once: 0.0 and -0.0 stay apart
@@ -645,6 +660,16 @@ _FRAC_ARGS = ["--l1", "1.3", "--l2", "0.6", "--alpha", "0.6", "--beta", "0.8",
     (["converge", "--scheme", "alt-array", "--jumps", "2:0.5;-1:1.5;1:2.0",
       "--t", "0.7,1.3,2.1", "--scales", "10,100,1000", "--n", "5000", "--seed", "3"],
      {"": "248507453c144d00e7722071d33aa2555baba8faab9a815082bc2cf3880a3ff7"}),
+    # the benchmark's int64 empirical CF, and the other two int64 lattice samplers in bulk
+    (["cf", "--process", "gmsp", "--jumps", _SPEC3, "--t", "1.0,1.0", "--empirical",
+      "--u", "0:4:0.05", "--n", "100000", "--seed", "3"],
+     {"": "dea80b8f1b1761cdf22545c7d39919bb62dd1eb7a5fb0a31f265687d52d15923"}),
+    (["simulate", "--process", "compound-peraxis", "--jumps", _SPEC3, "--t", "1.0,1.0",
+      "--n", "200000", "--seed", "3"],
+     {"": "bcfbe58e6600c461113ec16be3c25201b2df9b9bba640b461c250e28ebe2cdd7"}),
+    (["simulate", "--process", "alt", "--jumps", "1:1.0;-1:0.5", "--t", "1.0,2.0",
+      "--n", "200000", "--seed", "3"],
+     {"": "7016f28756e64092e1ae7826a973520241cd12feecc7879483ddf9555659b000"}),
 ])
 def test_artifact_bytes_are_pinned(tmp_path, argv, digests):
     code, _ = run_cli(argv, tmp_path, out_name="pinned")

@@ -14,6 +14,7 @@ from skellam_lab import (
     JumpSpec,
     TriangularArraySpec,
     alt_pgf,
+    alt_sample,
     gmsp_array_sample,
     gmsp_cf,
     gmsp_compound_equalrate_sample,
@@ -25,7 +26,7 @@ from skellam_lab import (
     msp_pmf,
     scaled_poisson_convolution,
 )
-from skellam_lab.records import LatticePMF
+from skellam_lab.records import LatticePMF, make_rng
 from skellam_lab.special import TruncationError, poisson_pmf
 from skellam_lab.stats import lattice_chi2, lattice_chi2_two_sample
 
@@ -325,6 +326,66 @@ def test_moment_invariant_for_every_sampler():
         m4 = np.mean((x - x.mean()) ** 4)
         se_var = math.sqrt(max(m4 - s2**2, 0.0) / x.size)
         assert abs(s2 - v) < 5 * se_var
+
+
+def test_integer_jump_sets_sum_the_same_counts_in_int64():
+    # one rng.poisson per jump in jump order, added as int(j) * counts: the
+    # draws are the exact integer sums of the stream the float loop drew
+    spec = JumpSpec({1: (0.7, 0.4), -1: (0.5, 0.6), 2: (0.2, 0.3)})
+    batch = gmsp_sample(spec, (1.0, 1.5), 5000, seed=8)
+    rng = make_rng(8)
+    want = sum(j * rng.poisson(mu, 5000) for j, mu in zip((-1, 1, 2), (1.4, 1.3, 0.65)))
+    assert batch.values.dtype == np.int64 and np.array_equal(batch.values, want)
+    # a non-integer jump set draws the same counts and sums them in float64
+    floats = gmsp_sample(JumpSpec({1: (0.7, 0.4), -1: (0.5, 0.6), 2.5: (0.2, 0.3)}),
+                         (1.0, 1.5), 5000, seed=8)
+    rng = make_rng(8)
+    counts = [rng.poisson(mu, 5000) for mu in (1.4, 1.3, 0.65)]
+    assert floats.values.dtype == np.float64
+    assert np.array_equal(floats.values, -1.0 * counts[0] + 1.0 * counts[1] + 2.5 * counts[2])
+
+
+_PAST_2_53 = r"lattice draws are exact only below 2\*\*53"
+
+
+def _lattice_samplers(jump_rates, n, seed):
+    """The lattice samplers on one axis, each at ``jump_rates``, keyed by name."""
+    spec = JumpSpec({j: (rate,) for j, rate in jump_rates.items()})
+    return {
+        "gmsp": lambda: gmsp_sample(spec, (1.0,), n, seed),
+        "alt": lambda: alt_sample(AltSpec(jump_rates), {j: 1.0 for j in jump_rates}, n, seed),
+        "peraxis": lambda: gmsp_compound_peraxis_sample(spec, (1.0,), n, seed),
+        "equalrate": lambda: gmsp_compound_equalrate_sample(jump_rates, 1, (1.0,), n, seed),
+    }
+
+
+@pytest.mark.parametrize("jump_rates", [{1e300: 1.0}, {2.0**53: 1.0, 1.0: 1.0}],
+                         ids=["1e300", "2^53-and-1"])
+@pytest.mark.parametrize("sampler", ["gmsp", "alt", "peraxis", "equalrate"])
+def test_lattice_draws_that_could_reach_2_53_are_refused(jump_rates, sampler):
+    # these wrote INT64_MIN (after a numpy cast warning), or a sum that lost
+    # the count of jump 1, and exited 0
+    with pytest.raises(ValueError, match=_PAST_2_53):
+        _lattice_samplers(jump_rates, 4, 0)[sampler]()
+
+
+def test_lattice_draws_just_below_2_53_are_exact():
+    # at seed 1 every count of either jump is at most 1, and the compound forms
+    # draw at most one jump per draw: the bounds are 2**53 - 1 and 2**53 - 2
+    big = 2**53 - 2
+    batches = {name: draw() for name, draw in _lattice_samplers({big: 0.3, 1: 0.3}, 6, 1).items()}
+    rng = make_rng(1)
+    want = sum(j * rng.poisson(0.3, 6).astype(object) for j in (1, big))
+    assert batches["gmsp"].values.tolist() == want.tolist()
+    assert 2**53 - 1 in want.tolist()  # one draw sits at the bound itself
+    assert np.array_equal(batches["alt"].values, batches["gmsp"].values)
+    assert set(batches["peraxis"].values.tolist()) == {0, 1, big}
+    assert np.array_equal(batches["equalrate"].values, batches["peraxis"].values)
+    assert all(b.values.dtype == np.int64 for b in batches.values())
+    # one more unit of jump reaches 2**53 at the same counts: refused
+    for name, draw in _lattice_samplers({big + 2: 0.3, 1: 0.3}, 6, 1).items():
+        with pytest.raises(ValueError, match=_PAST_2_53):
+            draw()
 
 
 def test_array_sample_zero_scale_window():

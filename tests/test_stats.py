@@ -51,6 +51,29 @@ def test_empirical_cf_matches_the_per_draw_sum_bit_for_bit(values):
         assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
+@pytest.mark.parametrize("values", [
+    np.random.default_rng(7).poisson(2.0, 20000) - 2 * np.random.default_rng(8).poisson(1.0, 20000),
+    np.array([3, -2**40, 0, 2**52, 3, -1, 0], dtype=np.int64),  # spans far past its length
+    np.full(9, -5, dtype=np.int64),
+], ids=["lattice", "wide", "constant"])
+def test_empirical_cf_of_an_int64_batch_is_that_of_its_float_cast(values):
+    # the int64 batch is grouped in int64 and only its distinct values are cast
+    u = np.arange(-4.0, 4.0, 0.35)
+    got = empirical_cf(SampleBatch(values, seed=0), u)
+    want = empirical_cf(SampleBatch(values.astype(float), seed=0), u)
+    assert [(v.real.hex(), v.imag.hex()) for v in got.values] == \
+        [(v.real.hex(), v.imag.hex()) for v in want.values]
+
+
+def test_integer_batches_enter_the_lattice_tests_as_they_are():
+    values = np.array([2, -1, 0, 2], dtype=np.int32)
+    got = stats._integer_values(SampleBatch(values, seed=0))
+    assert got.dtype == np.int64 and got.tolist() == [2, -1, 0, 2]
+    assert stats._integer_values(SampleBatch(values.astype(float), seed=0)).dtype == np.int64
+    with pytest.raises(ValueError, match="integer-valued"):
+        stats._integer_values(SampleBatch(np.array([0.5]), seed=0))
+
+
 def test_empirical_cf_rejects_empty():
     with pytest.raises(ValueError):
         empirical_cf(SampleBatch(np.array([]), seed=0), [0.0])
