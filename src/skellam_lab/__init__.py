@@ -12,7 +12,7 @@ _EXPORTS = {
     "records": ("SampleBatch", "LatticePMF", "CFTable", "make_rng", "spawn_rngs"),
     "special": ("TruncationError", "bessel_i", "wright_psi23", "frac_poisson_pmf",
                 "frac_poisson_table"),
-    "mpp": ("GridPath", "as_rates", "as_times", "mpp_pmf", "mpp_sample_grid", "mpp_covariance"),
+    "mpp": ("as_rates", "as_times", "mpp_pmf", "mpp_covariance"),
     "gmsp": (
         "JumpSpec",
         "TriangularArraySpec",
@@ -32,7 +32,6 @@ _EXPORTS = {
         "RectDomain",
         "CompoundSpec",
         "integral_sample",
-        "riemann_sum",
         "integral_cf_gmsp",
         "integral_cf_mpp",
         "integral_cf_levy",

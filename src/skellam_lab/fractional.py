@@ -370,9 +370,7 @@ def frac_skellam_moments(spec: FracSkellamSpec, t1: float, t2: float,
         raise ValueError(f"unknown variance form {variance_form!r}")
 
     def side(lam, alpha, t):
-        mu = lam * t**alpha
-        if not math.isfinite(mu):
-            raise ValueError(f"means must be finite, got lam * t**alpha = {mu!r}")
+        mu = clock_means(lam, t, alpha)  # refused as the pmf forms refuse it
         m1 = mu / math.gamma(alpha + 1.0)
         bracket = 1.0 / math.gamma(2.0 * alpha) - 1.0 / (alpha * math.gamma(alpha) ** 2)
         lead = mu if variance_form == "printed" else mu * mu  # inf, not OverflowError, past the range

@@ -350,7 +350,10 @@ def gmsp_compound_peraxis_sample(spec: JumpSpec, t, n_draws: int, seed: int) -> 
     tt = as_times(t, spec.dim)
     rng = make_rng(seed)
     reach = []
-    values = peraxis_compound_sums(spec, tt, n_draws, [(rng, rng, None)] * spec.dim, reach=reach)
+    # a float sum that overflows has a reach past 2**53, which _as_lattice refuses
+    with np.errstate(over="ignore"):
+        values = peraxis_compound_sums(spec, tt, n_draws, [(rng, rng, None)] * spec.dim,
+                                       reach=reach)
     return SampleBatch(values=_as_lattice(values, spec.jump_values, sum(reach)), seed=int(seed))
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "RectDomain",
     "CompoundSpec",
     "integral_sample",
-    "riemann_sum",
     "integral_cf_gmsp",
     "integral_cf_mpp",
     "integral_cf_levy",
@@ -164,34 +163,6 @@ def integral_sample(process, dom: RectDomain, n_draws: int, seed: int) -> Sample
                       for k, r in enumerate(dom.resolution)]
         values = peraxis_compound_sums(spec, dom.t, n_draws, axis_draws, float(np.prod(dom.t)))
     return SampleBatch(values=values, seed=int(seed))
-
-
-def riemann_sum(path, upper=None):
-    """Literal lattice Riemann sum of a sampled grid path, or one per path of a batch.
-
-    The path axes must be uniform lattices 0, t_k/r_k, ..., t_k (as produced
-    for integration); the sum runs over lattice points with every index >= 1.
-    A batched path (values with a leading path axis) gives an array of sums.
-    This is the literal reference the compound-Poisson integral sampler is
-    checked against in law on small grids.
-    """
-    axes = path.axes
-    for ax in axes:
-        if ax.size < 2 or ax[0] != 0.0:
-            raise ValueError("each axis must start at 0 and have at least 2 points")
-        gaps = np.diff(ax)
-        if not np.allclose(gaps, gaps[0], rtol=1e-12, atol=0.0):
-            raise ValueError("axes must be uniform lattices")
-    if upper is not None:
-        up = as_times(upper, len(axes))
-        for ax, u in zip(axes, up):
-            if not math.isclose(ax[-1], u, rel_tol=1e-12):
-                raise ValueError("axis endpoints must match the rectangle corner")
-    cellvol = float(np.prod([ax[1] - ax[0] for ax in axes]))
-    inner = path.values[(..., *(slice(1, None) for _ in axes))]
-    if inner.ndim == len(axes):
-        return cellvol * float(inner.sum())
-    return cellvol * inner.reshape(len(inner), -1).sum(axis=1)
 
 
 def _unit_interval_cf_factor(c: float) -> complex:

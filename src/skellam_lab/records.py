@@ -142,12 +142,11 @@ def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
     Children are ``SeedSequence(seed).spawn(n)`` taken in order, so the i-th
     sub-stream is the same no matter how many draws the others make, or on
     which thread and in which order they make them.  Its users:
-    ``mpp_sample_grid`` takes one child per axis, ``frac_skellam_sample`` one
-    per side (and draws the two sides through :func:`concurrently`),
-    ``integral_sample`` 3 M for M axes and its compound form 2 M + 1.  The
-    other samplers (``gmsp_sample``, the compound forms, the array samplers,
-    ``uniform_compound_sample``, the stable clocks) draw from one
-    ``make_rng(seed)`` stream, and the identities offset the seeds of
+    ``frac_skellam_sample`` takes one child per side (and draws the two sides
+    through :func:`concurrently`), ``integral_sample`` 3 M for M axes and its
+    compound form 2 M + 1.  The other samplers (``gmsp_sample``, the compound
+    forms, the array samplers, ``uniform_compound_sample``, the stable clocks)
+    draw from one ``make_rng(seed)`` stream, and the identities offset the seeds of
     their batches (seed + i, seed + 7 i, seed + 1, and 10 seed + i in
     frac-pmf) rather than split one.  Six identities draw their two batches
     through :func:`concurrently`, each from its own seed: compound-peraxis

@@ -48,10 +48,13 @@ def empirical_cf(batch: SampleBatch, u_grid) -> CFTable:
 
 
 def _integer_values(batch: SampleBatch) -> np.ndarray:
-    """The batch as int64: an integer batch as it is, a float batch only if every value is whole."""
+    """The batch as int64: an integer batch as it is, a float batch only if every value is
+    finite and whole (inf equals its own round, and would cast to INT64_MIN)."""
     v = np.asarray(batch.values)
     if v.dtype.kind in "iu":
         return v.astype(np.int64, copy=False)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("lattice tests need integer-valued batches, got a non-finite draw")
     if not np.all(v == np.round(v)):
         raise ValueError("lattice tests need integer-valued batches")
     return v.astype(np.int64)

@@ -378,10 +378,13 @@ def test_non_finite_mean_is_an_error_exit(capsys):
      "--nmax", "3"],
     ["simulate", "--process", "frac-skellam",
      *_with(_with(_FRAC_ARGS, "--l1", "1.0e308"), "--t1", "10"), "--n", "3"],
+    ["simulate", "--process", "compound-peraxis", "--jumps", "1e308:1.0,1.0", "--t", "1,1",
+     "--n", "20"],
 ])
 def test_overflowing_means_are_one_error_line(capsys, argv):
     # the gmsp cf used to exit 0 with a table of zeros, and the alt-increment
-    # cf with the row 1,0,0; the fractional pmfs ended in a nan after numpy warnings
+    # cf with the row 1,0,0; the fractional pmfs ended in a nan after numpy warnings;
+    # compound-peraxis's two float sums of 1e308 overflow, and numpy warned before the error
     _one_error_line(capsys, argv)
 
 

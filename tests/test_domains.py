@@ -53,7 +53,7 @@ from skellam_lab.integrals import (
     integral_cf_mpp,
     uniform_compound_sample,
 )
-from skellam_lab.mpp import mpp_covariance, mpp_pmf, mpp_sample_grid
+from skellam_lab.mpp import mpp_covariance, mpp_pmf
 from skellam_lab.records import SampleBatch
 
 _NON_FINITE = [math.nan, math.inf, -math.inf]
@@ -82,7 +82,6 @@ def _alt_rule(l, axis, j):
 ENTRY_POINTS = [
     # rates
     ("rate", "mpp_pmf", lambda x: mpp_pmf(0, [x], [1.0])),
-    ("rate", "mpp_sample_grid", lambda x: mpp_sample_grid([x], [[1.0]], seed=0)),
     ("rate", "mpp_covariance", lambda x: mpp_covariance([x], [1.0], [1.0])),
     ("rate", "JumpSpec", lambda x: JumpSpec({1: (x,)})),
     ("rate", "msp_pmf", lambda x: msp_pmf(0, [x], [1.0], [1.0])),
@@ -98,7 +97,6 @@ ENTRY_POINTS = [
     ("rate", "integral_cf_mpp", lambda x: integral_cf_mpp([x], [1.0], 1.0)),
     # times
     ("time", "mpp_pmf", lambda x: mpp_pmf(0, [1.0], [x])),
-    ("time", "mpp_sample_grid", lambda x: mpp_sample_grid([1.0], [[0.5, x]], seed=0)),
     ("time", "mpp_covariance", lambda x: mpp_covariance([1.0], [x], [1.0])),
     ("time", "gmsp_sample", lambda x: gmsp_sample(_SPEC, [x], 3, 0)),
     ("time", "gmsp_pgf", lambda x: gmsp_pgf(_SPEC, [x], 0.5)),

@@ -727,10 +727,13 @@ def test_wright_form_where_lam_t_alpha_underflows(spec, t1, t2, k):
 ])
 @pytest.mark.parametrize("k", [-1, 0, 1])
 def test_wright_form_refuses_an_infinite_mean_with_the_convolution_forms_text(spec, t1, t2, mean, k):
-    # the Wright form raised "z must be finite, got inf" here
-    for form in (frac_skellam_pmf, frac_skellam_pmf_wright):
+    # the Wright form raised "z must be finite, got inf" here, and the
+    # moments gave the product alone, "lam * t**alpha = inf"
+    for call in (lambda: frac_skellam_pmf(spec, t1, t2, k),
+                 lambda: frac_skellam_pmf_wright(spec, t1, t2, k),
+                 lambda: frac_skellam_moments(spec, t1, t2)):
         with pytest.raises(ValueError) as exc:
-            form(spec, t1, t2, k)
+            call()
         assert str(exc.value) == f"means must be finite, got lam * t**alpha = {mean}"
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from skellam_lab import (
     CompoundSpec,
-    GridPath,
     JumpSpec,
     RectDomain,
     empirical_cf,
@@ -17,12 +16,10 @@ from skellam_lab import (
     integral_sample,
     ks_two_sample,
     lattice_chi2_two_sample,
-    mpp_sample_grid,
-    riemann_sum,
     uniform_compound_sample,
 )
 from skellam_lab.integrals import _unit_interval_cf_factor
-from skellam_lab.records import SampleBatch
+from skellam_lab.records import SampleBatch, spawn_rngs
 
 
 def test_rect_domain_validation():
@@ -92,20 +89,23 @@ def test_integral_sample_chunking_is_stream_stable():
     assert np.array_equal(long.values, longer.values[:5000])
 
 
-def test_riemann_sum_decomposes_over_axes():
-    # the lattice sum of an additive path splits into per-axis edge sums
-    t = np.array([1.5, 1.0])
-    r = 16
-    axes = [np.linspace(0.0, tk, r + 1) for tk in t]
-    for seed in range(10):
-        path = mpp_sample_grid((0.9, 1.4), axes, seed=seed)
-        literal = riemann_sum(path, upper=t)
-        edge_sums = [
-            path.values[1:, 0].sum() * (t[0] / r),
-            path.values[0, 1:].sum() * (t[1] / r),
-        ]
-        factorized = t[1] * edge_sums[0] + t[0] * edge_sums[1]
-        assert literal == pytest.approx(factorized, rel=1e-12)
+def _grid_paths(rates, axes, n, seed):
+    """n MPP paths on the lattice ``axes``: axis k adds the cumulative Poisson
+    increments drawn from child k of spawn_rngs(seed, M), broadcast along it."""
+    values = np.zeros((n, *(ax.size for ax in axes)), dtype=np.int64)
+    for k, (rng, lam, ax) in enumerate(zip(spawn_rngs(seed, len(axes)), rates, axes)):
+        shape = [n] + [1] * len(axes)
+        shape[k + 1] = ax.size
+        incs = rng.poisson(lam * np.diff(ax, prepend=0.0), size=(n, ax.size))
+        values = values + np.cumsum(incs, axis=1).reshape(shape)
+    return values
+
+
+def _lattice_sum(values, t, r):
+    """The literal lattice Riemann sum of each path: the cell volume times the
+    sum over lattice points whose every index is >= 1."""
+    inner = values[(slice(None), *(slice(1, None) for _ in t))]
+    return float(np.prod(np.asarray(t) / r)) * inner.reshape(len(inner), -1).sum(axis=1)
 
 
 GMSP_NEG = JumpSpec({1: (0.7, 0.4), -1: (0.5, 0.6)})
@@ -118,10 +118,9 @@ def test_integral_sample_matches_literal_riemann_sum_in_law(r):
     dom = RectDomain(t=t, resolution=r)
     kernel = np.round(integral_sample(GMSP_NEG, dom, n, seed=31).values / dom.cell_volume)
     axes = [np.linspace(0.0, tk, r + 1) for tk in t]
-    values = sum(j * mpp_sample_grid(lam, axes, seed=1000 + m, n_paths=n).values
+    values = sum(j * _grid_paths(lam, axes, n, seed=1000 + m)
                  for m, (j, lam) in enumerate(GMSP_NEG.jumps.items()))
-    literal = riemann_sum(GridPath(axes=tuple(axes), values=values, seed=0), upper=t)
-    literal = np.round(literal / dom.cell_volume)
+    literal = np.round(_lattice_sum(values, t, r) / dom.cell_volume)
     report = lattice_chi2_two_sample(SampleBatch(kernel, seed=31), SampleBatch(literal, seed=0))
     assert report.verdict, f"chi2 p={report.p_value}"
 
@@ -140,10 +139,9 @@ def test_compound_integral_matches_literal_riemann_sum_in_law(rates, t, r):
     # 40 jumps per draw is far past any count these rates reach on the grid
     jumps = np.random.default_rng(7).choice(COMPOUND_VALS, size=(n, 40), p=COMPOUND_PROBS)
     s_x = np.hstack([np.zeros((n, 1)), np.cumsum(jumps, axis=1)])
-    path = mpp_sample_grid(rates, axes, seed=2000, n_paths=n)
-    values = np.take_along_axis(s_x, path.values.reshape(n, -1), axis=1).reshape(path.values.shape)
-    literal = riemann_sum(GridPath(axes=path.axes, values=values, seed=0))
-    literal = np.round(literal / dom.cell_volume)
+    counts = _grid_paths(rates, axes, n, seed=2000)
+    values = np.take_along_axis(s_x, counts.reshape(n, -1), axis=1).reshape(counts.shape)
+    literal = np.round(_lattice_sum(values, t, r) / dom.cell_volume)
     report = lattice_chi2_two_sample(SampleBatch(kernel, seed=41), SampleBatch(literal, seed=0))
     assert report.verdict, f"chi2 p={report.p_value}"
 
@@ -155,55 +153,6 @@ def test_compound_integral_is_prefix_stable_across_chunks(rates, t):
     long = integral_sample(spec, dom, 5000, seed=9)
     longer = integral_sample(spec, dom, 8192, seed=9)
     assert np.array_equal(long.values, longer.values[:5000])
-
-
-def test_riemann_sum_of_a_batch_is_the_sum_of_each_path():
-    axes = [np.linspace(0.0, 1.5, 9), np.linspace(0.0, 1.0, 5)]
-    batch = mpp_sample_grid((0.9, 1.4), axes, seed=5, n_paths=20)
-    sums = riemann_sum(batch, upper=(1.5, 1.0))
-    assert sums.shape == (20,)
-    for p in range(20):
-        one = GridPath(axes=batch.axes, values=batch.values[p], seed=5)
-        assert sums[p] == riemann_sum(one, upper=(1.5, 1.0))
-
-
-def test_riemann_sum_validates_axes():
-    path = mpp_sample_grid((1.0,), [np.array([0.5, 1.0])], seed=0)
-    with pytest.raises(ValueError):
-        riemann_sum(path)
-
-
-def test_refinement_bound_on_one_path():
-    # coarse upper sums dominate refined ones; the gap is at most one cell layer
-    t = 2.0
-    r = 64
-    axes = [np.linspace(0.0, t, 2 * r + 1)]
-    for seed in range(10):
-        fine = mpp_sample_grid((1.3,), axes, seed=seed)
-        s_fine = riemann_sum(fine)
-        coarse_vals = fine.values[::2]
-        coarse = type(fine)(axes=(axes[0][::2],), values=coarse_vals, seed=seed)
-        s_coarse = riemann_sum(coarse)
-        layer = (t / (2 * r)) * fine.values[-1]
-        assert -1e-12 <= s_coarse - s_fine <= layer + 1e-12
-
-
-def test_refinement_bound_two_dimensional():
-    t = np.array([1.5, 1.0])
-    r = 32
-    axes = [np.linspace(0.0, tk, 2 * r + 1) for tk in t]
-    for seed in range(5):
-        fine = mpp_sample_grid((1.0, 0.7), axes, seed=seed)
-        s_fine = riemann_sum(fine)
-        coarse = type(fine)(
-            axes=(axes[0][::2], axes[1][::2]), values=fine.values[::2, ::2], seed=seed
-        )
-        s_coarse = riemann_sum(coarse)
-        corner = fine.values[-1, -1]
-        layer = sum(
-            (t[k] / (2 * r)) * float(np.prod(np.delete(t, k))) * corner for k in range(2)
-        )
-        assert -1e-12 <= s_coarse - s_fine <= layer + 1e-12
 
 
 def test_cf_at_zero_and_modulus():

@@ -171,6 +171,25 @@ def test_chi2_requires_integer_values():
         lattice_chi2(SampleBatch(np.array([0.5, 1.0]), seed=0), poisson_table(1.0, 5))
 
 
+_TWO_CELLS = LatticePMF(0, np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("test", [
+    lambda batch: tv_distance(batch, _TWO_CELLS),
+    lambda batch: lattice_chi2(batch, _TWO_CELLS),
+    lambda batch: lattice_chi2_two_sample(batch, SampleBatch(np.zeros(3), seed=0)),
+    lambda batch: lattice_chi2_two_sample(SampleBatch(np.zeros(3), seed=0), batch),
+], ids=["tv", "chi2", "two-sample-a", "two-sample-b"])
+def test_lattice_tests_refuse_a_non_finite_draw(test, bad):
+    # inf equals its own round: it was cast to INT64_MIN with a RuntimeWarning,
+    # and tv_distance of [1, inf, 0] returned 0.3333
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="integer-valued batches, got a non-finite draw"):
+            test(SampleBatch(np.array([1.0, bad, 0.0]), seed=0))
+
+
 def test_ks_identical_batches():
     draws = np.random.default_rng(11).normal(size=500)
     a = SampleBatch(draws, seed=11)
