@@ -120,11 +120,24 @@ def _exact_reach(reach: float) -> None:
                          f"counts let them reach {reach:.6g}: use smaller jumps or means")
 
 
+def finite_draws(values: np.ndarray) -> np.ndarray:
+    """``values``, refused with one ``ValueError`` unless every draw is finite.
+
+    The float compound samplers return their draws through here, and take
+    any numpy arithmetic on them under ``np.errstate(over="ignore",
+    invalid="ignore")``, so a sum that leaves the float range is this error
+    and no numpy warning.
+    """
+    if not np.isfinite(values).all():
+        raise ValueError("a draw left the float range: use smaller jumps, rates or times")
+    return values
+
+
 def _as_lattice(values: np.ndarray, jumps, reach: float) -> np.ndarray:
     """Integer draws when every jump is an integer (refused by :func:`_exact_reach` at a
-    ``reach`` of 2**53 or more), float draws otherwise."""
+    ``reach`` of 2**53 or more), float draws otherwise (refused by :func:`finite_draws`)."""
     if not _integer_jumps(jumps):
-        return values
+        return finite_draws(values)
     _exact_reach(reach)
     return values.astype(np.int64)
 
@@ -350,8 +363,8 @@ def gmsp_compound_peraxis_sample(spec: JumpSpec, t, n_draws: int, seed: int) -> 
     tt = as_times(t, spec.dim)
     rng = make_rng(seed)
     reach = []
-    # a float sum that overflows has a reach past 2**53, which _as_lattice refuses
-    with np.errstate(over="ignore"):
+    # a sum that overflows has a reach past 2**53 or a non-finite draw: _as_lattice refuses both
+    with np.errstate(over="ignore", invalid="ignore"):
         values = peraxis_compound_sums(spec, tt, n_draws, [(rng, rng, None)] * spec.dim,
                                        reach=reach)
     return SampleBatch(values=_as_lattice(values, spec.jump_values, sum(reach)), seed=int(seed))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gmsp import JumpSpec, compound_sums, equalrate_sums, peraxis_compound_sums
+from .gmsp import JumpSpec, compound_sums, equalrate_sums, finite_draws, peraxis_compound_sums
 from .mpp import poisson_means
 from .records import (SampleBatch, as_jump_values, as_rates, as_scales, as_times, make_rng,
                       spawn_rngs)
@@ -144,7 +144,8 @@ def integral_sample(process, dom: RectDomain, n_draws: int, seed: int) -> Sample
 
     ``process`` is a rate vector (MPP), a :class:`JumpSpec` (GMSP), or a
     :class:`CompoundSpec`.  A domain with any zero side has zero volume and
-    yields exact zeros, once the process has been checked against it.
+    yields exact zeros, once the process has been checked against it.  A draw
+    that leaves the float range is refused (:func:`~skellam_lab.gmsp.finite_draws`).
     """
     if isinstance(process, CompoundSpec):
         if process.rates.size != dom.dim:
@@ -154,15 +155,16 @@ def integral_sample(process, dom: RectDomain, n_draws: int, seed: int) -> Sample
         if spec.dim != dom.dim:
             raise ValueError("process dimension must match the domain")
     if np.any(dom.t == 0.0):
-        values = np.zeros(n_draws)
-    elif isinstance(process, CompoundSpec):
-        values = _compound_integral(process, dom, n_draws, seed)
-    else:
-        rngs = spawn_rngs(seed, 3 * dom.dim)
-        axis_draws = [(rngs[3 * k], rngs[3 * k + 1], _lattice_weights(rngs[3 * k + 2], r))
-                      for k, r in enumerate(dom.resolution)]
-        values = peraxis_compound_sums(spec, dom.t, n_draws, axis_draws, float(np.prod(dom.t)))
-    return SampleBatch(values=values, seed=int(seed))
+        return SampleBatch(values=np.zeros(n_draws), seed=int(seed))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(process, CompoundSpec):
+            values = _compound_integral(process, dom, n_draws, seed)
+        else:
+            rngs = spawn_rngs(seed, 3 * dom.dim)
+            axis_draws = [(rngs[3 * k], rngs[3 * k + 1], _lattice_weights(rngs[3 * k + 2], r))
+                          for k, r in enumerate(dom.resolution)]
+            values = peraxis_compound_sums(spec, dom.t, n_draws, axis_draws, float(np.prod(dom.t)))
+    return SampleBatch(values=finite_draws(values), seed=int(seed))
 
 
 def _unit_interval_cf_factor(c: float) -> complex:
@@ -252,23 +254,28 @@ def uniform_compound_sample(process, t, n_draws: int, seed: int) -> SampleBatch:
     a dict from jump to rate (equal rates on all len(t) axes)
         one Poisson((sum lam)(sum t)) count with the global jump law; rates
         must be positive and jumps nonzero.
+
+    A draw that leaves the float range is refused, as in :func:`integral_sample`.
     """
     rng = make_rng(seed)
-    if isinstance(process, CompoundSpec):
-        if process.rates.size != 1:
-            raise ValueError("a CompoundSpec matches the integral for one rate only")
-        tt = as_times(t, 1)
-        values = float(tt[0]) * compound_sums(rng, rng, float(poisson_means(process.rates, tt)),
-                                              n_draws, process.values, process.probs, rng.random)
-    elif isinstance(process, JumpSpec):
-        tt = as_times(t, process.dim)
-        values = peraxis_compound_sums(process, tt, n_draws, [(rng, rng, rng.random)] * process.dim,
-                                       float(np.prod(tt)))
-    elif isinstance(process, dict):
-        tt = as_times(t)
-        values = float(np.prod(tt)) * equalrate_sums(rng, process, float(tt.sum()), n_draws,
-                                                     rng.random)
-    else:
-        raise ValueError(f"unknown process type {type(process).__name__!r}: "
-                         "expected a CompoundSpec, a JumpSpec or a jump -> rate dict")
-    return SampleBatch(values=values, seed=int(seed))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(process, CompoundSpec):
+            if process.rates.size != 1:
+                raise ValueError("a CompoundSpec matches the integral for one rate only")
+            tt = as_times(t, 1)
+            values = float(tt[0]) * compound_sums(
+                rng, rng, float(poisson_means(process.rates, tt)), n_draws, process.values,
+                process.probs, rng.random)
+        elif isinstance(process, JumpSpec):
+            tt = as_times(t, process.dim)
+            values = peraxis_compound_sums(process, tt, n_draws,
+                                           [(rng, rng, rng.random)] * process.dim,
+                                           float(np.prod(tt)))
+        elif isinstance(process, dict):
+            tt = as_times(t)
+            values = float(np.prod(tt)) * equalrate_sums(rng, process, float(tt.sum()), n_draws,
+                                                         rng.random)
+        else:
+            raise ValueError(f"unknown process type {type(process).__name__!r}: "
+                             "expected a CompoundSpec, a JumpSpec or a jump -> rate dict")
+    return SampleBatch(values=finite_draws(values), seed=int(seed))

@@ -14,7 +14,11 @@ _MAX_TERMS terms or entries; past it they raise :class:`TruncationError`.
 for: at x = 1000, alpha = 1/2 its law holds 1.7e-12 of its mass past
 n = 10,000.  The fractional Poisson law is no series
 here: it is a double integral over the Kanter representation of the stable
-clock, taken on one fixed double-exponential node grid.
+clock, taken on one fixed double-exponential node grid.  Every Poisson table,
+of one node (:func:`poisson_entries`) or of the grid, comes from
+:func:`_mixture_pmfs`: an exact log-space restart every _RESTART entries, and
+between restarts one multiply of carried mean powers per entry and one
+division of the entry's sum by its falling factorial.
 """
 
 from __future__ import annotations
@@ -283,7 +287,7 @@ def poisson_pmf(n: int, mu: float) -> float:
 # grid (Takahasi & Mori 1974); the integrand is positive, so nothing cancels.
 _STEP = 1.0 / 16  # node spacing of both rules
 _NEGLIGIBLE = 1e-20  # nodes of smaller weight are dropped
-_RESTART = 16  # ratio-recurrence steps between exact log-space restarts
+_RESTART = 16  # entries between exact log-space restarts; the 15 between carry mean powers
 _DROPPED = 1e-30  # a node past its mean whose pmf is below this is dropped
 _TABLE_FLOOR = 1e-20  # a table's tail starts below this
 
@@ -331,14 +335,18 @@ def _node_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 def _mixture_pmfs(mean: np.ndarray, weight: np.ndarray):
     """Yield sum_i weight_i Pois(n; mean_i) for n = 0, 1, ...
 
-    The ratio recurrence restarts from the exact log pmf every _RESTART
-    steps, so a node whose e^(-mean) underflows joins once its pmf is back in
+    Every _RESTART entries, at n0, each node's pmf is taken exactly from its
+    log, so a node whose e^(-mean) underflows joins once its pmf is back in
     the float range.  A restart drops the nodes whose pmf only falls from
-    there, before it sinks into slow subnormal arithmetic.  The weights ride
-    in the recurrence and each entry is numpy's pairwise sum, not a BLAS dot
-    product, so its bits do not depend on how many threads BLAS runs.  A
-    restart works in place and copies the nodes only when some drop, so a
-    table holds few node-sized arrays at once.
+    there, before it sinks into slow subnormal arithmetic.  Between restarts
+    the nodes carry u_i = weight_i Pois(n0; mean_i) mean_i^(n - n0), one
+    in-place multiply by the means per entry, and entry n is numpy's pairwise
+    sum of u divided once by the falling factorial (n0+1)...n, an exact int:
+    no division over the nodes.  u_i is weight_i Pois(n; mean_i) times that
+    factorial, so at most (n0+15)^15: about 1e60 at 10,000 entries, far inside
+    the float range.  The sum is not a BLAS dot product, so its bits do not depend
+    on how many threads BLAS runs.  A restart works in place and copies the
+    nodes only when some drop, so a table holds few node-sized arrays at once.
     """
     log_mean = np.maximum(mean, np.finfo(float).tiny)  # a mean of 0 stays at n = 0
     np.log(log_mean, out=log_mean)
@@ -351,10 +359,12 @@ def _mixture_pmfs(mean: np.ndarray, weight: np.ndarray):
             live = (p >= _DROPPED) | (mean > n)
             if not live.all():
                 mean, log_mean, weight, p = mean[live], log_mean[live], weight[live], p[live]
-            q = weight * p
+            u = weight * p
+            falling = 1
         else:
-            q *= mean / n
-        yield float(q.sum())
+            u *= mean
+            falling *= n
+        yield float(u.sum()) / falling
 
 
 def poisson_entries(mu: float):

@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -367,6 +368,23 @@ def test_lattice_draws_that_could_reach_2_53_are_refused(jump_rates, sampler):
     # the count of jump 1, and exited 0
     with pytest.raises(ValueError, match=_PAST_2_53):
         _lattice_samplers(jump_rates, 4, 0)[sampler]()
+
+
+@pytest.mark.parametrize("sampler", [
+    lambda: gmsp_compound_peraxis_sample(JumpSpec({0.5: (1.0, 1.0), 1e308: (1.0, 1.0)}),
+                                         (1.0, 1.0), 5, 0),
+    # axis sums of +inf and -inf add to nan
+    lambda: gmsp_compound_peraxis_sample(
+        JumpSpec({0.5: (1.0, 1.0), 1e308: (3.0, 1.0), -1e308: (1.0, 3.0)}), (1.0, 1.0), 20, 0),
+    lambda: gmsp_compound_equalrate_sample({0.5: 1.0, 1e308: 3.0}, 1, (1.0,), 5, 0),
+], ids=["peraxis", "peraxis-both-signs", "equalrate"])
+def test_float_compound_draws_past_the_float_range_are_refused(sampler):
+    # a jump set with a non-integer jump draws floats: these returned inf or
+    # nan draws, the second after a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="float range"):
+            sampler()
 
 
 def test_lattice_draws_just_below_2_53_are_exact():

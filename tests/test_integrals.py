@@ -1,6 +1,7 @@
 """Rectangle integrals: samplers, closed-form CFs, uniform-compound identities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -247,6 +248,22 @@ def test_uniform_compound_rejects_mismatched_params():
         uniform_compound_sample(JumpSpec({1: (1.0,)}), [1.0, 1.0], 5, seed=0)
     with pytest.raises(ValueError, match="nonzero"):
         uniform_compound_sample({0: 1.0, 1: 0.5}, [1.0], 5, seed=0)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda: integral_sample(JumpSpec({1e308: (1.0, 1.0)}), RectDomain([1, 1], 4), 5, 0),
+    lambda: integral_sample(CompoundSpec([3.0], [1e308], [1.0]), RectDomain([1.0], 4), 5, 0),
+    lambda: uniform_compound_sample(JumpSpec({1e308: (1.0, 1.0)}), [1.0, 1.0], 5, 0),
+    lambda: uniform_compound_sample(CompoundSpec([3.0], [1e308], [1.0]), [1.0], 5, 0),
+    lambda: uniform_compound_sample({1e308: 3.0}, [1.0], 5, 0),
+], ids=["integral-gmsp", "integral-compound", "uniform-gmsp", "uniform-compound",
+        "uniform-equalrate"])
+def test_float_compound_draws_past_the_float_range_are_refused(draw):
+    # each returned inf draws to the caller; two also warned of a numpy overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="float range"):
+            draw()
 
 
 def test_uniform_compound_matches_compound_integral_ks():

@@ -24,7 +24,8 @@ from skellam_lab import (
 )
 from skellam_lab import special
 from skellam_lab.gmsp import skellam_pmf
-from skellam_lab.special import log_bessel_i, poisson_pmf, sum_rows, sum_series
+from skellam_lab.special import (frac_poisson_entries, grow_table, log_bessel_i, poisson_entries,
+                                 poisson_pmf, sum_rows, sum_series)
 
 
 def test_sum_series_stops_after_three_consecutive_small_terms():
@@ -379,6 +380,44 @@ def test_frac_poisson_table_mass_and_mean_at_large_means(x):
     assert abs(math.fsum(table) - 1.0) <= 1e-12
     mean = math.fsum(np.arange(table.size) * table)
     assert mean == pytest.approx(x / math.gamma(1.5), rel=1e-12)
+
+
+@pytest.mark.parametrize("x, alpha", [(100.0, 0.5), (300.0, 0.7), (1000.0, 0.9)])
+def test_frac_poisson_table_run_to_its_tail_holds_its_mass_and_mean(x, alpha):
+    # 1,318 to 2,164 entries: the carried products run 15 steps past restarts
+    # up to n of about 2,150, where each falling factorial is near 2000**15
+    table = np.array(grow_table([], frac_poisson_entries(x, 1.0, alpha)))
+    assert abs(math.fsum(table) - 1.0) <= 1e-12
+    mean = math.fsum(np.arange(table.size) * table)
+    assert mean == pytest.approx(x / math.gamma(1.0 + alpha), rel=1e-12)
+
+
+def test_poisson_entries_at_the_largest_mean_below_the_cap():
+    # 8 carried steps past the restart at 8,992: the entry's sum is divided by
+    # 8,993 * ... * 9,000, about 4.3e31
+    mu = 9000.0
+    p = next(itertools.islice(poisson_entries(mu), 9000, None))
+    assert p == pytest.approx(math.exp(-mu + 9000 * math.log(mu) - math.lgamma(9001.0)), rel=1e-10)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble has no more precision than a float here")
+@pytest.mark.parametrize("alpha, x", [(0.3, 2.0), (0.6, 10.0), (0.9, 40.0)])
+def test_frac_poisson_entries_match_an_extended_precision_sum_on_the_same_nodes(alpha, x):
+    # every entry in np.longdouble, each node's pmf in log form from its own
+    # log-factorial, on the same means and weights: no recurrence, no restarts
+    table = np.array(grow_table([], frac_poisson_entries(x, 1.0, alpha)))
+    nodes, weight = special._kanter_nodes(alpha)
+    mean = special.clock_means(x, 1.0, alpha, nodes).astype(np.longdouble)
+    log_mean = np.log(mean)
+    ref, log_factorial = [], np.longdouble(0.0)
+    for n in range(table.size):
+        log_factorial += np.log(np.longdouble(max(n, 1)))
+        ref.append(np.sum(weight * np.exp(n * log_mean - mean - log_factorial)))
+    ref = np.array(ref)
+    big = ref > 1e-15
+    assert big.sum() > 40
+    assert np.max(np.abs(table[big] - ref[big]) / ref[big]) <= 1e-13
 
 
 # The Bessel pmf's domain map (README): (largest a + b, relative tolerance),
