@@ -120,24 +120,11 @@ def _exact_reach(reach: float) -> None:
                          f"counts let them reach {reach:.6g}: use smaller jumps or means")
 
 
-def finite_draws(values: np.ndarray) -> np.ndarray:
-    """``values``, refused with one ``ValueError`` unless every draw is finite.
-
-    The float compound samplers return their draws through here, and take
-    any numpy arithmetic on them under ``np.errstate(over="ignore",
-    invalid="ignore")``, so a sum that leaves the float range is this error
-    and no numpy warning.
-    """
-    if not np.isfinite(values).all():
-        raise ValueError("a draw left the float range: use smaller jumps, rates or times")
-    return values
-
-
 def _as_lattice(values: np.ndarray, jumps, reach: float) -> np.ndarray:
-    """Integer draws when every jump is an integer (refused by :func:`_exact_reach` at a
-    ``reach`` of 2**53 or more), float draws otherwise (refused by :func:`finite_draws`)."""
+    """Float draws, or int64 draws when every jump is an integer (refused by
+    :func:`_exact_reach` at a ``reach`` of 2**53 or more)."""
     if not _integer_jumps(jumps):
-        return finite_draws(values)
+        return values
     _exact_reach(reach)
     return values.astype(np.int64)
 
@@ -151,7 +138,8 @@ def gmsp_sample(spec: JumpSpec, t, n_draws: int, seed: int) -> SampleBatch:
     An integer jump set adds int(j) * counts into one int64 array, so each
     draw is its exact integer sum; a set whose drawn counts let a sum reach
     2**53 is refused (:func:`_exact_reach`) before any product is formed.
-    Any other jump set adds j * counts in float64.
+    Any other jump set adds j * counts in float64, where a sum that leaves
+    the float range is refused by :class:`~skellam_lab.records.SampleBatch`.
 
     Here and in the other law functions below, ``spec`` is a :class:`JumpSpec`
     or an :class:`~skellam_lab.altskellam.AltSpec`: only its ``jump_values``,
@@ -169,7 +157,8 @@ def gmsp_sample(spec: JumpSpec, t, n_draws: int, seed: int) -> SampleBatch:
             reach += abs(float(j)) * float(counts.max(initial=0))
             _exact_reach(reach)
             j = int(j)
-        values += j * counts
+        with np.errstate(over="ignore", invalid="ignore"):
+            values += j * counts
     return SampleBatch(values=values, seed=int(seed))
 
 
@@ -363,7 +352,7 @@ def gmsp_compound_peraxis_sample(spec: JumpSpec, t, n_draws: int, seed: int) -> 
     tt = as_times(t, spec.dim)
     rng = make_rng(seed)
     reach = []
-    # a sum that overflows has a reach past 2**53 or a non-finite draw: _as_lattice refuses both
+    # an overflowing sum has a reach past 2**53 (_as_lattice) or a non-finite draw (SampleBatch)
     with np.errstate(over="ignore", invalid="ignore"):
         values = peraxis_compound_sums(spec, tt, n_draws, [(rng, rng, None)] * spec.dim,
                                        reach=reach)

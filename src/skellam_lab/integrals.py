@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gmsp import JumpSpec, compound_sums, equalrate_sums, finite_draws, peraxis_compound_sums
+from .gmsp import JumpSpec, compound_sums, equalrate_sums, peraxis_compound_sums
 from .mpp import poisson_means
 from .records import (SampleBatch, as_jump_values, as_rates, as_scales, as_times, make_rng,
                       spawn_rngs)
@@ -145,7 +145,7 @@ def integral_sample(process, dom: RectDomain, n_draws: int, seed: int) -> Sample
     ``process`` is a rate vector (MPP), a :class:`JumpSpec` (GMSP), or a
     :class:`CompoundSpec`.  A domain with any zero side has zero volume and
     yields exact zeros, once the process has been checked against it.  A draw
-    that leaves the float range is refused (:func:`~skellam_lab.gmsp.finite_draws`).
+    that leaves the float range is refused (:class:`~skellam_lab.records.SampleBatch`).
     """
     if isinstance(process, CompoundSpec):
         if process.rates.size != dom.dim:
@@ -164,7 +164,7 @@ def integral_sample(process, dom: RectDomain, n_draws: int, seed: int) -> Sample
             axis_draws = [(rngs[3 * k], rngs[3 * k + 1], _lattice_weights(rngs[3 * k + 2], r))
                           for k, r in enumerate(dom.resolution)]
             values = peraxis_compound_sums(spec, dom.t, n_draws, axis_draws, float(np.prod(dom.t)))
-    return SampleBatch(values=finite_draws(values), seed=int(seed))
+    return SampleBatch(values=values, seed=int(seed))
 
 
 def _unit_interval_cf_factor(c: float) -> complex:
@@ -278,4 +278,4 @@ def uniform_compound_sample(process, t, n_draws: int, seed: int) -> SampleBatch:
         else:
             raise ValueError(f"unknown process type {type(process).__name__!r}: "
                              "expected a CompoundSpec, a JumpSpec or a jump -> rate dict")
-    return SampleBatch(values=finite_draws(values), seed=int(seed))
+    return SampleBatch(values=values, seed=int(seed))

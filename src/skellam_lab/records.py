@@ -1,8 +1,9 @@
 """Shared value containers and the one checker of each parameter kind.
 
 Every sampler in the package returns a :class:`SampleBatch`: its draws and
-the root seed they came from.  Artifact metadata is written by the CLI alone,
-from the parameters it parsed.  Closed-form
+the root seed they came from; the batch is the one gate that refuses a
+non-finite draw.  Artifact metadata is written by the CLI alone, from the
+parameters it parsed.  Closed-form
 evaluators on integer lattices return :class:`LatticePMF`, and characteristic
 functions (exact or empirical) are tabulated as :class:`CFTable`.  Every
 identity check returns a :class:`TestReport`.
@@ -192,7 +193,11 @@ def concurrently(first, second):
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """I.i.d. draws of a scalar quantity and the root seed they were drawn from."""
+    """I.i.d. draws of a scalar quantity and the root seed they were drawn from.
+
+    A float batch holding an inf or nan is refused (samplers sum under
+    ``np.errstate``, so no numpy warning comes first); an int batch is not scanned.
+    """
 
     values: np.ndarray
     seed: int
@@ -201,6 +206,8 @@ class SampleBatch:
         object.__setattr__(self, "values", np.asarray(self.values))
         if self.values.ndim != 1:
             raise ValueError("SampleBatch values must be one-dimensional")
+        if self.values.dtype.kind == "f" and not np.isfinite(self.values).all():
+            raise ValueError("a draw left the float range: use smaller jumps, rates or times")
 
     @property
     def n(self) -> int:

@@ -72,7 +72,8 @@ def test_rate_matrix_rule_builds_each_protocol_law_bit_for_bit(monkeypatch, spec
     ("array-alt", 0, 0.0010766941976362787),
     ("array-alt", 1, 0.0009652098759798063),
     ("array-alt", 2, 0.0007598866266120474),
-])
+], ids=["array-gmsp-0", "array-gmsp-1", "array-gmsp-2", "array-alt-0", "array-alt-1",
+        "array-alt-2"])
 def test_array_identity_reports_are_pinned(name, seed, statistic):
     report = run_identity(name, seed=seed)
     n = 4_000_000 if name == "array-gmsp" else 1_000_000

@@ -382,12 +382,18 @@ def test_non_finite_mean_is_an_error_exit(capsys):
      "--n", "20"],
     ["integral", "--process", "compound", "--rates", "3.0", "--xvalues", "1e308",
      "--xprobs", "1.0", "--t", "1.0", "--r", "4", "--n", "5"],
+    ["simulate", "--process", "gmsp", "--jumps", "0.5:1.0,1.0;1e308:3.0,1.0", "--t", "1.0,1.0"],
+    ["simulate", "--process", "alt", "--jumps", "0.5:1.0;1e308:3.0", "--t", "1.0,1.0"],
+    ["cf", "--process", "gmsp", "--jumps", "0.5:1.0,1.0;1e308:3.0,1.0", "--t", "1.0,1.0",
+     "--u", "1", "--empirical"],
 ])
 def test_overflowing_means_are_one_error_line(capsys, argv):
     # the gmsp cf used to exit 0 with a table of zeros, and the alt-increment
     # cf with the row 1,0,0; the fractional pmfs ended in a nan after numpy warnings;
     # compound-peraxis's two float sums of 1e308 overflow, and numpy warned before the error;
-    # the compound integral's lattice sum of 1e308 jumps overflowed with a numpy warning
+    # the compound integral's lattice sum of 1e308 jumps overflowed with a numpy warning;
+    # gmsp and alt draws of a 1e308 float jump overflowed with a numpy warning, and the
+    # empirical cf of them warned twice more before "cannot write the non-finite value nan"
     _one_error_line(capsys, argv)
 
 

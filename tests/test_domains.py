@@ -182,17 +182,18 @@ def test_whole_scales_keep_their_value():
 ])
 def test_nan_draws_fail_the_z_score_identities(monkeypatch, name, sampler):
     # max(z, nan) dropped a NaN z, so NaN draws used to pass with statistic 0;
-    # the sampler takes the draw count last and the seed by keyword
+    # now the sampler's batch refuses them.  The sampler takes the draw count
+    # last and the seed by keyword
     monkeypatch.setattr(fractional, sampler,
                         lambda *args, seed: SampleBatch(np.full(args[-1], math.nan), seed=seed))
-    report = identities.run_identity(name, n=50)
-    assert math.isnan(report.statistic) and not report.verdict
+    with pytest.raises(ValueError, match="a draw left the float range"):
+        identities.run_identity(name, n=50)
 
 
 def test_nan_draws_make_frac_pmf_raise(monkeypatch):
     monkeypatch.setattr(fractional, "frac_skellam_sample",
                         lambda *args, seed: SampleBatch(np.full(args[-1], math.nan), seed=seed))
-    with pytest.raises(ValueError, match="integer-valued"):
+    with pytest.raises(ValueError, match="a draw left the float range"):
         identities.run_identity("frac-pmf", n=50)
 
 

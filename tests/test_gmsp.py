@@ -377,10 +377,16 @@ def test_lattice_draws_that_could_reach_2_53_are_refused(jump_rates, sampler):
     lambda: gmsp_compound_peraxis_sample(
         JumpSpec({0.5: (1.0, 1.0), 1e308: (3.0, 1.0), -1e308: (1.0, 3.0)}), (1.0, 1.0), 20, 0),
     lambda: gmsp_compound_equalrate_sample({0.5: 1.0, 1e308: 3.0}, 1, (1.0,), 5, 0),
-], ids=["peraxis", "peraxis-both-signs", "equalrate"])
+    lambda: gmsp_sample(JumpSpec({0.5: (1.0, 1.0), 1e308: (3.0, 1.0)}), (1.0, 1.0), 5, 0),
+    lambda: alt_sample(AltSpec({0.5: 1.0, 1e308: 3.0}), {0.5: 1.0, 1e308: 1.0}, 5, 0),
+    # products of +inf and -inf add to nan
+    lambda: gmsp_sample(JumpSpec({0.5: (1.0, 1.0), 1e308: (3.0, 1.0), -1e308: (1.0, 3.0)}),
+                        (1.0, 1.0), 20, 0),
+], ids=["peraxis", "peraxis-both-signs", "equalrate", "gmsp", "alt", "gmsp-both-signs"])
 def test_float_compound_draws_past_the_float_range_are_refused(sampler):
     # a jump set with a non-integer jump draws floats: these returned inf or
-    # nan draws, the second after a numpy warning
+    # nan draws after a numpy warning (peraxis-both-signs and each gmsp_sample
+    # case) or with none
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="float range"):
