@@ -76,23 +76,19 @@ def cf_product(seed=0, n=0):
 
 
 def compound_peraxis(seed=0, n=100_000):
-    from .gmsp import JumpSpec, gmsp_compound_peraxis_sample, gmsp_sample
-    from .stats import lattice_chi2_two_sample
+    from .gmsp import JumpSpec, gmsp_compound_peraxis_sample, gmsp_lattice_pmf
+    from .stats import lattice_chi2
     spec = JumpSpec(_SPEC3)
-    direct, compound = concurrently(
-        lambda: gmsp_sample(spec, _T2, n, seed=seed),
-        lambda: gmsp_compound_peraxis_sample(spec, _T2, n, seed=seed + 1))
-    return lattice_chi2_two_sample(direct, compound, identity="compound-peraxis")
+    batch = gmsp_compound_peraxis_sample(spec, _T2, n, seed=seed)
+    return lattice_chi2(batch, gmsp_lattice_pmf(spec, _T2), identity="compound-peraxis")
 
 
 def compound_equalrate(seed=0, n=100_000):
-    from .gmsp import JumpSpec, gmsp_compound_equalrate_sample, gmsp_sample
-    from .stats import lattice_chi2_two_sample
-    spec = JumpSpec(_EQ_SPEC)
-    direct, compound = concurrently(
-        lambda: gmsp_sample(spec, _T2, n, seed=seed),
-        lambda: gmsp_compound_equalrate_sample(_EQ_RATES, 2, _T2, n, seed=seed + 1))
-    return lattice_chi2_two_sample(direct, compound, identity="compound-equalrate")
+    from .gmsp import JumpSpec, gmsp_compound_equalrate_sample, gmsp_lattice_pmf
+    from .stats import lattice_chi2
+    batch = gmsp_compound_equalrate_sample(_EQ_RATES, 2, _T2, n, seed=seed)
+    return lattice_chi2(batch, gmsp_lattice_pmf(JumpSpec(_EQ_SPEC), _T2),
+                        identity="compound-equalrate")
 
 
 def array_tvs(spec, t, scales, n: int, seed: int) -> list[float]:

@@ -173,10 +173,13 @@ def _unit_interval_cf_factor(c: float) -> complex:
     The imaginary part, (1 - cos c)/c in its half-angle form, keeps its
     precision at every c.  The real part cancels for small |c|, so below 1 it
     is the series sum_{k>=1} (-c^2)^k / (2k+1)!, whose first omitted term
-    there is below 1e-21 of the sum.
+    there is below 1e-21 of the sum.  An infinite c gets the limit, -1: past
+    the float range |sin(c)/c| and |2 sin^2(c/2)/c| are below 1e-308.
     """
     if c == 0.0:
         return 0.0 + 0.0j
+    if math.isinf(c):
+        return -1.0 + 0.0j
     c2 = c * c
     if abs(c) < 1.0:
         real, term = 0.0, 1.0
@@ -192,12 +195,16 @@ def integral_cf_gmsp(spec: JumpSpec, t, u: float) -> complex:
     """Characteristic function of the rectangle integral of a GMSP.
 
     exp(sum_j (lam_j . t) integral_0^1 (e^{iu (prod_k t_k) j x} - 1) dx), with
-    the inner integral in closed form.
+    the inner integral in closed form.  A mean lam_j . t past the float range
+    is refused; a product of the times past it is taken at its limit.
     """
     tt = as_times(t, spec.dim)
-    c = float(u) * float(np.prod(tt))
-    total = sum(np.sum(lam * tt) * _unit_interval_cf_factor(c * j)
-                for j, lam in spec.jumps.items())
+    with np.errstate(over="ignore"):
+        means = [np.sum(lam * tt) for lam in spec.jumps.values()]
+        if not np.all(np.isfinite(means)):
+            raise ValueError(f"means must be finite, got {[float(mu) for mu in means]}")
+        c = float(u) * float(np.prod(tt)) if u != 0 else 0.0  # not 0 * inf at u = 0
+        total = sum(mu * _unit_interval_cf_factor(c * j) for j, mu in zip(spec.jumps, means))
     return complex(np.exp(total))
 
 

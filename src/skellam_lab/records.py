@@ -149,12 +149,11 @@ def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
     forms, the array samplers, ``uniform_compound_sample``, the stable clocks)
     draw from one ``make_rng(seed)`` stream, and the identities offset the seeds of
     their batches (seed + i, seed + 7 i, seed + 1, and 10 seed + i in
-    frac-pmf) rather than split one.  Six identities draw their two batches
-    through :func:`concurrently`, each from its own seed: compound-peraxis
-    and compound-equalrate (the direct batch at seed, the compound batch at
-    seed + 1), the three uniform-compound identities (``integral_sample`` at
-    seed, ``uniform_compound_sample`` at seed + 1) and integral-cf (its two
-    cases at seed and seed + 1).
+    frac-pmf) rather than split one.  Identities that draw two batches draw
+    them through :func:`concurrently`, each from its own seed: the three
+    uniform-compound identities (``integral_sample`` at seed,
+    ``uniform_compound_sample`` at seed + 1) and integral-cf (its two cases
+    at seed and seed + 1).
     """
     return [np.random.default_rng(ss) for ss in np.random.SeedSequence(int(seed)).spawn(n)]
 

@@ -386,6 +386,8 @@ def test_non_finite_mean_is_an_error_exit(capsys):
     ["simulate", "--process", "alt", "--jumps", "0.5:1.0;1e308:3.0", "--t", "1.0,1.0"],
     ["cf", "--process", "gmsp", "--jumps", "0.5:1.0,1.0;1e308:3.0,1.0", "--t", "1.0,1.0",
      "--u", "1", "--empirical"],
+    ["cf", "--process", "integral-gmsp", "--jumps", "1:10.0", "--t", "1e308", "--u", "1"],
+    ["cf", "--process", "integral-mpp", "--rates", "10.0", "--t", "1e308", "--u", "1"],
 ])
 def test_overflowing_means_are_one_error_line(capsys, argv):
     # the gmsp cf used to exit 0 with a table of zeros, and the alt-increment
@@ -393,7 +395,8 @@ def test_overflowing_means_are_one_error_line(capsys, argv):
     # compound-peraxis's two float sums of 1e308 overflow, and numpy warned before the error;
     # the compound integral's lattice sum of 1e308 jumps overflowed with a numpy warning;
     # gmsp and alt draws of a 1e308 float jump overflowed with a numpy warning, and the
-    # empirical cf of them warned twice more before "cannot write the non-finite value nan"
+    # empirical cf of them warned twice more before "cannot write the non-finite value nan";
+    # the rectangle-integral cfs of a mean past 1e308 exited 0 with the row 1,0,0 after a warning
     _one_error_line(capsys, argv)
 
 

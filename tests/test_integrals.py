@@ -199,6 +199,43 @@ def test_unit_interval_cf_factor_keeps_both_parts_at_small_c(c, real, imag):
     assert value.imag == pytest.approx(imag, rel=2e-15)
 
 
+@pytest.mark.parametrize("c", [math.inf, -math.inf])
+def test_unit_interval_cf_factor_takes_its_limit_at_infinite_c(c):
+    # math.sin of an infinite c raised "math domain error"
+    assert _unit_interval_cf_factor(c) == -1.0 + 0.0j
+    assert abs(_unit_interval_cf_factor(math.copysign(1e308, c)) - (-1.0)) < 1e-300
+
+
+@pytest.mark.parametrize("cf", [lambda t, u: integral_cf_mpp([1.0, 1.0], t, u),
+                                lambda t, u: integral_cf_gmsp(GMSP_NEG, t, u)],
+                         ids=["mpp", "gmsp"])
+def test_cf_where_the_time_product_leaves_the_float_range(cf):
+    # prod t = 1e400 warned; u = 0 then gave c = 0 * inf = nan and a nan CF, and
+    # u = 1 ended in "math domain error"
+    t = [1e200, 1e200]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cf(t, 0.0) == 1.0
+        assert cf(t, 1.0) == 0.0  # exp(-(sum of the means)), each mean about 1e200
+
+
+def test_cf_where_a_jump_times_c_leaves_the_float_range():
+    # c j = 1e310 ended in "math domain error"; the factor is -1, so the CF is e^{-mean}
+    assert integral_cf_gmsp(JumpSpec({1e300: (1.0,)}), [1.0], 1e10) == pytest.approx(math.exp(-1.0))
+
+
+@pytest.mark.parametrize("cf", [lambda: integral_cf_mpp([10.0], [1e308], 1.0),
+                                lambda: integral_cf_gmsp(JumpSpec({1: (1.0,), -1: (10.0,)}),
+                                                         [1e308], 1.0)],
+                         ids=["mpp", "gmsp"])
+def test_cf_refuses_a_mean_past_the_float_range(cf):
+    # the mean 10 * 1e308 warned of an overflow, and the CF read 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="means must be finite"):
+            cf()
+
+
 def test_levy_route_matches_poisson_closed_form():
     lam, t = [1.0, 0.5], [1.5, 1.0]
     psis = [lambda v, l=l: l * (np.exp(1j * v) - 1.0) for l in lam]
