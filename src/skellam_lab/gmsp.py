@@ -22,7 +22,7 @@ import numpy as np
 
 from .mpp import poisson_means
 from .records import (SampleBatch, LatticePMF, as_count, as_jumps, as_rates, as_scales, as_times,
-                      make_rng)
+                      choice_cdf, make_rng, table_draws)
 from .special import TruncationError, grow_table, log_bessel_i, poisson_entries, poisson_pmf
 
 __all__ = [
@@ -131,9 +131,30 @@ def _as_lattice(values: np.ndarray, jumps, reach: float) -> np.ndarray:
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
+# numpy's rng.poisson takes about mean + 1 uniforms a draw below this mean, and
+# a fixed few (PTRS) from it up
+_TABLE_MEANS_BELOW = 10.0
+
+
+def poisson_counts(rng: np.random.Generator, mean: float, n: int) -> np.ndarray:
+    """``n`` int64 Poisson(mean) counts from ``rng``.
+
+    For 0 < mean < 10 they invert the exact table ``grow_table([],
+    poisson_entries(mean))``, whose tail is below 1e-20, far under the 2**-53
+    step of a uniform, with one uniform a draw (:func:`~skellam_lab.records.table_draws`).
+    Any other mean, 0, from 10 up or not finite, goes to ``rng.poisson``,
+    which draws, or refuses with its own message.
+    """
+    if 0.0 < mean < _TABLE_MEANS_BELOW:
+        return table_draws(rng, choice_cdf(grow_table([], poisson_entries(mean))), n)
+    return rng.poisson(mean, n)
+
 
 def gmsp_sample(spec: JumpSpec, t, n_draws: int, seed: int) -> SampleBatch:
-    """Draw sum_j j * Poisson(rates_j . t): one rng.poisson per jump, in jump order.
+    """Draw sum_j j * Poisson(rates_j . t): one :func:`poisson_counts` per jump, in jump order.
+
+    All counts come from one make_rng(seed): a mean below 10 takes one
+    uniform a draw from its exact table, any other mean ``rng.poisson``.
 
     An integer jump set adds int(j) * counts into one int64 array, so each
     draw is its exact integer sum; a set whose drawn counts let a sum reach
@@ -152,7 +173,7 @@ def gmsp_sample(spec: JumpSpec, t, n_draws: int, seed: int) -> SampleBatch:
     values = np.zeros(n_draws, dtype=np.int64 if lattice else float)
     reach = 0.0
     for j, mu in zip(jumps, mus):
-        counts = rng.poisson(mu, n_draws)
+        counts = poisson_counts(rng, float(mu), n_draws)
         if lattice:
             reach += abs(float(j)) * float(counts.max(initial=0))
             _exact_reach(reach)
@@ -298,15 +319,17 @@ def compound_sums(count_rng, jump_rng, mean: float, n_draws: int, jumps: np.ndar
                   probs: np.ndarray, weights=None, reach=None) -> np.ndarray:
     """Draws of sum_{e<=N} X_e W_e with N ~ Poisson(mean) and iid jumps X_e ~ probs.
 
-    The counts come from ``count_rng`` and the jumps, flat in draw order, from
-    ``jump_rng.choice``; ``weights(size)``, when given, draws the W_e (else W = 1).
-    ``reach``, when given, is a list: max |jumps| times the largest count is
-    appended to it, a bound on |sum_{e<=N} X_e| over the draws.
+    The counts are :func:`poisson_counts` of ``count_rng``.  The jumps, flat in
+    draw order, are what ``jump_rng.choice(jumps, p=probs)`` draws, bit for
+    bit, taken by :func:`~skellam_lab.records.table_draws`; ``weights(size)``,
+    when given, draws the W_e (else W = 1).  ``reach``, when given, is a list:
+    max |jumps| times the largest count is appended to it, a bound on
+    |sum_{e<=N} X_e| over the draws.
     """
-    counts = count_rng.poisson(mean, n_draws)
+    counts = poisson_counts(count_rng, mean, n_draws)
     if reach is not None:
         reach.append(float(np.abs(jumps).max()) * float(counts.max(initial=0)))
-    x = jump_rng.choice(jumps, size=int(counts.sum()), p=probs)
+    x = jumps[table_draws(jump_rng, choice_cdf(probs), int(counts.sum()))]
     if weights is not None:
         x = x * weights(x.size)
     return np.bincount(np.repeat(np.arange(n_draws), counts), weights=x, minlength=n_draws)
@@ -424,11 +447,11 @@ def array_law(scale, axis_times: dict, rule, jump_vals: np.ndarray) -> LatticePM
 def array_sums(law: LatticePMF, n_draws: int, seed: int) -> np.ndarray:
     """``n_draws`` int64 draws of a triangular-array sum from its :func:`array_law`.
 
-    The law, normalised to its total mass, is drawn from by ``Generator.choice``
-    of one make_rng(seed): ``n_draws`` uniforms looked up in its cumulative sums.
+    The law, normalised to its total mass, is inverted at ``n_draws`` uniforms
+    of one make_rng(seed) by :func:`~skellam_lab.records.table_draws`: the
+    draws ``Generator.choice(probs.size, n_draws, p=probs)`` makes, bit for bit.
     """
-    probs = law.probs / law.probs.sum()
-    return law.start + make_rng(seed).choice(probs.size, n_draws, p=probs)
+    return law.start + table_draws(make_rng(seed), choice_cdf(law.probs / law.probs.sum()), n_draws)
 
 
 def gmsp_array_sample(spec: TriangularArraySpec, jumps, t, n_draws: int, seed: int) -> SampleBatch:

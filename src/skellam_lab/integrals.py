@@ -27,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gmsp import JumpSpec, compound_sums, equalrate_sums, peraxis_compound_sums
+from .gmsp import JumpSpec, compound_sums, equalrate_sums, peraxis_compound_sums, poisson_counts
 from .mpp import poisson_means
-from .records import (SampleBatch, as_jump_values, as_rates, as_scales, as_times, make_rng,
-                      spawn_rngs)
+from .records import (SampleBatch, as_jump_values, as_rates, as_scales, as_times, choice_cdf,
+                      make_rng, spawn_rngs, table_draws)
 
 __all__ = [
     "RectDomain",
@@ -108,17 +108,22 @@ def _compound_integral(spec: CompoundSpec, dom: RectDomain, n_draws, seed):
     summed count is m number counts[m] = (h_1 * ... * h_M)[m], and a draw is
     cellvol * sum_m counts[m] S_X[m] = cellvol * sum_i X_i * sum_{m>=i} counts[m].
     Counts, cells (per axis) and jumps come from their own streams, flat in
-    draw order, so draws are prefix-stable in ``n_draws``.
+    draw order, so draws are prefix-stable in ``n_draws``: the counts of each
+    axis (:func:`~skellam_lab.gmsp.poisson_counts`) are drawn for all draws at
+    once, and the jumps are what ``choice(values, p=probs)`` draws, chunk by chunk.
     """
     rngs = spawn_rngs(seed, 2 * dom.dim + 1)
+    # a float product: an overflow is inf, which rng.poisson refuses, with no numpy warning
+    axis_events = [poisson_counts(rngs[2 * k], float(spec.rates[k]) * float(dom.t[k]), n_draws)
+                   for k in range(dom.dim)]
+    jump_cdf = choice_cdf(spec.probs)
     out = np.empty(n_draws)
     for start in range(0, n_draws, _CHUNK):
         n = min(_CHUNK, n_draws - start)
         counts = np.ones((n, 1), dtype=np.int64)
         for k in range(dom.dim):
             r_k = int(dom.resolution[k])
-            # a float product: an overflow is inf, which rng.poisson refuses, with no numpy warning
-            events = rngs[2 * k].poisson(float(spec.rates[k]) * float(dom.t[k]), n)
+            events = axis_events[k][start:start + n]
             # offset by draw so that one flat sort orders the cells within each draw
             shift = np.repeat(np.arange(n) * (r_k + 1), events)
             cells = np.sort(rngs[2 * k + 1].integers(1, r_k + 1, shift.size) + shift) - shift
@@ -129,7 +134,7 @@ def _compound_integral(spec: CompoundSpec, dom: RectDomain, n_draws, seed):
         # positive exactly for i up to the draw's total events
         tails = np.cumsum(counts[:, :0:-1], axis=1)[:, ::-1]
         x = np.zeros(tails.shape)
-        x[tails > 0] = rngs[-1].choice(spec.values, size=np.count_nonzero(tails), p=spec.probs)
+        x[tails > 0] = spec.values[table_draws(rngs[-1], jump_cdf, np.count_nonzero(tails))]
         out[start:start + n] = dom.cell_volume * np.sum(x * tails, axis=1)
     return out
 
@@ -218,14 +223,17 @@ def integral_cf_levy(psis, t, u: float) -> complex:
 
     ``psis[k]`` must be the log-CF of the k-th one-parameter component at unit
     time, with psi_k(0) = 0.  Evaluates
-    exp(sum_k t_k integral_0^1 psi_k(u (prod t) x) dx) by adaptive quadrature.
+    exp(sum_k t_k integral_0^1 psi_k(u (prod t) x) dx) by adaptive quadrature;
+    as in :func:`integral_cf_gmsp`, u (prod t) is 0 at u = 0 even where the
+    product of the times passes the float range.
     It is the only function that needs scipy, which installs with the ``test``
     extra, and it imports scipy when called.
     """
     from scipy import integrate
 
     tt = as_times(t, len(psis))
-    c = float(u) * float(np.prod(tt))
+    with np.errstate(over="ignore"):
+        c = float(u) * float(np.prod(tt)) if u != 0 else 0.0  # not 0 * inf at u = 0
     total = 0.0 + 0.0j
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)

@@ -40,6 +40,8 @@ __all__ = [
     "TestReport",
     "make_rng",
     "spawn_rngs",
+    "choice_cdf",
+    "table_draws",
     "concurrently",
 ]
 
@@ -142,7 +144,10 @@ def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
 
     Children are ``SeedSequence(seed).spawn(n)`` taken in order, so the i-th
     sub-stream is the same no matter how many draws the others make, or on
-    which thread and in which order they make them.  Its users:
+    which thread and in which order they make them.  Within any stream,
+    each scalar-mean Poisson count below mean 10 and each draw from a finite
+    table (a jump label, an array sum) takes one uniform through
+    :func:`table_draws`.  Its users:
     ``frac_skellam_sample`` takes one child per side (and draws the two sides
     through :func:`concurrently`), ``integral_sample`` 3 M for M axes and its
     compound form 2 M + 1.  The other samplers (``gmsp_sample``, the compound
@@ -156,6 +161,51 @@ def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
     at seed and seed + 1).
     """
     return [np.random.default_rng(ss) for ss in np.random.SeedSequence(int(seed)).spawn(n)]
+
+
+# doubles in [2**52, 2**53) are the integers, with consecutive bit patterns
+_ROUNDER = 1.5 * 2.0**52
+_ROUNDER_BITS = int(np.float64(_ROUNDER).view(np.int64))
+
+
+def choice_cdf(probs) -> np.ndarray:
+    """The table ``Generator.choice(..., p=probs)`` inverts: cumsum(probs) over its last entry.
+
+    The last entry is then exactly 1.0, and no entry passes it.
+    """
+    cdf = np.asarray(probs, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def table_draws(rng: np.random.Generator, cdf: np.ndarray, n: int) -> np.ndarray:
+    """``cdf.searchsorted(rng.random(n), side="right")``, bit for bit, through a guide table.
+
+    ``cdf`` is nondecreasing with last entry 1.0 (:func:`choice_cdf`), so
+    ``Generator.choice(a, n, p=probs)`` is ``a[table_draws(rng, choice_cdf(probs), n)]``
+    and leaves ``rng`` in the same state.  With g the least power of two >= 4
+    len(cdf), u g and u g - 1/2 are exact, and adding 1.5 * 2**52 rounds the
+    latter to an integer b in its bits: floor(u g), or one less where u g is
+    an odd integer.  So u >= b / g, and ``guide[b]``, the number of entries
+    <= b / g, is at most the answer.  A draw starts there and walks forward
+    while its entry is <= u; it stops by the last entry, 1.0 > u.  Each
+    bucket holds len(cdf) / g <= 1/4 entries on average, so a draw costs one
+    uniform, one guide lookup and about a quarter of a step.
+    """
+    g = 1 << (4 * cdf.size - 1).bit_length()
+    guide = cdf.searchsorted(np.arange(g) / g, side="right")
+    u = rng.random(n)
+    bucket = u * g
+    bucket -= 0.5
+    bucket += _ROUNDER
+    bucket = bucket.view(np.int64)  # a float-to-int cast costs about 4 times these steps
+    bucket -= _ROUNDER_BITS
+    idx = guide[bucket]
+    walk = np.flatnonzero(cdf[idx] <= u)
+    while walk.size:
+        idx[walk] += 1
+        walk = walk[cdf[idx[walk]] <= u[walk]]
+    return idx
 
 
 def concurrently(first, second):

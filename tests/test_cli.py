@@ -602,29 +602,29 @@ _FRAC_ARGS = ["--l1", "1.3", "--l2", "0.6", "--alpha", "0.6", "--beta", "0.8",
 @pytest.mark.parametrize("argv, digests", [
     (["simulate", "--process", "gmsp", "--jumps", _SPEC3, "--t", "1.0,1.0", "--n", "2000",
       "--seed", "3"],
-     {"": "8d33101ccabeefca74b8cb51da58f1d937bd40683cce562e6fab5fe47f6179ef"}),
+     {"": "0d92b6b22e9e54067b7962973dbfad4643f3c08843c222537f2e1145c462ec54"}),
     (["simulate", "--process", "gmsp", "--jumps", _SPEC3, "--t", "1.0,1.0", "--n", "2000",
       "--seed", "3", "--format", "json"],
-     {"": "6fc731ac5d65c26916e0fa68c1131dbafcf6838d301a3d0e466996d5d09499a8"}),
+     {"": "6a59d18f51acbdba348104d1695e1110298bfb2435b50ebc69357f0ecdf4c100"}),
     (["integral", "--process", "gmsp", "--jumps", _SPEC2, "--t", "1.2,1.0", "--r", "64",
       "--n", "500", "--seed", "3"],
-     {"": "8a6cc503bc144c35c3f891a39107c08a2f5198dccc99cdf80759135d472dadd9",
+     {"": "c3806261ee55ec7c6de1482460e8bae503da6985624f8f472a60f37f1b2a3439",
       ".cf.csv": "8c31fbe8a3c0ea23a27f4e705292620a6bc0937088f0f5547ce62d0c551af5a7"}),
     (["cf", "--process", "integral-gmsp", "--jumps", _SPEC2, "--t", "1.2,1.0", "--r", "64",
       "--u", "0:3:0.25", "--empirical", "--n", "2000", "--seed", "3"],
-     {"": "b28610aaa609ed95a12e0d9f437013804316615a9345da335f1e084d275c8f32"}),
+     {"": "578709d32cb7571e9d79b90f5f5223885f3fd32fbd550fb17284f547db1e402d"}),
     (["pmf", "--process", "gmsp", "--jumps", _SPEC3, "--t", "1.0,1.0", "--nmax", "20"],
      {"": "4fbffc60e2fa1f1a7ab13fc300abb8cbd8295cb6d62b7641a339a456e1e40bb2"}),
     # the CLI writes every simulate meta from the parameters it parsed
     (["simulate", "--process", "mpp", "--rates", "1.0,0.5", "--t", "1.5,1.0", "--n", "2000",
       "--seed", "3"],
-     {"": "2e1842ac0a1c6eefa51cbab8038e3caf34560e242eb8e297ef937f6d77ba853c"}),
+     {"": "3e9b92300e3633638cbab8cd3bec16f95aa50713695868e6c40b9418a6e2b60b"}),
     (["simulate", "--process", "alt", "--jumps", "1:1.0;-1:0.5", "--t", "1.0,2.0", "--n", "2000",
       "--seed", "3"],
-     {"": "40388c41d9596911c37cfab49213ab14304db75afc29e29fadc1df00f90b595a"}),
+     {"": "5ae3e3b289fb10c052179c7dbc36c7a67bd19cce0e0314fcb78b17fb197535d1"}),
     (["simulate", "--process", "alt", "--jumps", "1:1.0;-1:0.5", "--t", "1.0,2.0", "--n", "2000",
       "--seed", "3", "--format", "json"],
-     {"": "d69011a39bec070757c3d6489f545354e448c7afa63fc82a0619937fc0bf93e5"}),
+     {"": "d106f4373e37688568bce42a759ee744b37f14163114360c7181aed9c7ba4a00"}),
     (["simulate", "--process", "frac-skellam", *_FRAC_ARGS, "--n", "2000", "--seed", "3"],
      {"": "7a1ed0ea693ac0a9567fb51913203bef3b1851f29149494caef6ce3f700177fe"}),
     (["simulate", "--process", "frac-skellam", *_FRAC_ARGS, "--n", "2000", "--seed", "3",
@@ -632,10 +632,10 @@ _FRAC_ARGS = ["--l1", "1.3", "--l2", "0.6", "--alpha", "0.6", "--beta", "0.8",
      {"": "baaed4fab96139a0a58fccb28f46a8557fdba889a5b038c9a07a974058f40443"}),
     (["simulate", "--process", "compound-peraxis", "--jumps", _SPEC2, "--t", "1.2,1.0",
       "--n", "2000", "--seed", "3"],
-     {"": "519e258e35de63ec2ab1ca2e51ee36d5ea3415d6fd114a14d0dfc728ca97d95e"}),
+     {"": "b2c7a2af63d6ccf68db69d6c5558e8858e6f5ec4b16a26e543efb1fa1372e478"}),
     (["simulate", "--process", "compound-equalrate", "--jumps", "1:0.7;-1:0.5;2:0.2",
       "--t", "1.2,1.0", "--n", "2000", "--seed", "3"],
-     {"": "2231a86e3167af47335b6bf872be7a0863cf063effc0ee6fa42845d62c5e54d2"}),
+     {"": "b2875a72de890fbc5fe9f4987ad1eb02d712963d128376a7e8196127b8b2d9e0"}),
     (["simulate", "--process", "stable", "--alpha", "0.6", "--t1", "1.5", "--n", "2000",
       "--seed", "3"],
      {"": "359c4251d6c65e6f6053b17a902eaba86a6fbeaacecf244d905fecd6d54bad7c"}),
@@ -646,13 +646,13 @@ _FRAC_ARGS = ["--l1", "1.3", "--l2", "0.6", "--alpha", "0.6", "--beta", "0.8",
     # 20,000 rectangle integrals on a 1/512 grid with a CF side table
     (["simulate", "--process", "gmsp", "--jumps", _SPEC3, "--t", "1.0,1.0", "--n", "200000",
       "--seed", "3"],
-     {"": "9e682d69e43c54236ea1828584bd53b1f9a39275e480ab425c30fa067951948d"}),
+     {"": "c35261fcf507203de39cb4f2f37ba28e150114bb9ce09d0da7a13c013227d079"}),
     (["simulate", "--process", "gmsp", "--jumps", _SPEC3, "--t", "1.0,1.0", "--n", "200000",
       "--seed", "3", "--format", "json"],
-     {"": "86bdf855274d4c664cd0903b782b18236ab92e1f4bace437ab49cb304390abe8"}),
+     {"": "f6721f9bb8f38a10cab5b16ca92d0c2740ae7f0ed6b82c4c937a5fc17f4de8dd"}),
     (["integral", "--process", "compound", "--rates", "1.3", "--xvalues", "1.0,-1.0,2.0",
       "--xprobs", "0.5,0.3,0.2", "--t", "1.2", "--r", "512", "--n", "20000", "--seed", "3"],
-     {"": "6857e4bb8cb95686db14febb7196dbe59253f2f50ce0799e1e03aa4ecf533402",
+     {"": "04ac5af5b9af46bf9fdcb3f6c1ad86dbc3d48c2267e244340137de5c5f315121",
       ".cf.csv": "7caba882605c1ff055aa9e74412166ec6cad9b50542f70ebaef58f5314a56995"}),
     # the fractional sampler draws its two sides on two threads
     (["simulate", "--process", "frac-skellam", *_FRAC_ARGS, "--n", "200000", "--seed", "3"],
@@ -678,13 +678,13 @@ _FRAC_ARGS = ["--l1", "1.3", "--l2", "0.6", "--alpha", "0.6", "--beta", "0.8",
     # the benchmark's int64 empirical CF, and the other two int64 lattice samplers in bulk
     (["cf", "--process", "gmsp", "--jumps", _SPEC3, "--t", "1.0,1.0", "--empirical",
       "--u", "0:4:0.05", "--n", "100000", "--seed", "3"],
-     {"": "dea80b8f1b1761cdf22545c7d39919bb62dd1eb7a5fb0a31f265687d52d15923"}),
+     {"": "734fdf58f659708c557d76ca962bc102600d3b32fe33fca21f9cae7f786592ff"}),
     (["simulate", "--process", "compound-peraxis", "--jumps", _SPEC3, "--t", "1.0,1.0",
       "--n", "200000", "--seed", "3"],
-     {"": "bcfbe58e6600c461113ec16be3c25201b2df9b9bba640b461c250e28ebe2cdd7"}),
+     {"": "3e028b9a4fd6131ddbf475aedf5d53069052a0e9d71479dffefa9aea09985b2e"}),
     (["simulate", "--process", "alt", "--jumps", "1:1.0;-1:0.5", "--t", "1.0,2.0",
       "--n", "200000", "--seed", "3"],
-     {"": "7016f28756e64092e1ae7826a973520241cd12feecc7879483ddf9555659b000"}),
+     {"": "8a765c308a260a5c3cf18af72313d1c2e8180c4cbd41ae421e52951933217929"}),
 ])
 def test_artifact_bytes_are_pinned(tmp_path, argv, digests):
     code, _ = run_cli(argv, tmp_path, out_name="pinned")
@@ -720,7 +720,7 @@ def test_stdout_artifact_bytes_are_pinned(capsys):
                  "--r", "64", "--n", "300", "--seed", "3"]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == (
-        "f87c47593e92eb8d16da032d03dc97ec0a6413257dbfbb9f26fb75f252070671")
+        "b5a69a7d0ce316fb2716b0b50b443bffa3a96d04dca79abcadb292ef3c6e48c4")
 
 
 def test_each_subcommand_takes_the_flags_its_processes_read():

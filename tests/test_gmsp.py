@@ -27,8 +27,9 @@ from skellam_lab import (
     msp_pmf,
     scaled_poisson_convolution,
 )
-from skellam_lab.records import LatticePMF, make_rng
-from skellam_lab.special import TruncationError, poisson_pmf
+from skellam_lab.gmsp import array_law, array_sums, compound_sums, poisson_counts
+from skellam_lab.records import LatticePMF, SampleBatch, choice_cdf, make_rng
+from skellam_lab.special import TruncationError, grow_table, poisson_entries, poisson_pmf
 from skellam_lab.stats import lattice_chi2, lattice_chi2_two_sample
 
 
@@ -261,6 +262,95 @@ def test_sample_matches_lattice_pmf_chi2():
     assert report.verdict, f"p={report.p_value}"
 
 
+def direct_poisson_law(mean):
+    """Pois(k; mean) from math.exp and lgamma alone, k = 0, 1, ... until past the
+    mean and below 1e-18."""
+    probs = []
+    for k in range(10_000):
+        probs.append(math.exp(k * math.log(mean) - mean - math.lgamma(k + 1.0)))
+        if k > mean and probs[-1] < 1e-18:
+            return LatticePMF(0, np.array(probs))
+    raise AssertionError("the table did not end")
+
+
+# 10.0 is the first mean that poisson_counts hands to rng.poisson
+POISSON_LAW_MEANS = (0.3, 9.99, 10.0)
+
+
+def _lattice_samplers_of(jump_rates):
+    """The four samplers of one law: sum_j j Poisson(2 lam_j), as a GMSP with rates
+    (lam_j, lam_j) at t = (1, 1), both compound forms, and the alternate process."""
+    spec = JumpSpec({j: (lam, lam) for j, lam in jump_rates.items()})
+    return spec, {
+        "gmsp": lambda n, seed: gmsp_sample(spec, (1.0, 1.0), n, seed),
+        "peraxis": lambda n, seed: gmsp_compound_peraxis_sample(spec, (1.0, 1.0), n, seed),
+        "equalrate": lambda n, seed: gmsp_compound_equalrate_sample(jump_rates, 2, (1.0, 1.0),
+                                                                    n, seed),
+        "alt": lambda n, seed: alt_sample(AltSpec({j: 2 * lam for j, lam in jump_rates.items()}),
+                                          {j: 1.0 for j in jump_rates}, n, seed),
+    }
+
+
+# every Poisson mean below 10 (the table), and the same jumps where the direct
+# sampler's jump 1 (mean 11) and the equal-rate clock (mean 13.5) reach numpy's
+# rng.poisson while the per-axis clocks (mean 6.75) stay on the table
+LAW_RATES = {"table": {1: 0.7, -1: 0.5, 2: 0.2}, "both-sides": {1: 5.5, -1: 1.0, 3: 0.25}}
+
+
+def lattice_law_reports(n, seeds):
+    """(label, lattice_chi2 report) of poisson_counts at each POISSON_LAW_MEANS against
+    direct_poisson_law, and of every sampler of each LAW_RATES law against
+    gmsp_lattice_pmf, at each seed: tier-1 runs them at n = 100,000, CI at 1,000,000."""
+    for seed in seeds:
+        for mean in POISSON_LAW_MEANS:
+            batch = SampleBatch(poisson_counts(make_rng(seed), mean, n), seed)
+            yield f"poisson-{mean}-seed{seed}", lattice_chi2(batch, direct_poisson_law(mean))
+        for name, rates in LAW_RATES.items():
+            spec, samplers = _lattice_samplers_of(rates)
+            law = gmsp_lattice_pmf(spec, (1.0, 1.0))
+            for sampler, draw in samplers.items():
+                yield f"{sampler}-{name}-seed{seed}", lattice_chi2(draw(n, seed), law)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lattice_draws_follow_their_exact_law(seed):
+    rejected = [(label, report.p_value) for label, report in lattice_law_reports(100_000, [seed])
+                if not report.verdict]
+    assert not rejected
+
+
+@pytest.mark.parametrize("mean", [1e-8, 0.3, 9.99])
+def test_poisson_table_inversion_has_the_poisson_law(mean):
+    # a uniform is k 2**-53 for k < 2**53, so the inversion draws count i with
+    # probability 2**-53 times the number of grid points in [cdf[i-1], cdf[i]);
+    # at mean 1e-8 a chi-square has one bin at any n a test can draw
+    cdf = choice_cdf(grow_table([], poisson_entries(mean)))
+    drawn = np.diff(np.ceil(np.ldexp(cdf, 53)), prepend=0.0) / 2.0**53
+    exact = direct_poisson_law(mean).probs
+    size = max(drawn.size, exact.size)
+    drawn, exact = np.pad(drawn, (0, size - drawn.size)), np.pad(exact, (0, size - exact.size))
+    assert drawn.sum() == 1.0 and np.all(np.abs(drawn - exact) <= 1e-14)
+
+
+def test_compound_jump_labels_are_generator_choice():
+    jumps, probs = np.array([-1.0, 1.0, 2.0]), np.array([0.5, 0.3, 0.2])
+    got = compound_sums(make_rng(4), make_rng(5), 2.5, 3000, jumps, probs)
+    counts = poisson_counts(make_rng(4), 2.5, 3000)
+    x = make_rng(5).choice(jumps, size=int(counts.sum()), p=probs)
+    want = np.bincount(np.repeat(np.arange(3000), counts), weights=x, minlength=3000)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", [0, 9])
+def test_array_sums_draw_what_generator_choice_drew(seed):
+    # the stream these draws took before the guide-table inversion
+    law = array_law(100, {0: 1.0, 1: 1.0}, lambda l, k, j: {1: 0.04, -1: 0.025}[j],
+                    np.array([-1.0, 1.0]))
+    probs = law.probs / law.probs.sum()
+    want = law.start + make_rng(seed).choice(probs.size, 20_000, p=probs)
+    assert np.array_equal(array_sums(law, 20_000, seed), want)
+
+
 def test_compound_peraxis_at_zero():
     batch = gmsp_compound_peraxis_sample(SPEC2, (0.0, 0.0), 25, seed=0)
     assert np.all(batch.values == 0)
@@ -330,18 +420,18 @@ def test_moment_invariant_for_every_sampler():
 
 
 def test_integer_jump_sets_sum_the_same_counts_in_int64():
-    # one rng.poisson per jump in jump order, added as int(j) * counts: the
+    # one poisson_counts per jump in jump order, added as int(j) * counts: the
     # draws are the exact integer sums of the stream the float loop drew
     spec = JumpSpec({1: (0.7, 0.4), -1: (0.5, 0.6), 2: (0.2, 0.3)})
     batch = gmsp_sample(spec, (1.0, 1.5), 5000, seed=8)
     rng = make_rng(8)
-    want = sum(j * rng.poisson(mu, 5000) for j, mu in zip((-1, 1, 2), (1.4, 1.3, 0.65)))
+    want = sum(j * poisson_counts(rng, mu, 5000) for j, mu in zip((-1, 1, 2), (1.4, 1.3, 0.65)))
     assert batch.values.dtype == np.int64 and np.array_equal(batch.values, want)
     # a non-integer jump set draws the same counts and sums them in float64
     floats = gmsp_sample(JumpSpec({1: (0.7, 0.4), -1: (0.5, 0.6), 2.5: (0.2, 0.3)}),
                          (1.0, 1.5), 5000, seed=8)
     rng = make_rng(8)
-    counts = [rng.poisson(mu, 5000) for mu in (1.4, 1.3, 0.65)]
+    counts = [poisson_counts(rng, mu, 5000) for mu in (1.4, 1.3, 0.65)]
     assert floats.values.dtype == np.float64
     assert np.array_equal(floats.values, -1.0 * counts[0] + 1.0 * counts[1] + 2.5 * counts[2])
 
@@ -394,12 +484,12 @@ def test_float_compound_draws_past_the_float_range_are_refused(sampler):
 
 
 def test_lattice_draws_just_below_2_53_are_exact():
-    # at seed 1 every count of either jump is at most 1, and the compound forms
+    # at seed 14 every count of either jump is at most 1, and the compound forms
     # draw at most one jump per draw: the bounds are 2**53 - 1 and 2**53 - 2
     big = 2**53 - 2
-    batches = {name: draw() for name, draw in _lattice_samplers({big: 0.3, 1: 0.3}, 6, 1).items()}
-    rng = make_rng(1)
-    want = sum(j * rng.poisson(0.3, 6).astype(object) for j in (1, big))
+    batches = {name: draw() for name, draw in _lattice_samplers({big: 0.3, 1: 0.3}, 6, 14).items()}
+    rng = make_rng(14)
+    want = sum(j * poisson_counts(rng, 0.3, 6).astype(object) for j in (1, big))
     assert batches["gmsp"].values.tolist() == want.tolist()
     assert 2**53 - 1 in want.tolist()  # one draw sits at the bound itself
     assert np.array_equal(batches["alt"].values, batches["gmsp"].values)
@@ -407,7 +497,7 @@ def test_lattice_draws_just_below_2_53_are_exact():
     assert np.array_equal(batches["equalrate"].values, batches["peraxis"].values)
     assert all(b.values.dtype == np.int64 for b in batches.values())
     # one more unit of jump reaches 2**53 at the same counts: refused
-    for name, draw in _lattice_samplers({big + 2: 0.3, 1: 0.3}, 6, 1).items():
+    for name, draw in _lattice_samplers({big + 2: 0.3, 1: 0.3}, 6, 14).items():
         with pytest.raises(ValueError, match=_PAST_2_53):
             draw()
 

@@ -219,6 +219,14 @@ def test_cf_where_the_time_product_leaves_the_float_range(cf):
         assert cf(t, 1.0) == 0.0  # exp(-(sum of the means)), each mean about 1e200
 
 
+def test_levy_cf_at_zero_where_the_time_product_leaves_the_float_range():
+    # prod t = 1e400 warned, and c = 0 * inf = nan ended in "quadrature failed"
+    psi = lambda v: np.exp(1j * v) - 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert integral_cf_levy([psi, psi], [1e200, 1e200], 0.0) == 1.0
+
+
 def test_cf_where_a_jump_times_c_leaves_the_float_range():
     # c j = 1e310 ended in "math domain error"; the factor is -1, so the CF is e^{-mean}
     assert integral_cf_gmsp(JumpSpec({1e300: (1.0,)}), [1.0], 1e10) == pytest.approx(math.exp(-1.0))
@@ -290,9 +298,11 @@ def test_uniform_compound_rejects_mismatched_params():
 @pytest.mark.parametrize("draw", [
     lambda: integral_sample(JumpSpec({1e308: (1.0, 1.0)}), RectDomain([1, 1], 4), 5, 0),
     lambda: integral_sample(CompoundSpec([3.0], [1e308], [1.0]), RectDomain([1.0], 4), 5, 0),
-    lambda: uniform_compound_sample(JumpSpec({1e308: (1.0, 1.0)}), [1.0, 1.0], 5, 0),
-    lambda: uniform_compound_sample(CompoundSpec([3.0], [1e308], [1.0]), [1.0], 5, 0),
-    lambda: uniform_compound_sample({1e308: 3.0}, [1.0], 5, 0),
+    # a uniform form's draw is 1e308 times a sum of U(0,1) over Poisson(8) jumps,
+    # finite with probability 0.0757: all 20 draws are, with probability 3.8e-23
+    lambda: uniform_compound_sample(JumpSpec({1e308: (4.0, 4.0)}), [1.0, 1.0], 20, 0),
+    lambda: uniform_compound_sample(CompoundSpec([8.0], [1e308], [1.0]), [1.0], 20, 0),
+    lambda: uniform_compound_sample({1e308: 8.0}, [1.0], 20, 0),
 ], ids=["integral-gmsp", "integral-compound", "uniform-gmsp", "uniform-compound",
         "uniform-equalrate"])
 def test_float_compound_draws_past_the_float_range_are_refused(draw):
