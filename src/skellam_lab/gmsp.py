@@ -131,18 +131,22 @@ def _as_lattice(values: np.ndarray, jumps, reach: float) -> np.ndarray:
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
-# numpy's rng.poisson takes about mean + 1 uniforms a draw below this mean, and
-# a fixed few (PTRS) from it up
-_TABLE_MEANS_BELOW = 10.0
+# Below this mean, 100,000 counts cost less by table (build and inversion)
+# than by rng.poisson; at mean 300 both take about 3.2 ms on a 2 vCPU Xeon
+# (numpy 2.4).  The table costs about 3 us an entry to build and 10 ns a draw,
+# rng.poisson 20-65 ns a draw at any mean, so fewer draws favour rng.poisson
+# and more the table, but a rule on the mean alone keeps draws prefix-stable
+# in n.
+_TABLE_MEANS_BELOW = 300.0
 
 
 def poisson_counts(rng: np.random.Generator, mean: float, n: int) -> np.ndarray:
     """``n`` int64 Poisson(mean) counts from ``rng``.
 
-    For 0 < mean < 10 they invert the exact table ``grow_table([],
+    For 0 < mean < 300 they invert the exact table ``grow_table([],
     poisson_entries(mean))``, whose tail is below 1e-20, far under the 2**-53
     step of a uniform, with one uniform a draw (:func:`~skellam_lab.records.table_draws`).
-    Any other mean, 0, from 10 up or not finite, goes to ``rng.poisson``,
+    Any other mean, 0, from 300 up or not finite, goes to ``rng.poisson``,
     which draws, or refuses with its own message.
     """
     if 0.0 < mean < _TABLE_MEANS_BELOW:
@@ -153,7 +157,7 @@ def poisson_counts(rng: np.random.Generator, mean: float, n: int) -> np.ndarray:
 def gmsp_sample(spec: JumpSpec, t, n_draws: int, seed: int) -> SampleBatch:
     """Draw sum_j j * Poisson(rates_j . t): one :func:`poisson_counts` per jump, in jump order.
 
-    All counts come from one make_rng(seed): a mean below 10 takes one
+    All counts come from one make_rng(seed): a mean below 300 takes one
     uniform a draw from its exact table, any other mean ``rng.poisson``.
 
     An integer jump set adds int(j) * counts into one int64 array, so each

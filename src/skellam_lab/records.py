@@ -145,7 +145,7 @@ def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
     Children are ``SeedSequence(seed).spawn(n)`` taken in order, so the i-th
     sub-stream is the same no matter how many draws the others make, or on
     which thread and in which order they make them.  Within any stream,
-    each scalar-mean Poisson count below mean 10 and each draw from a finite
+    each scalar-mean Poisson count below mean 300 and each draw from a finite
     table (a jump label, an array sum) takes one uniform through
     :func:`table_draws`.  Its users:
     ``frac_skellam_sample`` takes one child per side (and draws the two sides
@@ -161,11 +161,6 @@ def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
     at seed and seed + 1).
     """
     return [np.random.default_rng(ss) for ss in np.random.SeedSequence(int(seed)).spawn(n)]
-
-
-# doubles in [2**52, 2**53) are the integers, with consecutive bit patterns
-_ROUNDER = 1.5 * 2.0**52
-_ROUNDER_BITS = int(np.float64(_ROUNDER).view(np.int64))
 
 
 def choice_cdf(probs) -> np.ndarray:
@@ -184,23 +179,17 @@ def table_draws(rng: np.random.Generator, cdf: np.ndarray, n: int) -> np.ndarray
     ``cdf`` is nondecreasing with last entry 1.0 (:func:`choice_cdf`), so
     ``Generator.choice(a, n, p=probs)`` is ``a[table_draws(rng, choice_cdf(probs), n)]``
     and leaves ``rng`` in the same state.  With g the least power of two >= 4
-    len(cdf), u g and u g - 1/2 are exact, and adding 1.5 * 2**52 rounds the
-    latter to an integer b in its bits: floor(u g), or one less where u g is
-    an odd integer.  So u >= b / g, and ``guide[b]``, the number of entries
-    <= b / g, is at most the answer.  A draw starts there and walks forward
-    while its entry is <= u; it stops by the last entry, 1.0 > u.  Each
+    len(cdf), u g is exact and its cast to int is b = floor(u g), so u >= b / g
+    and ``guide[b]``, the number of entries <= b / g, is at most the answer.
+    A draw starts there and walks forward while its entry is <= u; it stops by
+    the last entry, 1.0 > u.  Each
     bucket holds len(cdf) / g <= 1/4 entries on average, so a draw costs one
     uniform, one guide lookup and about a quarter of a step.
     """
     g = 1 << (4 * cdf.size - 1).bit_length()
     guide = cdf.searchsorted(np.arange(g) / g, side="right")
     u = rng.random(n)
-    bucket = u * g
-    bucket -= 0.5
-    bucket += _ROUNDER
-    bucket = bucket.view(np.int64)  # a float-to-int cast costs about 4 times these steps
-    bucket -= _ROUNDER_BITS
-    idx = guide[bucket]
+    idx = guide[(u * g).astype(np.int64)]
     walk = np.flatnonzero(cdf[idx] <= u)
     while walk.size:
         idx[walk] += 1

@@ -273,8 +273,8 @@ def direct_poisson_law(mean):
     raise AssertionError("the table did not end")
 
 
-# 10.0 is the first mean that poisson_counts hands to rng.poisson
-POISSON_LAW_MEANS = (0.3, 9.99, 10.0)
+# 300.0 is the first mean that poisson_counts hands to rng.poisson
+POISSON_LAW_MEANS = (0.3, 9.99, 299.9, 300.0)
 
 
 def _lattice_samplers_of(jump_rates):
@@ -291,24 +291,30 @@ def _lattice_samplers_of(jump_rates):
     }
 
 
-# every Poisson mean below 10 (the table), and the same jumps where the direct
-# sampler's jump 1 (mean 11) and the equal-rate clock (mean 13.5) reach numpy's
-# rng.poisson while the per-axis clocks (mean 6.75) stay on the table
-LAW_RATES = {"table": {1: 0.7, -1: 0.5, 2: 0.2}, "both-sides": {1: 5.5, -1: 1.0, 3: 0.25}}
+# every Poisson mean below 10, and means from 6.75 (the per-axis clocks) to 13.5
+# (the equal-rate clock): all on the table
+LAW_RATES = {"table": {1: 0.7, -1: 0.5, 2: 0.2}, "mid": {1: 5.5, -1: 1.0, 3: 0.25}}
+# gmsp_sample and alt_sample draw jump 1 (mean 310) by rng.poisson and jump -1
+# (mean 2) by the table; a compound form there would draw about 310 jumps a draw
+BOTH_SIDES_RATES = {1: 155.0, -1: 1.0}
 
 
 def lattice_law_reports(n, seeds):
     """(label, lattice_chi2 report) of poisson_counts at each POISSON_LAW_MEANS against
-    direct_poisson_law, and of every sampler of each LAW_RATES law against
-    gmsp_lattice_pmf, at each seed: tier-1 runs them at n = 100,000, CI at 1,000,000."""
+    direct_poisson_law, of every sampler of each LAW_RATES law and of gmsp_sample
+    and alt_sample of BOTH_SIDES_RATES against gmsp_lattice_pmf, at each seed:
+    tier-1 runs them at n = 100,000, CI at 1,000,000."""
+    laws = {**LAW_RATES, "both-sides": BOTH_SIDES_RATES}
     for seed in seeds:
         for mean in POISSON_LAW_MEANS:
             batch = SampleBatch(poisson_counts(make_rng(seed), mean, n), seed)
             yield f"poisson-{mean}-seed{seed}", lattice_chi2(batch, direct_poisson_law(mean))
-        for name, rates in LAW_RATES.items():
+        for name, rates in laws.items():
             spec, samplers = _lattice_samplers_of(rates)
             law = gmsp_lattice_pmf(spec, (1.0, 1.0))
             for sampler, draw in samplers.items():
+                if name == "both-sides" and sampler in ("peraxis", "equalrate"):
+                    continue
                 yield f"{sampler}-{name}-seed{seed}", lattice_chi2(draw(n, seed), law)
 
 
@@ -319,17 +325,19 @@ def test_lattice_draws_follow_their_exact_law(seed):
     assert not rejected
 
 
-@pytest.mark.parametrize("mean", [1e-8, 0.3, 9.99])
+@pytest.mark.parametrize("mean", [1e-8, 0.3, 9.99, 299.9])
 def test_poisson_table_inversion_has_the_poisson_law(mean):
     # a uniform is k 2**-53 for k < 2**53, so the inversion draws count i with
     # probability 2**-53 times the number of grid points in [cdf[i-1], cdf[i]);
-    # at mean 1e-8 a chi-square has one bin at any n a test can draw
+    # at mean 1e-8 a chi-square has one bin at any n a test can draw.  The log
+    # forms k log(mean) - mean - lgamma(k + 1) of both laws round at exponents
+    # near 2,000 at mean 300, so the laws there agree to about 1e-13
     cdf = choice_cdf(grow_table([], poisson_entries(mean)))
     drawn = np.diff(np.ceil(np.ldexp(cdf, 53)), prepend=0.0) / 2.0**53
     exact = direct_poisson_law(mean).probs
     size = max(drawn.size, exact.size)
     drawn, exact = np.pad(drawn, (0, size - drawn.size)), np.pad(exact, (0, size - exact.size))
-    assert drawn.sum() == 1.0 and np.all(np.abs(drawn - exact) <= 1e-14)
+    assert drawn.sum() == 1.0 and np.all(np.abs(drawn - exact) <= (1e-14 if mean < 10 else 1e-13))
 
 
 def test_compound_jump_labels_are_generator_choice():
