@@ -20,7 +20,7 @@ import numpy as np
 
 from .gmsp import (array_law, array_sums, gmsp_cf, gmsp_lattice_pmf, gmsp_moments, gmsp_pgf,
                    gmsp_sample, skellam_pmf_table)
-from .records import SampleBatch, LatticePMF, as_jumps, as_rates, as_scales, as_times
+from .records import SampleBatch, LatticePMF, as_count, as_jumps, as_rates, as_scales, as_times
 
 __all__ = [
     "AltSpec",
@@ -111,6 +111,7 @@ def alt_array_sample(scale: float, probs: Callable[[int, float, float], float], 
     ``probs(l, j_axis, j)`` gives the probability that the l-th summand on the
     axis labelled j_axis equals jump j; with the residual mass it is 0.  Integer jumps only.
     """
+    n_draws = as_count(n_draws, "draw counts")
     jump_vals = as_jumps(jumps)
     as_scales(scale, "array scales", integer=False)
     t_axes = dict(zip(jump_vals.tolist(), _time_map(jump_vals.tolist(), t).tolist()))

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import (SampleBatch, as_indices, as_rates, as_times, concurrently, make_rng,
-                      spawn_rngs)
+from .records import (SampleBatch, as_count, as_indices, as_rates, as_times, concurrently,
+                      make_rng, spawn_rngs)
 from .special import (TruncationError, _exp, clock_means, frac_poisson_entries, grow_table,
                       sum_rows, sum_series)
 
@@ -98,6 +98,7 @@ def stable_subordinator_sample(alpha: float, t: float, n_draws: int, seed: int) 
 
     A draw past the float range (at small alpha) raises :class:`TruncationError`.
     """
+    n_draws = as_count(n_draws, "draw counts")
     alpha = as_indices(alpha).item()
     as_times(t)
     if t == 0.0:
@@ -110,11 +111,12 @@ def stable_subordinator_sample(alpha: float, t: float, n_draws: int, seed: int) 
             values = np.float64(t) ** (1.0 / alpha) * (a / s ** (1.0 / alpha) * b ** ((1.0 - alpha) / alpha))
         if not np.all((values > 0.0) & (values < np.inf)):
             raise TruncationError(f"a stable draw at alpha {alpha!r} leaves the float range", 0.0)
-    return SampleBatch(values=values, seed=int(seed))
+    return SampleBatch(values=values, seed=as_count(seed, "seeds"))
 
 
 def inv_stable_marginal_sample(alpha: float, t: float, n_draws: int, seed: int) -> SampleBatch:
     """Draws of the first-passage clock L(t), via L(t) =d (t / D(1))^alpha."""
+    n_draws = as_count(n_draws, "draw counts")
     alpha = as_indices(alpha).item()
     as_times(t)
     return SampleBatch(values=_inv_stable_clock(make_rng(seed), alpha, t, n_draws), seed=int(seed))
@@ -132,6 +134,7 @@ def frac_skellam_sample(spec: FracSkellamSpec, t1: float, t2: float,
     whatever the scheduling and the number of cores.  An error is raised
     after both sides end: side 1's if it failed, else side 2's.
     """
+    n_draws = as_count(n_draws, "draw counts")
     as_times((t1, t2))
     rng1, rng2 = spawn_rngs(seed, 2)
     values, side2 = concurrently(lambda: _draw_side(rng1, spec.lam1, spec.alpha, t1, n_draws),

@@ -170,6 +170,7 @@ def gmsp_sample(spec: JumpSpec, t, n_draws: int, seed: int) -> SampleBatch:
     or an :class:`~skellam_lab.altskellam.AltSpec`: only its ``jump_values``,
     ``dim`` and ``rate_matrix`` are read.
     """
+    n_draws = as_count(n_draws, "draw counts")
     mus = _jump_means(spec, t)
     jumps = spec.jump_values
     lattice = _integer_jumps(jumps)
@@ -376,6 +377,7 @@ def gmsp_compound_peraxis_sample(spec: JumpSpec, t, n_draws: int, seed: int) -> 
     refused as in :func:`gmsp_sample`, with max |j| times each axis's largest
     count as the bound.
     """
+    n_draws = as_count(n_draws, "draw counts")
     tt = as_times(t, spec.dim)
     rng = make_rng(seed)
     reach = []
@@ -395,6 +397,7 @@ def gmsp_compound_equalrate_sample(jump_rates: dict, m: int, t, n_draws: int, se
     :func:`gmsp_sample`, with max |j| times the largest count as the bound.
     """
     m = as_count(m, "axis count m")
+    n_draws = as_count(n_draws, "draw counts")
     tt = as_times(t, m)
     reach = []
     values = equalrate_sums(make_rng(seed), jump_rates, float(tt.sum()), n_draws, reach=reach)
@@ -465,6 +468,7 @@ def gmsp_array_sample(spec: TriangularArraySpec, jumps, t, n_draws: int, seed: i
     and 0 otherwise; as n grows these sums converge in law to the GMSP whose
     jump means the rule accumulates.  :func:`array_sums` draws them from their :func:`array_law`.
     """
+    n_draws = as_count(n_draws, "draw counts")
     law = array_law(spec.n, dict(enumerate(as_times(t))),
                     lambda l, k, j: spec.probs(l, j, spec.n), as_jumps(jumps))
     return SampleBatch(values=array_sums(law, n_draws, seed), seed=int(seed))

@@ -4,9 +4,8 @@ Each identity runs a fixed protocol (parameters pinned here) at a caller-chosen
 seed and sample count and returns a :class:`TestReport`.  Exact identities
 compare against a critical gap; statistical ones report a p-value at the one
 level :data:`skellam_lab.stats.LEVEL`.  Each identity imports the modules it
-runs when it runs, so `verify` loads only those.  The identities that draw
-two batches from separate seeds draw them through
-:func:`~skellam_lab.records.concurrently`, on two threads.
+runs when it runs, so `verify` loads only those.  Every identity draws on
+the calling thread.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .records import LatticePMF, TestReport, as_scales, as_times, concurrently, make_rng
+from .records import LatticePMF, TestReport, as_count, as_scales, as_times, make_rng
 from .special import frac_poisson_entries, grow_table
 
 __all__ = ["IDENTITIES", "array_tvs", "run_identity"]
@@ -30,7 +29,7 @@ _T2 = (1.0, 1.0)
 
 def _exact_report(identity, seed, n, gap, critical):
     return TestReport(identity=identity, statistic=float(gap), p_value=None,
-                      n_samples=int(n), seed=int(seed), verdict=gap <= critical,
+                      n_samples=int(n), seed=as_count(seed, "seeds"), verdict=gap <= critical,
                       critical=critical)
 
 
@@ -154,20 +153,15 @@ def array_alt(seed=0, n=1_000_000):
 def integral_cf(seed=0, n=20_000):
     """Empirical CF of the lattice integral within 4/sqrt(n) of the closed form.
 
-    Case i draws at seed + i; the two cases' draws and empirical CFs run
-    concurrently.
+    Case i draws at seed + i.
     """
     from .integrals import RectDomain, integral_cf_mpp, integral_sample
     from .stats import empirical_cf
     cases = [(np.array([1.0]), np.array([2.0])), (np.array([1.0, 0.5]), np.array([1.5, 1.0]))]
-
-    def case_cf(i):
-        lam, t = cases[i]
-        batch = integral_sample(lam, RectDomain(t=t, resolution=512), n, seed=seed + i)
-        return empirical_cf(batch, [0.25, 0.5, 1.0])
-
     gap = 0.0
-    for (lam, t), table in zip(cases, concurrently(lambda: case_cf(0), lambda: case_cf(1))):
+    for i, (lam, t) in enumerate(cases):
+        batch = integral_sample(lam, RectDomain(t=t, resolution=512), n, seed=seed + i)
+        table = empirical_cf(batch, [0.25, 0.5, 1.0])
         for u, v in zip(table.u, table.values):
             gap = max(gap, abs(v - integral_cf_mpp(lam, t, u)))
     return _exact_report("integral-cf", seed, n, gap, 4.0 / math.sqrt(n))
@@ -177,9 +171,8 @@ def _uniform_compound(identity, integrand, compound, t, seed, n):
     """KS of the rectangle integral of ``integrand`` against t * sum X_r U_r in ``compound``'s form."""
     from .integrals import RectDomain, integral_sample, uniform_compound_sample
     from .stats import ks_two_sample
-    a, b = concurrently(
-        lambda: integral_sample(integrand, RectDomain(t=t, resolution=512), n, seed=seed),
-        lambda: uniform_compound_sample(compound, t, n, seed=seed + 1))
+    a = integral_sample(integrand, RectDomain(t=t, resolution=512), n, seed=seed)
+    b = uniform_compound_sample(compound, t, n, seed=seed + 1)
     return ks_two_sample(a, b, identity=identity)
 
 

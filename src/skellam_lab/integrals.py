@@ -29,8 +29,8 @@ import numpy as np
 
 from .gmsp import JumpSpec, compound_sums, equalrate_sums, peraxis_compound_sums, poisson_counts
 from .mpp import poisson_means
-from .records import (SampleBatch, as_jump_values, as_rates, as_scales, as_times, choice_cdf,
-                      make_rng, spawn_rngs, table_draws)
+from .records import (SampleBatch, as_count, as_jump_values, as_rates, as_scales, as_times,
+                      choice_cdf, make_rng, spawn_rngs, table_draws)
 
 __all__ = [
     "RectDomain",
@@ -111,7 +111,11 @@ def _compound_integral(spec: CompoundSpec, dom: RectDomain, n_draws, seed):
     draw order, so draws are prefix-stable in ``n_draws``: the counts of each
     axis (:func:`~skellam_lab.gmsp.poisson_counts`) are drawn for all draws at
     once, and the jumps are what ``choice(values, p=probs)`` draws, chunk by chunk.
+    The counts are int64, so the lattice's r_1 * ... * r_M points must stay below 2**63.
     """
+    if math.prod(dom.resolution.tolist()) >= 2**63:
+        raise ValueError("a compound integral counts its lattice points in int64: "
+                         "the product of the resolutions must be below 2**63")
     rngs = spawn_rngs(seed, 2 * dom.dim + 1)
     # a float product: an overflow is inf, which rng.poisson refuses, with no numpy warning
     axis_events = [poisson_counts(rngs[2 * k], float(spec.rates[k]) * float(dom.t[k]), n_draws)
@@ -124,11 +128,11 @@ def _compound_integral(spec: CompoundSpec, dom: RectDomain, n_draws, seed):
         for k in range(dom.dim):
             r_k = int(dom.resolution[k])
             events = axis_events[k][start:start + n]
-            # offset by draw so that one flat sort orders the cells within each draw
-            shift = np.repeat(np.arange(n) * (r_k + 1), events)
-            cells = np.sort(rngs[2 * k + 1].integers(1, r_k + 1, shift.size) + shift) - shift
+            # each draw's cells fill its row in draw order; the row sort puts the r_k + 1 pads last
             edges = np.full((n, int(events.max()) + 1), r_k + 1)
-            edges[np.arange(edges.shape[1]) < events[:, None]] = cells
+            edges[np.arange(edges.shape[1]) < events[:, None]] = rngs[2 * k + 1].integers(
+                1, r_k + 1, int(events.sum()))
+            edges.sort(axis=1)
             counts = _convolve_rows(counts, np.diff(edges, axis=1, prepend=1))
         # tails[:, i - 1] counts the lattice points where jump i has happened:
         # positive exactly for i up to the draw's total events
@@ -152,6 +156,7 @@ def integral_sample(process, dom: RectDomain, n_draws: int, seed: int) -> Sample
     yields exact zeros, once the process has been checked against it.  A draw
     that leaves the float range is refused (:class:`~skellam_lab.records.SampleBatch`).
     """
+    n_draws = as_count(n_draws, "draw counts")
     if isinstance(process, CompoundSpec):
         if process.rates.size != dom.dim:
             raise ValueError("compound rates must match the domain dimension")
@@ -160,7 +165,7 @@ def integral_sample(process, dom: RectDomain, n_draws: int, seed: int) -> Sample
         if spec.dim != dom.dim:
             raise ValueError("process dimension must match the domain")
     if np.any(dom.t == 0.0):
-        return SampleBatch(values=np.zeros(n_draws), seed=int(seed))
+        return SampleBatch(values=np.zeros(n_draws), seed=as_count(seed, "seeds"))
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(process, CompoundSpec):
             values = _compound_integral(process, dom, n_draws, seed)
@@ -272,6 +277,7 @@ def uniform_compound_sample(process, t, n_draws: int, seed: int) -> SampleBatch:
 
     A draw that leaves the float range is refused, as in :func:`integral_sample`.
     """
+    n_draws = as_count(n_draws, "draw counts")
     rng = make_rng(seed)
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(process, CompoundSpec):

@@ -50,8 +50,12 @@ def _checked(x, what: str, ok, rule: str) -> np.ndarray:
     """``x`` as a flat float vector, refused unless every entry is finite and ``ok``.
 
     ``what`` is the plural noun of the kind, and ``rule`` says what ``ok`` asks.
+    An integer past the float range is refused too.
     """
-    v = np.atleast_1d(np.asarray(x, dtype=float))
+    try:
+        v = np.atleast_1d(np.asarray(x, dtype=float))
+    except OverflowError:
+        raise ValueError(f"{what} must be finite{rule}, got {x!r}") from None
     if v.ndim != 1:
         raise ValueError(f"{what} must form a flat vector")
     if not (np.all(np.isfinite(v)) and np.all(ok(v))):
@@ -93,13 +97,18 @@ def as_indices(alphas) -> np.ndarray:
 def as_scales(scales, what: str, integer: bool = True) -> np.ndarray:
     """Array scales or lattice resolutions (``what``, plural), each finite and > 0.
 
-    With ``integer`` each must be whole, and they come back as int64.
+    With ``integer`` each must be whole and at most 2**53, up to which
+    float64 holds every whole number, and they come back as int64.
     """
-    if integer:
-        s = _checked(scales, what, lambda v: (v >= 1.0) & (v == np.floor(v)),
-                     " and positive integers")
-        return s.astype(np.int64)
-    return _checked(scales, what, lambda v: v > 0.0, " and strictly positive")
+    if not integer:
+        return _checked(scales, what, lambda v: v > 0.0, " and strictly positive")
+    rule = " and positive integers up to 2**53"
+    whole = _checked(scales, what, lambda v: (v >= 1.0) & (v <= 2.0**53) & (v == np.floor(v)),
+                     rule).astype(np.int64)
+    # 2**53 + 1 reads as the float 2**53: refuse a scale the cast does not give back
+    if np.any(np.ravel(np.asarray(scales, dtype=object)) != whole):
+        raise ValueError(f"{what} must be finite{rule}, got {scales!r}")
+    return whole
 
 
 def as_count(n, what: str) -> int:
@@ -135,8 +144,8 @@ def distinct_bits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Root generator for a sampler invocation (PCG64 behind SeedSequence)."""
-    return np.random.default_rng(np.random.SeedSequence(int(seed)))
+    """Root generator for a sampler invocation (PCG64 behind SeedSequence); ``seed`` is a count."""
+    return np.random.default_rng(np.random.SeedSequence(as_count(seed, "seeds")))
 
 
 def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
@@ -154,13 +163,12 @@ def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
     forms, the array samplers, ``uniform_compound_sample``, the stable clocks)
     draw from one ``make_rng(seed)`` stream, and the identities offset the seeds of
     their batches (seed + i, seed + 7 i, seed + 1, and 10 seed + i in
-    frac-pmf) rather than split one.  Identities that draw two batches draw
-    them through :func:`concurrently`, each from its own seed: the three
-    uniform-compound identities (``integral_sample`` at seed,
-    ``uniform_compound_sample`` at seed + 1) and integral-cf (its two cases
-    at seed and seed + 1).
+    frac-pmf) rather than split one: the three uniform-compound identities
+    draw ``integral_sample`` at seed, then ``uniform_compound_sample`` at
+    seed + 1, and integral-cf its two cases at seed, then seed + 1.
     """
-    return [np.random.default_rng(ss) for ss in np.random.SeedSequence(int(seed)).spawn(n)]
+    seq = np.random.SeedSequence(as_count(seed, "seeds"))
+    return [np.random.default_rng(ss) for ss in seq.spawn(n)]
 
 
 def choice_cdf(probs) -> np.ndarray:

@@ -410,6 +410,32 @@ def test_lattice_draws_past_2_53_are_one_error_line(capsys, process, jumps):
                              "--n", "4"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["integral", "--process", "mpp", "--rates", "1.0", "--t", "1.0",
+     "--r", "9223372036854775807", "--n", "3"],
+    ["integral", "--process", "mpp", "--rates", "1.0", "--t", "1.0",
+     "--r", "9007199254740993", "--n", "3", "--format", "json"],
+    ["converge", "--scheme", "gmsp-array", "--jumps", "1:1.0", "--t", "1.0", "--scales", "1e19"],
+])
+def test_whole_scales_past_2_53_are_one_error_line(capsys, argv):
+    # 2**63 - 1 warned on its int64 cast and then ended in "low >= high";
+    # 2**53 + 1 exited 0 with draws at 2**53; 1e19 warned before its error line
+    _one_error_line(capsys, argv)
+
+
+def test_compound_integral_draws_at_resolution_2_52(tmp_path):
+    # the per-chunk sort key n (r + 1) left int64, and this ended in a numpy
+    # boolean-assignment error
+    out = tmp_path / "integral.csv"
+    assert main(["integral", "--process", "compound", "--rates", "1.0", "--xvalues", "1.0",
+                 "--xprobs", "1.0", "--t", "1.0", "--r", "4503599627370496", "--n", "5000",
+                 "--out", str(out)]) == 0
+    values = [float(line) for line in out.read_text().splitlines()[2:]]
+    # the integral of N(s) over [0, 1] at rate 1 has mean 1/2 and variance 1/3
+    assert len(values) == 5000 and min(values) >= 0.0
+    assert abs(sum(values) / 5000 - 0.5) < 0.05
+
+
 def test_gmsp_pmf_past_the_subnormal_start(capsys):
     # e^-744 is subnormal; scipy.stats.poisson.pmf(744, 744) = 0.014624295502660
     assert main(["pmf", "--process", "gmsp", "--jumps", "1:744.0", "--t", "1.0",
@@ -424,6 +450,9 @@ _EMPTY_CHI2 = [["verify", "--identity", name, "--n", "0"]
                for name in ("compound-peraxis", "compound-equalrate", "frac-pmf", "alt-twoparam")]
 _ONE_DRAW_CHI2 = [["verify", "--identity", name, "--n", "1"]
                   for name in ("alt-twoparam", "frac-pmf")]
+# a negative draw count ended in numpy's "negative dimensions are not allowed"
+_NEGATIVE_DRAWS = [["simulate", "--process", "gmsp", "--jumps", "1:1.0", "--t", "1.0", "--n", "-3"],
+                   ["verify", "--identity", "integral-cf", "--n", "-1"]]
 # the parser does not list the identities, so that building it loads none:
 # run_identity refuses an unknown name, where argparse exited with code 2
 _UNKNOWN_IDENTITY = ["verify", "--identity", "no-such-check"]
@@ -432,7 +461,9 @@ _ERROR_TEXT = {**{tuple(argv): "empty batch" for argv in _EMPTY_CHI2},
                **{tuple(argv): "a chi-square on one bin (0 degrees of freedom) tests nothing"
                   for argv in _ONE_DRAW_CHI2},
                tuple(_UNKNOWN_IDENTITY): "unknown identity 'no-such-check'; known: "
-                                         + ", ".join(sorted(IDENTITIES))}
+                                         + ", ".join(sorted(IDENTITIES)),
+               **{tuple(argv): "draw counts must be finite and a nonnegative integer, "
+                               f"got {argv[-1]}" for argv in _NEGATIVE_DRAWS}}
 
 
 @pytest.mark.parametrize("argv", [
@@ -461,6 +492,7 @@ _ERROR_TEXT = {**{tuple(argv): "empty batch" for argv in _EMPTY_CHI2},
     # one draw merges every cell into one bin: these reports passed with p = 1
     *_ONE_DRAW_CHI2,
     _UNKNOWN_IDENTITY,
+    *_NEGATIVE_DRAWS,
 ])
 def test_non_finite_parameters_are_an_error_exit(tmp_path, capsys, argv):
     out = tmp_path / "artifact.out"

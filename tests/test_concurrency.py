@@ -1,8 +1,8 @@
-"""records.concurrently, and the identities that draw their two batches through it.
+"""records.concurrently, and identities run from many threads at once.
 
 The helper runs its first call on the calling thread and its second on one
-worker thread.  Each identity below draws two batches from separate seeds, so
-its report is the one it gives with the two calls made one after the other.
+worker thread.  Each identity below draws two batches from separate seeds,
+one after the other on the calling thread.
 """
 
 import sys
@@ -16,13 +16,9 @@ import pytest
 from skellam_lab import identities, records
 from skellam_lab.records import concurrently
 
-# the identities that draw their two batches (or, in integral-cf, cases) through the helper
+# the identities that draw two batches (or, in integral-cf, cases) from separate seeds
 CONCURRENT = ["integral-cf", "uniform-compound-mpp", "uniform-compound-peraxis",
               "uniform-compound-equalrate"]
-
-
-def _sequential(first, second):
-    return first(), second()
 
 
 def test_results_come_back_in_call_order():
@@ -85,23 +81,12 @@ def test_no_thread_is_left_alive():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("name", CONCURRENT)
-def test_each_identity_reports_what_its_sequential_draws_report(monkeypatch, name, seed):
-    calls = []
-
-    def counted(first, second):
-        calls.append(threading.get_ident())
-        return concurrently(first, second)
-
-    monkeypatch.setattr(identities, "concurrently", counted)
-    report = identities.run_identity(name, seed=seed)
-    monkeypatch.setattr(identities, "concurrently", _sequential)
-    assert report == identities.run_identity(name, seed=seed)
-    assert len(calls) == 1  # the identity drew through the helper
-    assert report.verdict
+def test_each_identity_reports_what_its_sequential_draws_report(name, seed):
+    assert identities.run_identity(name, seed=seed).verdict
 
 
 def test_identities_run_from_many_threads_at_once_report_what_one_caller_gets():
-    # four callers on two cores, each starting its own worker: eight threads
+    # four callers on two cores, each drawing on its own thread
     want = {name: identities.run_identity(name, seed=5, n=4000) for name in CONCURRENT}
     seen = {}
 
@@ -126,3 +111,10 @@ def test_identities_run_from_many_threads_at_once_report_what_one_caller_gets():
 def test_the_helper_is_the_one_place_the_package_starts_a_thread():
     modules = Path(records.__file__).parent.glob("*.py")
     assert sorted(p.name for p in modules if "threading" in p.read_text()) == ["records.py"]
+
+
+def test_the_fractional_sampler_is_the_helpers_one_caller():
+    # the identities gained nothing from a second thread, and draw on the caller's
+    modules = Path(records.__file__).parent.glob("*.py")
+    callers = sorted(p.name for p in modules if "concurrently(" in p.read_text())
+    assert callers == ["fractional.py", "records.py"]  # records.py defines it

@@ -51,6 +51,7 @@ from skellam_lab.integrals import (
     RectDomain,
     integral_cf_gmsp,
     integral_cf_mpp,
+    integral_sample,
     uniform_compound_sample,
 )
 from skellam_lab.mpp import mpp_covariance, mpp_pmf
@@ -63,7 +64,8 @@ BAD = {
     "jump": [*_NON_FINITE, 0.0],
     "jump value": _NON_FINITE,
     "stable index": [*_NON_FINITE, -0.5, 0.0, 1.5],
-    "whole scale": [*_NON_FINITE, -1.0, 0.0, 2.7],
+    # 2**53 + 1 reads as the float 2**53, and 2**63 leaves int64
+    "whole scale": [*_NON_FINITE, -1.0, 0.0, 2.7, 2**53 + 1, 2**63],
     "scale": [*_NON_FINITE, -1.0, 0.0],
     "count": [*_NON_FINITE, -1.0, 2.7],
 }
@@ -77,6 +79,30 @@ _ARRAY = TriangularArraySpec(n=10, probs=lambda l, j, n: 0.1)
 def _alt_rule(l, axis, j):
     return 0.1
 
+
+_DOM = RectDomain(t=[1.0], resolution=4)
+_COMPOUND = CompoundSpec([1.0], [1.0], [1.0])
+
+# each sampler as a call of (draw count, seed)
+SAMPLERS = [
+    ("gmsp_sample", lambda n, seed: gmsp_sample(_SPEC, [1.0], n, seed)),
+    ("compound-peraxis", lambda n, seed: gmsp_compound_peraxis_sample(_SPEC, [1.0], n, seed)),
+    ("compound-equalrate",
+     lambda n, seed: gmsp_compound_equalrate_sample({1: 1.0}, 1, [1.0], n, seed)),
+    ("gmsp_array_sample", lambda n, seed: gmsp_array_sample(_ARRAY, [1], [1.0], n, seed)),
+    ("alt_sample", lambda n, seed: alt_sample(_ALT, {1: 1.0}, n, seed)),
+    ("alt_array_sample", lambda n, seed: alt_array_sample(10, _alt_rule, [1], {1: 1.0}, n, seed)),
+    ("frac_skellam_sample", lambda n, seed: frac_skellam_sample(_FRAC, 1.0, 1.0, n, seed)),
+    ("stable", lambda n, seed: stable_subordinator_sample(0.5, 1.0, n, seed)),
+    ("stable-drift", lambda n, seed: stable_subordinator_sample(1.0, 1.0, n, seed)),
+    ("inv-stable", lambda n, seed: inv_stable_marginal_sample(0.5, 1.0, n, seed)),
+    ("integral-mpp", lambda n, seed: integral_sample([1.0], _DOM, n, seed)),
+    ("integral-gmsp", lambda n, seed: integral_sample(_SPEC, _DOM, n, seed)),
+    ("integral-compound", lambda n, seed: integral_sample(_COMPOUND, _DOM, n, seed)),
+    ("integral-zero-volume",
+     lambda n, seed: integral_sample([1.0], RectDomain(t=[0.0], resolution=4), n, seed)),
+    ("uniform-compound", lambda n, seed: uniform_compound_sample(_COMPOUND, [1.0], n, seed)),
+]
 
 
 ENTRY_POINTS = [
@@ -156,6 +182,13 @@ ENTRY_POINTS = [
     # counts: an infinite count used to be an OverflowError
     ("count", "frac_poisson_table", lambda x: special.frac_poisson_table(x, 1.0, 1.0, 0.5)),
     ("count", "compound-equalrate", lambda x: gmsp_compound_equalrate_sample({1: 1.0}, x, [1.0], 3, 0)),
+    # a seed of 2.7 used to draw at seed 2, inf to raise OverflowError and -1
+    # numpy's own error; a draw count ended in numpy's "negative dimensions"
+    # or a TypeError
+    *[("count", f"seed-{name}", lambda x, draw=draw: draw(3, x)) for name, draw in SAMPLERS],
+    *[("count", f"draws-{name}", lambda x, draw=draw: draw(x, 0)) for name, draw in SAMPLERS],
+    # an exact identity draws nothing, and recorded int(seed)
+    ("count", "seed-cf-product", lambda x: identities.run_identity("cf-product", seed=x)),
 ]
 
 CASES = [pytest.param(call, bad, id=f"{kind}-{name}-{bad}")
@@ -168,9 +201,21 @@ def test_values_outside_the_domain_are_refused(call, bad):
         call(bad)
 
 
+def test_integers_past_the_float_range_are_refused():
+    # a count and a rate of 10**400 ended in a bare OverflowError; a seed that
+    # large is refused with them
+    for call in (lambda: special.frac_poisson_table(10**400, 1.0, 1.0, 0.5),
+                 lambda: mpp_pmf(0, [10**400], [1.0]),
+                 lambda: gmsp_sample(_SPEC, [1.0], 3, 10**400)):
+        with pytest.raises(ValueError, match="finite"):
+            call()
+
+
 def test_whole_scales_keep_their_value():
     # a resolution of 2.7 used to be truncated to 2
     assert RectDomain(t=[1.0], resolution=4.0).resolution.tolist() == [4]
+    # float64 holds every whole number up to 2**53
+    assert RectDomain(t=[1.0], resolution=2**53).resolution.tolist() == [2**53]
     # scale 2.5 at t = 0.8 takes floor(2.5 * 0.8) = 2 summands, each equal to 1;
     # a scale truncated to 2 would take floor(2 * 0.8) = 1
     draws = alt_array_sample(2.5, lambda l, axis, j: 0.9999, [1], {1: 0.8}, 2000, 0).values

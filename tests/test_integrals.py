@@ -156,6 +156,17 @@ def test_compound_integral_is_prefix_stable_across_chunks(rates, t):
     assert np.array_equal(long.values, longer.values[:5000])
 
 
+def test_compound_integral_refuses_a_lattice_past_int64():
+    # 2**32 * 2**31 lattice points wrapped the int64 counts, and the draw
+    # ended in a numpy boolean-assignment error; 2**62 points still draw
+    spec = CompoundSpec([1.0, 1.0], [1.0], [1.0])
+    draws = integral_sample(spec, RectDomain(t=[1.0, 1.0], resolution=[2**31, 2**31]), 2000, 0)
+    # the integral of N_1(s_1) + N_2(s_2) over the unit square has mean 1
+    assert draws.values.min() >= 0.0 and abs(draws.values.mean() - 1.0) < 0.1
+    with pytest.raises(ValueError, match=r"below 2\*\*63"):
+        integral_sample(spec, RectDomain(t=[1.0, 1.0], resolution=[2**32, 2**31]), 2000, 0)
+
+
 def test_cf_at_zero_and_modulus():
     assert integral_cf_mpp([1.0, 2.0], [1.0, 0.5], 0.0) == 1.0
     for u in np.arange(-3.0, 3.01, 0.5):
