@@ -180,8 +180,11 @@ def _parse_ugrid(text: str) -> list[float]:
             if len(grid) == _MAX_TERMS:  # the cap on every series and table
                 raise ValueError(f"u range has more than {_MAX_TERMS} points")
             grid.append(start + len(grid) * step)
-        return grid
-    return _finite_frequencies(_parse_floats(text, "u grid"))
+    else:
+        grid = _finite_frequencies(_parse_floats(text, "u grid"))
+    if not grid:
+        raise ValueError(f"u grid {text!r} has no points")
+    return grid
 
 
 def _finite_frequencies(grid: list[float]) -> list[float]:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import (SampleBatch, as_count, as_indices, as_rates, as_times, concurrently,
-                      make_rng, spawn_rngs)
+from .records import (SampleBatch, as_count, as_indices, as_rates, as_times, make_rng,
+                      spawn_rngs)
 from .special import (TruncationError, _exp, clock_means, frac_poisson_entries, grow_table,
                       sum_rows, sum_series)
 
@@ -126,20 +126,15 @@ def frac_skellam_sample(spec: FracSkellamSpec, t1: float, t2: float,
                         n_draws: int, seed: int) -> SampleBatch:
     """Draws of N_1(L_1(t1)) - N_2(L_2(t2)), all four components independent.
 
-    Each side conditions a Poisson draw on its own inverse-subordinator draw;
-    the two sides use separate child streams of the root seed and are drawn
-    through :func:`records.concurrently` (side 1 on the calling thread, side
-    2 on a worker under the caller's ``np.errstate``).  Each side reads only
-    its own stream, so the draws are those of drawing side 1 and then side 2,
-    whatever the scheduling and the number of cores.  An error is raised
-    after both sides end: side 1's if it failed, else side 2's.
+    Each side conditions a Poisson draw on its own inverse-subordinator draw,
+    from its own child stream of the root seed.  Side 1 is drawn, then side
+    2; an error in side 1 is raised before side 2 draws.
     """
     n_draws = as_count(n_draws, "draw counts")
     as_times((t1, t2))
     rng1, rng2 = spawn_rngs(seed, 2)
-    values, side2 = concurrently(lambda: _draw_side(rng1, spec.lam1, spec.alpha, t1, n_draws),
-                                 lambda: _draw_side(rng2, spec.lam2, spec.beta, t2, n_draws))
-    values -= side2
+    values = _draw_side(rng1, spec.lam1, spec.alpha, t1, n_draws)
+    values -= _draw_side(rng2, spec.lam2, spec.beta, t2, n_draws)
     return SampleBatch(values=values, seed=int(seed))
 
 

@@ -4,8 +4,7 @@ Each identity runs a fixed protocol (parameters pinned here) at a caller-chosen
 seed and sample count and returns a :class:`TestReport`.  Exact identities
 compare against a critical gap; statistical ones report a p-value at the one
 level :data:`skellam_lab.stats.LEVEL`.  Each identity imports the modules it
-runs when it runs, so `verify` loads only those.  Every identity draws on
-the calling thread.
+runs when it runs, so `verify` loads only those.
 """
 
 from __future__ import annotations

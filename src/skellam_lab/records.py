@@ -19,8 +19,6 @@ lattice draws are grouped by counting, everything else by a sort.
 
 from __future__ import annotations
 
-import contextvars
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +40,6 @@ __all__ = [
     "spawn_rngs",
     "choice_cdf",
     "table_draws",
-    "concurrently",
 ]
 
 
@@ -152,20 +149,19 @@ def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
     """Derive ``n`` independent child streams from one root seed.
 
     Children are ``SeedSequence(seed).spawn(n)`` taken in order, so the i-th
-    sub-stream is the same no matter how many draws the others make, or on
-    which thread and in which order they make them.  Within any stream,
-    each scalar-mean Poisson count below mean 300 and each draw from a finite
-    table (a jump label, an array sum) takes one uniform through
-    :func:`table_draws`.  Its users:
-    ``frac_skellam_sample`` takes one child per side (and draws the two sides
-    through :func:`concurrently`), ``integral_sample`` 3 M for M axes and its
-    compound form 2 M + 1.  The other samplers (``gmsp_sample``, the compound
-    forms, the array samplers, ``uniform_compound_sample``, the stable clocks)
-    draw from one ``make_rng(seed)`` stream, and the identities offset the seeds of
-    their batches (seed + i, seed + 7 i, seed + 1, and 10 seed + i in
-    frac-pmf) rather than split one: the three uniform-compound identities
-    draw ``integral_sample`` at seed, then ``uniform_compound_sample`` at
-    seed + 1, and integral-cf its two cases at seed, then seed + 1.
+    sub-stream is the same no matter how many draws the others make, or in
+    which order they make them.  Within any stream, each scalar-mean Poisson
+    count below mean 300 and each draw from a finite table (a jump label, an
+    array sum) takes one uniform through :func:`table_draws`.  Its users:
+    ``frac_skellam_sample`` takes one child per side, ``integral_sample`` 3 M
+    for M axes and its compound form 2 M + 1.  The other samplers
+    (``gmsp_sample``, the compound forms, the array samplers,
+    ``uniform_compound_sample``, the stable clocks) draw from one
+    ``make_rng(seed)`` stream, and the identities offset the seeds of their
+    batches (seed + i, seed + 7 i, seed + 1, and 10 seed + i in frac-pmf)
+    rather than split one: the three uniform-compound identities draw
+    ``integral_sample`` at seed, then ``uniform_compound_sample`` at seed + 1,
+    and integral-cf its two cases at seed, then seed + 1.
     """
     seq = np.random.SeedSequence(as_count(seed, "seeds"))
     return [np.random.default_rng(ss) for ss in seq.spawn(n)]
@@ -203,38 +199,6 @@ def table_draws(rng: np.random.Generator, cdf: np.ndarray, n: int) -> np.ndarray
         idx[walk] += 1
         walk = walk[cdf[idx[walk]] <= u[walk]]
     return idx
-
-
-def concurrently(first, second):
-    """``(first(), second())``: ``second`` on a worker thread while this thread runs ``first``.
-
-    Each is a call without arguments.  The worker runs ``second`` in a copy
-    of the caller's context, so under its ``np.errstate``.  Calls that share
-    no state (each draws from its own Generator, say) return what they
-    return when run one after the other, whatever the scheduling and the
-    number of cores; numpy releases the interpreter lock in its bulk draws,
-    so two such calls overlap.  An error is raised after both calls end:
-    ``first``'s if it failed, else ``second``'s.  This is the one place the
-    package starts a thread.
-    """
-    outcome = []  # the worker's (True, result) or (False, exception)
-
-    def run_second():
-        try:
-            outcome.append((True, second()))
-        except BaseException as exc:  # re-raised by the calling thread, after ``first``
-            outcome.append((False, exc))
-
-    worker = threading.Thread(target=contextvars.copy_context().run, args=(run_second,))
-    worker.start()
-    try:
-        result = first()
-    finally:
-        worker.join()
-    ok, value = outcome[0]
-    if not ok:
-        raise value
-    return result, value
 
 
 @dataclass(frozen=True)

@@ -453,6 +453,11 @@ _ONE_DRAW_CHI2 = [["verify", "--identity", name, "--n", "1"]
 # a negative draw count ended in numpy's "negative dimensions are not allowed"
 _NEGATIVE_DRAWS = [["simulate", "--process", "gmsp", "--jumps", "1:1.0", "--t", "1.0", "--n", "-3"],
                    ["verify", "--identity", "integral-cf", "--n", "-1"]]
+# an empty frequency grid wrote a header and no rows
+_EMPTY_GRID = [["cf", "--process", "gmsp", "--jumps", "1:1.0", "--t", "1.0", "--u", "1:0:0.5"],
+               ["cf", "--process", "gmsp", "--jumps", "1:1.0", "--t", "1.0", "--u", ","],
+               ["integral", "--process", "gmsp", "--jumps", "1:1.0", "--t", "1.0", "--r", "4",
+                "--n", "3", "--u", ","]]
 # the parser does not list the identities, so that building it loads none:
 # run_identity refuses an unknown name, where argparse exited with code 2
 _UNKNOWN_IDENTITY = ["verify", "--identity", "no-such-check"]
@@ -463,7 +468,8 @@ _ERROR_TEXT = {**{tuple(argv): "empty batch" for argv in _EMPTY_CHI2},
                tuple(_UNKNOWN_IDENTITY): "unknown identity 'no-such-check'; known: "
                                          + ", ".join(sorted(IDENTITIES)),
                **{tuple(argv): "draw counts must be finite and a nonnegative integer, "
-                               f"got {argv[-1]}" for argv in _NEGATIVE_DRAWS}}
+                               f"got {argv[-1]}" for argv in _NEGATIVE_DRAWS},
+               **{tuple(argv): f"u grid {argv[-1]!r} has no points" for argv in _EMPTY_GRID}}
 
 
 @pytest.mark.parametrize("argv", [
@@ -493,6 +499,7 @@ _ERROR_TEXT = {**{tuple(argv): "empty batch" for argv in _EMPTY_CHI2},
     *_ONE_DRAW_CHI2,
     _UNKNOWN_IDENTITY,
     *_NEGATIVE_DRAWS,
+    *_EMPTY_GRID,
 ])
 def test_non_finite_parameters_are_an_error_exit(tmp_path, capsys, argv):
     out = tmp_path / "artifact.out"
