@@ -5,6 +5,12 @@ inverse stable subordinators with indices alpha and beta.  Only fixed-time
 marginals are needed downstream, so subordinators are sampled marginally:
 a positive stable draw D with E[e^{-uD}] = e^{-u^alpha} gives
 L(t) =d (t / D)^alpha.
+
+A side N(L(t)) of rate lam is drawn by one of two routes, picked on its
+mean lam t^alpha alone, never on the number of draws.  Below mean 30 it
+inverts its exact law table, ``special.frac_poisson_entries`` run into its
+tail, with one uniform a draw; every other side takes the clock route, a
+Poisson draw on each draw of L(t).
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import (SampleBatch, as_count, as_indices, as_rates, as_times, make_rng,
-                      spawn_rngs)
+from .records import (SampleBatch, as_count, as_indices, as_rates, as_times, choice_cdf,
+                      make_rng, spawn_rngs, table_draws)
 from .special import (TruncationError, _exp, clock_means, frac_poisson_entries, grow_table,
                       sum_rows, sum_series)
 
@@ -41,6 +47,18 @@ _WRIGHT_TOL = 1e-9
 _WRIGHT_BLOCK = 4  # layers of the Wright double series summed in one block
 _WRIGHT_WIDTH = 32  # terms per Wright row in the first block; doubled while a row runs on
 _WRIGHT_MARGIN = 4  # a block starts this many terms wider than the longest row of the last
+
+# Below this mean lam t^alpha a side inverts its exact table; from it up, it
+# draws on the clock.  On a 2 vCPU Xeon (numpy 2.4), 100,000 draws of a side
+# cost 8.5-12 ms by the clock (3.5-7 ms at alpha = 1), and 1.4-7 ms by the
+# table up to mean 30, where a table holds at most about 1,300 entries (the
+# alpha -> 0 limit is geometric, with ratio mean / (1 + mean)).  An entry
+# costs about 4 us to build, so at mean 100 and alpha <= 0.3 (2,500-4,100
+# entries) the table loses, 12-18 ms against 10 ms, and at mean 300 and
+# alpha 0.05 it passes the 10,000-entry cap after 0.04 s.  Fewer draws favour
+# the clock, but a rule on the mean alone keeps draws prefix-stable in n
+# (BENCH_47.json).
+_TABLE_MEANS_BELOW = 30.0
 
 
 @dataclass(frozen=True)
@@ -126,9 +144,11 @@ def frac_skellam_sample(spec: FracSkellamSpec, t1: float, t2: float,
                         n_draws: int, seed: int) -> SampleBatch:
     """Draws of N_1(L_1(t1)) - N_2(L_2(t2)), all four components independent.
 
-    Each side conditions a Poisson draw on its own inverse-subordinator draw,
-    from its own child stream of the root seed.  Side 1 is drawn, then side
-    2; an error in side 1 is raised before side 2 draws.
+    Each side draws from its own child stream of the root seed, by the route
+    its mean lam t^alpha picks (:func:`_draw_side`): below 30 it inverts its
+    exact law table, from 30 up, at mean 0 or at a mean past the float range
+    it conditions a Poisson draw on its own inverse-subordinator draw.  Side 1
+    is drawn, then side 2; an error in side 1 is raised before side 2 draws.
     """
     n_draws = as_count(n_draws, "draw counts")
     as_times((t1, t2))
@@ -139,6 +159,21 @@ def frac_skellam_sample(spec: FracSkellamSpec, t1: float, t2: float,
 
 
 def _draw_side(rng, lam: float, alpha: float, t: float, n: int) -> np.ndarray:
+    """``n`` int64 draws of N(L(t)) for rate ``lam``, by the route its mean picks.
+
+    A mean lam t^alpha in (0, 30) inverts the exact table of N(L(t)), whose
+    tail is below 1e-20, with one uniform a draw
+    (:func:`~skellam_lab.records.table_draws`).  Any other mean, 0, from 30
+    up or not finite, takes the clock route (:func:`_clock_side`) and builds
+    no table.
+    """
+    # in Python floats, a mean past the float range is inf with no numpy warning
+    if 0.0 < float(lam) * float(t) ** float(alpha) < _TABLE_MEANS_BELOW:
+        return table_draws(rng, choice_cdf(grow_table([], frac_poisson_entries(lam, t, alpha))), n)
+    return _clock_side(rng, lam, alpha, t, n)
+
+
+def _clock_side(rng, lam: float, alpha: float, t: float, n: int) -> np.ndarray:
     """``n`` int64 draws of N(L(t)) for rate ``lam``: a Poisson draw on each clock draw."""
     with np.errstate(over="ignore"):  # an overflow is numpy's one "lam value too large"
         clock = _inv_stable_clock(rng, alpha, t, n)

@@ -151,8 +151,9 @@ def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
     Children are ``SeedSequence(seed).spawn(n)`` taken in order, so the i-th
     sub-stream is the same no matter how many draws the others make, or in
     which order they make them.  Within any stream, each scalar-mean Poisson
-    count below mean 300 and each draw from a finite table (a jump label, an
-    array sum) takes one uniform through :func:`table_draws`.  Its users:
+    count below mean 300, each fractional side below mean lam t^alpha = 30
+    and each draw from a finite table (a jump label, an array sum) takes one
+    uniform through :func:`table_draws`.  Its users:
     ``frac_skellam_sample`` takes one child per side, ``integral_sample`` 3 M
     for M axes and its compound form 2 M + 1.  The other samplers
     (``gmsp_sample``, the compound forms, the array samplers,

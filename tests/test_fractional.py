@@ -1,5 +1,6 @@
 """Stable clocks and the fractional two-parameter Skellam process."""
 
+import contextlib
 import json
 import math
 import os
@@ -28,8 +29,9 @@ from skellam_lab import (
 )
 from skellam_lab.identities import run_identity
 from skellam_lab import fractional, identities, special
-from skellam_lab.records import LatticePMF, spawn_rngs
-from skellam_lab.special import TruncationError
+from skellam_lab.records import (LatticePMF, SampleBatch, choice_cdf, make_rng, spawn_rngs,
+                                 table_draws)
+from skellam_lab.special import TruncationError, grow_table
 from skellam_lab.stats import lattice_chi2
 
 
@@ -159,7 +161,7 @@ def test_frac_sample_symmetric_case():
 
 
 def _sequential_sample(spec, t1, t2, n, seed):
-    """The sampler drawn side 1 then side 2, with the clock written as one expression."""
+    """The clock route drawn side 1 then side 2, with the clock written as one expression."""
     sides = []
     for rng, lam, alpha, t in zip(spawn_rngs(seed, 2), (spec.lam1, spec.lam2),
                                   (spec.alpha, spec.beta), (t1, t2)):
@@ -176,6 +178,30 @@ def _sequential_sample(spec, t1, t2, n, seed):
     return sides[0] - sides[1]
 
 
+def _sides(spec, t1, t2):
+    return [(spec.lam1, spec.alpha, t1), (spec.lam2, spec.beta, t2)]
+
+
+def _clock_sample(spec, t1, t2, n, seed):
+    """The sampler's clock route on both sides, side 1 then side 2, on their child streams."""
+    one, two = (fractional._clock_side(rng, lam, alpha, t, n)
+                for rng, (lam, alpha, t) in zip(spawn_rngs(seed, 2), _sides(spec, t1, t2)))
+    return one - two
+
+
+def _table_sample(spec, t1, t2, n, seed):
+    """Each side by table_draws over its exact table on its child stream; a side at t = 0 is 0."""
+    def side(rng, lam, alpha, t):
+        if t == 0.0:
+            return np.zeros(n, np.int64)
+        table = grow_table([], special.frac_poisson_entries(lam, t, alpha))
+        return table_draws(rng, choice_cdf(table), n)
+
+    rngs = spawn_rngs(seed, 2)
+    one, two = (side(rng, *params) for rng, params in zip(rngs, _sides(spec, t1, t2)))
+    return one - two
+
+
 @pytest.mark.parametrize("spec, t1, t2, n", [
     (FracSkellamSpec(1.0, 1.0, 0.5, 0.5), 1.0, 1.0, 1000),  # the square-root fast path
     (FracSkellamSpec(1.3, 0.6, 0.6, 0.8), 1.5, 1.0, 200_000),
@@ -187,11 +213,14 @@ def _sequential_sample(spec, t1, t2, n, seed):
     (FracSkellamSpec(1.2, 0.8, 0.4, 0.9), 1.5, 1.0, 0),
 ])
 def test_frac_sample_is_the_sequential_draw(spec, t1, t2, n):
-    # side 1, then side 2, each from its own child stream
+    # side 1, then side 2, each from its own child stream: the clock route is
+    # the one-expression clock, and the sampler, every mean here below 30,
+    # inverts each side's exact table
+    assert np.array_equal(_clock_sample(spec, t1, t2, n, seed=11),
+                          _sequential_sample(spec, t1, t2, n, seed=11))
     batch = frac_skellam_sample(spec, t1, t2, n, seed=11)
-    want = _sequential_sample(spec, t1, t2, n, seed=11)
     assert batch.values.dtype == np.int64 and batch.values.shape == (n,)
-    assert np.array_equal(batch.values, want)
+    assert np.array_equal(batch.values, _table_sample(spec, t1, t2, n, seed=11))
 
 
 def test_concurrent_frac_samples_are_each_the_sequential_draw():
@@ -216,26 +245,85 @@ def test_concurrent_frac_samples_are_each_the_sequential_draw():
         sys.setswitchinterval(interval)
     assert not any(caller.is_alive() for caller in callers)
     for seed in range(4):
-        want = _sequential_sample(spec, 1.5, 1.0, 5000, seed)
+        want = _table_sample(spec, 1.5, 1.0, 5000, seed)
         assert len(results[seed]) == 5 and all(np.array_equal(v, want) for v in results[seed])
+
+
+def _route_log(monkeypatch):
+    """Patch both routes of fractional._draw_side to log which one each side takes."""
+    routes = []
+    for name, route in (("table_draws", "table"), ("_clock_side", "clock")):
+        def logged(*args, _original=getattr(fractional, name), _route=route):
+            routes.append(_route)
+            return _original(*args)
+        monkeypatch.setattr(fractional, name, logged)
+    return routes
+
+
+@pytest.mark.parametrize("lam2, route", [(29.99, "table"), (30.0, "clock"), (1e5, "clock")])
+def test_frac_sample_route_does_not_depend_on_the_draw_count(monkeypatch, lam2, route):
+    # side 1 has mean 1.3 * 1.5^0.6; side 2 mean lam2, at t2 = 1
+    routes = _route_log(monkeypatch)
+    spec = FracSkellamSpec(1.3, lam2, 0.6, 0.3)
+    for n in (1, 200_000):
+        frac_skellam_sample(spec, 1.5, 1.0, n, seed=5)
+    assert routes == ["table", route] * 2
+
+
+def test_frac_sample_on_the_table_route_is_prefix_stable_in_the_draw_count():
+    spec = FracSkellamSpec(1.3, 0.6, 0.6, 0.8)
+    short = frac_skellam_sample(spec, 1.5, 1.0, 1000, seed=9).values
+    long = frac_skellam_sample(spec, 1.5, 1.0, 200_000, seed=9).values
+    assert np.array_equal(short, long[:1000])
+
+
+@pytest.mark.parametrize("lam1, t1", [(30.0, 1.0), (40.0, 2.0), (1e308, 10.0)])
+def test_a_side_past_the_rule_builds_no_table(monkeypatch, lam1, t1):
+    # mean 30, 40 * 2^0.5 and a mean past the float range take the clock route
+    # before any table is built: at mean 1e5 a table would cost 0.2 s and then
+    # pass the 10,000-entry cap
+    calls = []
+    original = fractional.frac_poisson_entries
+
+    def counted(lam, t, alpha):
+        calls.append((lam, t, alpha))
+        return original(lam, t, alpha)
+
+    monkeypatch.setattr(fractional, "frac_poisson_entries", counted)
+    # numpy's "lam value too large" at mean 1e308 * 10^0.5
+    with pytest.raises(ValueError) if lam1 == 1e308 else contextlib.nullcontext():
+        frac_skellam_sample(FracSkellamSpec(lam1, 1.0, 0.5, 0.7), t1, 2.0, 100, seed=0)
+    assert calls == ([] if lam1 == 1e308 else [(1.0, 2.0, 0.7)])
+
+
+def test_classical_side_below_the_rule_is_the_poisson_count():
+    # at alpha = 1 the exact table is the Poisson table that poisson_counts inverts
+    from skellam_lab.gmsp import poisson_counts
+    for lam, t in ((2.5, 1.2), (29.0, 1.0)):
+        got = fractional._draw_side(make_rng(3), lam, 1.0, t, 5000)
+        assert np.array_equal(got, poisson_counts(make_rng(3), lam * t, 5000))
 
 
 def test_frac_sample_draws_both_sides_on_the_calling_thread_under_the_callers_errstate(monkeypatch):
     seen = []
 
-    def clock(rng, alpha, t, n):
+    def side(rng, lam, alpha, t, n):
         seen.append((t, threading.get_ident(), np.geterr()))
-        return np.full(n, float(t))
+        return np.full(n, int(t))
 
-    monkeypatch.setattr(fractional, "_inv_stable_clock", clock)
+    monkeypatch.setattr(fractional, "_draw_side", side)
     threads = threading.active_count()
     with np.errstate(all="raise"):
         frac_skellam_sample(_SPEC, 1.0, 2.0, 10, seed=0)
     assert threading.active_count() == threads
     # side 1, then side 2, each on this thread, under the caller's setting
-    # with the sampler's own overflow setting on top
-    err = {"divide": "raise", "over": "ignore", "under": "raise", "invalid": "raise"}
+    err = {"divide": "raise", "over": "raise", "under": "raise", "invalid": "raise"}
     assert seen == [(1.0, threading.get_ident(), err), (2.0, threading.get_ident(), err)]
+    # the clock route puts its own overflow setting on top: an overflow of
+    # lam * L(t) is numpy's one error
+    with np.errstate(all="raise"), pytest.raises(ValueError) as exc:
+        fractional._clock_side(make_rng(0), 1e308, 1.0, 10.0, 10)
+    assert type(exc.value) is ValueError and str(exc.value) == _poisson_overflow_message()
 
 
 def _poisson_overflow_message():
@@ -258,16 +346,44 @@ def test_frac_sample_raises_side_ones_error_first(monkeypatch, fail):
     # the sequential order: side 1's error, and side 2 is never drawn; else side 2's
     drawn = []
 
-    def clock(rng, alpha, t, n):
+    def side(rng, lam, alpha, t, n):
         drawn.append(t)
         if int(t) in fail:
             raise ArithmeticError(f"side {int(t)}")
-        return np.full(n, float(t))
+        return np.full(n, int(t))
 
-    monkeypatch.setattr(fractional, "_inv_stable_clock", clock)
+    monkeypatch.setattr(fractional, "_draw_side", side)
     with pytest.raises(ArithmeticError, match=f"side {fail[0]}"):
         frac_skellam_sample(_SPEC, 1.0, 2.0, 10, seed=0)
     assert drawn == ([1.0] if 1 in fail else [1.0, 2.0])
+
+
+# frac-pmf draws every point by table inversion, so its verdict no longer
+# decides the subordination construction: the clock route is checked here, at
+# frac-pmf's ten points and at two stable indices near 0, where the law is
+# near geometric with ratio 1/2 and |k| <= 60 leaves no tail
+CLOCK_LAW_POINTS = [(identities._FRAC, 1.0), *identities._MOMENT_GRID,
+                    ((1.0, 1.0, 0.01, 0.01), 1.0), ((1.0, 1.0, 0.05, 0.05), 1.0)]
+
+
+def clock_law_reports(n, seeds):
+    """(label, lattice_chi2 report) of n clock-route draws at each CLOCK_LAW_POINTS point
+    against frac_skellam_pmf_table, point i at seed 100 seed + i: tier-1 runs them at
+    n = 100,000, CI at 1,000,000."""
+    ks = range(-60, 61)
+    for seed in seeds:
+        for i, (params, t) in enumerate(CLOCK_LAW_POINTS):
+            spec = FracSkellamSpec(*params)
+            batch = SampleBatch(_clock_sample(spec, t, t, n, 100 * seed + i), seed)
+            law = LatticePMF(-60, np.array(frac_skellam_pmf_table(spec, t, t, ks)))
+            yield f"clock-{params}-t{t}-seed{seed}", lattice_chi2(batch, law)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_clock_route_draws_follow_the_exact_law(seed):
+    reports = list(clock_law_reports(100_000, [seed]))
+    assert len(reports) == 12
+    assert not [(label, report.p_value) for label, report in reports if not report.verdict]
 
 
 _BLAS_PROBE = """
