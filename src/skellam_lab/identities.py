@@ -203,7 +203,13 @@ _FRAC_KMAX = 60
 
 
 def frac_pmf(seed=0, n=100_000):
-    """One chi-square of ``n`` draws per point at _FRAC and the grid; point i draws at seed 10 seed + i."""
+    """One chi-square of ``n`` draws per point at _FRAC and the grid; point i draws at seed 10 seed + i.
+
+    Every side here has mean lam t^alpha below 30, so the sampler inverts the
+    side tables this law convolves: the report checks the inversion and the
+    convolution, and the clock route is checked against the same tables by
+    ``clock_law_reports`` in tests/test_fractional.py.
+    """
     from .fractional import FracSkellamSpec, frac_skellam_pmf_table, frac_skellam_sample
     from .stats import lattice_chi2_pooled
     ks = range(-_FRAC_KMAX, _FRAC_KMAX + 1)
