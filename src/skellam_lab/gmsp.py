@@ -22,7 +22,7 @@ import numpy as np
 
 from .mpp import poisson_means
 from .records import (SampleBatch, LatticePMF, as_count, as_jumps, as_rates, as_scales, as_times,
-                      choice_cdf, make_rng, table_draws)
+                      check_phases, choice_cdf, make_rng, table_draws)
 from .special import TruncationError, grow_table, log_bessel_i, poisson_entries, poisson_pmf
 
 __all__ = [
@@ -207,8 +207,12 @@ def gmsp_pgf(spec: JumpSpec, t, u: float) -> float:
 
 
 def gmsp_cf(spec: JumpSpec, t, u: float) -> complex:
-    """E[exp(iuS(t))] = exp(sum_j (rates_j . t)(e^{iuj} - 1)); modulus <= 1."""
+    """E[exp(iuS(t))] = exp(sum_j (rates_j . t)(e^{iuj} - 1)); modulus <= 1.
+
+    A frequency whose product with a jump leaves the float range is refused.
+    """
     mus = _jump_means(spec, t)
+    check_phases(u, spec.jump_values, "jump")
     return complex(np.exp(np.sum(mus * (np.exp(1j * u * spec.jump_values) - 1.0))))
 
 

@@ -10,7 +10,9 @@ identity check returns a :class:`TestReport`.
 
 Every entry point that takes a rate, time, jump, jump value, stable index,
 scale or count refuses a value outside its domain through the checker of that kind
-below, with a ``ValueError`` that says "finite" and the rule.
+below, with a ``ValueError`` that says "finite" and the rule.  A CF refuses a
+frequency whose product with a jump or a draw leaves the float range through
+:func:`check_phases`.
 
 :func:`distinct_bits` is the one grouping of an array's entries by bit
 pattern, shared by the empirical CF and the CLI's column writer: integer
@@ -19,6 +21,7 @@ lattice draws are grouped by counting, everything else by a sort.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +34,7 @@ __all__ = [
     "as_indices",
     "as_scales",
     "as_count",
+    "check_phases",
     "distinct_bits",
     "SampleBatch",
     "LatticePMF",
@@ -112,6 +116,20 @@ def as_count(n, what: str) -> int:
     """A count (``what``), such as a table's last index or a number of axes: a whole number >= 0."""
     _checked(n, what, lambda v: (v >= 0.0) & (v == np.floor(v)), " and a nonnegative integer")
     return int(n)
+
+
+def check_phases(u, values, what: str) -> None:
+    """Refuse frequencies ``u`` if u v leaves the float range for an entry v of ``values``.
+
+    The largest |u| times the largest |v| is the largest of those products, so
+    one multiplication decides.  It is taken in Python floats, which give an
+    infinity or a NaN without a warning, where e^{iuv} would give numpy's
+    "invalid value" warning and a NaN.  ``what`` is the singular noun of the
+    entries.
+    """
+    u_max = float(np.abs(u).max(initial=0.0))
+    if not math.isfinite(u_max * float(np.abs(values).max(initial=0.0))):
+        raise ValueError(f"u = {u_max!r} times a {what} leaves the float range")
 
 
 def distinct_bits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

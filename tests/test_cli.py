@@ -458,6 +458,18 @@ _EMPTY_GRID = [["cf", "--process", "gmsp", "--jumps", "1:1.0", "--t", "1.0", "--
                ["cf", "--process", "gmsp", "--jumps", "1:1.0", "--t", "1.0", "--u", ","],
                ["integral", "--process", "gmsp", "--jumps", "1:1.0", "--t", "1.0", "--r", "4",
                 "--n", "3", "--u", ","]]
+# a frequency times a jump or a draw past 1.8e308: e^{iuv} was a NaN after
+# numpy's warning, and the writer refused it with "cannot write the non-finite value nan"
+_GMSP_U_PAST_RANGE = ["cf", "--process", "gmsp", "--jumps", "2:0.7,0.4", "--t", "1.0,1.0",
+                      "--u", "1e308"]
+_PHASES_PAST_RANGE = {
+    tuple(_GMSP_U_PAST_RANGE): "u = 1e+308 times a jump leaves the float range",
+    ("cf", "--process", "alt-increment", "--jumps", "2:0.7;-1:0.5", "--t", "1.0,1.0",
+     "--u", "1e308"): "u = 1e+308 times a jump leaves the float range",
+    (*_GMSP_U_PAST_RANGE, "--empirical"): "u = 1e+308 times a draw leaves the float range",
+    ("cf", "--process", "integral-mpp", "--rates", "1.0,0.5", "--t", "1.5,1.0", "--u", "1e308",
+     "--empirical"): "u = 1e+308 times a draw leaves the float range",
+}
 # the parser does not list the identities, so that building it loads none:
 # run_identity refuses an unknown name, where argparse exited with code 2
 _UNKNOWN_IDENTITY = ["verify", "--identity", "no-such-check"]
@@ -469,7 +481,8 @@ _ERROR_TEXT = {**{tuple(argv): "empty batch" for argv in _EMPTY_CHI2},
                                          + ", ".join(sorted(IDENTITIES)),
                **{tuple(argv): "draw counts must be finite and a nonnegative integer, "
                                f"got {argv[-1]}" for argv in _NEGATIVE_DRAWS},
-               **{tuple(argv): f"u grid {argv[-1]!r} has no points" for argv in _EMPTY_GRID}}
+               **{tuple(argv): f"u grid {argv[-1]!r} has no points" for argv in _EMPTY_GRID},
+               **_PHASES_PAST_RANGE}
 
 
 @pytest.mark.parametrize("argv", [
@@ -507,6 +520,17 @@ def test_non_finite_parameters_are_an_error_exit(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and "Traceback" not in err
     assert tuple(argv) not in _ERROR_TEXT or err == f"error: {_ERROR_TEXT[tuple(argv)]}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", list(_PHASES_PAST_RANGE))
+def test_a_frequency_past_the_float_range_is_one_error_line(tmp_path, capsys, argv):
+    # under -W error semantics: a numpy warning would raise before the error line
+    out = tmp_path / "artifact.out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {_ERROR_TEXT[argv]}\n"
     assert not out.exists()
 
 
@@ -651,7 +675,7 @@ _FRAC_ARGS = ["--l1", "1.3", "--l2", "0.6", "--alpha", "0.6", "--beta", "0.8",
       ".cf.csv": "8c31fbe8a3c0ea23a27f4e705292620a6bc0937088f0f5547ce62d0c551af5a7"}),
     (["cf", "--process", "integral-gmsp", "--jumps", _SPEC2, "--t", "1.2,1.0", "--r", "64",
       "--u", "0:3:0.25", "--empirical", "--n", "2000", "--seed", "3"],
-     {"": "578709d32cb7571e9d79b90f5f5223885f3fd32fbd550fb17284f547db1e402d"}),
+     {"": "5c6f0579fb35895e9ef92c77d2e3fa34611a380e6fb060ede4d9454debcb5128"}),
     (["pmf", "--process", "gmsp", "--jumps", _SPEC3, "--t", "1.0,1.0", "--nmax", "20"],
      {"": "4fbffc60e2fa1f1a7ab13fc300abb8cbd8295cb6d62b7641a339a456e1e40bb2"}),
     # the CLI writes every simulate meta from the parameters it parsed
@@ -718,7 +742,7 @@ _FRAC_ARGS = ["--l1", "1.3", "--l2", "0.6", "--alpha", "0.6", "--beta", "0.8",
     # the benchmark's int64 empirical CF, and the other two int64 lattice samplers in bulk
     (["cf", "--process", "gmsp", "--jumps", _SPEC3, "--t", "1.0,1.0", "--empirical",
       "--u", "0:4:0.05", "--n", "100000", "--seed", "3"],
-     {"": "734fdf58f659708c557d76ca962bc102600d3b32fe33fca21f9cae7f786592ff"}),
+     {"": "883258ad2dcf75d9019e9ac5fd1ae8ddf2fbfe122cc9657343b246b77b12da48"}),
     (["simulate", "--process", "compound-peraxis", "--jumps", _SPEC3, "--t", "1.0,1.0",
       "--n", "200000", "--seed", "3"],
      {"": "3e028b9a4fd6131ddbf475aedf5d53069052a0e9d71479dffefa9aea09985b2e"}),

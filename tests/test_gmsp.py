@@ -14,6 +14,7 @@ from skellam_lab import (
     AltSpec,
     JumpSpec,
     TriangularArraySpec,
+    alt_increment_cf,
     alt_pgf,
     alt_sample,
     gmsp_array_sample,
@@ -489,6 +490,20 @@ def test_float_compound_draws_past_the_float_range_are_refused(sampler):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="float range"):
             sampler()
+
+
+def test_a_frequency_past_the_float_range_is_refused():
+    # u times the jump 2 past 1.8e308 made e^{iuj} a NaN after numpy's warning,
+    # and the CLI then refused to write it
+    spec = JumpSpec({2: (0.7, 0.4), -1: (0.5, 0.6)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cf in (lambda u: gmsp_cf(spec, (1.0, 1.0), u),
+                   lambda u: alt_increment_cf(AltSpec({2: 0.7}), {2: 0.0}, {2: 1.0}, u)):
+            with pytest.raises(ValueError, match=r"^u = 1e\+308 times a jump leaves the float range$"):
+                cf(1e308)
+        # 1e308 times each jump of a set below 1.7 stays finite
+        assert abs(gmsp_cf(JumpSpec({1.5: (1.0,), -1: (1.0,)}), (1.0,), 1e308)) <= 1.0
 
 
 def test_lattice_draws_just_below_2_53_are_exact():

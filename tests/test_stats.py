@@ -34,6 +34,16 @@ def test_empirical_cf_of_constant_zero():
     assert np.allclose(table.values, 1.0)
 
 
+def _count_weighted_sum(values, ui):
+    """The per-draw sum taken value by value: sum_v c_v e^{iuv} over N, v increasing."""
+    counts = {}
+    for v in values.astype(float).tolist():
+        counts[v + 0.0] = counts.get(v + 0.0, 0) + 1  # -0.0 is the value 0.0
+    x = np.array(sorted(counts))
+    total = np.sum(np.array([counts[v] for v in x], dtype=float) * np.exp(1j * ui * x))
+    return total.real / values.size, total.imag / values.size
+
+
 @pytest.mark.parametrize("values", [
     np.random.default_rng(1).poisson(2.0, 5000) - np.random.default_rng(2).poisson(1.5, 5000),
     np.random.default_rng(3).integers(-300, 300, 5000) / 64.0,  # a lattice integral's grid
@@ -43,12 +53,29 @@ def test_empirical_cf_of_constant_zero():
     np.array([-0.0, -0.0]),
 ])
 def test_empirical_cf_matches_the_per_draw_sum_bit_for_bit(values):
+    # the per-draw sum is taken as numpy's pairwise sum of the count-weighted
+    # terms of the distinct values, in increasing order, then divided by N
     u = [-3.0, -0.25, -0.0, 0.0, 0.05, 1.0, 2.5]
     table = empirical_cf(SampleBatch(values, seed=0), u)
-    x = values.astype(float)
     for ui, got in zip(u, table.values):
-        want = np.exp(1j * ui * x).mean()
-        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+        want = _count_weighted_sum(values, ui)
+        assert (got.real.hex(), got.imag.hex()) == (want[0].hex(), want[1].hex())
+
+
+@pytest.mark.parametrize("values", [
+    np.random.default_rng(5).poisson(3.0, 100_000) - np.random.default_rng(6).poisson(2.0, 100_000),
+    np.random.default_rng(7).integers(-300, 300, 20_000) / 64.0,  # ties on a 1/64 grid
+    np.random.default_rng(8).standard_normal(20_000),  # every value distinct
+], ids=["int64-lattice", "grid-64", "normal"])
+def test_empirical_cf_is_within_1e_14_of_the_exactly_rounded_sum(values):
+    # the bound README states: each part within 1e-14 of math.fsum of the
+    # per-draw cosines (sines) over N, the exactly rounded sum of the same terms
+    u = [-3.0, -0.25, 0.05, 1.0, 2.5]
+    table = empirical_cf(SampleBatch(values, seed=0), u)
+    x = values.astype(float).tolist()
+    for ui, got in zip(u, table.values):
+        assert abs(got.real - math.fsum(math.cos(ui * v) for v in x) / len(x)) <= 1e-14
+        assert abs(got.imag - math.fsum(math.sin(ui * v) for v in x) / len(x)) <= 1e-14
 
 
 @pytest.mark.parametrize("values", [
@@ -72,6 +99,20 @@ def test_integer_batches_enter_the_lattice_tests_as_they_are():
     assert stats._integer_values(SampleBatch(values.astype(float), seed=0)).dtype == np.int64
     with pytest.raises(ValueError, match="integer-valued"):
         stats._integer_values(SampleBatch(np.array([0.5]), seed=0))
+
+
+def test_empirical_cf_refuses_a_frequency_past_the_float_range():
+    # u times a draw past 1.8e308 made e^{iuv} a NaN, after numpy's warning
+    batch = SampleBatch(np.array([2.0, -1.0, 0.5]), seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^u = 1e\+308 times a draw leaves the float range$"):
+            empirical_cf(batch, [0.5, -1e308])
+        with pytest.raises(ValueError, match="float range"):
+            empirical_cf(batch, [math.nan])
+        # 1e308 times each draw of a batch below 1.7 stays finite
+        table = empirical_cf(SampleBatch(np.array([1.5, -1.0, 0.0]), seed=0), [1e308])
+    assert np.isfinite(table.values).all()
 
 
 def test_empirical_cf_rejects_empty():
