@@ -32,7 +32,6 @@ __all__ = [
     "gmsp_pgf",
     "gmsp_cf",
     "gmsp_moments",
-    "skellam_pmf",
     "skellam_pmf_table",
     "msp_pmf",
     "msp_pmf_table",
@@ -118,15 +117,6 @@ def _exact_reach(reach: float) -> None:
     if not reach < _EXACT_BELOW:
         raise ValueError(f"lattice draws are exact only below 2**53 in magnitude, and the drawn "
                          f"counts let them reach {reach:.6g}: use smaller jumps or means")
-
-
-def _as_lattice(values: np.ndarray, jumps, reach: float) -> np.ndarray:
-    """Float draws, or int64 draws when every jump is an integer (refused by
-    :func:`_exact_reach` at a ``reach`` of 2**53 or more)."""
-    if not _integer_jumps(jumps):
-        return values
-    _exact_reach(reach)
-    return values.astype(np.int64)
 
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -258,11 +248,6 @@ def skellam_pmf_table(ns, a: float, b: float) -> list[float]:
     return table
 
 
-def skellam_pmf(n: int, a: float, b: float) -> float:
-    """Pmf at n of Poisson(a) - Poisson(b): the one-entry :func:`skellam_pmf_table`."""
-    return skellam_pmf_table([n], a, b)[0]
-
-
 def msp_pmf_table(ns, rates1, rates2, t) -> list[float]:
     """Two-sided pmf of N_1(t) - N_2(t) at each n of ``ns``, for independent processes.
 
@@ -363,49 +348,45 @@ def peraxis_compound_sums(spec: JumpSpec, tt: np.ndarray, n_draws: int, axis_dra
     return values
 
 
-def equalrate_sums(rng, jump_rates: dict, time: float, n_draws: int, weights=None,
-                   reach=None) -> np.ndarray:
-    """:func:`compound_sums` on one Poisson((sum_j lam^(j)) time) clock, jump j at
-    probability lam^(j) / sum_j lam^(j): the equal-rate jump law."""
-    jumps = as_jumps(jump_rates)
-    lam = as_rates([jump_rates[j] for j in sorted(jump_rates)])
-    total = float(lam.sum())
-    return compound_sums(rng, rng, total * time, n_draws, jumps, lam / total, weights, reach)
-
-
 def gmsp_compound_peraxis_sample(spec: JumpSpec, t, n_draws: int, seed: int) -> SampleBatch:
     """Compound form: per axis k, a Poisson(t_k sum_j lam_k^(j)) number of iid jumps.
 
     The jump law on axis k puts mass lam_k^(j) / sum_j lam_k^(j) on j; summed
-    over axes this equals the process in distribution.  Integer draws are
-    refused as in :func:`gmsp_sample`, with max |j| times each axis's largest
-    count as the bound.
+    over axes this equals the process in distribution.  An integer jump set
+    gives int64 draws, refused as in :func:`gmsp_sample`, with max |j| times
+    each axis's largest count as the bound.
     """
     n_draws = as_count(n_draws, "draw counts")
     tt = as_times(t, spec.dim)
     rng = make_rng(seed)
     reach = []
-    # an overflowing sum has a reach past 2**53 (_as_lattice) or a non-finite draw (SampleBatch)
+    # an overflowing sum has a reach past 2**53 (_exact_reach) or a non-finite draw (SampleBatch)
     with np.errstate(over="ignore", invalid="ignore"):
         values = peraxis_compound_sums(spec, tt, n_draws, [(rng, rng, None)] * spec.dim,
                                        reach=reach)
-    return SampleBatch(values=_as_lattice(values, spec.jump_values, sum(reach)), seed=int(seed))
+    if _integer_jumps(spec.jump_values):
+        _exact_reach(sum(reach))
+        values = values.astype(np.int64)
+    return SampleBatch(values=values, seed=int(seed))
 
 
 def gmsp_compound_equalrate_sample(jump_rates: dict, m: int, t, n_draws: int, seed: int) -> SampleBatch:
     """Compound form for equal rates across axes: one Poisson clock for everything.
 
-    With rates_j = (lam^(j), ..., lam^(j)) the count N(t) is
+    With rates_j = (lam^(j), ..., lam^(j)) on all M axes the count N(t) is
     Poisson((sum_j lam^(j)) (t_1 + ... + t_M)) and each arrival contributes an
-    iid jump with mass lam^(j) / sum lam^(j).  Integer draws are refused as in
-    :func:`gmsp_sample`, with max |j| times the largest count as the bound.
+    iid jump with mass lam^(j) / sum lam^(j).  That is the one-axis
+    :func:`gmsp_compound_peraxis_sample` of JumpSpec({j: (lam^(j),)}) at the
+    time t_1 + ... + t_M, which draws it; a sum of the times past the float
+    range is refused as a time.
     """
     m = as_count(m, "axis count m")
     n_draws = as_count(n_draws, "draw counts")
     tt = as_times(t, m)
-    reach = []
-    values = equalrate_sums(make_rng(seed), jump_rates, float(tt.sum()), n_draws, reach=reach)
-    return SampleBatch(values=_as_lattice(values, jump_rates, sum(reach)), seed=int(seed))
+    spec = JumpSpec({j: (lam,) for j, lam in jump_rates.items()})
+    with np.errstate(over="ignore"):
+        time = float(tt.sum())
+    return gmsp_compound_peraxis_sample(spec, [time], n_draws, seed)
 
 
 def _trim(probs: np.ndarray, start: int):

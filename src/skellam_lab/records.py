@@ -14,8 +14,8 @@ below, with a ``ValueError`` that says "finite" and the rule.  A CF refuses a
 frequency whose product with a jump or a draw leaves the float range through
 :func:`check_phases`.
 
-:func:`distinct_bits` is the one grouping of an array's entries by bit
-pattern, shared by the empirical CF and the CLI's column writer: integer
+:func:`distinct_bits` groups an array's entries by bit pattern for the
+CLI's column writer, which formats each distinct pattern once: integer
 lattice draws are grouped by counting, everything else by a sort.
 """
 

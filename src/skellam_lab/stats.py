@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .records import SampleBatch, LatticePMF, CFTable, TestReport, check_phases, distinct_bits
+from .records import SampleBatch, LatticePMF, CFTable, TestReport, check_phases
 
 __all__ = [
     "TestReport",
@@ -33,10 +33,10 @@ def empirical_cf(batch: SampleBatch, u_grid) -> CFTable:
 
     The sum runs over the batch's distinct values v as floats, in increasing
     order, each weighted by its count c_v, so one frequency costs one term per
-    distinct value, not one per draw.  The batch is grouped once in its own
-    dtype (int64 lattice draws by counting); -0.0 counts as 0.0, and int64
-    values that the cast makes equal are merged, so an int64 batch and its
-    float cast give the same bits.  Each sum is numpy's pairwise ``np.sum``,
+    distinct value, not one per draw.  The batch is grouped once, by one
+    ``np.unique`` of its float cast: -0.0 counts as 0.0, and int64 values
+    that the cast makes equal are one value, so an int64 batch and its float
+    cast give the same bits.  Each sum is numpy's pairwise ``np.sum``,
     never a BLAS call, and its real and imaginary parts are each divided by N
     once.  Each part is within 1e-14 of ``math.fsum`` of the per-draw cosines
     (sines) over N, for any batch below 10^7 draws.  A frequency whose product
@@ -45,22 +45,14 @@ def empirical_cf(batch: SampleBatch, u_grid) -> CFTable:
     if batch.n == 0:
         raise ValueError("empty batch")
     u = np.atleast_1d(np.asarray(u_grid, dtype=float))
-    distinct, inverse = distinct_bits(batch.values)
-    counts = np.bincount(inverse, minlength=distinct.size)
-    x = distinct.astype(float) + 0.0  # -0.0 + 0.0 is 0.0
-    # bit order runs the negative floats backwards: sort by value (timsort
-    # takes the two runs in linear time), and merge the runs of equal values
-    # (two zeros, or int64 entries past 2**53)
-    order = np.argsort(x, kind="stable")
-    x, counts = x[order], counts[order]
-    first = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
-    x, weights = x[first], np.add.reduceat(counts, first).astype(float)
+    # sorted by value; -0.0 + 0.0 is 0.0, and int64 values the cast makes equal are one value
+    x, counts = np.unique(batch.values.astype(float) + 0.0, return_counts=True)
     check_phases(u, x, "draw")
     values = np.empty(u.size, dtype=complex)
     terms = np.empty(x.size, dtype=complex)  # one buffer, not three arrays a frequency
     for i, ui in enumerate(u):
         np.exp(np.multiply(1j * ui, x, out=terms), out=terms)
-        values[i] = np.sum(np.multiply(terms, weights, out=terms))
+        values[i] = np.sum(np.multiply(terms, counts, out=terms))
     values.real /= batch.n
     values.imag /= batch.n
     radius = np.full(u.size, 4.0 / np.sqrt(batch.n))

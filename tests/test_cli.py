@@ -388,6 +388,10 @@ def test_non_finite_mean_is_an_error_exit(capsys):
      "--u", "1", "--empirical"],
     ["cf", "--process", "integral-gmsp", "--jumps", "1:10.0", "--t", "1e308", "--u", "1"],
     ["cf", "--process", "integral-mpp", "--rates", "10.0", "--t", "1e308", "--u", "1"],
+    ["simulate", "--process", "compound-equalrate", "--jumps", "1.5:1.0e308;2:1.0e308",
+     "--t", "1,1", "--n", "3"],
+    ["simulate", "--process", "compound-equalrate", "--jumps", "1:1.0", "--t", "1e308,1e308",
+     "--n", "3"],
 ])
 def test_overflowing_means_are_one_error_line(capsys, argv):
     # the gmsp cf used to exit 0 with a table of zeros, and the alt-increment
@@ -396,7 +400,8 @@ def test_overflowing_means_are_one_error_line(capsys, argv):
     # the compound integral's lattice sum of 1e308 jumps overflowed with a numpy warning;
     # gmsp and alt draws of a 1e308 float jump overflowed with a numpy warning, and the
     # empirical cf of them warned twice more before "cannot write the non-finite value nan";
-    # the rectangle-integral cfs of a mean past 1e308 exited 0 with the row 1,0,0 after a warning
+    # the rectangle-integral cfs of a mean past 1e308 exited 0 with the row 1,0,0 after a warning;
+    # compound-equalrate summed its rates, and its times, with a numpy overflow warning
     _one_error_line(capsys, argv)
 
 

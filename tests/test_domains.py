@@ -211,6 +211,20 @@ def test_integers_past_the_float_range_are_refused():
             call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda rates: gmsp_compound_equalrate_sample(rates, 1, [1.0], 3, 0),
+    lambda rates: uniform_compound_sample(rates, [1.0], 3, 0),
+], ids=["compound-equalrate", "uniform-equalrate"])
+def test_an_equal_rate_map_is_refused_one_jump_at_a_time(call):
+    # the map is a one-axis JumpSpec, which checks each jump's rate on its own;
+    # the message used to quote every rate, "got [-0.5, 0.3]"
+    with pytest.raises(ValueError, match=r"^rates must be finite and strictly positive, "
+                                         r"got \(-0\.5,\)$"):
+        call({1: -0.5, 2: 0.3})
+    with pytest.raises(ValueError, match="^a JumpSpec needs at least one jump$"):
+        call({})
+
+
 def test_whole_scales_keep_their_value():
     # a resolution of 2.7 used to be truncated to 2
     assert RectDomain(t=[1.0], resolution=4.0).resolution.tolist() == [4]

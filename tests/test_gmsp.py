@@ -445,6 +445,19 @@ def test_integer_jump_sets_sum_the_same_counts_in_int64():
     assert np.array_equal(floats.values, -1.0 * counts[0] + 1.0 * counts[1] + 2.5 * counts[2])
 
 
+@pytest.mark.parametrize("jump_rates", [{1: 0.7, -1: 0.5, 2: 0.2}, {0.5: 1.3, -1.5: 0.4},
+                                        {3: 0.1, -2: 2.5, 7: 0.3, -9: 0.2, 4: 1.1}],
+                         ids=["integer", "half-integer", "five-jumps"])
+@pytest.mark.parametrize("t", [(1.2, 1.0), (0.3, 0.0, 2.5)], ids=["2-axes", "3-axes"])
+def test_compound_equalrate_is_the_peraxis_form_on_one_axis(jump_rates, t):
+    # equal rates on every axis: one clock at time sum t, jump j at rate lam_j
+    got = gmsp_compound_equalrate_sample(jump_rates, len(t), t, 3000, seed=5)
+    want = gmsp_compound_peraxis_sample(JumpSpec({j: (r,) for j, r in jump_rates.items()}),
+                                        [sum(t)], 3000, seed=5)
+    assert got.values.dtype == want.values.dtype
+    assert got.values.tobytes() == want.values.tobytes()
+
+
 _PAST_2_53 = r"lattice draws are exact only below 2\*\*53"
 
 

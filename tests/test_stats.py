@@ -82,9 +82,11 @@ def test_empirical_cf_is_within_1e_14_of_the_exactly_rounded_sum(values):
     np.random.default_rng(7).poisson(2.0, 20000) - 2 * np.random.default_rng(8).poisson(1.0, 20000),
     np.array([3, -2**40, 0, 2**52, 3, -1, 0], dtype=np.int64),  # spans far past its length
     np.full(9, -5, dtype=np.int64),
-], ids=["lattice", "wide", "constant"])
+    np.array([2**53, 2**53 + 1, -3, 0, 0], dtype=np.int64),  # the cast makes two values one
+], ids=["lattice", "wide", "constant", "cast-merge"])
 def test_empirical_cf_of_an_int64_batch_is_that_of_its_float_cast(values):
-    # the int64 batch is grouped in int64 and only its distinct values are cast
+    # the batch is cast to float before it is grouped, so int64 values that the
+    # cast makes equal (2**53 + 1 reads as 2**53) are one value with their two counts
     u = np.arange(-4.0, 4.0, 0.35)
     got = empirical_cf(SampleBatch(values, seed=0), u)
     want = empirical_cf(SampleBatch(values.astype(float), seed=0), u)
