@@ -247,7 +247,10 @@ class _LgammaTable:
     ``start`` maps a row index to the float start of that row, in Python
     arithmetic, as the scalar series forms it.  The table grows on demand:
     the last layer and the widest row of a Wright series are not known in
-    advance.
+    advance.  An argument recurs along the antidiagonals r + m = const,
+    exactly at a step of 1/2 and by rounding at most others (at 64 rows and
+    48 columns, 4 to 8 % of the cells are distinct at steps from 0.1 to
+    0.95), so each fill takes the lgamma of each distinct argument once.
     """
 
     def __init__(self, start, step: float):
@@ -256,8 +259,10 @@ class _LgammaTable:
 
     def _fill(self, rows, cols) -> np.ndarray:
         args = np.array([self.start(r) for r in rows])[:, None] + self.step * cols
-        return np.fromiter(map(math.lgamma, args.ravel().tolist()), float,
-                           args.size).reshape(args.shape)
+        ordered = np.sort(args, axis=None)
+        distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+        return np.fromiter(map(math.lgamma, distinct.tolist()), float,
+                           distinct.size)[np.searchsorted(distinct, args)]
 
     def __call__(self, nrows: int, ncols: int) -> np.ndarray:
         """The cells of rows 0..nrows-1 and columns 0..ncols-1."""
@@ -270,8 +275,11 @@ class _LgammaTable:
             cols = have_cols if ncols <= have_cols else max(ncols, have_cols + have_cols // 4)
             grown = np.empty((rows, cols))
             grown[:have_rows, :have_cols] = self.cells
-            grown[:have_rows, have_cols:] = self._fill(range(have_rows), np.arange(have_cols, cols))
-            grown[have_rows:] = self._fill(range(have_rows, rows), np.arange(cols))
+            if have_rows and cols > have_cols:
+                grown[:have_rows, have_cols:] = self._fill(range(have_rows),
+                                                           np.arange(have_cols, cols))
+            if rows > have_rows:
+                grown[have_rows:] = self._fill(range(have_rows, rows), np.arange(cols))
             self.cells = grown
         return self.cells[:nrows, :ncols]
 
@@ -298,15 +306,27 @@ def _wright_log_terms(n, alpha, beta, z):
         m = np.arange(width)
         top1, top2 = int(r1s.max()) + 1, int(r2s.max()) + 1
         lo, hi = low(1, top2 + width)[0], high(1, top1 + width)[0]
-        log_num = hi[r1s[:, None] + m] + lo[r2s[:, None] + m]
-        log_den = (tab_a(top1, width)[r1s] + tab_b(top2, width)[r2s]) + hi[:width]
+        # the floats of ((log_num - log_den) + log_z) - lo[:width], formed in place;
+        # log_num's entry (r1, r2, m) is hi[r1 + m] + lo[r2 + m]
+        logs = _windows(hi, top1, width)[r1s]
+        logs += _windows(lo, top2, width)[r2s]
+        log_den = tab_a(top1, width)[r1s]
+        log_den += tab_b(top2, width)[r2s]
+        log_den += hi[:width]
+        logs -= log_den
         if log_abs_z is not None:
-            log_z = m * log_abs_z
+            logs += m * log_abs_z
         else:
-            log_z = np.where(m == 0, 0.0, -math.inf)
-        return ((log_num - log_den) + log_z) - lo[:width]
+            logs += np.where(m == 0, 0.0, -math.inf)
+        logs -= lo[:width]
+        return logs
 
     return log_terms
+
+
+def _windows(row: np.ndarray, count: int, width: int) -> np.ndarray:
+    """The slices row[r:r + width] for r = 0..count-1, as the rows of one view of ``row``."""
+    return np.ndarray((count, width), row.dtype, row, 0, 2 * row.strides)
 
 
 def _times_log(r: np.ndarray, log_x: float) -> np.ndarray:

@@ -377,16 +377,26 @@ def gmsp_compound_equalrate_sample(jump_rates: dict, m: int, t, n_draws: int, se
     Poisson((sum_j lam^(j)) (t_1 + ... + t_M)) and each arrival contributes an
     iid jump with mass lam^(j) / sum lam^(j).  That is the one-axis
     :func:`gmsp_compound_peraxis_sample` of JumpSpec({j: (lam^(j),)}) at the
-    time t_1 + ... + t_M, which draws it; a sum of the times past the float
-    range is refused as a time.
+    time t_1 + ... + t_M (:func:`equalrate_axis`), which draws it.
     """
     m = as_count(m, "axis count m")
     n_draws = as_count(n_draws, "draw counts")
-    tt = as_times(t, m)
+    spec, time = equalrate_axis(jump_rates, as_times(t, m), t)
+    return gmsp_compound_peraxis_sample(spec, [time], n_draws, seed)
+
+
+def equalrate_axis(jump_rates: dict, tt: np.ndarray, t) -> tuple[JumpSpec, float]:
+    """The one axis of the equal-rate form: JumpSpec({j: (lam^(j),)}) and t_1 + ... + t_M.
+
+    ``tt`` is the checked time point and ``t`` the times as passed, which a
+    sum past the float range names in its ``ValueError``.
+    """
     spec = JumpSpec({j: (lam,) for j, lam in jump_rates.items()})
     with np.errstate(over="ignore"):
         time = float(tt.sum())
-    return gmsp_compound_peraxis_sample(spec, [time], n_draws, seed)
+    if time == math.inf:
+        raise ValueError(f"times must have a finite sum, got {t!r}")
+    return spec, time
 
 
 def _trim(probs: np.ndarray, start: int):

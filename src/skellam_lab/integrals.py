@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gmsp import JumpSpec, compound_sums, peraxis_compound_sums, poisson_counts
+from .gmsp import JumpSpec, compound_sums, equalrate_axis, peraxis_compound_sums, poisson_counts
 from .mpp import poisson_means
 from .records import (SampleBatch, as_count, as_jump_values, as_rates, as_scales, as_times,
                       choice_cdf, make_rng, spawn_rngs, table_draws)
@@ -273,9 +273,11 @@ def uniform_compound_sample(process, t, n_draws: int, seed: int) -> SampleBatch:
         (prod_{k'!=k} t_k') t_k = prod_k t_k.
     a dict from jump to rate (equal rates on all len(t) axes)
         one Poisson((sum lam)(sum t)) count with the global jump law: the
-        per-axis form of JumpSpec({j: (lam_j,)}) on its one axis at time sum t.
+        per-axis form of JumpSpec({j: (lam_j,)}) on its one axis at time sum t,
+        its sum scaled by prod_k t_k as a JumpSpec axis sum is.
 
-    A draw that leaves the float range is refused, as in :func:`integral_sample`.
+    A draw that leaves the float range is refused, as in :func:`integral_sample`,
+    and so is a dict's time sum (:func:`skellam_lab.gmsp.equalrate_axis`).
     """
     n_draws = as_count(n_draws, "draw counts")
     rng = make_rng(seed)
@@ -294,9 +296,9 @@ def uniform_compound_sample(process, t, n_draws: int, seed: int) -> SampleBatch:
                                            float(np.prod(tt)))
         elif isinstance(process, dict):
             tt = as_times(t)
-            spec = JumpSpec({j: (lam,) for j, lam in process.items()})
-            values = float(np.prod(tt)) * peraxis_compound_sums(spec, [float(tt.sum())], n_draws,
-                                                                [(rng, rng, rng.random)])
+            spec, time = equalrate_axis(process, tt, t)
+            values = peraxis_compound_sums(spec, [time], n_draws, [(rng, rng, rng.random)],
+                                           float(np.prod(tt)))
         else:
             raise ValueError(f"unknown process type {type(process).__name__!r}: "
                              "expected a CompoundSpec, a JumpSpec or a jump -> rate dict")

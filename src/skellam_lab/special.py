@@ -97,10 +97,11 @@ def _exp(x: np.ndarray) -> np.ndarray:
     the few entries above it go through math.exp one at a time.
     """
     flat = x.ravel()
-    big = flat > _EXP_SAFE
-    work = np.where(big, 0.0, flat).astype(complex)
+    big = np.flatnonzero(flat > _EXP_SAFE)
+    work = flat.astype(complex)
+    work[big] = 0.0
     out = np.exp(work, out=work).real.copy()
-    for i in np.flatnonzero(big).tolist():
+    for i in big.tolist():
         try:
             out[i] = math.exp(flat[i])
         except OverflowError:
@@ -125,7 +126,8 @@ def sum_rows(log_terms, nrows: int, width: int, name: str) -> tuple[list, int]:
     the row's stop (terms computed past the stop do not count), or no stop
     in _MAX_TERMS terms.
     """
-    results = [None] * nrows
+    values = np.empty(nrows)
+    refusals = {}
     rows = np.arange(nrows)
     width = min(width, _MAX_TERMS)
     read = 0
@@ -133,29 +135,41 @@ def sum_rows(log_terms, nrows: int, width: int, name: str) -> tuple[list, int]:
         terms = _exp(log_terms(rows, width))
         with np.errstate(over="ignore"):
             sums = np.cumsum(terms, axis=1)
-        small = np.abs(terms) < _ABS_TOL * (1.0 + np.abs(sums))
-        run = small[:, 2:] & small[:, 1:-1] & small[:, :-2]
-        first = (~np.logical_or.accumulate(run, axis=1)).sum(axis=1)
-        stopped = first < run.shape[1]
+        # every term is an exp, so terms and sums are nonnegative (or nan)
+        bound = sums + 1.0
+        bound *= _ABS_TOL
+        small = terms < bound
+        run = small[:, 2:] & small[:, 1:-1]
+        run &= small[:, :-2]
+        at = np.arange(len(rows))
+        if run.shape[1]:
+            first = run.argmax(axis=1)  # a row's first run, or 0 where it has none
+            stopped = run[at, first]
+        else:  # fewer than three terms: no row stops
+            first, stopped = 0, np.zeros(len(rows), bool)
         stop = np.where(stopped, first + 2, width - 1)  # a row that runs on is read to its end
+        read = max(read, int(stop.max()) + 1)  # a row that runs on reads more next time
+        sums = sums[at, stop]
+        # _exp gives inf for a term above the float range, a log of +inf included
         inf = np.isinf(terms)
+        if stopped.all() and not inf.any():  # the common block
+            values[rows] = sums
+            break
         overflow = np.where(inf.any(axis=1), inf.argmax(axis=1), width) <= stop
         done = stopped | overflow | (width == _MAX_TERMS)
-        values = sums[np.arange(len(rows)), stop].tolist()
-        read = max(read, int(stop.max()) + 1)  # a row that runs on reads more next time
-        stopped, overflow = stopped.tolist(), overflow.tolist()
-        for i in np.flatnonzero(done).tolist():
-            if overflow[i]:
-                results[rows[i]] = TruncationError(
-                    f"{name} has a term above the float range", math.inf)
-            elif stopped[i]:
-                results[rows[i]] = values[i]
-            else:
-                results[rows[i]] = TruncationError(
-                    f"{name} did not converge in {_MAX_TERMS} terms", values[i])
+        summed = stopped & ~overflow
+        values[rows[summed]] = sums[summed]
+        for i in np.flatnonzero(done & ~summed).tolist():
+            refusals[int(rows[i])] = (
+                TruncationError(f"{name} has a term above the float range", math.inf)
+                if overflow[i] else
+                TruncationError(f"{name} did not converge in {_MAX_TERMS} terms", float(sums[i])))
         rows = rows[~done]
         if len(rows):
             width = min(2 * width, _MAX_TERMS)
+    results = values.tolist()
+    for row, refusal in refusals.items():
+        results[row] = refusal
     return results, read
 
 

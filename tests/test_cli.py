@@ -405,6 +405,14 @@ def test_overflowing_means_are_one_error_line(capsys, argv):
     _one_error_line(capsys, argv)
 
 
+def test_an_equal_rate_time_sum_past_the_float_range_names_the_times(capsys):
+    # the error line named "got [inf]", a time the caller never passed
+    assert main(["simulate", "--process", "compound-equalrate", "--jumps", "1:1.0",
+                 "--t", "1e308,1e308", "--n", "3"]) == 1
+    assert capsys.readouterr().err == ("error: times must have a finite sum, "
+                                       "got [1e+308, 1e+308]\n")
+
+
 @pytest.mark.parametrize("process", ["gmsp", "compound-peraxis", "compound-equalrate", "alt"])
 @pytest.mark.parametrize("jumps", ["1e300:1.0", "9007199254740992:1.0;1:1.0"])
 def test_lattice_draws_past_2_53_are_one_error_line(capsys, process, jumps):

@@ -225,6 +225,21 @@ def test_an_equal_rate_map_is_refused_one_jump_at_a_time(call):
         call({})
 
 
+@pytest.mark.parametrize("call", [
+    lambda t: gmsp_compound_equalrate_sample({1: 1.0}, len(t), t, 3, 0),
+    lambda t: uniform_compound_sample({1: 1.0}, t, 3, 0),
+], ids=["compound-equalrate", "uniform-equalrate"])
+def test_an_equal_rate_time_sum_past_the_float_range_names_the_times_passed(call):
+    # two finite times of 1e308 sum to inf: compound-equalrate refused them as
+    # "got [inf]", a time never passed, and uniform-equalrate with numpy's
+    # "lam value too large"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            call([1e308, 1e308])
+    assert str(err.value) == "times must have a finite sum, got [1e+308, 1e+308]"
+
+
 def test_whole_scales_keep_their_value():
     # a resolution of 2.7 used to be truncated to 2
     assert RectDomain(t=[1.0], resolution=4.0).resolution.tolist() == [4]

@@ -293,6 +293,17 @@ def test_uniform_compound_zero_time():
     assert np.all(batch.values == 0.0)
 
 
+def test_uniform_compound_equal_rate_map_at_a_zero_time_draws_positive_zeros():
+    # prod(t) = 0 scales each axis sum, as in the JumpSpec branch: 0.0 times a
+    # negative sum was a -0.0 draw, 805 of these 3000
+    jumps = {1: 0.7, -1: 0.5, 2: 0.2}
+    values = uniform_compound_sample(jumps, (0.0, 1.5), 3000, 0).values
+    peraxis = uniform_compound_sample(JumpSpec({j: (lam, lam) for j, lam in jumps.items()}),
+                                      (0.0, 1.5), 3000, 0).values
+    assert np.all(values == 0.0) and not np.signbit(values).any()
+    assert values.tobytes() == peraxis.tobytes()
+
+
 def test_uniform_compound_rejects_mismatched_params():
     with pytest.raises(ValueError, match="dimension"):
         uniform_compound_sample(CompoundSpec([1.0], [1.0], [1.0]), [1.0, 1.0], 5, seed=0)

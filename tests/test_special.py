@@ -90,6 +90,54 @@ def test_sum_rows_returns_the_terms_its_longest_row_read():
     assert sum_rows(_fixed_rows(logs), 2, 16, "rows")[1] == 5
 
 
+@pytest.mark.parametrize("width", [1, 2])
+def test_sum_rows_below_three_terms_widens_until_a_row_can_stop(width):
+    # a block narrower than the three-term run stops no row: it is read to its
+    # end and recomputed at twice the width
+    logs = [[0.0, -50.0, -50.0, -50.0], [0.0, 0.0, -50.0, -50.0, -50.0]]
+    sums, read = sum_rows(_fixed_rows(logs), 2, width, "rows")
+    assert sums == [sum_series(math.exp(x) for x in row)[0] for row in logs]
+    assert read == 5
+
+
+def test_sum_rows_refuses_an_infinite_log_only_up_to_the_stop():
+    # math.exp(inf) is inf with no OverflowError: a log of +inf before the
+    # stop refuses its row, one past the stop does not
+    logs = [[0.0, math.inf, -50.0, -50.0, -50.0], [0.0, -50.0, -50.0, -50.0, math.inf]]
+    sums, _ = sum_rows(_fixed_rows(logs), 2, 5, "rows")
+    assert isinstance(sums[0], TruncationError)
+    assert str(sums[0]) == "rows has a term above the float range (partial sum inf)"
+    assert sums[1] == 1.0 + 3 * math.exp(-50.0)
+
+
+def test_sum_rows_runs_a_nan_row_to_the_cap(monkeypatch):
+    # no nan term is small, so the row never stops; its partial sum is nan,
+    # as sum_series gives for the same terms
+    monkeypatch.setattr(special, "_MAX_TERMS", 8)
+    sums, read = sum_rows(_fixed_rows([[math.nan] * 8, [0.0, -50.0, -50.0, -50.0]]), 2, 2,
+                          "rows")
+    assert read == 8
+    assert isinstance(sums[0], TruncationError) and math.isnan(sums[0].partial)
+    assert str(sums[0]) == "rows did not converge in 8 terms (partial sum nan)"
+    assert math.isnan(sum_series(math.exp(x) for x in [math.nan] * 8)[0])
+    assert sums[1] == 1.0 + 3 * math.exp(-50.0)
+
+
+def test_sum_rows_takes_exp_through_the_module_global(monkeypatch):
+    # the full-grid CI step swaps special._exp for math.exp one entry at a
+    # time; that comparison means something only if sum_rows calls it there
+    calls = []
+
+    def counting(x):
+        calls.append(x.size)
+        return math_exp_map(x)
+
+    monkeypatch.setattr(special, "_exp", counting)
+    logs = [[0.0, -50.0, -50.0, -50.0]]
+    assert sum_rows(_fixed_rows(logs), 1, 4, "rows")[0] == [1.0 + 3 * math.exp(-50.0)]
+    assert calls == [4]
+
+
 def math_exp_map(x: np.ndarray) -> np.ndarray:
     """math.exp of each entry, one at a time, inf where it raises OverflowError."""
     def one(v):
